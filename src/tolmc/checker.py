@@ -27,6 +27,10 @@ class CheckError(ValueError):
     """Formula does not bind in the model (unknown clock, clock collision)."""
 
 
+class FixpointError(RuntimeError):
+    """An Until/Release iteration broke monotonicity or its iteration bound."""
+
+
 @dataclass
 class CheckStats:
     fixpoint_iterations: dict = field(default_factory=dict)
@@ -143,37 +147,31 @@ class Checker:
         return obstruction_pred(self.m, self.layout, n, target, self.universe,
                                 **self.pred_opts)
 
-    def sat_until(self, n: int, s1: Federation, s2: Federation, key="until") -> Federation:
-        y = self._extrap(s2)
+    def _fixpoint(self, key: str, start: Federation, grows: bool, step) -> Federation:
+        """Iterate step from start to a least (grows) or greatest fixpoint."""
+        y = start
         iterations = 0
         while True:
             iterations += 1
-            assert iterations <= self.stats.iteration_bound + 1, \
-                "until fixpoint exceeded the symbolic-state bound"
+            if iterations > self.stats.iteration_bound + 1:
+                raise FixpointError(f"{key}: fixpoint exceeded the symbolic-state bound")
             x = y
-            y = self._extrap(s2.union(s1.intersect(self._vee(n, x))))
+            y = step(x)
             self.stats.note(y)
-            assert x.subset_of(y), "until iterates must grow"
-            if y.subset_of(x):
+            if not (x.subset_of(y) if grows else y.subset_of(x)):
+                raise FixpointError(f"{key}: iterates must {'grow' if grows else 'shrink'}")
+            if y.subset_of(x) if grows else x.subset_of(y):
                 break
         self.stats.fixpoint_iterations[key] = iterations
         return y
 
+    def sat_until(self, n: int, s1: Federation, s2: Federation, key="until") -> Federation:
+        return self._fixpoint(key, self._extrap(s2), True, lambda x: self._extrap(
+            s2.union(s1.intersect(self._vee(n, x)))))
+
     def sat_release(self, n: int, s1: Federation, s2: Federation, key="release") -> Federation:
-        y = self.universe
-        iterations = 0
-        while True:
-            iterations += 1
-            assert iterations <= self.stats.iteration_bound + 1, \
-                "release fixpoint exceeded the symbolic-state bound"
-            x = y
-            y = self._extrap(s2.intersect(s1.union(self._vee(n, x))))
-            self.stats.note(y)
-            assert y.subset_of(x), "release iterates must shrink"
-            if x.subset_of(y):
-                break
-        self.stats.fixpoint_iterations[key] = iterations
-        return y
+        return self._fixpoint(key, self.universe, False, lambda x: self._extrap(
+            s2.intersect(s1.union(self._vee(n, x)))))
 
     def sat_freeze(self, var: str, s_phi: Federation) -> Federation:
         j = self.layout.index[var]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 formula satisfied / reports agree, 1 not satisfied /
-reports disagree, 2 usage or parse errors, 3 oracle-scale errors.
+reports disagree, 2 usage, parse or internal errors, 3 oracle-scale
+errors.
 The first stdout line of `check`/`oracle` is exactly SAT or UNSAT;
 everything diagnostic goes to stderr.
 """
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
     except oracle.OracleScaleError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:  # exit 1 means "not satisfied", never a crash
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

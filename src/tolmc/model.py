@@ -66,10 +66,6 @@ class Wta:
     initial: str
     edges: tuple[Edge, ...]
 
-    @property
-    def actions(self) -> frozenset[str]:
-        return frozenset(e.action for e in self.edges)
-
     def location(self, name: str) -> Location:
         for loc in self.locations:
             if loc.name == name:

@@ -5,11 +5,12 @@ half-integer points capped at max_constant + 1; the cap value stands
 for "anything larger", which rectangular constraints cannot
 distinguish.  Steps are delay-then-edge composites between grid
 states.  Strategic operators are decided as turn-based games with
-per-state blocker choices, solved by linear-time counting fixpoints;
-grade 0 additionally has a second, independent textbook AU/AR path
-used for cross-checks, and small instances support exhaustive
-enumeration of location-constant blocker choices for witness
-extraction.
+per-state blocker choices, solved by linear-time counting fixpoints.
+One textbook AU/AR over successor lists, independent of the game
+fixpoints, serves two uses: the grade-0 cross-check (tctl_check, on the
+full graph) and the witness re-check (on small instances, every
+location-constant blocker choice is enumerated and the graph pruned by
+it is checked again).
 
 Coordinates are stored doubled (1 unit = half a time unit) so all
 arithmetic stays integral.
@@ -22,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import logic
-from .model import ClockLayout, Wta, max_constants
+from .model import ClockConstraint, ClockLayout, Wta, max_constants
 
 
 class OracleScaleError(RuntimeError):
@@ -212,20 +213,24 @@ def release_game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray) -> byte
     return y
 
 
-# -- independent textbook AU/AR (second code path, grade-0 cross-check) ------
+# -- independent textbook AU/AR (grade-0 cross-check and witness re-check) --
 
-def _succ_sets(g: ExplicitGraph) -> list:
-    return [sorted({t for _, _, targets in g.steps[s] for t in targets})
-            for s in range(len(g.states))]
+def _succ_sets(g: ExplicitGraph, choice: dict) -> list:
+    """Per-state successors without the edges blocked by choice (loc -> edge ids)."""
+    out = []
+    for s, (loc, _) in enumerate(g.states):
+        blocked = choice.get(loc, frozenset())
+        out.append(sorted({t for ei, _, targets in g.steps[s] if ei not in blocked
+                           for t in targets}))
+    return out
 
 
-def au_tctl(g: ExplicitGraph, s1: bytearray, s2: bytearray) -> bytearray:
-    succs = _succ_sets(g)
+def au_tctl(succs: list, s1: bytearray, s2: bytearray) -> bytearray:
     y = bytearray(s2)
     changed = True
     while changed:
         changed = False
-        for s in range(len(g.states)):
+        for s in range(len(succs)):
             if y[s] or not s1[s]:
                 continue
             if succs[s] and all(y[t] for t in succs[s]):
@@ -234,13 +239,12 @@ def au_tctl(g: ExplicitGraph, s1: bytearray, s2: bytearray) -> bytearray:
     return y
 
 
-def ar_tctl(g: ExplicitGraph, s1: bytearray, s2: bytearray) -> bytearray:
-    succs = _succ_sets(g)
+def ar_tctl(succs: list, s1: bytearray, s2: bytearray) -> bytearray:
     y = bytearray(s2)
     changed = True
     while changed:
         changed = False
-        for s in range(len(g.states)):
+        for s in range(len(succs)):
             if not y[s] or s1[s]:
                 continue
             if not succs[s] or not all(y[t] for t in succs[s]):
@@ -261,15 +265,9 @@ def _atom_set(g: ExplicitGraph, psi) -> bytearray:
         return bytearray(1 if g.states[s][0] in labelled else 0 for s in range(n))
     if isinstance(psi, (logic.ClockAtom, logic.TClockAtom)):
         ci = g.layout.index[psi.clock] - 1
-        return bytearray(1 if _cmp2(g.states[s][1][ci], psi.op, psi.value) else 0
-                         for s in range(n))
+        atom = ClockConstraint(psi.clock, psi.op, psi.value)
+        return bytearray(atom.sat2(coords[ci]) for _, coords in g.states)
     raise TypeError(f"not atomic: {psi!r}")
-
-
-def _cmp2(value2: int, op: str, c: int) -> bool:
-    c2 = 2 * c
-    return {"<": value2 < c2, "<=": value2 <= c2, "=": value2 == c2,
-            ">=": value2 >= c2, ">": value2 > c2}[op]
 
 
 def _freeze_set(g: ExplicitGraph, var: str, inner: bytearray) -> bytearray:
@@ -360,9 +358,9 @@ def tctl_check(m: Wta, f: logic.TctlFormula, cap: int = 2_000_000,
             a, b = sat[psi.left], sat[psi.right]
             sat[psi] = bytearray(a[s] & b[s] for s in range(n))
         elif isinstance(psi, logic.TAU):
-            sat[psi] = au_tctl(g, sat[psi.left], sat[psi.right])
+            sat[psi] = au_tctl(_succ_sets(g, {}), sat[psi.left], sat[psi.right])
         elif isinstance(psi, logic.TAR):
-            sat[psi] = ar_tctl(g, sat[psi.left], sat[psi.right])
+            sat[psi] = ar_tctl(_succ_sets(g, {}), sat[psi.left], sat[psi.right])
         elif isinstance(psi, logic.TFreeze):
             sat[psi] = _freeze_set(g, psi.var, sat[psi.sub])
         else:
@@ -494,35 +492,8 @@ def _pruned_holds(g: ExplicitGraph, choice: dict, kind: str,
                   s1: bytearray, s2: bytearray, start: int) -> bool:
     """Textbook AU/AR from start on the graph pruned by a location-constant
     blocker choice."""
-    n = len(g.states)
-    succs = []
-    for s in range(n):
-        blocked = choice.get(g.states[s][0], frozenset())
-        succs.append(sorted({t for ei, _, targets in g.steps[s] if ei not in blocked
-                             for t in targets}))
-    if kind == "until":
-        y = bytearray(s2)
-        changed = True
-        while changed:
-            changed = False
-            for s in range(n):
-                if y[s] or not s1[s]:
-                    continue
-                if succs[s] and all(y[t] for t in succs[s]):
-                    y[s] = 1
-                    changed = True
-    else:
-        y = bytearray(s2)
-        changed = True
-        while changed:
-            changed = False
-            for s in range(n):
-                if not y[s] or s1[s]:
-                    continue
-                if not succs[s] or not all(y[t] for t in succs[s]):
-                    y[s] = 0
-                    changed = True
-    return bool(y[start])
+    solve = au_tctl if kind == "until" else ar_tctl
+    return bool(solve(_succ_sets(g, choice), s1, s2)[start])
 
 
 def location_witnesses(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,

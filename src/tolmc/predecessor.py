@@ -2,10 +2,13 @@
 
 One step of the underlying game is delay-then-edge, so the plain
 one-step predecessor of a target set is time_pred(disc_pred(e, T)).
-The obstruction predecessor with budget n keeps a state s when
+An edge escapes from a state iff some delay lets it land outside the
+target.  The escape-cell split (_escape_cells) partitions a location's
+space into cells with a fixed set of escaping edges; escape_profiles
+lists those cells, and obstruction_pred with budget n is a filter over
+them that keeps a cell's states when
 
-  (a) the total weight of its escaping edges is <= n, where an edge
-      escapes iff some delay lets it land outside the target, and
+  (a) the total weight of its escaping edges is <= n, and
   (b) some non-escaping edge can actually step into the target.
 
 (b) rules out the degenerate play where the blocker deactivates every
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 from .model import ClockLayout, Edge, Wta
 from .zones import (Dbm, Federation, Zone, conjoin_atom, dbm_intersect,
-                    dbm_subtract, dbm_unconstrained, down, free, reset)
+                    dbm_subtract, dbm_unconstrained, down, free)
 
 
 def invariant_dbm(m: Wta, layout: ClockLayout, loc_name: str) -> Dbm:
@@ -90,13 +93,6 @@ def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Federation
     return time_pred(m, layout, disc_pred(m, layout, e, target))
 
 
-def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
-    out = Federation.empty(layout.dim)
-    for e in m.edges:
-        out = out.union(pred(m, layout, e, target))
-    return out
-
-
 @dataclass(frozen=True)
 class EscapeProfile:
     """One cell of a location's space with a fixed set of escaping edges."""
@@ -107,15 +103,14 @@ class EscapeProfile:
     escape_cost: int
 
 
-def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
-                    target: Federation, universe: Federation) -> list[EscapeProfile]:
-    """Partition a location's space by which edges escape the target."""
-    complement = universe.subtract(target)
-    edge_ids = [i for i, e in enumerate(m.edges) if e.source == loc]
-    esc = {i: pred(m, layout, m.edges[i], complement) for i in edge_ids}
+def _escape_cells(m: Wta, layout: ClockLayout, loc: str, edge_ids: list[int],
+                  complement: Federation, universe: Federation) -> list[tuple[list, frozenset]]:
+    """Split a location's space into (DBMs, edges escaping into the complement) cells."""
     cells: list[tuple[list, frozenset]] = [(list(universe.at(loc)), frozenset())]
     for i in edge_ids:
-        esc_dbms = esc[i].at(loc)
+        esc_dbms = pred(m, layout, m.edges[i], complement).at(loc)
+        if not esc_dbms:
+            continue
         nxt = []
         for dbms, pattern in cells:
             inside = [c for d in dbms for ed in esc_dbms
@@ -130,19 +125,24 @@ def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
             if outside:
                 nxt.append((outside, pattern))
         cells = nxt
-    profiles = []
-    for dbms, pattern in cells:
-        cost = sum(m.edges[i].weight for i in pattern)
-        for d in dbms:
-            profiles.append(EscapeProfile(loc, d, pattern, cost))
-    return profiles
+    return cells
+
+
+def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
+                    target: Federation, universe: Federation) -> list[EscapeProfile]:
+    """Partition a location's space by which edges escape the target."""
+    edge_ids = [i for i, e in enumerate(m.edges) if e.source == loc]
+    cells = _escape_cells(m, layout, loc, edge_ids, universe.subtract(target), universe)
+    return [EscapeProfile(loc, d, pattern, sum(m.edges[i].weight for i in pattern))
+            for dbms, pattern in cells for d in dbms]
 
 
 def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                      target: Federation, universe: Federation, *,
                      cost_strict: bool = False,
                      require_witness: bool = True) -> Federation:
-    """The budget-n obstruction predecessor of the target set.
+    """The budget-n obstruction predecessor of the target set: the cells
+    of the escape split that the budget affords and that keep a witness.
 
     cost_strict and require_witness exist for mutation testing only;
     the faithful semantics is cost <= n with the witness condition on.
@@ -152,29 +152,8 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
     out = Federation.empty(layout.dim)
     for loc in m.locations:
         edge_ids = [i for i, e in enumerate(m.edges) if e.source == loc.name]
-        if not edge_ids:
-            continue
-        esc = {i: pred(m, layout, m.edges[i], complement) for i in edge_ids}
-        cells: list[tuple[list, frozenset]] = [(list(universe.at(loc.name)), frozenset())]
-        for i in edge_ids:
-            esc_dbms = esc[i].at(loc.name)
-            if not esc_dbms:
-                continue
-            nxt = []
-            for dbms, pattern in cells:
-                inside = [c for d in dbms for ed in esc_dbms
-                          if (c := dbm_intersect(d, ed)) is not None]
-                outside = list(dbms)
-                for ed in esc_dbms:
-                    outside = [p for d in outside for p in dbm_subtract(d, ed)]
-                    if not outside:
-                        break
-                if inside:
-                    nxt.append((inside, pattern | {i}))
-                if outside:
-                    nxt.append((outside, pattern))
-            cells = nxt
-        for dbms, pattern in cells:
+        for dbms, pattern in _escape_cells(m, layout, loc.name, edge_ids,
+                                           complement, universe):
             cost = sum(m.edges[i].weight for i in pattern)
             if (cost >= n) if cost_strict else (cost > n):
                 continue

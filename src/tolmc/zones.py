@@ -87,11 +87,6 @@ def dbm_unconstrained(dim: int) -> Dbm:
     return tuple(rows)
 
 
-def dbm_zero(dim: int) -> Dbm:
-    """All clocks exactly 0."""
-    return tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim))
-
-
 # -- canonical form ----------------------------------------------------------
 
 def canonicalize(d) -> Optional[Dbm]:
@@ -117,19 +112,6 @@ def canonicalize(d) -> Optional[Dbm]:
             return None
         m[i][i] = ZERO
     return tuple(tuple(row) for row in m)
-
-
-def is_canonical(d: Dbm) -> bool:
-    n = len(d)
-    for i in range(n):
-        if d[i][i] != ZERO:
-            return False
-        for j in range(n):
-            for k in range(n):
-                if d[i][k] < INF and d[k][j] < INF:
-                    if bound_add(d[i][k], d[k][j]) < d[i][j]:
-                        return False
-    return True
 
 
 def _freeze(m: list) -> Dbm:
@@ -257,28 +239,6 @@ def free(d: Dbm, y: int) -> Dbm:
     out = canonicalize(m)
     assert out is not None
     return out
-
-
-def relation(a: Optional[Dbm], b: Optional[Dbm]) -> str:
-    """Exact set relation between two canonical zones (None = empty)."""
-    if a is None and b is None:
-        return "equal"
-    if a is None:
-        return "subset"
-    if b is None:
-        return "superset"
-    if len(a) != len(b):
-        raise ArityError("dimension mismatch in relation")
-    n = len(a)
-    sub = all(a[i][j] <= b[i][j] for i in range(n) for j in range(n))
-    sup = all(b[i][j] <= a[i][j] for i in range(n) for j in range(n))
-    if sub and sup:
-        return "equal"
-    if sub:
-        return "subset"
-    if sup:
-        return "superset"
-    return "incomparable"
 
 
 def dbm_subset(a: Dbm, b: Dbm) -> bool:
@@ -495,10 +455,3 @@ def _reduce(dbms: list) -> list:
         out = [kept for kept in out if not dbm_subset(kept, d)]
         out.append(d)
     return out
-
-
-def fed_union(feds: Iterable[Federation], dim: int) -> Federation:
-    acc = Federation.empty(dim)
-    for f in feds:
-        acc = acc.union(f)
-    return acc

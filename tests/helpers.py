@@ -11,7 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from tolmc.zones import INF, Dbm, bound_sat
+from tolmc.model import ClockLayout, Wta
+from tolmc.predecessor import pred
+from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, bound_add,
+                         bound_sat)
 
 # a one-variable bound: (doubled value, strict flag)
 NEG_INF = (-(1 << 50), True)
@@ -156,3 +159,50 @@ def fed_points(fed, m, cmax: int):
     """All (loc, point2) grid pairs of a model up to cmax+1 per clock."""
     pts = grid_points(fed.dim - 1, cmax)
     return [(loc.name, p) for loc in m.locations for p in pts]
+
+
+def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
+    out = Federation.empty(layout.dim)
+    for e in m.edges:
+        out = out.union(pred(m, layout, e, target))
+    return out
+
+
+def dbm_zero(dim: int) -> Dbm:
+    """All clocks exactly 0."""
+    return tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim))
+
+
+def is_canonical(d: Dbm) -> bool:
+    n = len(d)
+    for i in range(n):
+        if d[i][i] != ZERO:
+            return False
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] < INF and d[k][j] < INF:
+                    if bound_add(d[i][k], d[k][j]) < d[i][j]:
+                        return False
+    return True
+
+
+def relation(a: Dbm | None, b: Dbm | None) -> str:
+    """Exact set relation between two canonical zones (None = empty)."""
+    if a is None and b is None:
+        return "equal"
+    if a is None:
+        return "subset"
+    if b is None:
+        return "superset"
+    if len(a) != len(b):
+        raise ArityError("dimension mismatch in relation")
+    n = len(a)
+    sub = all(a[i][j] <= b[i][j] for i in range(n) for j in range(n))
+    sup = all(b[i][j] <= a[i][j] for i in range(n) for j in range(n))
+    if sub and sup:
+        return "equal"
+    if sub:
+        return "subset"
+    if sup:
+        return "superset"
+    return "incomparable"

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import tolmc
 from tolmc import logic
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import CheckError, Checker, check, dump_sat
@@ -154,6 +160,29 @@ def test_fixpoint_iteration_counts_within_bound():
         v = check(m, f)
         for count in v.stats.fixpoint_iterations.values():
             assert count <= v.stats.iteration_bound + 1
+
+
+def test_fixpoint_bound_holds_under_optimize():
+    # python -O strips asserts; the bound must still stop the loop
+    code = textwrap.dedent("""
+        from tolmc.bench import gen_pipeline
+        from tolmc.checker import Checker, FixpointError
+        c = Checker(*gen_pipeline(4))
+        c.stats.iteration_bound = 0
+        try:
+            c.run()
+        except FixpointError as e:
+            print(e)
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """)
+    src = str(Path(tolmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "exceeded the symbolic-state bound" in proc.stdout
 
 
 def test_verdicts_unchanged_without_extrapolation(monkeypatch):

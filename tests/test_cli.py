@@ -152,3 +152,14 @@ def test_oracle_scale_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "oracle", str(model), "-f", "true")
     assert code == 3
     assert "states" in err and out == ""
+
+
+def test_internal_error_exits_two_not_unsat(capsys, tmp_path):
+    # a formula nested 3000 deep overflows the recursive walks; exit 1
+    # would read as "not satisfied"
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nlocation l init\nedge l -> l action a weight 1\n")
+    code, out, err = run(capsys, "check", str(model), "-f", "!" * 3000 + "true")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: internal: RecursionError: ")

@@ -1,12 +1,11 @@
 import itertools
 import random
 
-from helpers import grid_points
+from helpers import grid_points, pred_union
 from tolmc.logic import formula_clocks
 from tolmc.model import ClockLayout, max_constants, parse_model
 from tolmc.predecessor import (EscapeProfile, disc_pred, escape_profiles,
-                               full_space, obstruction_pred, pred, pred_union,
-                               time_pred)
+                               full_space, obstruction_pred, pred, time_pred)
 from tolmc.randgen import random_wta
 from tolmc.zones import Federation, Zone
 

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (grid_points, in_dbm, in_down, in_free, in_reset, in_up,
-                     random_dbm)
+from helpers import (dbm_zero, grid_points, in_dbm, in_down, in_free,
+                     in_reset, in_up, is_canonical, random_dbm, relation)
 from tolmc import zones as Z
 from tolmc.zones import (INF, ArityError, Federation, Zone, bound_add,
                          canonicalize, conjoin_atom, dbm_intersect,
-                         dbm_subset, dbm_subtract, dbm_unconstrained,
-                         dbm_zero, down, extrapolate, free, is_canonical, le,
-                         lt, relation, reset, up)
+                         dbm_subset, dbm_subtract, dbm_unconstrained, down,
+                         extrapolate, free, le, lt, reset, up)
 
 
 def constrained(dim, *atoms):
