@@ -88,34 +88,33 @@ class BenchResult:
 
 
 def bench_row(case: str, k: int, runs: int = 5) -> BenchResult:
-    """Mean/stdev of wall time and peak traced allocation over `runs` runs."""
+    """Mean/stdev of untraced wall time over `runs` runs, and the peak
+    traced allocation of one separate run (its stdev is 0)."""
     if runs < 1:
         raise ValueError("need at least one run")
     gen = GENERATORS[case]
     try:
         m, f = gen(k)
-        times, mems = [], []
+        times = []
         verdicts = set()
         for _ in range(runs):
-            tracemalloc.start()
             t0 = time.perf_counter()
             verdict = check(m, f)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            times.append(elapsed)
-            mems.append(peak / 1024.0)
+            times.append((time.perf_counter() - t0) * 1000.0)
             verdicts.add(verdict.satisfied)
-        assert len(verdicts) == 1, "verdict must not vary across runs"
+        tracemalloc.start()
+        try:
+            verdicts.add(check(m, f).satisfied)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if len(verdicts) != 1:
+            raise RuntimeError(f"{case} k={k}: verdict varied across runs")
         return BenchResult(case, k,
                            statistics.fmean(times),
                            statistics.stdev(times) if runs > 1 else 0.0,
-                           statistics.fmean(mems),
-                           statistics.stdev(mems) if runs > 1 else 0.0,
-                           verdicts.pop())
+                           peak / 1024.0, 0.0, verdicts.pop())
     except Exception:
-        if tracemalloc.is_tracing():
-            tracemalloc.stop()
         return BenchResult(case, k, 0.0, 0.0, 0.0, 0.0, "error")
 
 

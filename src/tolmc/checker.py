@@ -34,14 +34,14 @@ class FixpointError(RuntimeError):
 @dataclass
 class CheckStats:
     fixpoint_iterations: dict = field(default_factory=dict)
-    zones_created: int = 0
+    zones_noted: int = 0  # federation sizes summed at each note()
     peak_federation_size: int = 0
     wall_ms: float = 0.0
     iteration_bound: int = 0
 
     def note(self, fed: Federation) -> None:
         n = fed.zone_count()
-        self.zones_created += n
+        self.zones_noted += n
         self.peak_federation_size = max(self.peak_federation_size, n)
 
 
@@ -53,23 +53,11 @@ class Verdict:
 
 
 def _validate_bindings(m: Wta, f: TolFormula) -> None:
-    fclocks = logic.formula_clocks(f)
-    for j in fclocks:
-        if j in m.clocks:
-            raise CheckError(f"freeze identifier {j!r} collides with an automaton clock")
-
-    def walk(g: TolFormula, scope: frozenset) -> None:
-        if isinstance(g, ClockAtom):
-            if g.clock not in m.clocks and g.clock not in scope:
-                raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
-        elif isinstance(g, (Not,)):
-            walk(g.sub, scope)
-        elif isinstance(g, Freeze):
-            walk(g.sub, scope | {g.var})
-        elif isinstance(g, (And, Until, Release)):
-            walk(g.left, scope)
-            walk(g.right, scope)
-    walk(f, frozenset())
+    for g, scope, _ in logic.scoped(f):
+        if isinstance(g, Freeze) and g.var in m.clocks:
+            raise CheckError(f"freeze identifier {g.var!r} collides with an automaton clock")
+        if isinstance(g, ClockAtom) and g.clock not in m.clocks and g.clock not in scope:
+            raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
 
 
 def region_count_bound(m: Wta, layout: ClockLayout) -> int:

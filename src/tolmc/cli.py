@@ -10,6 +10,8 @@ everything diagnostic goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 
 from . import bench as bench_mod
@@ -94,10 +96,7 @@ def _dispatch(args) -> int:
         verdict = check(m, f)
         print("SAT" if verdict.satisfied else "UNSAT")
         if args.stats:
-            st = verdict.stats
-            print(f"wall_ms={st.wall_ms:.3f} zones_created={st.zones_created} "
-                  f"peak_federation_size={st.peak_federation_size} "
-                  f"iterations={st.fixpoint_iterations}", file=sys.stderr)
+            print(json.dumps(dataclasses.asdict(verdict.stats)), file=sys.stderr)
         if args.dump_sat:
             names = ("0",) + m.clocks + logic.formula_clocks(f)
             with open(args.dump_sat, "w") as fh:

@@ -8,13 +8,29 @@ and the freeze binder.  F, G, weak-until, disjunction, implication and
     F p  == (true U p)          G p  == (false R p)
     p W q == (q R (p | q))      p | q == !(!p & !q)
     p -> q == !(p & !q)         false == !true
+
+The grade-0 fragment maps onto a separate TCTL tree whose classes cannot
+hold a grade.  Both trees name their operands `sub` or `left`/`right`,
+and `children()` is the one place that reads them to walk a tree: the
+subformula order, the printer, formula clocks and the scope walk are
+written once over it and accept either tree.
+
+Parsing bounds nesting at MAX_NESTING levels, so the recursive descent,
+the recursive walks and the dataclass hashing of a parsed formula stay
+inside Python's default recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .zones import OPS
+from .zones import MAX_CONSTANT, OPS
+
+# each '(', temporal operand, '->' right operand and '!'/freeze prefix
+# is one level while parsing; after desugaring, each connective above a
+# node is one level
+MAX_NESTING = 100
+TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
 
 class TolFormula:
@@ -168,6 +184,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -183,6 +200,15 @@ class _Parser:
             raise FormulaError(f"expected {value or kind}, got {t[1]!r}", t[2])
         return t
 
+    def nested(self, parse, at: int) -> TolFormula:
+        """Run one parse method a nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaError(TOO_DEEP, at)
+        f = parse()
+        self.depth -= 1
+        return f
+
     def parse(self) -> TolFormula:
         f = self.implies()
         t = self.peek()
@@ -192,9 +218,10 @@ class _Parser:
 
     def implies(self) -> TolFormula:
         left = self.disj()
-        if self.peek()[:2] == ("op", "->"):
+        t = self.peek()
+        if t[:2] == ("op", "->"):
             self.next()
-            return Implies(left, self.implies())
+            return Implies(left, self.nested(self.implies, t[2]))
         return left
 
     def disj(self) -> TolFormula:
@@ -215,13 +242,13 @@ class _Parser:
         t = self.peek()
         if t[:2] == ("op", "!"):
             self.next()
-            return Not(self.unary())
+            return Not(self.nested(self.unary, t[2]))
         if t[0] == "grade":
             return self.temporal()
         if t[0] == "ident" and self.toks[self.pos + 1][:2] == ("op", "."):
             var = self.next()[1]
             self.next()
-            return Freeze(var, self.unary())
+            return Freeze(var, self.nested(self.unary, t[2]))
         return self.primary()
 
     def temporal(self) -> TolFormula:
@@ -229,16 +256,16 @@ class _Parser:
         t = self.peek()
         if t[:2] == ("kw", "F"):
             self.next()
-            return Finally(n, self.unary())
+            return Finally(n, self.nested(self.unary, t[2]))
         if t[:2] == ("kw", "G"):
             self.next()
-            return Globally(n, self.unary())
+            return Globally(n, self.nested(self.unary, t[2]))
         self.expect("op", "(")
-        left = self.implies()
+        left = self.nested(self.implies, t[2])
         op = self.next()
         if op[0] != "kw" or op[1] not in ("U", "R", "W"):
             raise FormulaError(f"expected U, R or W inside graded operator, got {op[1]!r}", op[2])
-        right = self.implies()
+        right = self.nested(self.implies, op[2])
         self.expect("op", ")")
         if op[1] == "U":
             return Until(n, left, right)
@@ -253,7 +280,7 @@ class _Parser:
         if t[:2] == ("kw", "false"):
             return FALSE
         if t[:2] == ("op", "("):
-            f = self.implies()
+            f = self.nested(self.implies, t[2])
             self.expect("op", ")")
             return f
         if t[0] == "ident":
@@ -262,95 +289,23 @@ class _Parser:
                 op = self.next()[1]
                 if op not in OPS:
                     raise FormulaError(f"bad comparison {op!r}", nxt[2])
-                v = self.expect("nat")[1]
-                return ClockAtom(t[1], op, v)
+                v = self.expect("nat")
+                if v[1] > MAX_CONSTANT:
+                    raise FormulaError(f"clock constant {v[1]} exceeds {MAX_CONSTANT}", v[2])
+                return ClockAtom(t[1], op, v[1])
             return Atom(t[1])
         raise FormulaError(f"unexpected token {t[1]!r}", t[2])
 
 
 def parse_formula(text: str) -> TolFormula:
     f = _Parser(text).parse()
-    _reject_shadowing(f, frozenset())
+    for g, bound, depth in scoped(f):
+        if depth > MAX_NESTING:
+            raise FormulaError(TOO_DEEP)
+        # rebinding a freeze identifier in a nested scope has no defined meaning
+        if isinstance(g, Freeze) and g.var in bound:
+            raise FormulaError(f"freeze identifier {g.var!r} rebound in nested scope")
     return f
-
-
-def _reject_shadowing(f: TolFormula, bound: frozenset) -> None:
-    # rebinding a freeze identifier in a nested scope has no defined meaning
-    if isinstance(f, Freeze):
-        if f.var in bound:
-            raise FormulaError(f"freeze identifier {f.var!r} rebound in nested scope")
-        _reject_shadowing(f.sub, bound | {f.var})
-    elif isinstance(f, Not):
-        _reject_shadowing(f.sub, bound)
-    elif isinstance(f, (And, Until, Release)):
-        _reject_shadowing(f.left, bound)
-        _reject_shadowing(f.right, bound)
-
-
-def print_formula(f: TolFormula) -> str:
-    """Re-parseable text; desugared nodes print in core syntax."""
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, ClockAtom):
-        return f"{f.clock} {f.op} {f.value}"
-    if isinstance(f, Not):
-        return f"! ({print_formula(f.sub)})"
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, Until):
-        return f"<#{f.grade}> ({print_formula(f.left)} U {print_formula(f.right)})"
-    if isinstance(f, Release):
-        return f"<#{f.grade}> ({print_formula(f.left)} R {print_formula(f.right)})"
-    if isinstance(f, Freeze):
-        return f"{f.var} . ({print_formula(f.sub)})"
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-# -- structure ---------------------------------------------------------------
-
-def size(f: TolFormula) -> int:
-    """Connective count."""
-    if isinstance(f, (TrueF, Atom, ClockAtom)):
-        return 0
-    if isinstance(f, (Not, Freeze)):
-        return 1 + size(f.sub)
-    return 1 + size(f.left) + size(f.right)
-
-
-def subformulas_by_size(f: TolFormula) -> list[TolFormula]:
-    """Distinct subformulas ordered by connective count (stable ties)."""
-    seen: dict[TolFormula, int] = {}
-
-    def walk(g: TolFormula) -> None:
-        if isinstance(g, (Not, Freeze)):
-            walk(g.sub)
-        elif isinstance(g, (And, Until, Release)):
-            walk(g.left)
-            walk(g.right)
-        if g not in seen:
-            seen[g] = len(seen)
-    walk(f)
-    return sorted(seen, key=lambda g: (size(g), seen[g]))
-
-
-def formula_clocks(f: TolFormula) -> tuple[str, ...]:
-    """Freeze-bound identifiers in first-binding order."""
-    out: list[str] = []
-
-    def walk(g: TolFormula) -> None:
-        if isinstance(g, Freeze):
-            if g.var not in out:
-                out.append(g.var)
-            walk(g.sub)
-        elif isinstance(g, (Not,)):
-            walk(g.sub)
-        elif isinstance(g, (And, Until, Release)):
-            walk(g.left)
-            walk(g.right)
-    walk(f)
-    return tuple(out)
 
 
 # -- TCTL image of the grade-0 fragment --------------------------------------
@@ -430,21 +385,88 @@ def to_tctl(f: TolFormula) -> TctlFormula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def print_tctl(f: TctlFormula) -> str:
-    if isinstance(f, TTrue):
-        return "true"
-    if isinstance(f, TAtom):
-        return f.name
-    if isinstance(f, TClockAtom):
-        return f"{f.clock} {f.op} {f.value}"
-    if isinstance(f, TNot):
-        return f"! ({print_tctl(f.sub)})"
-    if isinstance(f, TAnd):
-        return f"({print_tctl(f.left)} & {print_tctl(f.right)})"
-    if isinstance(f, TAU):
-        return f"A ({print_tctl(f.left)} U {print_tctl(f.right)})"
-    if isinstance(f, TAR):
-        return f"A ({print_tctl(f.left)} R {print_tctl(f.right)})"
-    if isinstance(f, TFreeze):
-        return f"{f.var} . ({print_tctl(f.sub)})"
-    raise TypeError(f"not a TCTL node: {f!r}")
+# -- structure of both trees ------------------------------------------------
+
+_UNARY = frozenset({Not, Freeze, TNot, TFreeze})
+_BINARY = frozenset({And, Until, Release, TAnd, TAU, TAR})
+CLOCK_ATOMS = (ClockAtom, TClockAtom)
+FREEZES = (Freeze, TFreeze)
+
+
+def children(f) -> tuple:
+    """A node's operands, left to right, in either tree."""
+    kind = type(f)
+    if kind in _UNARY:
+        return (f.sub,)
+    if kind in _BINARY:
+        return (f.left, f.right)
+    return ()
+
+
+def scoped(f):
+    """Each node of the tree in pre-order, with the freeze identifiers
+    bound above it and its depth (the number of connectives above it)."""
+    stack = [(f, frozenset(), 0)]
+    while stack:
+        g, bound, depth = stack.pop()
+        yield g, bound, depth
+        kids = children(g)
+        if kids:
+            if isinstance(g, FREEZES):
+                bound = bound | {g.var}
+            for c in reversed(kids):
+                stack.append((c, bound, depth + 1))
+
+
+def size(f) -> int:
+    """Connective count."""
+    return sum(1 for g, _, _ in scoped(f) if children(g))
+
+
+def subformulas_by_size(f) -> list:
+    """Distinct subformulas ordered by connective count; ties keep the
+    order in which a post-order walk first completes them."""
+    sizes: dict = {}
+
+    def walk(g) -> int:
+        s = sizes.get(g)
+        if s is None:
+            kids = children(g)
+            s = sizes[g] = 1 + sum(map(walk, kids)) if kids else 0
+        return s
+
+    walk(f)
+    return sorted(sizes, key=sizes.__getitem__)
+
+
+def formula_clocks(f) -> tuple[str, ...]:
+    """Freeze-bound identifiers in first-binding order."""
+    return tuple(dict.fromkeys(g.var for g, _, _ in scoped(f) if isinstance(g, FREEZES)))
+
+
+def print_formula(f) -> str:
+    """Text of either tree.  TOL text re-parses; desugared nodes print in
+    core syntax.  The TCTL image prints its quantifier as A."""
+    kids = children(f)
+    kind = type(f)
+    if not kids:
+        if kind in (Atom, TAtom):
+            return f.name
+        if kind in CLOCK_ATOMS:
+            return f"{f.clock} {f.op} {f.value}"
+        if kind in (TrueF, TTrue):
+            return "true"
+    elif len(kids) == 1:
+        a = print_formula(kids[0])
+        return f"! ({a})" if kind in (Not, TNot) else f"{f.var} . ({a})"
+    else:
+        a, b = map(print_formula, kids)
+        if kind in (And, TAnd):
+            return f"({a} & {b})"
+        quantifier = "A" if kind in (TAU, TAR) else f"<#{f.grade}>"
+        op = "U" if kind in (Until, TAU) else "R"
+        return f"{quantifier} ({a} {op} {b})"
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+print_tctl = print_formula

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .zones import OPS, conjoin_atom, dbm_unconstrained
+from .zones import MAX_CONSTANT, OPS, conjoin_atom, dbm_unconstrained
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ E_BAD_INVARIANT_OP = "bad-invariant-op"
 E_INIT_INVARIANT = "init-invariant"
 E_UNSAT_INVARIANT = "unsat-invariant"
 E_BAD_WEIGHT = "bad-weight"
+E_CONSTANT_RANGE = "constant-range"
 
 
 def parse_model(text: str) -> Wta:
@@ -202,7 +203,11 @@ def _parse_atoms(toks: list[str], clocks: list[str], at: "_Cursor") -> tuple[Clo
         if not val.isdigit():
             raise ModelError(E_SYNTAX, f"constraint constant must be a natural, got {val!r}",
                              lineno, at.col(val))
-        atoms.append(ClockConstraint(clock, op, int(val)))
+        value = int(val)
+        if value > MAX_CONSTANT:
+            raise ModelError(E_CONSTANT_RANGE, f"constraint constant {value} exceeds {MAX_CONSTANT}",
+                             lineno, at.col(val))
+        atoms.append(ClockConstraint(clock, op, value))
         i += 3
         if i < len(toks):
             if toks[i] != "&":
@@ -375,7 +380,7 @@ def max_constants(m: Wta, formula=None) -> dict[str, int]:
     """Per-clock max constant over guards, invariants and formula atoms.
 
     Clocks never compared map to 0; formula clocks are included when a
-    formula is given.
+    formula (of either tree) is given.
     """
     out: dict[str, int] = {c: 0 for c in m.clocks}
     for loc in m.locations:
@@ -387,9 +392,9 @@ def max_constants(m: Wta, formula=None) -> dict[str, int]:
     if formula is not None:
         from . import logic
 
-        for j in logic.formula_clocks(formula):
-            out.setdefault(j, 0)
-        for sub in logic.subformulas_by_size(formula):
-            if isinstance(sub, logic.ClockAtom):
-                out[sub.clock] = max(out.get(sub.clock, 0), sub.value)
+        for g, _, _ in logic.scoped(formula):
+            if isinstance(g, logic.FREEZES):
+                out.setdefault(g.var, 0)
+            elif isinstance(g, logic.CLOCK_ATOMS):
+                out[g.clock] = max(out.get(g.clock, 0), g.value)
     return out

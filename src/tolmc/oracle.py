@@ -8,9 +8,10 @@ states.  Strategic operators are decided as turn-based games with
 per-state blocker choices, solved by linear-time counting fixpoints.
 One textbook AU/AR over successor lists, independent of the game
 fixpoints, serves two uses: the grade-0 cross-check (tctl_check, on the
-full graph) and the witness re-check (on small instances, every
-location-constant blocker choice is enumerated and the graph pruned by
-it is checked again).
+full graph: oracle_sat's loop on the TCTL tree, whose A U / A R nodes
+reach only these solvers) and the witness re-check (on small instances,
+every location-constant blocker choice is enumerated and the graph
+pruned by it is checked again).
 
 Coordinates are stored doubled (1 unit = half a time unit) so all
 arithmetic stays integral.
@@ -39,14 +40,10 @@ class ExplicitGraph:
     index: dict                     # state -> position
     steps: list                     # per state: list of (edge_idx, weight, targets tuple)
     preds: dict = field(default_factory=dict)   # built lazily
-    at_cap: list = field(default_factory=list)  # pure-delay self-loop marker
 
     def initial_index(self) -> int:
         coords = (0,) * (self.layout.dim - 1)
         return self.index[(self.m.initial, coords)]
-
-    def point2(self, i: int):
-        return (0,) + self.states[i][1]
 
     def build_preds(self) -> None:
         if self.preds:
@@ -111,7 +108,6 @@ def discretize(m: Wta, f=None, cap: int = 2_000_000) -> ExplicitGraph:
              [layout.index[c] - 1 for c in e.resets]))
 
     steps: list[list] = []
-    at_cap: list[bool] = []
     for loc, coords in states:
         found: dict[int, set] = {}
         max_delay = max((caps2[i + 1] - coords[i] for i in range(nclocks)), default=0)
@@ -131,9 +127,8 @@ def discretize(m: Wta, f=None, cap: int = 2_000_000) -> ExplicitGraph:
         groups = [(ei, m.edges[ei].weight, tuple(sorted(ts)))
                   for ei, ts in sorted(found.items())]
         steps.append(groups)
-        at_cap.append(all(coords[i] == caps2[i + 1] for i in range(nclocks)))
 
-    return ExplicitGraph(m, layout, caps2, states, index, steps, {}, at_cap)
+    return ExplicitGraph(m, layout, caps2, states, index, steps)
 
 
 # -- game fixpoints with per-state blocker choices ---------------------------
@@ -282,24 +277,32 @@ def _freeze_set(g: ExplicitGraph, var: str, inner: bytearray) -> bytearray:
     return out
 
 
-def oracle_sat(g: ExplicitGraph, f: logic.TolFormula) -> dict:
-    """Sat sets for every subformula, via the per-state game fixpoints."""
+def oracle_sat(g: ExplicitGraph, f) -> dict:
+    """Sat sets for every subformula of either tree.  Graded operators go
+    to the per-state game fixpoints; the TCTL image's A U / A R go to the
+    textbook AU/AR over the unpruned successor lists."""
     sat: dict = {}
     n = len(g.states)
+    succs = None
     for psi in logic.subformulas_by_size(f):
-        if isinstance(psi, (logic.TrueF, logic.Atom, logic.ClockAtom)):
+        if not logic.children(psi):
             sat[psi] = _atom_set(g, psi)
-        elif isinstance(psi, logic.Not):
+        elif isinstance(psi, (logic.Not, logic.TNot)):
             inner = sat[psi.sub]
             sat[psi] = bytearray(1 - inner[s] for s in range(n))
-        elif isinstance(psi, logic.And):
+        elif isinstance(psi, (logic.And, logic.TAnd)):
             a, b = sat[psi.left], sat[psi.right]
             sat[psi] = bytearray(a[s] & b[s] for s in range(n))
         elif isinstance(psi, logic.Until):
             sat[psi] = until_game(g, psi.grade, sat[psi.left], sat[psi.right])
         elif isinstance(psi, logic.Release):
             sat[psi] = release_game(g, psi.grade, sat[psi.left], sat[psi.right])
-        elif isinstance(psi, logic.Freeze):
+        elif isinstance(psi, (logic.TAU, logic.TAR)):
+            if succs is None:
+                succs = _succ_sets(g, {})
+            solve = au_tctl if isinstance(psi, logic.TAU) else ar_tctl
+            sat[psi] = solve(succs, sat[psi.left], sat[psi.right])
+        elif isinstance(psi, logic.FREEZES):
             sat[psi] = _freeze_set(g, psi.var, sat[psi.sub])
         else:
             raise TypeError(f"not a formula node: {psi!r}")
@@ -313,80 +316,14 @@ def oracle_check(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
     return bool(sat[f][g.initial_index()])
 
 
-def _tctl_subformulas(f: logic.TctlFormula) -> list:
-    seen: dict = {}
-
-    def walk(g) -> None:
-        if isinstance(g, (logic.TNot, logic.TFreeze)):
-            walk(g.sub)
-        elif isinstance(g, (logic.TAnd, logic.TAU, logic.TAR)):
-            walk(g.left)
-            walk(g.right)
-        if g not in seen:
-            seen[g] = len(seen)
-
-    walk(f)
-
-    def tsize(g) -> int:
-        if isinstance(g, (logic.TTrue, logic.TAtom, logic.TClockAtom)):
-            return 0
-        if isinstance(g, (logic.TNot, logic.TFreeze)):
-            return 1 + tsize(g.sub)
-        return 1 + tsize(g.left) + tsize(g.right)
-
-    return sorted(seen, key=lambda g: (tsize(g), seen[g]))
-
-
 def tctl_check(m: Wta, f: logic.TctlFormula, cap: int = 2_000_000,
-               graph: ExplicitGraph | None = None,
-               formula_clocks=()) -> bool:
-    """Textbook TCTL fixpoint verdict on the discretization (independent
-    of the game machinery; used to validate the grade-0 fragment)."""
-    g = graph
-    if g is None:
-        tol = _tctl_to_tol(f)
-        g = discretize(m, tol, cap)
-    sat: dict = {}
-    n = len(g.states)
-    for psi in _tctl_subformulas(f):
-        if isinstance(psi, (logic.TTrue, logic.TAtom, logic.TClockAtom)):
-            sat[psi] = _atom_set(g, psi)
-        elif isinstance(psi, logic.TNot):
-            inner = sat[psi.sub]
-            sat[psi] = bytearray(1 - inner[s] for s in range(n))
-        elif isinstance(psi, logic.TAnd):
-            a, b = sat[psi.left], sat[psi.right]
-            sat[psi] = bytearray(a[s] & b[s] for s in range(n))
-        elif isinstance(psi, logic.TAU):
-            sat[psi] = au_tctl(_succ_sets(g, {}), sat[psi.left], sat[psi.right])
-        elif isinstance(psi, logic.TAR):
-            sat[psi] = ar_tctl(_succ_sets(g, {}), sat[psi.left], sat[psi.right])
-        elif isinstance(psi, logic.TFreeze):
-            sat[psi] = _freeze_set(g, psi.var, sat[psi.sub])
-        else:
-            raise TypeError(f"not a TCTL node: {psi!r}")
-    return bool(sat[f][g.initial_index()])
-
-
-def _tctl_to_tol(f: logic.TctlFormula) -> logic.TolFormula:
-    """Inverse image of the grade-0 translation (for layout building)."""
-    if isinstance(f, logic.TTrue):
-        return logic.TRUE
-    if isinstance(f, logic.TAtom):
-        return logic.Atom(f.name)
-    if isinstance(f, logic.TClockAtom):
-        return logic.ClockAtom(f.clock, f.op, f.value)
-    if isinstance(f, logic.TNot):
-        return logic.Not(_tctl_to_tol(f.sub))
-    if isinstance(f, logic.TAnd):
-        return logic.And(_tctl_to_tol(f.left), _tctl_to_tol(f.right))
-    if isinstance(f, logic.TAU):
-        return logic.Until(0, _tctl_to_tol(f.left), _tctl_to_tol(f.right))
-    if isinstance(f, logic.TAR):
-        return logic.Release(0, _tctl_to_tol(f.left), _tctl_to_tol(f.right))
-    if isinstance(f, logic.TFreeze):
-        return logic.Freeze(f.var, _tctl_to_tol(f.sub))
-    raise TypeError(f"not a TCTL node: {f!r}")
+               graph: ExplicitGraph | None = None) -> bool:
+    """Textbook TCTL verdict on the discretization: oracle_sat's loop, in
+    which the TCTL tree reaches only au_tctl/ar_tctl and never the games
+    (used to validate the grade-0 fragment)."""
+    if not isinstance(f, logic.TctlFormula):
+        raise TypeError(f"not a TCTL formula: {f!r}")
+    return oracle_check(m, f, cap, graph)
 
 
 # -- differential harness -----------------------------------------------------
@@ -464,13 +401,9 @@ def _compare_grids(m, f, g, sat_sets, osat, report, compare_all_states) -> bool:
         if bad:
             report.mismatched_formula = logic.print_formula(psi)
             report.mismatched_states = bad
-            report.mismatched_dump = dump_sat(m, _names(m, f), fed)
+            report.mismatched_dump = dump_sat(m, g.layout.names, fed)
             return False
     return True
-
-
-def _names(m: Wta, f) -> tuple:
-    return ("0",) + m.clocks + logic.formula_clocks(f)
 
 
 # -- exhaustive enumeration of location-constant blocker choices -------------
@@ -508,13 +441,13 @@ def location_witnesses(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
     """
     inner = f
     while isinstance(inner, logic.Freeze):
-        inner = inner.sub
+        inner, = logic.children(inner)
     if not isinstance(inner, (logic.Until, logic.Release)):
         raise ValueError("witness enumeration needs an outermost strategic operator")
     kind = "until" if isinstance(inner, logic.Until) else "release"
     g = discretize(m, f, cap)
     sat = oracle_sat(g, f)
-    s1, s2 = sat[inner.left], sat[inner.right]
+    s1, s2 = (sat[c] for c in logic.children(inner))
     start = g.initial_index()
 
     locs = [loc.name for loc in m.locations]

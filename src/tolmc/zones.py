@@ -25,6 +25,12 @@ from typing import Iterable, Iterator, Optional
 
 INF = 1 << 40
 
+# Largest clock constant the parsers accept.  A canonical entry is a path
+# sum over at most dim - 1 bounds, and closing a path adds two of them,
+# so packed sums stay below 4 * (dim - 1) * MAX_CONSTANT + 1 < INF for up
+# to 255 clocks (automaton and formula clocks together).
+MAX_CONSTANT = 1 << 30
+
 Dbm = tuple  # tuple of row tuples of packed int bounds
 
 

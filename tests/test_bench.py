@@ -67,6 +67,24 @@ def test_bench_row_records_positive_times():
     assert r.verdict is True
 
 
+def test_bench_row_times_untraced_runs(monkeypatch):
+    import tracemalloc
+
+    import tolmc.bench as bench_mod
+
+    tracing = []
+
+    def spy(m, f):
+        tracing.append(tracemalloc.is_tracing())
+        return check(m, f)
+
+    monkeypatch.setattr(bench_mod, "check", spy)
+    r = bench_row("mesh", 3, runs=3)
+    assert r.verdict is True and r.mem_kb_mean > 0
+    assert tracing.count(False) >= 3
+    assert not tracemalloc.is_tracing()
+
+
 def test_bench_rows_deterministic_verdicts():
     a = bench_row("mesh", 3, runs=2)
     b = bench_row("mesh", 3, runs=2)

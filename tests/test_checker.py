@@ -213,7 +213,7 @@ def test_stats_recorded():
     m = build_case_study()
     v = check(m, phi1(3))
     assert v.stats.wall_ms > 0
-    assert v.stats.zones_created > 0
+    assert v.stats.zones_noted > 0
     assert v.stats.peak_federation_size > 0
 
 

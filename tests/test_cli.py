@@ -1,7 +1,12 @@
 import csv
+import json
 from pathlib import Path
 
+import pytest
+
 from tolmc.cli import main
+from tolmc.logic import MAX_NESTING
+from tolmc.zones import MAX_CONSTANT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CASE = str(FIXTURES / "case_study.wta")
@@ -154,12 +159,86 @@ def test_oracle_scale_exit_code(capsys, tmp_path):
     assert "states" in err and out == ""
 
 
-def test_internal_error_exits_two_not_unsat(capsys, tmp_path):
-    # a formula nested 3000 deep overflows the recursive walks; exit 1
-    # would read as "not satisfied"
+def test_internal_error_exits_two_not_unsat(capsys, tmp_path, monkeypatch):
+    # an unexpected exception must not exit 1, which would read as
+    # "not satisfied"
+    def boom(m, f):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("tolmc.cli.check", boom)
     model = tmp_path / "m.wta"
     model.write_text("wta\nlocation l init\nedge l -> l action a weight 1\n")
-    code, out, err = run(capsys, "check", str(model), "-f", "!" * 3000 + "true")
+    code, out, err = run(capsys, "check", str(model), "-f", "true")
     assert code == 2
     assert out == ""
     assert err.startswith("error: internal: RecursionError: ")
+
+
+def test_stats_line_is_one_json_object(capsys, tmp_path):
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nclocks x\nlocation l init labels p\n"
+                     "edge l -> l action a guard x >= 1 reset x weight 1\n")
+    code, out, err = run(capsys, "check", str(model), "-f", "<#1> G p", "--stats")
+    assert out.splitlines() == ["SAT"]
+    lines = err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert list(stats["fixpoint_iterations"]) == ["<#1> (! (true) R p)"]
+    assert stats["zones_noted"] > 0 and stats["peak_federation_size"] > 0
+
+
+OVERFLOW = 600000000000
+
+
+def test_model_constant_overflow_exits_two(capsys, tmp_path):
+    # a packed bound 2c+1 at or past the INF sentinel would silently
+    # drop the invariant and answer SAT
+    model = tmp_path / "m.wta"
+    model.write_text(f"wta\nclocks x\nlocation l init invariant x <= {OVERFLOW}\n"
+                     "location a\nedge l -> a action go weight 1\n"
+                     "edge a -> a action stay weight 1\n")
+    code, out, err = run(capsys, "check", str(model), "-f", "<#0> G !(x > 5)")
+    assert code == 2 and out == ""
+    assert err.startswith("error: [constant-range]")
+
+
+def test_formula_constant_overflow_exits_two(capsys, tmp_path):
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nclocks x\nlocation l init invariant x <= 5\n"
+                     "location a\nedge l -> a action go weight 1\n"
+                     "edge a -> a action stay weight 1\n")
+    code, out, _ = run(capsys, "check", str(model), "-f", "<#0> G !(x > 5)")
+    assert code == 1 and out.splitlines() == ["UNSAT"]
+    code, out, err = run(capsys, "check", str(model), "-f", f"<#0> G !(x > {OVERFLOW})")
+    assert code == 2 and out == ""
+    assert f"clock constant {OVERFLOW} exceeds {MAX_CONSTANT}" in err
+
+
+def test_largest_constant_keeps_its_verdict(capsys, tmp_path):
+    formula = f"<#0> G !(x > {MAX_CONSTANT})"
+    for a_invariant, verdict in (("", "UNSAT"), (f" invariant x <= {MAX_CONSTANT}", "SAT")):
+        model = tmp_path / "m.wta"
+        model.write_text(f"wta\nclocks x\nlocation l init invariant x <= {MAX_CONSTANT}\n"
+                         f"location a{a_invariant}\nedge l -> a action go weight 1\n"
+                         "edge a -> a action stay weight 1\n")
+        code, out, _ = run(capsys, "check", str(model), "-f", formula)
+        assert out.splitlines() == [verdict]
+
+
+NESTED = {
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "negations": lambda n: "!" * n + "p",
+    "temporal operands": lambda n: "<#0> (p U " * n + "p" + ")" * n,
+    "conjunction chain": lambda n: "p & " * n + "p",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_limit_is_a_formula_error(capsys, tmp_path, shape):
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nlocation l init labels p\nedge l -> l action a weight 1\n")
+    code, out, err = run(capsys, "check", str(model), "-f", NESTED[shape](MAX_NESTING))
+    assert code == 0 and out.splitlines() == ["SAT"], err
+    code, out, err = run(capsys, "check", str(model), "-f", NESTED[shape](MAX_NESTING + 1))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: formula nests deeper than {MAX_NESTING} levels")

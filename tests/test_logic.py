@@ -137,3 +137,53 @@ def _zero_grades(f):
 def test_print_tctl():
     t = to_tctl(parse_formula("j . <#0> (p U j <= 2)"))
     assert print_tctl(t) == "j . (A (p U j <= 2))"
+
+
+def test_children_of_every_node_kind_in_both_trees():
+    p, q = Atom("p"), Atom("q")
+    tp, tq = logic.TAtom("p"), logic.TAtom("q")
+    for leaf in (TRUE, p, ClockAtom("x", "<", 1), logic.TTrue(), tp,
+                 logic.TClockAtom("x", "<", 1)):
+        assert logic.children(leaf) == ()
+    for node, ops in ((Not(p), (p,)), (Freeze("j", p), (p,)), (And(p, q), (p, q)),
+                      (Until(2, p, q), (p, q)), (Release(0, q, p), (q, p)),
+                      (logic.TNot(tp), (tp,)), (logic.TFreeze("j", tp), (tp,)),
+                      (logic.TAnd(tp, tq), (tp, tq)), (logic.TAU(tp, tq), (tp, tq)),
+                      (logic.TAR(tq, tp), (tq, tp))):
+        assert logic.children(node) == ops
+
+
+def test_walks_agree_on_the_tctl_image():
+    from tolmc.model import max_constants, parse_model
+
+    m = parse_model("wta\nclocks x y\nlocation l init invariant x <= 3\n"
+                    "edge l -> l action a guard y >= 2 reset x weight 1\n")
+    rng = random.Random(11)
+    for _ in range(300):
+        f = _zero_grades(random_tol_ast(rng, max_depth=6, cmax=9))
+        t = to_tctl(f)
+        assert subformulas_by_size(t) == [to_tctl(g) for g in subformulas_by_size(f)]
+        assert formula_clocks(t) == formula_clocks(f)
+        assert size(t) == size(f)
+        assert max_constants(m, t) == max_constants(m, f)
+        assert print_tctl(t) == print_formula(f).replace("<#0> (", "A (")
+
+
+def test_nesting_bound_counts_parser_levels_and_connectives():
+    n = logic.MAX_NESTING
+    for text in ("(" * n + "p" + ")" * n, "!" * n + "p", "<#0> F " * n + "p",
+                 "j . " * 1 + "!" * (n - 1) + "j <= 1", "p & " * n + "p"):
+        parse_formula(text)
+    for text in ("(" * (n + 1) + "p" + ")" * (n + 1), "!" * (n + 1) + "p",
+                 "<#0> F " * (n + 1) + "p", "p & " * (n + 1) + "p",
+                 "p -> " * (n // 2 + 1) + "p", "p | " * (n // 3 + 1) + "p"):
+        with pytest.raises(FormulaError, match=f"nests deeper than {n} levels"):
+            parse_formula(text)
+
+
+def test_clock_constant_bound():
+    from tolmc.zones import MAX_CONSTANT
+
+    assert parse_formula(f"x <= {MAX_CONSTANT}") == ClockAtom("x", "<=", MAX_CONSTANT)
+    with pytest.raises(FormulaError, match="exceeds"):
+        parse_formula(f"x <= {MAX_CONSTANT + 1}")

@@ -52,6 +52,7 @@ def test_comments_and_blank_lines_ignored():
     "header", "syntax", "duplicate-clock", "duplicate-location",
     "unknown-clock", "unknown-location", "no-init", "multiple-init",
     "bad-invariant-op", "init-invariant", "unsat-invariant", "bad-weight",
+    "constant-range",
 ])
 def test_error_corpus(code):
     text = (FIXTURES / "errors" / f"{code}.wta").read_text()

@@ -88,6 +88,29 @@ def test_grade0_game_equals_textbook_tctl():
         assert game == book
 
 
+def test_tctl_check_never_reaches_the_games(monkeypatch):
+    import tolmc.oracle as oracle_mod
+
+    def no_game(*args):
+        raise AssertionError("the textbook check must not call a game fixpoint")
+
+    monkeypatch.setattr(oracle_mod, "until_game", no_game)
+    monkeypatch.setattr(oracle_mod, "release_game", no_game)
+    m = parse_model(ONE_CLOCK)
+    f = parse_formula("j . <#0> (true U (p & <#0> G (j >= 1)))")
+    assert tctl_check(m, to_tctl(f))
+    with pytest.raises(TypeError):
+        tctl_check(m, f)
+
+
+def test_tctl_check_builds_the_same_graph_as_the_tol_formula():
+    m = parse_model(ONE_CLOCK)
+    f = parse_formula("k . j . <#0> (x <= 1 U (p & j >= 2 & k <= 7))")
+    g, h = discretize(m, f), discretize(m, to_tctl(f))
+    assert (g.layout, g.caps2, g.states) == (h.layout, h.caps2, h.states)
+    assert tctl_check(m, to_tctl(f)) == tctl_check(m, to_tctl(f), graph=g)
+
+
 def test_weight_zero_edges_are_freely_deactivated():
     # with a free edge the grade-0 game is weaker than plain TCTL
     m = parse_model("""wta

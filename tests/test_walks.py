@@ -1,0 +1,82 @@
+"""Pins for the structural formula walks: printed text, subformula order
+and formula-clock order.
+
+Printed text keys the checker's fixpoint_iterations and survives a
+parse round trip; subformula order fixes the bottom-up Sat order; clock
+order fixes the DBM layout and therefore the dump_sat output.
+"""
+
+from tolmc import logic
+from tolmc.logic import (TRUE, And, Atom, ClockAtom, Freeze, Not, Release,
+                         Until, formula_clocks, parse_formula, print_formula,
+                         print_tctl, subformulas_by_size, to_tctl)
+
+P, Q = Atom("p"), Atom("q")
+
+
+def test_printed_text_of_every_tol_node_kind():
+    cases = [
+        (TRUE, "true"),
+        (P, "p"),
+        (ClockAtom("x", ">=", 3), "x >= 3"),
+        (Not(P), "! (p)"),
+        (And(P, Q), "(p & q)"),
+        (Until(2, P, Q), "<#2> (p U q)"),
+        (Release(0, P, Q), "<#0> (p R q)"),
+        (Freeze("j", ClockAtom("j", "<", 4)), "j . (j < 4)"),
+    ]
+    for f, text in cases:
+        assert print_formula(f) == text
+        assert parse_formula(text) == f
+
+
+def test_printed_text_of_every_tctl_node_kind():
+    cases = [
+        (logic.TTrue(), "true"),
+        (logic.TAtom("p"), "p"),
+        (logic.TClockAtom("x", "=", 1), "x = 1"),
+        (logic.TNot(logic.TAtom("p")), "! (p)"),
+        (logic.TAnd(logic.TAtom("p"), logic.TAtom("q")), "(p & q)"),
+        (logic.TAU(logic.TAtom("p"), logic.TAtom("q")), "A (p U q)"),
+        (logic.TAR(logic.TAtom("p"), logic.TAtom("q")), "A (p R q)"),
+        (logic.TFreeze("j", logic.TTrue()), "j . (true)"),
+    ]
+    for f, text in cases:
+        assert print_tctl(f) == text
+
+
+def test_printed_text_of_nested_formula_in_both_trees():
+    f = parse_formula("j . <#0> ((p | x > 1) W ! (q & j <= 2))")
+    assert print_formula(f) == (
+        "j . (<#0> (! ((q & j <= 2)) R "
+        "! ((! (! ((! (p) & ! (x > 1)))) & ! (! ((q & j <= 2)))))))")
+    assert print_tctl(to_tctl(f)) == print_formula(f).replace("<#0>", "A")
+
+
+def test_subformula_order_with_shared_subformula():
+    shared = Until(1, P, ClockAtom("x", "<", 2))
+    f = And(Not(shared), Freeze("j", And(shared, Q)))
+    assert [print_formula(g) for g in subformulas_by_size(f)] == [
+        "p",
+        "x < 2",
+        "q",
+        "<#1> (p U x < 2)",
+        "! (<#1> (p U x < 2))",
+        "(<#1> (p U x < 2) & q)",
+        "j . ((<#1> (p U x < 2) & q))",
+        "(! (<#1> (p U x < 2)) & j . ((<#1> (p U x < 2) & q)))",
+    ]
+
+
+def test_subformula_order_breaks_size_ties_by_first_completion():
+    f = parse_formula("(b & a) & (a & b)")
+    assert [print_formula(g) for g in subformulas_by_size(f)] == [
+        "b", "a", "(b & a)", "(a & b)", "((b & a) & (a & b))"]
+
+
+def test_formula_clocks_with_nested_and_sibling_binders():
+    f = parse_formula("(b . a . <#0> F (a <= 1 & b <= 2)) & (c . c <= 1)"
+                      " & (a . <#1> G (d . (a >= 1 & d <= 3)))")
+    assert formula_clocks(f) == ("b", "a", "c", "d")
+    g = parse_formula("(z . z > 0) & y . (<#0> (y < 1 U z . z = 0))")
+    assert formula_clocks(g) == ("z", "y")
