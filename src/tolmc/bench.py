@@ -77,7 +77,7 @@ class BenchResult:
     runtime_ms_std: float
     mem_kb_mean: float
     mem_kb_std: float
-    verdict: object  # bool, or the string "error"
+    verdict: object  # bool, or "error: <Type>: <message>"
 
     def row(self) -> list:
         verdict = self.verdict if isinstance(self.verdict, str) \
@@ -114,8 +114,8 @@ def bench_row(case: str, k: int, runs: int = 5) -> BenchResult:
                            statistics.fmean(times),
                            statistics.stdev(times) if runs > 1 else 0.0,
                            peak / 1024.0, 0.0, verdicts.pop())
-    except Exception:
-        return BenchResult(case, k, 0.0, 0.0, 0.0, 0.0, "error")
+    except Exception as e:
+        return BenchResult(case, k, 0.0, 0.0, 0.0, 0.0, f"error: {type(e).__name__}: {e}")
 
 
 def run_bench(cases, ks, runs: int = 5, parallel: bool = False) -> list[BenchResult]:

@@ -73,7 +73,7 @@ def phi2(t2: int) -> TolFormula:
 
 
 def edge_index(m: Wta, src: str, dst: str) -> int:
-    for i, e in enumerate(m.edges):
-        if e.source == src and e.target == dst:
+    for i in m.out_edges.get(src, ()):
+        if m.edges[i].target == dst:
             return i
     raise KeyError((src, dst))

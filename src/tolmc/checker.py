@@ -7,6 +7,7 @@ invariant-clipped space; both apply per-clock max-constant
 extrapolation to every iterate so the chains close in finitely many
 steps.  The freeze case is computed from the semantic clause (the
 reset preimage j := 0), not by passing the operand set through.
+Layout, bindings and invariant DBMs come from ClockLayout.of_query.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from dataclasses import dataclass, field
 from . import logic
 from .logic import (And, Atom, ClockAtom, Freeze, Not, Release, TolFormula,
                     TrueF, Until)
-from .model import ClockLayout, Wta, max_constants
+from .model import CheckError, ClockLayout, Wta  # noqa: F401  (CheckError re-exported)
 from .predecessor import full_space, obstruction_pred
-from .zones import Federation, Zone, conjoin_atom, extrapolate, free
-
-
-class CheckError(ValueError):
-    """Formula does not bind in the model (unknown clock, clock collision)."""
+from .zones import Federation, Zone, extrapolate, reset_preimage
 
 
 class FixpointError(RuntimeError):
@@ -52,14 +49,6 @@ class Verdict:
     stats: CheckStats
 
 
-def _validate_bindings(m: Wta, f: TolFormula) -> None:
-    for g, scope, _ in logic.scoped(f):
-        if isinstance(g, Freeze) and g.var in m.clocks:
-            raise CheckError(f"freeze identifier {g.var!r} collides with an automaton clock")
-        if isinstance(g, ClockAtom) and g.clock not in m.clocks and g.clock not in scope:
-            raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
-
-
 def region_count_bound(m: Wta, layout: ClockLayout) -> int:
     """Upper bound on distinct clock regions, hence on strict chains of
     region-closed federations (the termination budget for fixpoints)."""
@@ -72,12 +61,10 @@ def region_count_bound(m: Wta, layout: ClockLayout) -> int:
 
 class Checker:
     def __init__(self, m: Wta, f: TolFormula, *, pred_opts: dict | None = None):
-        _validate_bindings(m, f)
+        self.layout = ClockLayout.of_query(m, f)
         self.m = m
         self.f = f
         self.pred_opts = pred_opts or {}
-        kmap = max_constants(m, f)
-        self.layout = ClockLayout.build(m, logic.formula_clocks(f), kmap)
         self.universe = full_space(m, self.layout)
         self.stats = CheckStats()
         self.stats.iteration_bound = region_count_bound(m, self.layout)
@@ -122,9 +109,7 @@ class Checker:
                      for d in self.universe.at(loc.name)]
             return Federation.of_zones(self.layout.dim, zones)
         if isinstance(psi, ClockAtom):
-            i = self.layout.index[psi.clock]
-            return self.universe.map_zones(
-                lambda loc, d: conjoin_atom(d, i, psi.op, psi.value))
+            return self.universe.map_zones(lambda loc, d: self.layout.conjoin(d, (psi,)))
         raise TypeError(f"not an atomic formula: {psi!r}")
 
     def _extrap(self, fed: Federation) -> Federation:
@@ -162,9 +147,8 @@ class Checker:
             s2.intersect(s1.union(self._vee(n, x)))))
 
     def sat_freeze(self, var: str, s_phi: Federation) -> Federation:
-        j = self.layout.index[var]
-        frozen = s_phi.map_zones(lambda loc, d: conjoin_atom(d, j, "=", 0))
-        return frozen.map_zones(lambda loc, d: free(d, j))
+        j = (self.layout.index[var],)
+        return s_phi.map_zones(lambda loc, d: reset_preimage(d, j))
 
 
 def check(m: Wta, f: TolFormula, *, pred_opts: dict | None = None) -> Verdict:

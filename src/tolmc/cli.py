@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import logic, oracle
 from .checker import CheckError, check, dump_sat
 from .logic import FormulaError, FragmentError
-from .model import ModelError, parse_model, serialize_model
+from .model import ClockLayout, ModelError, parse_model, serialize_model
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,9 +98,8 @@ def _dispatch(args) -> int:
         if args.stats:
             print(json.dumps(dataclasses.asdict(verdict.stats)), file=sys.stderr)
         if args.dump_sat:
-            names = ("0",) + m.clocks + logic.formula_clocks(f)
             with open(args.dump_sat, "w") as fh:
-                fh.write(dump_sat(m, names, verdict.sat_sets[f]))
+                fh.write(dump_sat(m, ClockLayout.of_query(m, f).names, verdict.sat_sets[f]))
         return 0 if verdict.satisfied else 1
 
     if args.cmd == "oracle":

@@ -418,11 +418,6 @@ def scoped(f):
                 stack.append((c, bound, depth + 1))
 
 
-def size(f) -> int:
-    """Connective count."""
-    return sum(1 for g, _, _ in scoped(f) if children(g))
-
-
 def subformulas_by_size(f) -> list:
     """Distinct subformulas ordered by connective count; ties keep the
     order in which a post-order walk first completes them."""

@@ -1,11 +1,19 @@
-"""Weighted timed automata: data model, text format, validation."""
+"""Weighted timed automata: data model, text format, validation.
+
+ClockLayout.of_query owns what a (model, formula) query fixes before
+checking: the binding check, the clock indices, the max constants and
+the invariant DBMs.  The oracle reads only names, index and kvec.
+"""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .zones import MAX_CONSTANT, OPS, conjoin_atom, dbm_unconstrained
+from . import logic
+from .zones import MAX_CONSTANT, OPS, Dbm, conjoin_atom, dbm_unconstrained
 
 
 @dataclass(frozen=True)
@@ -19,26 +27,13 @@ class ClockConstraint:
     def __str__(self) -> str:
         return f"{self.clock} {self.op} {self.value}"
 
-    def sat_zero(self) -> bool:
-        return _cmp(0, self.op, self.value)
-
     def sat2(self, value2: int) -> bool:
         """Satisfaction at a doubled-integer clock value."""
-        return _cmp(value2, self.op, 2 * self.value)
+        return _CMP[self.op](value2, 2 * self.value)
 
 
-def _cmp(a, op, b) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == "=":
-        return a == b
-    if op == ">=":
-        return a >= b
-    if op == ">":
-        return a > b
-    raise ValueError(f"unknown operator {op!r}")
+_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
+        ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -72,10 +67,13 @@ class Wta:
                 return loc
         raise KeyError(f"unknown location {name!r}")
 
-    def edges_from(self, name: str) -> list[Edge]:
-        """Outgoing edges of a location, in declaration order."""
-        self.location(name)
-        return [e for e in self.edges if e.source == name]
+    @cached_property
+    def out_edges(self) -> dict[str, tuple[int, ...]]:
+        """Outgoing edge ids of every location, in declaration order."""
+        out: dict[str, list[int]] = {loc.name: [] for loc in self.locations}
+        for i, e in enumerate(self.edges):
+            out[e.source].append(i)
+        return {name: tuple(ids) for name, ids in out.items()}
 
     def labels_of(self, name: str) -> frozenset[str]:
         loc = self.location(name)
@@ -318,18 +316,10 @@ def _parse_edge(toks: list[str], clocks: list[str], at: "_Cursor") -> Edge:
 def _validate(m: Wta) -> None:
     init = m.location(m.initial)
     for a in init.invariant:
-        if not a.sat_zero():
+        if not a.sat2(0):
             raise ModelError(E_INIT_INVARIANT,
                              f"initial location violates its invariant at the zero valuation ({a})")
-    index = {c: i + 1 for i, c in enumerate(m.clocks)}
-    for loc in m.locations:
-        d = dbm_unconstrained(len(m.clocks) + 1)
-        for a in loc.invariant:
-            d = conjoin_atom(d, index[a.clock], a.op, a.value)
-            if d is None:
-                # stricter than the definition requires; see design notes
-                raise ModelError(E_UNSAT_INVARIANT,
-                                 f"location {loc.name!r} has an unsatisfiable invariant")
+    ClockLayout.build(m, (), {})  # raises on an unsatisfiable invariant
 
 
 def serialize_model(m: Wta) -> str:
@@ -358,22 +348,58 @@ def serialize_model(m: Wta) -> str:
     return "\n".join(out) + "\n"
 
 
+class CheckError(ValueError):
+    """Formula does not bind in the model (unknown clock, clock collision)."""
+
+
 @dataclass(frozen=True)
 class ClockLayout:
     """Index layout for DBMs: 0 is the reference, then automaton clocks in
-    declaration order, then formula clocks in first-binding order."""
+    declaration order, then formula clocks in first-binding order; with
+    the max constant of each index and the invariant DBM of each location."""
 
     names: tuple[str, ...]
     index: dict = field(compare=False)
     dim: int = 0
     kvec: tuple[int, ...] = ()
+    invariants: dict = field(default_factory=dict, compare=False)
+
+    @staticmethod
+    def of_query(m: Wta, f=None) -> "ClockLayout":
+        """The layout of checking f (of either tree) on m, once f's clock
+        atoms and freeze binders are known to bind in m."""
+        if f is None:
+            return ClockLayout.build(m, (), max_constants(m))
+        for g, scope, _ in logic.scoped(f):
+            if isinstance(g, logic.FREEZES) and g.var in m.clocks:
+                raise CheckError(f"freeze identifier {g.var!r} collides with an automaton clock")
+            if isinstance(g, logic.CLOCK_ATOMS) and g.clock not in m.clocks \
+                    and g.clock not in scope:
+                raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
+        return ClockLayout.build(m, logic.formula_clocks(f), max_constants(m, f))
 
     @staticmethod
     def build(m: Wta, formula_clocks: Iterable[str], kmap: dict) -> "ClockLayout":
         names = ("0",) + m.clocks + tuple(formula_clocks)
         index = {c: i for i, c in enumerate(names)}
         kvec = tuple(0 if n == "0" else kmap.get(n, 0) for n in names)
-        return ClockLayout(names, index, len(names), kvec)
+        layout = ClockLayout(names, index, len(names), kvec)
+        for loc in m.locations:
+            d = layout.conjoin(dbm_unconstrained(layout.dim), loc.invariant)
+            if d is None:
+                # stricter than the definition requires; see design notes
+                raise ModelError(E_UNSAT_INVARIANT,
+                                 f"location {loc.name!r} has an unsatisfiable invariant")
+            layout.invariants[loc.name] = d
+        return layout
+
+    def conjoin(self, d: Dbm, atoms) -> Optional[Dbm]:
+        """d intersected with each `clock op value` atom; None once empty."""
+        for a in atoms:
+            d = conjoin_atom(d, self.index[a.clock], a.op, a.value)
+            if d is None:
+                return None
+        return d
 
 
 def max_constants(m: Wta, formula=None) -> dict[str, int]:
@@ -390,8 +416,6 @@ def max_constants(m: Wta, formula=None) -> dict[str, int]:
         for a in e.guard:
             out[a.clock] = max(out[a.clock], a.value)
     if formula is not None:
-        from . import logic
-
         for g, _, _ in logic.scoped(formula):
             if isinstance(g, logic.FREEZES):
                 out.setdefault(g.var, 0)

@@ -11,7 +11,9 @@ fixpoints, serves two uses: the grade-0 cross-check (tctl_check, on the
 full graph: oracle_sat's loop on the TCTL tree, whose A U / A R nodes
 reach only these solvers) and the witness re-check (on small instances,
 every location-constant blocker choice is enumerated and the graph
-pruned by it is checked again).
+pruned by it is checked again).  Clock order and caps come from
+model.ClockLayout.of_query, which also rejects unbound or colliding
+formula clocks; no DBM is read.
 
 Coordinates are stored doubled (1 unit = half a time unit) so all
 arithmetic stays integral.
@@ -24,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import logic
-from .model import ClockConstraint, ClockLayout, Wta, max_constants
+from .model import ClockConstraint, ClockLayout, Wta
 
 
 class OracleScaleError(RuntimeError):
@@ -72,9 +74,7 @@ class ExplicitGraph:
 
 def discretize(m: Wta, f=None, cap: int = 2_000_000) -> ExplicitGraph:
     """Build the capped half-integer quotient of the model's state space."""
-    fclocks = logic.formula_clocks(f) if f is not None else ()
-    kmap = max_constants(m, f)
-    layout = ClockLayout.build(m, fclocks, kmap)
+    layout = ClockLayout.of_query(m, f)
     caps2 = tuple(0 if i == 0 else 2 * (layout.kvec[i] + 1)
                   for i in range(layout.dim))
 
@@ -101,11 +101,9 @@ def discretize(m: Wta, f=None, cap: int = 2_000_000) -> ExplicitGraph:
                 index[(loc.name, coords)] = len(states)
                 states.append((loc.name, coords))
 
-    edges_by_loc: dict[str, list] = {loc.name: [] for loc in m.locations}
-    for ei, e in enumerate(m.edges):
-        edges_by_loc[e.source].append(
-            (ei, e, [(layout.index[a.clock] - 1, a) for a in e.guard],
-             [layout.index[c] - 1 for c in e.resets]))
+    prepared = [(ei, e, [(layout.index[a.clock] - 1, a) for a in e.guard],
+                 [layout.index[c] - 1 for c in e.resets]) for ei, e in enumerate(m.edges)]
+    edges_by_loc = {loc: [prepared[ei] for ei in ids] for loc, ids in m.out_edges.items()}
 
     steps: list[list] = []
     for loc, coords in states:
@@ -410,7 +408,7 @@ def _compare_grids(m, f, g, sat_sets, osat, report, compare_all_states) -> bool:
 
 def location_choice_candidates(m: Wta, loc: str, n: int) -> list[frozenset]:
     """Strict subsets of a location's outgoing edges with weight sum <= n."""
-    edge_ids = [i for i, e in enumerate(m.edges) if e.source == loc]
+    edge_ids = m.out_edges[loc]
     out = []
     for r in range(len(edge_ids) + 1):
         for combo in itertools.combinations(edge_ids, r):
@@ -439,13 +437,13 @@ def location_witnesses(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
     strategy but no location-constant one are not found (the game
     fixpoint in until_game/release_game covers those).
     """
+    g = discretize(m, f, cap)
     inner = f
     while isinstance(inner, logic.Freeze):
         inner, = logic.children(inner)
     if not isinstance(inner, (logic.Until, logic.Release)):
         raise ValueError("witness enumeration needs an outermost strategic operator")
     kind = "until" if isinstance(inner, logic.Until) else "release"
-    g = discretize(m, f, cap)
     sat = oracle_sat(g, f)
     s1, s2 = (sat[c] for c in logic.children(inner))
     start = g.initial_index()

@@ -1,7 +1,9 @@
 """Symbolic one-step predecessors, including the obstruction predecessor.
 
-One step of the underlying game is delay-then-edge, so the plain
-one-step predecessor of a target set is time_pred(disc_pred(e, T)).
+The query's ClockLayout holds the invariant DBMs (invariant_dbm reads
+them, never rebuilds one) and conjoins edge guards.  One step of the
+underlying game is delay-then-edge, so the plain one-step predecessor
+of a target set is time_pred(disc_pred(e, T)).
 An edge escapes from a state iff some delay lets it land outside the
 target.  The escape-cell split (_escape_cells) partitions a location's
 space into cells with a fixed set of escaping edges; escape_profiles
@@ -22,16 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ClockLayout, Edge, Wta
-from .zones import (Dbm, Federation, Zone, conjoin_atom, dbm_intersect,
-                    dbm_subtract, dbm_unconstrained, down, free)
+from .zones import (Dbm, Federation, Zone, dbm_intersect, dbm_subtract, down,
+                    reset_preimage)
 
 
 def invariant_dbm(m: Wta, layout: ClockLayout, loc_name: str) -> Dbm:
-    d = dbm_unconstrained(layout.dim)
-    for a in m.location(loc_name).invariant:
-        d = conjoin_atom(d, layout.index[a.clock], a.op, a.value)
-        assert d is not None, "validated models have satisfiable invariants"
-    return d
+    return layout.invariants[loc_name]
 
 
 def full_space(m: Wta, layout: ClockLayout) -> Federation:
@@ -39,14 +37,6 @@ def full_space(m: Wta, layout: ClockLayout) -> Federation:
     return Federation.of_zones(
         layout.dim, (Zone(loc.name, invariant_dbm(m, layout, loc.name))
                      for loc in m.locations))
-
-
-def _conjoin_atoms(d, layout, atoms):
-    for a in atoms:
-        if d is None:
-            return None
-        d = conjoin_atom(d, layout.index[a.clock], a.op, a.value)
-    return d
 
 
 def disc_pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Federation:
@@ -57,20 +47,12 @@ def disc_pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Feder
     out = []
     for d in target.at(e.target):
         z = dbm_intersect(d, tgt_inv)
-        if z is None:
-            continue
-        for y in reset_idx:
-            z = conjoin_atom(z, y, "=", 0)
-            if z is None:
-                break
-        if z is None:
-            continue
-        for y in reset_idx:
-            z = free(z, y)
-        z = _conjoin_atoms(z, layout, e.guard)
-        if z is None:
-            continue
-        z = dbm_intersect(z, src_inv)
+        if z is not None:
+            z = reset_preimage(z, reset_idx)
+        if z is not None:
+            z = layout.conjoin(z, e.guard)
+        if z is not None:
+            z = dbm_intersect(z, src_inv)
         if z is not None:
             out.append(Zone(e.source, z))
     return Federation.of_zones(layout.dim, out)
@@ -103,11 +85,11 @@ class EscapeProfile:
     escape_cost: int
 
 
-def _escape_cells(m: Wta, layout: ClockLayout, loc: str, edge_ids: list[int],
+def _escape_cells(m: Wta, layout: ClockLayout, loc: str,
                   complement: Federation, universe: Federation) -> list[tuple[list, frozenset]]:
     """Split a location's space into (DBMs, edges escaping into the complement) cells."""
     cells: list[tuple[list, frozenset]] = [(list(universe.at(loc)), frozenset())]
-    for i in edge_ids:
+    for i in m.out_edges[loc]:
         esc_dbms = pred(m, layout, m.edges[i], complement).at(loc)
         if not esc_dbms:
             continue
@@ -131,8 +113,7 @@ def _escape_cells(m: Wta, layout: ClockLayout, loc: str, edge_ids: list[int],
 def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
                     target: Federation, universe: Federation) -> list[EscapeProfile]:
     """Partition a location's space by which edges escape the target."""
-    edge_ids = [i for i, e in enumerate(m.edges) if e.source == loc]
-    cells = _escape_cells(m, layout, loc, edge_ids, universe.subtract(target), universe)
+    cells = _escape_cells(m, layout, loc, universe.subtract(target), universe)
     return [EscapeProfile(loc, d, pattern, sum(m.edges[i].weight for i in pattern))
             for dbms, pattern in cells for d in dbms]
 
@@ -151,9 +132,8 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
     hit_cache: dict[int, Federation] = {}
     out = Federation.empty(layout.dim)
     for loc in m.locations:
-        edge_ids = [i for i, e in enumerate(m.edges) if e.source == loc.name]
-        for dbms, pattern in _escape_cells(m, layout, loc.name, edge_ids,
-                                           complement, universe):
+        edge_ids = m.out_edges[loc.name]
+        for dbms, pattern in _escape_cells(m, layout, loc.name, complement, universe):
             cost = sum(m.edges[i].weight for i in pattern)
             if (cost >= n) if cost_strict else (cost > n):
                 continue

@@ -95,39 +95,6 @@ def random_formula(rng: random.Random, m: Wta, *, grades=(0,), cmax: int = 3,
     return logic.Freeze("j", body) if use_freeze else body
 
 
-def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,
-                   depth: int = 0) -> TolFormula:
-    """Arbitrary desugared ASTs (any grades, fresh freeze vars);
-    for print/parse round-trips, not for checking."""
-    if depth >= max_depth or rng.random() < 0.3:
-        r = rng.random()
-        if r < 0.2:
-            return logic.TRUE
-        if r < 0.6:
-            return logic.Atom(rng.choice(("p", "q", "r", "s_1")))
-        return logic.ClockAtom(rng.choice(("x", "y", "j", "k")),
-                               rng.choice(("<", "<=", "=", ">=", ">")),
-                               rng.randint(0, cmax))
-    r = rng.random()
-    nxt = depth + 1
-    if r < 0.25:
-        return logic.Not(random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
-    if r < 0.5:
-        return logic.And(random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt),
-                         random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
-    if r < 0.7:
-        return logic.Until(rng.randint(0, 3),
-                           random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt),
-                           random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
-    if r < 0.9:
-        return logic.Release(rng.randint(0, 3),
-                             random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt),
-                             random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
-    var = f"v{depth}"
-    sub = random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt)
-    return logic.Freeze(var, sub) if var not in logic.formula_clocks(sub) else sub
-
-
 # -- disagreement shrinking ---------------------------------------------------
 
 def shrink_disagreement(m: Wta, f: TolFormula, still_fails) -> tuple[Wta, TolFormula]:

@@ -193,14 +193,6 @@ def dbm_intersect(a: Dbm, b: Dbm) -> Optional[Dbm]:
     return canonicalize(m)
 
 
-def up(d: Dbm) -> Dbm:
-    """Delay future: remove upper bounds, keep differences (stays canonical)."""
-    m = [list(row) for row in d]
-    for i in range(1, len(d)):
-        m[i][0] = INF
-    return _freeze(m)
-
-
 def down(d: Dbm) -> Dbm:
     """Delay past: {v | exists t>=0, v+t in d}, clipped to non-negative clocks."""
     n = len(d)
@@ -214,20 +206,6 @@ def down(d: Dbm) -> Dbm:
     out = canonicalize(m)
     assert out is not None
     return out
-
-
-def reset(d: Dbm, clocks: Iterable[int]) -> Dbm:
-    """Image under setting the given clocks to 0 (stays canonical)."""
-    m = [list(row) for row in d]
-    n = len(d)
-    for y in clocks:
-        if not 1 <= y < n:
-            raise ArityError(f"clock index {y} out of range")
-        for j in range(n):
-            m[y][j] = m[0][j]
-            m[j][y] = m[j][0]
-        m[y][y] = ZERO
-    return _freeze(m)
 
 
 def free(d: Dbm, y: int) -> Dbm:
@@ -245,6 +223,18 @@ def free(d: Dbm, y: int) -> Dbm:
     out = canonicalize(m)
     assert out is not None
     return out
+
+
+def reset_preimage(d: Dbm, clocks: Iterable[int]) -> Optional[Dbm]:
+    """States whose reset of the given clocks lands in d: conjoin y = 0,
+    then free y.  None when d has no point with all of them at 0."""
+    for y in clocks:
+        d = conjoin_atom(d, y, "=", 0)
+        if d is None:
+            return None
+    for y in clocks:
+        d = free(d, y)
+    return d
 
 
 def dbm_subset(a: Dbm, b: Dbm) -> bool:
@@ -385,9 +375,6 @@ class Federation:
 
     def at(self, loc: str) -> list:
         return self._by_loc.get(loc, [])
-
-    def locations(self):
-        return self._by_loc.keys()
 
     def is_empty(self) -> bool:
         return not self._by_loc

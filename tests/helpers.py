@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import random
 
+from tolmc import logic
+from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta
 from tolmc.predecessor import pred
-from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, bound_add,
-                         bound_sat)
+from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _freeze,
+                         bound_add, bound_sat)
 
 # a one-variable bound: (doubled value, strict flag)
 NEG_INF = (-(1 << 50), True)
@@ -206,3 +208,63 @@ def relation(a: Dbm | None, b: Dbm | None) -> str:
     if sup:
         return "superset"
     return "incomparable"
+
+
+def up(d: Dbm) -> Dbm:
+    """Delay future: remove upper bounds, keep differences (stays canonical)."""
+    m = [list(row) for row in d]
+    for i in range(1, len(d)):
+        m[i][0] = INF
+    return _freeze(m)
+
+
+def reset(d: Dbm, clocks) -> Dbm:
+    """Image under setting the given clocks to 0 (stays canonical)."""
+    m = [list(row) for row in d]
+    n = len(d)
+    for y in clocks:
+        if not 1 <= y < n:
+            raise ArityError(f"clock index {y} out of range")
+        for j in range(n):
+            m[y][j] = m[0][j]
+            m[j][y] = m[j][0]
+        m[y][y] = ZERO
+    return _freeze(m)
+
+
+def size(f) -> int:
+    """Connective count."""
+    return sum(1 for g, _, _ in scoped(f) if children(g))
+
+
+def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,
+                   depth: int = 0) -> TolFormula:
+    """Arbitrary desugared ASTs (any grades, fresh freeze vars);
+    for print/parse round-trips, not for checking."""
+    if depth >= max_depth or rng.random() < 0.3:
+        r = rng.random()
+        if r < 0.2:
+            return logic.TRUE
+        if r < 0.6:
+            return logic.Atom(rng.choice(("p", "q", "r", "s_1")))
+        return logic.ClockAtom(rng.choice(("x", "y", "j", "k")),
+                               rng.choice(("<", "<=", "=", ">=", ">")),
+                               rng.randint(0, cmax))
+    r = rng.random()
+    nxt = depth + 1
+    if r < 0.25:
+        return logic.Not(random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
+    if r < 0.5:
+        return logic.And(random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt),
+                         random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
+    if r < 0.7:
+        return logic.Until(rng.randint(0, 3),
+                           random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt),
+                           random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
+    if r < 0.9:
+        return logic.Release(rng.randint(0, 3),
+                             random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt),
+                             random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
+    var = f"v{depth}"
+    sub = random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt)
+    return logic.Freeze(var, sub) if var not in logic.formula_clocks(sub) else sub

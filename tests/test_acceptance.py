@@ -8,7 +8,7 @@ import random
 import time
 
 from helpers import (grid_points, in_dbm, in_down, in_free, in_reset, in_up,
-                     is_canonical, random_dbm)
+                     is_canonical, random_dbm, reset, up)
 from tolmc import logic
 from tolmc.bench import CSV_HEADER, gen_mesh, gen_pipeline, run_bench, write_csv
 from tolmc.case_study import build_case_study, edge_index, phi1, phi2
@@ -19,7 +19,7 @@ from tolmc.oracle import (differential, location_witnesses, oracle_check,
                           tctl_check)
 from tolmc.randgen import random_formula, random_wta, shrink_disagreement
 from tolmc.zones import (conjoin_atom, dbm_subtract, down, extrapolate,
-                         free, reset, up)
+                         free)
 
 MODELS = 200
 FORMULAS_PER_MODEL = 20

@@ -44,7 +44,7 @@ def test_mesh_structure_k4():
     m, f = gen_mesh(4)
     assert len(m.edges) == 12
     for loc in m.locations:
-        assert len(m.edges_from(loc.name)) == 3
+        assert len(m.out_edges[loc.name]) == 3
     assert all(e.weight == 1 for e in m.edges)
 
 
@@ -99,7 +99,7 @@ def test_bench_error_row(monkeypatch):
 
     monkeypatch.setitem(bench_mod.GENERATORS, "pipeline", boom)
     r = bench_row("pipeline", 3, runs=2)
-    assert r.verdict == "error"
+    assert r.verdict == "error: RuntimeError: no such instance"
 
 
 def test_csv_schema(tmp_path):

@@ -185,6 +185,40 @@ def test_fixpoint_bound_holds_under_optimize():
     assert "exceeded the symbolic-state bound" in proc.stdout
 
 
+UNSAT_INVARIANT = """
+    from tolmc.logic import TRUE
+    from tolmc.model import ClockConstraint, Edge, Location, ModelError, Wta
+    from tolmc.checker import check
+    from tolmc.oracle import oracle_check
+    m = Wta(("x",), (Location("l", (ClockConstraint("x", "<", 0),)),), "l",
+            (Edge("l", "a", (), frozenset(), "l", 1),))
+    for run in (check, oracle_check):
+        try:
+            run(m, TRUE)
+        except ModelError as e:
+            if e.code != "unsat-invariant":
+                raise SystemExit(f"{run.__name__}: {e}")
+            print(run.__name__, e.code)
+        else:
+            raise SystemExit(f"{run.__name__}: no ModelError")
+"""
+
+
+def test_unsat_invariant_rejected_by_both_engines():
+    exec(textwrap.dedent(UNSAT_INVARIANT), {})
+
+
+def test_unsat_invariant_rejected_under_optimize():
+    src = str(Path(tolmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(UNSAT_INVARIANT)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["check", "unsat-invariant",
+                                   "oracle_check", "unsat-invariant"]
+
+
 def test_verdicts_unchanged_without_extrapolation(monkeypatch):
     # widening is a termination device; on terminating instances it must
     # not change any verdict

@@ -242,3 +242,17 @@ def test_nesting_limit_is_a_formula_error(capsys, tmp_path, shape):
     code, out, err = run(capsys, "check", str(model), "-f", NESTED[shape](MAX_NESTING + 1))
     assert code == 2 and out == ""
     assert err.startswith(f"error: formula nests deeper than {MAX_NESTING} levels")
+
+
+@pytest.mark.parametrize("formula, message", [
+    ("x . x <= 1", "error: freeze identifier 'x' collides with an automaton clock"),
+    ("z <= 1", "error: clock atom on unbound identifier 'z'"),
+])
+def test_oracle_rejects_unbound_clocks_like_check(capsys, tmp_path, formula, message):
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nclocks x\nlocation l init labels p\n"
+                     "edge l -> l action a guard x >= 1 reset x weight 1\n")
+    for cmd in ("check", "oracle"):
+        code, out, err = run(capsys, cmd, str(model), "-f", formula)
+        assert (code, out) == (2, ""), cmd
+        assert err.strip() == message, cmd

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from helpers import random_tol_ast, size
 from tolmc import logic
 from tolmc.logic import (FALSE, TRUE, And, Atom, ClockAtom, FormulaError,
                          FragmentError, Freeze, Not, Release, Until,
                          formula_clocks, parse_formula, print_formula,
-                         print_tctl, size, subformulas_by_size, to_tctl)
-from tolmc.randgen import random_tol_ast
+                         print_tctl, subformulas_by_size, to_tctl)
 
 
 def test_finally_sugar_expands():

@@ -69,28 +69,28 @@ def test_valid_fixtures_pass_validation():
 
 def test_edges_from_order_and_errors():
     m = build_case_study()
-    outs = m.edges_from("s2")
+    outs = [m.edges[i] for i in m.out_edges["s2"]]
     assert [(e.source, e.target) for e in outs] == [("s2", "s1"), ("s2", "s3"), ("s2", "s4")]
-    assert m.edges_from("s5")[0].target == "s5"
+    assert m.edges[m.out_edges["s5"][0]].target == "s5"
     with pytest.raises(KeyError):
-        m.edges_from("nowhere")
+        m.out_edges["nowhere"]
 
 
 def test_edges_from_empty():
     m = parse_model("wta\nlocation a init\nlocation b\nedge a -> b action go weight 1\n")
-    assert m.edges_from("b") == []
+    assert m.out_edges["b"] == ()
 
 
 def test_pipeline_edges_from():
     m, _ = gen_pipeline(4)
-    assert [(e.target for e in m.edges_from("s0"))]
-    assert [e.target for e in m.edges_from("s0")] == ["s1"]
+    assert m.out_edges["s0"]
+    assert [m.edges[i].target for i in m.out_edges["s0"]] == ["s1"]
 
 
 def test_mesh_out_degree():
     m, _ = gen_mesh(4)
     for loc in m.locations:
-        assert len(m.edges_from(loc.name)) == 3
+        assert len(m.out_edges[loc.name]) == 3
 
 
 def test_goal_becomes_label():
@@ -127,4 +127,4 @@ def test_weight_zero_allowed():
 
 def test_constraint_helpers():
     c = ClockConstraint("x", "<=", 2)
-    assert c.sat_zero() and c.sat2(4) and not c.sat2(5)
+    assert c.sat2(0) and c.sat2(4) and not c.sat2(5)

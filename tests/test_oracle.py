@@ -230,3 +230,15 @@ edge l0 -> l0 action a1 weight 1
         x2, j2 = coords
         assert (x2 - j2) % 2 == 1  # mixed half-fractions
         assert not sym and orc  # the sampled quotient over-approximates
+
+
+@pytest.mark.parametrize("text", ["x . x <= 1", "z <= 1"])
+def test_oracle_entries_reject_unbound_clocks(text):
+    from tolmc.checker import CheckError
+
+    m = parse_model(ONE_CLOCK)
+    f = parse_formula(text)
+    for run in (lambda: oracle_check(m, f), lambda: tctl_check(m, to_tctl(f)),
+                lambda: location_witnesses(m, f)):
+        with pytest.raises(CheckError):
+            run()

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (dbm_zero, grid_points, in_dbm, in_down, in_free,
-                     in_reset, in_up, is_canonical, random_dbm, relation)
+                     in_reset, in_up, is_canonical, random_dbm, relation,
+                     reset, up)
 from tolmc import zones as Z
 from tolmc.zones import (INF, ArityError, Federation, Zone, bound_add,
                          canonicalize, conjoin_atom, dbm_intersect,
                          dbm_subset, dbm_subtract, dbm_unconstrained, down,
-                         extrapolate, free, le, lt, reset, up)
+                         extrapolate, free, le, lt)
 
 
 def constrained(dim, *atoms):
