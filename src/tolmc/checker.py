@@ -92,10 +92,10 @@ class Checker:
             return self.sat[psi.left].intersect(self.sat[psi.right])
         if isinstance(psi, Until):
             return self.sat_until(psi.grade, self.sat[psi.left], self.sat[psi.right],
-                                  key=logic.print_formula(psi))
+                                  key=logic.short_text(psi))
         if isinstance(psi, Release):
             return self.sat_release(psi.grade, self.sat[psi.left], self.sat[psi.right],
-                                    key=logic.print_formula(psi))
+                                    key=logic.short_text(psi))
         if isinstance(psi, Freeze):
             return self.sat_freeze(psi.var, self.sat[psi.sub])
         raise TypeError(f"not a formula node: {psi!r}")

@@ -18,6 +18,12 @@ written once over it and accept either tree.
 Parsing bounds nesting at MAX_NESTING levels, so the recursive descent,
 the recursive walks and the dataclass hashing of a parsed formula stay
 inside Python's default recursion limit.
+
+Trees share nodes: `W` reuses its right operand, so a tree of nested
+`W` doubles per level while its node count only grows linearly.  Every
+walk here therefore costs the number of distinct nodes, not the tree
+size: each node caches its hash, `subformulas_by_size` memoises sizes
+and `scoped` visits a shared node once per set of bound identifiers.
 """
 
 from __future__ import annotations
@@ -33,53 +39,78 @@ MAX_NESTING = 100
 TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
 
+def _node(cls):
+    """A frozen dataclass whose hash is computed once per node.
+
+    The field hash of a node hashes its operands, so without the cache
+    hashing a shared tree costs its full (possibly exponential) size.
+    The cache is process-local and left out of pickled state, because
+    string hashes differ between processes."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 class TolFormula:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class TrueF(TolFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(TolFormula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class ClockAtom(TolFormula):
     clock: str
     op: str
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Not(TolFormula):
     sub: TolFormula
 
 
-@dataclass(frozen=True)
+@_node
 class And(TolFormula):
     left: TolFormula
     right: TolFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Until(TolFormula):
     grade: int
     left: TolFormula
     right: TolFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Release(TolFormula):
     grade: int
     left: TolFormula
     right: TolFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Freeze(TolFormula):
     var: str
     sub: TolFormula
@@ -314,47 +345,47 @@ class TctlFormula:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class TTrue(TctlFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class TAtom(TctlFormula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class TClockAtom(TctlFormula):
     clock: str
     op: str
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class TNot(TctlFormula):
     sub: TctlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class TAnd(TctlFormula):
     left: TctlFormula
     right: TctlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class TAU(TctlFormula):
     left: TctlFormula
     right: TctlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class TAR(TctlFormula):
     left: TctlFormula
     right: TctlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class TFreeze(TctlFormula):
     var: str
     sub: TctlFormula
@@ -404,18 +435,40 @@ def children(f) -> tuple:
 
 
 def scoped(f):
-    """Each node of the tree in pre-order, with the freeze identifiers
-    bound above it and its depth (the number of connectives above it)."""
-    stack = [(f, frozenset(), 0)]
+    """Each node of the tree with the freeze identifiers bound above it
+    and its depth: the most connectives above it on any path.
+
+    A node shared by several paths is visited once per bound set, so the
+    walk costs the distinct (node, bound set) pairs, which come in the
+    pre-order of their first visit."""
+    root = (id(f), frozenset())
+    states = {}  # (node id, bound set) -> (node, child keys), in pre-order
+    stack = [(root, f)]
     while stack:
-        g, bound, depth = stack.pop()
-        yield g, bound, depth
+        key, g = stack.pop()
+        if key in states:
+            continue
+        bound = key[1] | {g.var} if isinstance(g, FREEZES) else key[1]
         kids = children(g)
-        if kids:
-            if isinstance(g, FREEZES):
-                bound = bound | {g.var}
-            for c in reversed(kids):
-                stack.append((c, bound, depth + 1))
+        keys = [(id(c), bound) for c in kids]
+        states[key] = (g, keys)
+        stack.extend(reversed(list(zip(keys, kids))))
+    # longest paths: relax depths in topological order (Kahn)
+    parents = dict.fromkeys(states, 0)
+    for _, kids in states.values():
+        for ck in kids:
+            parents[ck] += 1
+    depth = dict.fromkeys(states, 0)
+    ready = [root]
+    while ready:
+        key = ready.pop()
+        for ck in states[key][1]:
+            depth[ck] = max(depth[ck], depth[key] + 1)
+            parents[ck] -= 1
+            if not parents[ck]:
+                ready.append(ck)
+    for key, (g, _) in states.items():
+        yield g, key[1], depth[key]
 
 
 def subformulas_by_size(f) -> list:
@@ -439,29 +492,57 @@ def formula_clocks(f) -> tuple[str, ...]:
     return tuple(dict.fromkeys(g.var for g, _, _ in scoped(f) if isinstance(g, FREEZES)))
 
 
-def print_formula(f) -> str:
-    """Text of either tree.  TOL text re-parses; desugared nodes print in
-    core syntax.  The TCTL image prints its quantifier as A."""
+def _text(f):
+    """The printed text of either tree as a stream of pieces."""
     kids = children(f)
     kind = type(f)
     if not kids:
         if kind in (Atom, TAtom):
-            return f.name
-        if kind in CLOCK_ATOMS:
-            return f"{f.clock} {f.op} {f.value}"
-        if kind in (TrueF, TTrue):
-            return "true"
+            yield f.name
+        elif kind in CLOCK_ATOMS:
+            yield f"{f.clock} {f.op} {f.value}"
+        elif kind in (TrueF, TTrue):
+            yield "true"
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
     elif len(kids) == 1:
-        a = print_formula(kids[0])
-        return f"! ({a})" if kind in (Not, TNot) else f"{f.var} . ({a})"
+        yield "! (" if kind in (Not, TNot) else f"{f.var} . ("
+        yield from _text(kids[0])
+        yield ")"
     else:
-        a, b = map(print_formula, kids)
         if kind in (And, TAnd):
-            return f"({a} & {b})"
-        quantifier = "A" if kind in (TAU, TAR) else f"<#{f.grade}>"
-        op = "U" if kind in (Until, TAU) else "R"
-        return f"{quantifier} ({a} {op} {b})"
-    raise TypeError(f"not a formula node: {f!r}")
+            yield "("
+            op = "&"
+        else:
+            yield "A (" if kind in (TAU, TAR) else f"<#{f.grade}> ("
+            op = "U" if kind in (Until, TAU) else "R"
+        yield from _text(kids[0])
+        yield f" {op} "
+        yield from _text(kids[1])
+        yield ")"
+
+
+def print_formula(f) -> str:
+    """Text of either tree.  TOL text re-parses; desugared nodes print in
+    core syntax.  The TCTL image prints its quantifier as A."""
+    return "".join(_text(f))
+
+
+SHORT_TEXT = 1000
+
+
+def short_text(f) -> str:
+    """print_formula(f), cut after SHORT_TEXT characters with '...'.
+
+    The cost is bounded by the cut, which matters on shared trees: the
+    full text of nested `W` doubles per level."""
+    pieces, n = [], 0
+    for piece in _text(f):
+        pieces.append(piece)
+        n += len(piece)
+        if n > SHORT_TEXT:
+            return "".join(pieces)[:SHORT_TEXT] + "..."
+    return "".join(pieces)
 
 
 print_tctl = print_formula

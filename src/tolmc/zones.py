@@ -16,10 +16,24 @@ tighter-than is plain integer <, and bound addition is
 INF.  Emptiness is represented by None throughout this module: any
 operation that can produce an empty zone returns None for it, and
 federations simply never store empty zones.
+
+Every operation takes canonical (shortest-path closed) DBMs and returns
+canonical ones, but only the operations that can tighten a path run a
+closure.  `down` and `free` keep a canonical DBM canonical as they are
+(Bengtsson & Yi, *Timed Automata: Semantics, Algorithms and Tools*,
+2004), so they never close.  `conjoin_bound` re-closes only the paths
+through the new entry.  `dbm_intersect` returns an operand unchanged
+when it is entrywise inside the other, since the entrywise minimum is
+then that operand; only a genuine mix of the two is closed.
+
+A federation keeps one reduced list of zones per location.  Operations
+share the lists they do not touch with their operands, so a list read
+from a federation (`Federation.at`) must never be mutated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -55,7 +69,8 @@ def bound_add(a: int, b: int) -> int:
 
 def bound_neg(b: int) -> int:
     """Negation of a finite bound: not(x-y ~ c) == y-x ~' -c."""
-    assert b < INF
+    if b >= INF:
+        raise ValueError("the unbounded bound has no negation")
     return 1 - b
 
 
@@ -117,11 +132,11 @@ def canonicalize(d) -> Optional[Dbm]:
         if m[i][i] < ZERO:
             return None
         m[i][i] = ZERO
-    return tuple(tuple(row) for row in m)
+    return _freeze(m)
 
 
 def _freeze(m: list) -> Dbm:
-    return tuple(tuple(row) for row in m)
+    return tuple(map(tuple, m))
 
 
 # -- basic operations (inputs canonical non-empty unless noted) --------------
@@ -130,32 +145,27 @@ def conjoin_bound(d: Dbm, i: int, j: int, b: int) -> Optional[Dbm]:
     """Intersect with x_i - x_j ~ c (packed bound b)."""
     if b >= d[i][j]:
         return d
-    if bound_add(b, d[j][i]) < ZERO:
+    dji = d[j][i]
+    if dji < INF and b + dji - ((b | dji) & 1) < ZERO:
         return None
     m = [list(row) for row in d]
     m[i][j] = b
     # re-close: any tighter path must pass through the new (i, j) entry
     n = len(d)
-    for p in range(n):
-        dpi = m[p][i]
-        if dpi >= INF:
-            continue
-        for q in range(n):
-            if m[i][q] >= INF:
+    for k in (i, j):
+        mk = m[k]
+        for p in range(n):
+            dpk = m[p][k]
+            if dpk >= INF:
                 continue
-            via = bound_add(dpi, m[i][q])
-            if via < m[p][q]:
-                m[p][q] = via
-    for p in range(n):
-        dpj = m[p][j]
-        if dpj >= INF:
-            continue
-        for q in range(n):
-            if m[j][q] >= INF:
-                continue
-            via = bound_add(dpj, m[j][q])
-            if via < m[p][q]:
-                m[p][q] = via
+            mp = m[p]
+            for q in range(n):
+                dkq = mk[q]
+                if dkq >= INF:
+                    continue
+                via = dpk + dkq - ((dpk | dkq) & 1)
+                if via < mp[q]:
+                    mp[q] = via
     for p in range(n):
         if m[p][p] < ZERO:
             return None
@@ -189,23 +199,27 @@ def conjoin_atom(d: Dbm, i: int, op: str, c: int) -> Optional[Dbm]:
 def dbm_intersect(a: Dbm, b: Dbm) -> Optional[Dbm]:
     if len(a) != len(b):
         raise ArityError("dimension mismatch in intersection")
-    m = [[min(a[i][j], b[i][j]) for j in range(len(a))] for i in range(len(a))]
-    return canonicalize(m)
+    if dbm_subset(a, b):
+        return a
+    if dbm_subset(b, a):
+        return b
+    return canonicalize([list(map(min, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def down(d: Dbm) -> Dbm:
-    """Delay past: {v | exists t>=0, v+t in d}, clipped to non-negative clocks."""
+    """Delay past: {v | exists t>=0, v+t in d}, clipped to non-negative clocks.
+
+    Only row 0 changes: x_0 - x_j becomes the tightest of <= 0 and the
+    bounds on x_i - x_j, and the result is canonical without a closure."""
     n = len(d)
-    m = [list(row) for row in d]
+    lower = [ZERO]
     for j in range(1, n):
         b = ZERO
         for i in range(1, n):
             if i != j and d[i][j] < b:
                 b = d[i][j]
-        m[0][j] = b
-    out = canonicalize(m)
-    assert out is not None
-    return out
+        lower.append(b)
+    return (tuple(lower),) + d[1:]
 
 
 def free(d: Dbm, y: int) -> Dbm:
@@ -220,9 +234,7 @@ def free(d: Dbm, y: int) -> Dbm:
             m[j][y] = m[j][0]
     m[y][0] = INF
     m[0][y] = ZERO
-    out = canonicalize(m)
-    assert out is not None
-    return out
+    return _freeze(m)
 
 
 def reset_preimage(d: Dbm, clocks: Iterable[int]) -> Optional[Dbm]:
@@ -237,9 +249,17 @@ def reset_preimage(d: Dbm, clocks: Iterable[int]) -> Optional[Dbm]:
     return d
 
 
+_LEQ = operator.le
+
+
 def dbm_subset(a: Dbm, b: Dbm) -> bool:
-    n = len(a)
-    return all(a[i][j] <= b[i][j] for i in range(n) for j in range(n))
+    """Entrywise a <= b, which for canonical DBMs is zone inclusion."""
+    if len(a) != len(b):
+        raise ArityError("dimension mismatch in inclusion")
+    for ra, rb in zip(a, b):
+        if not all(map(_LEQ, ra, rb)):
+            return False
+    return True
 
 
 def extrapolate(d: Dbm, ks) -> Dbm:
@@ -250,6 +270,8 @@ def extrapolate(d: Dbm, ks) -> Dbm:
     than the input zone.
     """
     n = len(d)
+    if len(ks) != n:
+        raise ArityError("one max constant per clock expected")
     m = [list(row) for row in d]
     changed = False
     for i in range(n):
@@ -268,7 +290,8 @@ def extrapolate(d: Dbm, ks) -> Dbm:
     if not changed:
         return d
     out = canonicalize(m)
-    assert out is not None
+    if out is None:
+        raise ValueError("extrapolation needs a canonical non-empty zone")
     return out
 
 
@@ -347,7 +370,8 @@ class Federation:
     Zones stored per location; no zone is empty; inclusion-subsumed
     zones are dropped opportunistically, full minimization is not
     attempted.  Federations are immutable: every operation returns a
-    fresh one.
+    fresh one, which shares the zone lists it leaves untouched with its
+    operands.
     """
 
     __slots__ = ("dim", "_by_loc")
@@ -364,7 +388,10 @@ class Federation:
     def of_zones(dim: int, zones: Iterable[Zone]) -> "Federation":
         by: dict = {}
         for z in zones:
-            assert z.dbm is not None and len(z.dbm) == dim
+            if z.dbm is None:
+                raise ValueError("federations hold no empty zones")
+            if len(z.dbm) != dim:
+                raise ArityError(f"zone of dimension {len(z.dbm)} in a federation of dimension {dim}")
             by.setdefault(z.loc, []).append(z.dbm)
         return Federation(dim, {k: _reduce(v) for k, v in by.items()})
 
@@ -382,15 +409,20 @@ class Federation:
     def zone_count(self) -> int:
         return sum(len(v) for v in self._by_loc.values())
 
+    def _check_dim(self, other: "Federation") -> None:
+        if self.dim != other.dim:
+            raise ArityError(f"federations of dimension {self.dim} and {other.dim}")
+
     def union(self, other: "Federation") -> "Federation":
-        assert self.dim == other.dim
-        by = {k: list(v) for k, v in self._by_loc.items()}
+        self._check_dim(other)
+        by = dict(self._by_loc)
         for loc, dbms in other._by_loc.items():
-            by.setdefault(loc, []).extend(dbms)
-        return Federation(self.dim, {k: _reduce(v) for k, v in by.items()})
+            mine = by.get(loc)
+            by[loc] = _reduce(mine + dbms) if mine else dbms
+        return Federation(self.dim, by)
 
     def intersect(self, other: "Federation") -> "Federation":
-        assert self.dim == other.dim
+        self._check_dim(other)
         by = {}
         for loc, dbms in self._by_loc.items():
             theirs = other._by_loc.get(loc)
@@ -407,11 +439,16 @@ class Federation:
         return Federation(self.dim, by)
 
     def subtract(self, other: "Federation") -> "Federation":
-        assert self.dim == other.dim
+        self._check_dim(other)
         by = {}
         for loc, dbms in self._by_loc.items():
-            theirs = other._by_loc.get(loc, [])
-            rem = list(dbms)
+            theirs = other._by_loc.get(loc)
+            if not theirs:
+                by[loc] = dbms
+                continue
+            if theirs == dbms:
+                continue  # every zone is taken away by itself
+            rem = dbms
             for b in theirs:
                 if not rem:
                     break

@@ -9,14 +9,21 @@ so they are independent of the code they check.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import tolmc
 from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta
 from tolmc.predecessor import pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _freeze,
-                         bound_add, bound_sat)
+                         _reduce, bound_add, bound_sat, canonicalize,
+                         dbm_subtract)
 
 # a one-variable bound: (doubled value, strict flag)
 NEG_INF = (-(1 << 50), True)
@@ -232,8 +239,70 @@ def reset(d: Dbm, clocks) -> Dbm:
     return _freeze(m)
 
 
+# -- reference kernels --------------------------------------------------------
+# The plain formulas the fast DBM and federation kernels must equal
+# exactly: every result closed again, every location re-reduced.
+
+def ref_down(d: Dbm) -> Dbm:
+    m = [list(row) for row in d]
+    for j in range(1, len(d)):
+        m[0][j] = min([ZERO] + [d[i][j] for i in range(1, len(d)) if i != j])
+    return canonicalize(m)
+
+
+def ref_free(d: Dbm, y: int) -> Dbm:
+    m = [list(row) for row in d]
+    for j in range(len(d)):
+        if j != y:
+            m[y][j] = INF
+            m[j][y] = m[j][0]
+    m[y][0] = INF
+    m[0][y] = ZERO
+    return canonicalize(m)
+
+
+def ref_intersect(a: Dbm, b: Dbm) -> Dbm | None:
+    n = len(a)
+    return canonicalize([[min(a[i][j], b[i][j]) for j in range(n)] for i in range(n)])
+
+
+def ref_subset(a: Dbm, b: Dbm) -> bool:
+    n = len(a)
+    return all(a[i][j] <= b[i][j] for i in range(n) for j in range(n))
+
+
+def ref_conjoin_bound(d: Dbm, i: int, j: int, b: int) -> Dbm | None:
+    if b >= d[i][j]:
+        return d
+    m = [list(row) for row in d]
+    m[i][j] = b
+    return canonicalize(m)
+
+
+def _locations(fed: Federation) -> list:
+    return list(dict.fromkeys(z.loc for z in fed.zones()))
+
+
+def ref_union(a: Federation, b: Federation) -> Federation:
+    by = {loc: list(a.at(loc)) for loc in _locations(a)}
+    for loc in _locations(b):
+        by.setdefault(loc, []).extend(b.at(loc))
+    return Federation(a.dim, {loc: _reduce(v) for loc, v in by.items()})
+
+
+def ref_subtract(a: Federation, b: Federation) -> Federation:
+    by = {}
+    for loc in _locations(a):
+        rem = list(a.at(loc))
+        for d in b.at(loc):
+            rem = [p for z in rem for p in dbm_subtract(z, d)]
+        if rem:
+            by[loc] = _reduce(rem)
+    return Federation(a.dim, by)
+
+
 def size(f) -> int:
-    """Connective count."""
+    """Connective count; a node shared by several paths counts once."""
     return sum(1 for g, _, _ in scoped(f) if children(g))
 
 
@@ -268,3 +337,12 @@ def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,
     var = f"v{depth}"
     sub = random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt)
     return logic.Freeze(var, sub) if var not in logic.formula_clocks(sub) else sub
+
+
+def run_python(code: str, *flags: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run dedented code in a fresh interpreter that imports this tolmc."""
+    src = str(Path(tolmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=timeout)

@@ -1,13 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-import tolmc
+from helpers import run_python
 from tolmc import logic
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import CheckError, Checker, check, dump_sat
@@ -164,7 +161,7 @@ def test_fixpoint_iteration_counts_within_bound():
 
 def test_fixpoint_bound_holds_under_optimize():
     # python -O strips asserts; the bound must still stop the loop
-    code = textwrap.dedent("""
+    proc = run_python("""
         from tolmc.bench import gen_pipeline
         from tolmc.checker import Checker, FixpointError
         c = Checker(*gen_pipeline(4))
@@ -175,12 +172,7 @@ def test_fixpoint_bound_holds_under_optimize():
             print(e)
             raise SystemExit(0)
         raise SystemExit(1)
-    """)
-    src = str(Path(tolmc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    """, "-O")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "exceeded the symbolic-state bound" in proc.stdout
 
@@ -209,11 +201,7 @@ def test_unsat_invariant_rejected_by_both_engines():
 
 
 def test_unsat_invariant_rejected_under_optimize():
-    src = str(Path(tolmc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(UNSAT_INVARIANT)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python(UNSAT_INVARIANT, "-O")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.split() == ["check", "unsat-invariant",
                                    "oracle_check", "unsat-invariant"]
@@ -259,3 +247,14 @@ def test_dump_sat_deterministic():
     b = dump_sat(m, names, check(m, f).sat_sets[f])
     assert a == b
     assert a.splitlines()[0].startswith("s0 | ")
+
+
+SAT_DIGEST = "4538 2400d52b58cebe1d268cc4a00e90f111612721cfec5b1ae1a6a8af890c54576c"
+
+
+def test_sat_sets_of_the_digest_corpus_are_unchanged():
+    # every Sat set of scripts/sat_digest.py's corpus, byte for byte
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sat_digest.py"
+    proc = run_python(script.read_text())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == SAT_DIGEST

@@ -1,8 +1,9 @@
+import pickle
 import random
 
 import pytest
 
-from helpers import random_tol_ast, size
+from helpers import random_tol_ast, run_python, size
 from tolmc import logic
 from tolmc.logic import (FALSE, TRUE, And, Atom, ClockAtom, FormulaError,
                          FragmentError, Freeze, Not, Release, Until,
@@ -179,6 +180,43 @@ def test_nesting_bound_counts_parser_levels_and_connectives():
                  "p -> " * (n // 2 + 1) + "p", "p | " * (n // 3 + 1) + "p"):
         with pytest.raises(FormulaError, match=f"nests deeper than {n} levels"):
             parse_formula(text)
+
+
+def test_deepest_weak_until_nest_parses_and_checks():
+    # W shares its right operand: the tree doubles per level, so only
+    # walks over distinct nodes finish within the timeout
+    proc = run_python("""
+        from tolmc.checker import check
+        from tolmc.logic import MAX_NESTING, FormulaError, parse_formula, subformulas_by_size
+        from tolmc.model import parse_model
+
+        def nest(n):
+            return "<#0> (p W " * n + "q" + ")" * n
+
+        deepest = MAX_NESTING // 4  # W puts its right operand four connectives deep
+        f = parse_formula(nest(deepest))
+        subs = subformulas_by_size(f)
+        m = parse_model("wta\\nclocks x\\nlocation l init labels p\\n"
+                        "edge l -> l action a weight 1\\n")
+        print(len(subs) == 4 * deepest + 3, subs[-1] is f, check(m, f).satisfied)
+        try:
+            parse_formula(nest(deepest + 1))
+        except FormulaError as e:
+            print(e)
+    """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True True True", f"formula nests deeper than {logic.MAX_NESTING} levels"]
+
+
+def test_cached_hash_stays_out_of_pickles():
+    # string hashes differ between processes, so a pickled formula must
+    # hash afresh where it is loaded
+    f = parse_formula("j . <#1> (p W j <= 2)")
+    hash(f)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and "_hash" not in vars(g)
+    assert hash(g) == hash(f)
 
 
 def test_clock_constant_bound():

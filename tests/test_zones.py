@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (dbm_zero, grid_points, in_dbm, in_down, in_free,
-                     in_reset, in_up, is_canonical, random_dbm, relation,
-                     reset, up)
+                     in_reset, in_up, is_canonical, random_dbm,
+                     ref_conjoin_bound, ref_down, ref_free, ref_intersect,
+                     ref_subset, ref_subtract, ref_union, relation, reset,
+                     run_python, up)
 from tolmc import zones as Z
-from tolmc.zones import (INF, ArityError, Federation, Zone, bound_add,
-                         canonicalize, conjoin_atom, dbm_intersect,
-                         dbm_subset, dbm_subtract, dbm_unconstrained, down,
-                         extrapolate, free, le, lt)
+from tolmc.zones import (INF, MAX_CONSTANT, ArityError, Federation, Zone,
+                         bound_add, canonicalize, conjoin_atom, conjoin_bound,
+                         dbm_intersect, dbm_subset, dbm_subtract,
+                         dbm_unconstrained, down, extrapolate, free, le, lt)
 
 
 def constrained(dim, *atoms):
@@ -319,3 +321,105 @@ def test_triangle_inequality_after_every_operation():
             assert is_canonical(x)
         for piece in dbm_subtract(d, e):
             assert is_canonical(piece)
+
+
+# -- fast kernels against their references ----------------------------------
+
+# small constants, and constants at the top of the parser's range
+CONSTANTS = st.one_of(st.integers(-6, 6), st.integers(MAX_CONSTANT - 3, MAX_CONSTANT),
+                      st.integers(-MAX_CONSTANT, -MAX_CONSTANT + 3))
+
+
+@st.composite
+def bounds(draw, i, j):
+    c = draw(CONSTANTS)
+    c = abs(c) if j == 0 else -abs(c) if i == 0 else c
+    return le(c) if draw(st.booleans()) else lt(c)
+
+
+@st.composite
+def canonical_dbms(draw, dim, base=None):
+    """A canonical non-empty DBM; inside `base` when one is given."""
+    d = base or dbm_unconstrained(dim)
+    for _ in range(draw(st.integers(0, 2 * dim))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i == j:
+            continue
+        m = [list(row) for row in d]
+        m[i][j] = min(m[i][j], draw(bounds(i, j)))
+        d = canonicalize(m) or d
+    return d
+
+
+@st.composite
+def related_dbms(draw, dim, a):
+    """The same zone, one inside it, or an unrelated one."""
+    kind = draw(st.sampled_from(("same", "inside", "fresh")))
+    if kind == "same":
+        return a
+    return draw(canonical_dbms(dim, a if kind == "inside" else None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dbm_kernels_equal_their_references(data):
+    dim = data.draw(st.integers(2, 5))
+    a = data.draw(canonical_dbms(dim))
+    b = data.draw(related_dbms(dim, a))
+    assert down(a) == ref_down(a)
+    for y in range(1, dim):
+        assert free(a, y) == ref_free(a, y)
+    for x, y in ((a, b), (b, a)):
+        assert dbm_intersect(x, y) == ref_intersect(x, y)
+        assert dbm_subset(x, y) == ref_subset(x, y)
+    i = data.draw(st.integers(0, dim - 1))
+    j = data.draw(st.sampled_from([k for k in range(dim) if k != i]))
+    bound = data.draw(bounds(i, j))
+    assert conjoin_bound(a, i, j, bound) == ref_conjoin_bound(a, i, j, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_federation_operations_equal_their_references(data):
+    dim = data.draw(st.integers(2, 5))
+    pool = [data.draw(canonical_dbms(dim)) for _ in range(3)]
+    pool += [data.draw(related_dbms(dim, d)) for d in pool]
+
+    def draw_fed():
+        picks = data.draw(st.lists(st.tuples(st.sampled_from("lmn"), st.sampled_from(pool)),
+                                   max_size=5))
+        return Federation.of_zones(dim, [Zone(loc, d) for loc, d in picks])
+
+    f, g = draw_fed(), draw_fed()
+    # operands that share zone lists with each other
+    for x, y in ((f, g), (g, f), (f, f), (f, f.union(g)), (f.union(g), g),
+                 (f.subtract(g), f)):
+        assert list(x.union(y).zones()) == list(ref_union(x, y).zones())
+        assert list(x.subtract(y).zones()) == list(ref_subtract(x, y).zones())
+
+
+def test_dimension_checks_hold_under_optimize():
+    # python -O strips asserts; a mismatch must still raise ArityError
+    proc = run_python("""
+        from tolmc.zones import ArityError, Federation, Zone, dbm_unconstrained
+        big = Federation.of_zones(3, [Zone("l", dbm_unconstrained(3))])
+        small = Federation.of_zones(2, [Zone("l", dbm_unconstrained(2))])
+        for op in ("union", "intersect", "subset_of"):
+            try:
+                getattr(big, op)(small)
+            except ArityError:
+                print(op)
+    """, "-O")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["union", "intersect", "subset_of"]
+
+
+def test_mismatched_inputs_raise():
+    with pytest.raises(ArityError):
+        Federation.of_zones(3, [Zone("l", dbm_unconstrained(2))])
+    with pytest.raises(ArityError):
+        dbm_subset(dbm_unconstrained(3), dbm_unconstrained(2))
+    with pytest.raises(ArityError):
+        extrapolate(dbm_unconstrained(3), (0, 1))
+    with pytest.raises(ValueError):
+        Z.bound_neg(INF)
