@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Record BENCH_<tag>.json files for two checkouts measured side by side.
+
+    python scripts/bench_record.py --side d8f102b=../parent --side new=. \\
+        --first-seed 211 --out-dir .
+
+Each side is a directory holding a `src/` tree and a `perfbench/` copy
+(for an older commit: `git archive <rev> | tar -x -C DIR`).  The sides
+alternate within every measurement, the first side going first on even
+pairs, so slow phases of a shared host hit both.  Each perfbench run
+lasts BENCHMARK.json's `run_seconds`.  One file per side records:
+
+  - the host and the Python version, and a SHA-256 of the side's
+    `src/**/*.py` (which code was measured),
+  - perfbench medians, quartiles and IQR of every end-to-end metric for
+    each workload, one untraced (`--trace 0`) run per side in each of
+    PAIRS pairs, one seed per pair,
+  - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
+    state count for pipeline and mesh at DISCRETIZE_KS,
+  - the tier-1 wall time: one pytest run per side, one after the other,
+    so not a paired measurement.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
+DISCRETIZE_KS = (4, 5, 6, 8)
+PAIRS = 10          # a gain claim needs 10 alternating pairs
+REPEATS = 5         # discretize timings per graph and probe process
+RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent
+                          / "BENCHMARK.json").read_text())["run_seconds"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+# one process per side: prints {"pipeline/k=4": [states, [ms, ...]], ...}
+DISCRETIZE_PROBE = """
+import json, sys, time
+from tolmc.bench import gen_mesh, gen_pipeline
+from tolmc.oracle import discretize
+out = {}
+for k in %r:
+    for name, gen in (("pipeline", gen_pipeline), ("mesh", gen_mesh)):
+        m, f = gen(k)
+        times = []
+        for _ in range(%d):
+            t0 = time.perf_counter()
+            g = discretize(m, f)
+            times.append((time.perf_counter() - t0) * 1000.0)
+        out[f"{name}/k={k}"] = [len(g.states), times]
+print(json.dumps(out))
+"""
+
+
+def src_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    for p in sorted((root / "src").rglob("*.py")):
+        h.update(str(p.relative_to(root)).encode())
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+def run_in(root: Path, args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=timeout, check=False)
+
+
+def perfbench(root: Path, workload: str, seed: int) -> dict:
+    proc = run_in(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                         "--seconds", str(RUN_SECONDS), "--trace", "0"], timeout=600)
+    if proc.returncode:
+        raise RuntimeError(f"perfbench failed in {root}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--side", action="append", required=True, metavar="TAG=DIR")
+    ap.add_argument("--first-seed", type=int, default=211)
+    ap.add_argument("--out-dir", default=".")
+    args = ap.parse_args()
+    sides = []
+    for spec in args.side:
+        tag, sep, path = spec.partition("=")
+        if not sep or not tag:
+            ap.error(f"--side wants TAG=DIR, got {spec!r}")
+        sides.append((tag, Path(path).resolve()))
+    if len(sides) != 2:
+        ap.error("give exactly two --side options")
+    seeds = [args.first_seed + i for i in range(PAIRS)]
+
+    runs = {tag: {w: [] for w in WORKLOADS} for tag, _ in sides}
+    for i, seed in enumerate(seeds):
+        order = sides if i % 2 == 0 else sides[::-1]
+        for w in WORKLOADS:
+            for tag, root in order:
+                runs[tag][w].append(perfbench(root, w, seed))
+                print(f"pair {i + 1}/{PAIRS} {w} {tag}", file=sys.stderr)
+
+    probe = DISCRETIZE_PROBE % (DISCRETIZE_KS, REPEATS)
+    graphs = {tag: {} for tag, _ in sides}
+    for tag, root in sides + sides[::-1]:
+        proc = run_in(root, ["-c", probe], timeout=1800)
+        if proc.returncode:
+            raise RuntimeError(f"discretize probe failed in {root}: {proc.stderr.strip()}")
+        for name, (states, times) in json.loads(proc.stdout).items():
+            graphs[tag].setdefault(name, {"states": states, "ms": []})["ms"].extend(times)
+
+    tier1 = {}
+    for tag, root in sides:
+        t0 = time.perf_counter()
+        proc = run_in(root, TIER1, timeout=3600)
+        tier1[tag] = {"wall_s": round(time.perf_counter() - t0, 1),
+                      "method": "one run per side, one after the other, not paired",
+                      "exit_code": proc.returncode,
+                      "summary": proc.stdout.strip().splitlines()[-1]}
+
+    for tag, root in sides:
+        bench = {}
+        for w, results in runs[tag].items():
+            names = results[0]["metrics"]
+            bench[w] = {name: summary([r["metrics"][name]["value"] for r in results])
+                        | {"unit": results[0]["metrics"][name]["unit"]} for name in names}
+            bench[w]["failed"] = sum(r["failed"] for r in results)
+        record = {
+            "tag": tag,
+            "src_sha256": src_digest(root),
+            "host": {"node": platform.node(), "machine": platform.machine(),
+                     "cpus": os.cpu_count(), "system": platform.platform()},
+            "python": platform.python_version(),
+            "perfbench": {"command": "python3 perfbench/run.py --workload W --seed S "
+                                     f"--seconds {RUN_SECONDS:g} --trace 0",
+                          "seeds": seeds, "alternating_with": [t for t, _ in sides if t != tag],
+                          "workloads": bench},
+            "discretize": {name: {"states": g["states"], "ms_median": statistics.median(g["ms"]),
+                                  "ms_runs": g["ms"]} for name, g in graphs[tag].items()},
+            "tier1": tier1[tag],
+        }
+        path = Path(args.out_dir) / f"BENCH_{tag}.json"
+        path.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,10 @@ from .checker import CheckError, check, dump_sat
 from .logic import FormulaError, FragmentError
 from .model import ClockLayout, ModelError, parse_model, serialize_model
 
+# `translate` prints at most this many characters; the text of a shared
+# tree such as nested `W` doubles per level
+MAX_TRANSLATION = 1_000_000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tolmc",
@@ -118,7 +122,12 @@ def _dispatch(args) -> int:
 
     if args.cmd == "translate":
         f = logic.parse_formula(args.formula)
-        print(logic.print_tctl(logic.to_tctl(f)))
+        text = logic.text_upto(logic.to_tctl(f), MAX_TRANSLATION)
+        if len(text) > MAX_TRANSLATION:
+            print(f"error: [output-size] the TCTL text exceeds {MAX_TRANSLATION} characters",
+                  file=sys.stderr)
+            return 2
+        print(text)
         return 0
 
     if args.cmd == "gen":

@@ -392,7 +392,23 @@ class TFreeze(TctlFormula):
 
 
 def to_tctl(f: TolFormula) -> TctlFormula:
-    """Structure-preserving translation; defined on grade 0 only."""
+    """Structure-preserving translation; defined on grade 0 only.
+
+    Each distinct node is translated once, so the image shares what the
+    source shares and costs its distinct nodes, not its tree size."""
+    image: dict = {}  # node id -> TCTL node
+
+    def tr(g):
+        out = image.get(id(g))
+        if out is None:
+            out = image[id(g)] = _tctl_node(g, tr)
+        return out
+
+    return tr(f)
+
+
+def _tctl_node(f: TolFormula, tr) -> TctlFormula:
+    """The TCTL node for f, with its operands translated by tr."""
     if isinstance(f, TrueF):
         return TTrue()
     if isinstance(f, Atom):
@@ -400,19 +416,19 @@ def to_tctl(f: TolFormula) -> TctlFormula:
     if isinstance(f, ClockAtom):
         return TClockAtom(f.clock, f.op, f.value)
     if isinstance(f, Not):
-        return TNot(to_tctl(f.sub))
+        return TNot(tr(f.sub))
     if isinstance(f, And):
-        return TAnd(to_tctl(f.left), to_tctl(f.right))
+        return TAnd(tr(f.left), tr(f.right))
     if isinstance(f, Until):
         if f.grade != 0:
             raise FragmentError(f"grade {f.grade} until is outside the grade-0 fragment")
-        return TAU(to_tctl(f.left), to_tctl(f.right))
+        return TAU(tr(f.left), tr(f.right))
     if isinstance(f, Release):
         if f.grade != 0:
             raise FragmentError(f"grade {f.grade} release is outside the grade-0 fragment")
-        return TAR(to_tctl(f.left), to_tctl(f.right))
+        return TAR(tr(f.left), tr(f.right))
     if isinstance(f, Freeze):
-        return TFreeze(f.var, to_tctl(f.sub))
+        return TFreeze(f.var, tr(f.sub))
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -531,18 +547,25 @@ def print_formula(f) -> str:
 SHORT_TEXT = 1000
 
 
-def short_text(f) -> str:
-    """print_formula(f), cut after SHORT_TEXT characters with '...'.
+def text_upto(f, limit: int) -> str:
+    """print_formula(f) when it has at most `limit` characters, else its
+    first limit + 1 characters.
 
-    The cost is bounded by the cut, which matters on shared trees: the
+    The cost is bounded by the limit, which matters on shared trees: the
     full text of nested `W` doubles per level."""
     pieces, n = [], 0
     for piece in _text(f):
         pieces.append(piece)
         n += len(piece)
-        if n > SHORT_TEXT:
-            return "".join(pieces)[:SHORT_TEXT] + "..."
+        if n > limit:
+            return "".join(pieces)[:limit + 1]
     return "".join(pieces)
+
+
+def short_text(f) -> str:
+    """print_formula(f), cut after SHORT_TEXT characters with '...'."""
+    text = text_upto(f, SHORT_TEXT)
+    return text if len(text) <= SHORT_TEXT else text[:SHORT_TEXT] + "..."
 
 
 print_tctl = print_formula

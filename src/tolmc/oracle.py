@@ -4,7 +4,17 @@ States sample every clock (automaton and formula clocks alike) at
 half-integer points capped at max_constant + 1; the cap value stands
 for "anything larger", which rectangular constraints cannot
 distinguish.  Steps are delay-then-edge composites between grid
-states.  Strategic operators are decided as turn-based games with
+states.  They are built by a delay sweep: a state's successors per
+edge are its own edge landings joined with those of its half-unit
+delay successor next(v) = min(v + 1, cap), taken while next(v) moves
+and the invariant holds there (an upper-bound invariant never recovers
+under delay).  States are visited in reverse list order, which finds
+next(v) done: a location's states are listed in lexicographic
+coordinate order and next(v) is componentwise >= v and differs from
+it, so it comes later.  Each state thus costs its edges plus its
+output, not every delay up to the cap (time successors as in Alur &
+Dill, TCS 1994, on the digitized grid of Henzinger, Manna & Pnueli,
+ICALP 1992).  Strategic operators are decided as turn-based games with
 per-state blocker choices, solved by linear-time counting fixpoints.
 One textbook AU/AR over successor lists, independent of the game
 fixpoints, serves two uses: the grade-0 cross-check (tctl_check, on the
@@ -22,6 +32,7 @@ arithmetic stays integral.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -105,26 +116,31 @@ def discretize(m: Wta, f=None, cap: int = 2_000_000) -> ExplicitGraph:
                  [layout.index[c] - 1 for c in e.resets]) for ei, e in enumerate(m.edges)]
     edges_by_loc = {loc: [prepared[ei] for ei in ids] for loc, ids in m.out_edges.items()}
 
-    steps: list[list] = []
-    for loc, coords in states:
-        found: dict[int, set] = {}
-        max_delay = max((caps2[i + 1] - coords[i] for i in range(nclocks)), default=0)
-        for d2 in range(max_delay + 1):
-            shifted = tuple(min(coords[i] + d2, caps2[i + 1]) for i in range(nclocks))
-            if not inv_ok(loc, shifted):
-                break  # upper-bound invariants never recover under delay
-            for ei, e, guard, resets in edges_by_loc[loc]:
-                if not all(a.sat2(shifted[ci]) for ci, a in guard):
-                    continue
-                landing = list(shifted)
-                for ci in resets:
-                    landing[ci] = 0
-                key = (e.target, tuple(landing))
-                if key in index:
-                    found.setdefault(ei, set()).add(index[key])
-        groups = [(ei, m.edges[ei].weight, tuple(sorted(ts)))
-                  for ei, ts in sorted(found.items())]
-        steps.append(groups)
+    # the delay sweep of the module docstring, in reverse state order
+    top = caps2[1:]
+    steps: list = [None] * len(states)
+    for s in range(len(states) - 1, -1, -1):
+        loc, coords = states[s]
+        nxt = tuple(min(c + 1, t) for c, t in zip(coords, top))
+        later = index.get((loc, nxt)) if nxt != coords else None
+        found = {} if later is None else {ei: ts for ei, _, ts in steps[later]}
+        grown = later is None
+        for ei, e, guard, resets in edges_by_loc[loc]:
+            if not all(a.sat2(coords[ci]) for ci, a in guard):
+                continue
+            landing = list(coords)
+            for ci in resets:
+                landing[ci] = 0
+            t = index.get((e.target, tuple(landing)))
+            if t is None:
+                continue
+            ts = found.get(ei, ())
+            at = bisect_left(ts, t)
+            if at == len(ts) or ts[at] != t:
+                found[ei] = ts[:at] + (t,) + ts[at:]
+                grown = True
+        steps[s] = ([(ei, m.edges[ei].weight, ts) for ei, ts in sorted(found.items())]
+                    if grown else steps[later])
 
     return ExplicitGraph(m, layout, caps2, states, index, steps)
 

@@ -20,6 +20,7 @@ import tolmc
 from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta
+from tolmc.oracle import ExplicitGraph
 from tolmc.predecessor import pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _freeze,
                          _reduce, bound_add, bound_sat, canonicalize,
@@ -346,3 +347,34 @@ def run_python(code: str, *flags: str, timeout: float = 120) -> subprocess.Compl
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def ref_discretize(g: ExplicitGraph) -> list:
+    """The steps of oracle.discretize's graph g, rebuilt by rescanning
+    every delay from every state: quadratic in the cap, the reference
+    for the delay sweep."""
+    layout = g.layout
+    prepared = [(ei, e, [(layout.index[a.clock] - 1, a) for a in e.guard],
+                 [layout.index[c] - 1 for c in e.resets]) for ei, e in enumerate(g.m.edges)]
+    edges_by_loc = {loc: [prepared[ei] for ei in ids] for loc, ids in g.m.out_edges.items()}
+
+    steps: list[list] = []
+    for loc, coords in g.states:
+        found: dict[int, set] = {}
+        max_delay = max((g.caps2[i + 1] - c for i, c in enumerate(coords)), default=0)
+        for d2 in range(max_delay + 1):
+            shifted = tuple(min(c + d2, g.caps2[i + 1]) for i, c in enumerate(coords))
+            if (loc, shifted) not in g.index:
+                break  # the invariant fails; upper bounds never recover under delay
+            for ei, e, guard, resets in edges_by_loc[loc]:
+                if not all(a.sat2(shifted[ci]) for ci, a in guard):
+                    continue
+                landing = list(shifted)
+                for ci in resets:
+                    landing[ci] = 0
+                key = (e.target, tuple(landing))
+                if key in g.index:
+                    found.setdefault(ei, set()).add(g.index[key])
+        steps.append([(ei, g.m.edges[ei].weight, tuple(sorted(ts)))
+                      for ei, ts in sorted(found.items())])
+    return steps

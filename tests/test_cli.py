@@ -1,9 +1,11 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from helpers import run_python
 from tolmc.cli import main
 from tolmc.logic import MAX_NESTING
 from tolmc.zones import MAX_CONSTANT
@@ -109,6 +111,21 @@ def test_translate_fragment_error(capsys):
     code, out, err = run(capsys, "translate", "<#1> (p U q)")
     assert code == 2
     assert out == "" and "grade" in err
+
+
+def test_translate_bounds_its_output():
+    # the text of nested W doubles per level: 25 levels would print gigabytes
+    deepest = MAX_NESTING // 4
+    text = "<#0> (p W " * deepest + "q" + ")" * deepest
+    proc = run_python(f"""
+        import sys
+        from tolmc.cli import main
+        sys.exit(main(["translate", {text!r}]))
+    """, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: \[output-size\] the TCTL text exceeds \d+ characters\n",
+                        proc.stderr)
 
 
 def test_unknown_subcommand(capsys):

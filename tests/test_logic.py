@@ -209,6 +209,30 @@ def test_deepest_weak_until_nest_parses_and_checks():
         "True True True", f"formula nests deeper than {logic.MAX_NESTING} levels"]
 
 
+def test_tctl_image_shares_what_the_source_shares():
+    # translating node by node without sharing doubles per nested W
+    proc = run_python("""
+        from tolmc.logic import MAX_NESTING, children, parse_formula, to_tctl
+
+        def distinct(f):
+            seen, work = set(), [f]
+            while work:
+                g = work.pop()
+                if id(g) not in seen:
+                    seen.add(id(g))
+                    work.extend(children(g))
+            return len(seen)
+
+        deepest = MAX_NESTING // 4
+        f = parse_formula("<#0> (p W " * deepest + "q" + ")" * deepest)
+        t = to_tctl(f)
+        print(distinct(t), distinct(f))
+    """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    image, source = proc.stdout.split()
+    assert image == source
+
+
 def test_cached_hash_stays_out_of_pickles():
     # string hashes differ between processes, so a pickled formula must
     # hash afresh where it is loaded

@@ -3,6 +3,10 @@ import random
 
 import pytest
 
+from helpers import ref_discretize
+from test_acceptance import _corpus
+from tolmc.bench import gen_mesh, gen_pipeline
+from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import check
 from tolmc.logic import parse_formula, to_tctl
 from tolmc.model import parse_model
@@ -43,6 +47,29 @@ def test_one_clock_grid_size():
     g = discretize(m)
     # C = 2: seven half-integer points 0 .. 3 per location
     assert len(g.states) == 7
+
+
+def _assert_reference_graph(m, f):
+    g = discretize(m, f)
+    assert g.steps == ref_discretize(g)
+
+
+def test_delay_sweep_equals_reference_on_the_acceptance_corpora():
+    # the first models of criteria 1 (with the TCTL images) and 2
+    for m, f in itertools.islice(_corpus(20260810, grades=(0,)), 400):
+        _assert_reference_graph(m, f)
+        _assert_reference_graph(m, to_tctl(f))
+    for m, f in itertools.islice(_corpus(20260811, grades=(0, 1, 2, 3)), 400):
+        _assert_reference_graph(m, f)
+    cs = build_case_study()
+    for f in (phi1(2), phi1(3), phi2(2), phi2(4)):
+        _assert_reference_graph(cs, f)
+
+
+@pytest.mark.parametrize("k", (4, 5, 6, 8))
+def test_delay_sweep_equals_reference_on_the_bench_families(k):
+    _assert_reference_graph(*gen_pipeline(k))
+    _assert_reference_graph(*gen_mesh(k))
 
 
 def test_strict_guard_sampling():
