@@ -12,7 +12,6 @@ has accumulated.
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 import time
 import tracemalloc
@@ -24,7 +23,6 @@ from .model import ClockConstraint, Edge, Location, Wta
 
 CSV_HEADER = ["case", "k", "runtime_ms_mean", "runtime_ms_std",
               "mem_kb_mean", "mem_kb_std", "verdict"]
-PAPER_SIZES = (4, 12, 16, 22, 30)
 
 
 def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
@@ -118,19 +116,8 @@ def bench_row(case: str, k: int, runs: int = 5) -> BenchResult:
         return BenchResult(case, k, 0.0, 0.0, 0.0, 0.0, f"error: {type(e).__name__}: {e}")
 
 
-def run_bench(cases, ks, runs: int = 5, parallel: bool = False) -> list[BenchResult]:
-    jobs = [(case, k) for case in cases for k in ks]
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(_bench_job, [(c, k, runs) for c, k in jobs]))
-    return [bench_row(c, k, runs) for c, k in jobs]
-
-
-def _bench_job(args) -> BenchResult:
-    case, k, runs = args
-    return bench_row(case, k, runs)
+def run_bench(cases, ks, runs: int = 5) -> list[BenchResult]:
+    return [bench_row(case, k, runs) for case in cases for k in ks]
 
 
 def write_csv(results, path) -> None:
@@ -139,9 +126,3 @@ def write_csv(results, path) -> None:
         w.writerow(CSV_HEADER)
         for r in results:
             w.writerow(r.row())
-
-
-def write_jsonl(results, path) -> None:
-    with open(path, "w") as fh:
-        for r in results:
-            fh.write(json.dumps(r.__dict__) + "\n")

@@ -60,11 +60,10 @@ def region_count_bound(m: Wta, layout: ClockLayout) -> int:
 
 
 class Checker:
-    def __init__(self, m: Wta, f: TolFormula, *, pred_opts: dict | None = None):
+    def __init__(self, m: Wta, f: TolFormula):
         self.layout = ClockLayout.of_query(m, f)
         self.m = m
         self.f = f
-        self.pred_opts = pred_opts or {}
         self.universe = full_space(m, self.layout)
         self.stats = CheckStats()
         self.stats.iteration_bound = region_count_bound(m, self.layout)
@@ -117,8 +116,7 @@ class Checker:
         return fed.map_zones(lambda loc, d: extrapolate(d, k))
 
     def _vee(self, n: int, target: Federation) -> Federation:
-        return obstruction_pred(self.m, self.layout, n, target, self.universe,
-                                **self.pred_opts)
+        return obstruction_pred(self.m, self.layout, n, target, self.universe)
 
     def _fixpoint(self, key: str, start: Federation, grows: bool, step) -> Federation:
         """Iterate step from start to a least (grows) or greatest fixpoint."""
@@ -151,9 +149,9 @@ class Checker:
         return s_phi.map_zones(lambda loc, d: reset_preimage(d, j))
 
 
-def check(m: Wta, f: TolFormula, *, pred_opts: dict | None = None) -> Verdict:
+def check(m: Wta, f: TolFormula) -> Verdict:
     """Compute Sat sets bottom-up and evaluate at the initial state."""
-    return Checker(m, f, pred_opts=pred_opts).run()
+    return Checker(m, f).run()
 
 
 def dump_sat(m: Wta, layout_names, fed: Federation) -> str:

@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sizes, e.g. 4,12,16,22,30")
     b.add_argument("--runs", type=int, default=5)
     b.add_argument("--csv", required=True)
-    b.add_argument("--jsonl")
-    b.add_argument("--parallel", action="store_true")
     return p
 
 
@@ -79,10 +77,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _dispatch(args)
-    except (ModelError, FormulaError, FragmentError, CheckError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ModelError, FormulaError, FragmentError, CheckError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except oracle.OracleScaleError as e:
@@ -131,7 +126,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "gen":
-        m, f = bench_mod.GENERATORS[args.case](args.k)
+        try:
+            m, f = bench_mod.GENERATORS[args.case](args.k)
+        except ValueError as e:  # a size the family does not have
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         prefix = args.output or f"{args.case}{args.k}"
         with open(prefix + ".wta", "w") as fh:
             fh.write(serialize_model(m))
@@ -146,11 +145,12 @@ def _dispatch(args) -> int:
         except ValueError:
             print("error: --k wants comma-separated integers", file=sys.stderr)
             return 2
-        results = bench_mod.run_bench([args.case], ks, args.runs,
-                                      parallel=args.parallel)
+        try:
+            results = bench_mod.run_bench([args.case], ks, args.runs)
+        except ValueError as e:  # fewer than one run; a bad k is an error row
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         bench_mod.write_csv(results, args.csv)
-        if args.jsonl:
-            bench_mod.write_jsonl(results, args.jsonl)
         return 0
 
     raise AssertionError(f"unhandled command {args.cmd}")

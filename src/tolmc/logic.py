@@ -509,33 +509,37 @@ def formula_clocks(f) -> tuple[str, ...]:
 
 
 def _text(f):
-    """The printed text of either tree as a stream of pieces."""
-    kids = children(f)
-    kind = type(f)
-    if not kids:
-        if kind in (Atom, TAtom):
-            yield f.name
-        elif kind in CLOCK_ATOMS:
-            yield f"{f.clock} {f.op} {f.value}"
-        elif kind in (TrueF, TTrue):
-            yield "true"
+    """The printed text of either tree as a stream of pieces.  An explicit
+    stack of pending nodes and pieces keeps each piece O(1) whatever the
+    nesting depth, and deep trees never reach the recursion limit."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            yield g
+            continue
+        kids = children(g)
+        kind = type(g)
+        if not kids:
+            if kind in (Atom, TAtom):
+                yield g.name
+            elif kind in CLOCK_ATOMS:
+                yield f"{g.clock} {g.op} {g.value}"
+            elif kind in (TrueF, TTrue):
+                yield "true"
+            else:
+                raise TypeError(f"not a formula node: {g!r}")
+        elif len(kids) == 1:
+            stack += (")", kids[0])
+            yield "! (" if kind in (Not, TNot) else f"{g.var} . ("
         else:
-            raise TypeError(f"not a formula node: {f!r}")
-    elif len(kids) == 1:
-        yield "! (" if kind in (Not, TNot) else f"{f.var} . ("
-        yield from _text(kids[0])
-        yield ")"
-    else:
-        if kind in (And, TAnd):
-            yield "("
-            op = "&"
-        else:
-            yield "A (" if kind in (TAU, TAR) else f"<#{f.grade}> ("
-            op = "U" if kind in (Until, TAU) else "R"
-        yield from _text(kids[0])
-        yield f" {op} "
-        yield from _text(kids[1])
-        yield ")"
+            if kind in (And, TAnd):
+                head, op = "(", "&"
+            else:
+                head = "A (" if kind in (TAU, TAR) else f"<#{g.grade}> ("
+                op = "U" if kind in (Until, TAU) else "R"
+            stack += (")", kids[1], f" {op} ", kids[0])
+            yield head
 
 
 def print_formula(f) -> str:

@@ -25,6 +25,11 @@ pruned by it is checked again).  Clock order and caps come from
 model.ClockLayout.of_query, which also rejects unbound or colliding
 formula clocks; no DBM is read.
 
+Past either of two caps an entry point raises OracleScaleError (CLI
+exit 3) before memory runs out: MAX_STATES bounds discretize's grid,
+estimated before any state is built, and MAX_CHOICES the blocker-choice
+combinations of location_witnesses, counted as they are generated.
+
 Coordinates are stored doubled (1 unit = half a time unit) so all
 arithmetic stays integral.
 """
@@ -34,10 +39,15 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import logic
 from .model import ClockConstraint, ClockLayout, Wta
+
+
+MAX_STATES = 2_000_000
+MAX_CHOICES = 1_000_000
 
 
 class OracleScaleError(RuntimeError):
@@ -83,7 +93,7 @@ class ExplicitGraph:
         return seen
 
 
-def discretize(m: Wta, f=None, cap: int = 2_000_000) -> ExplicitGraph:
+def discretize(m: Wta, f=None) -> ExplicitGraph:
     """Build the capped half-integer quotient of the model's state space."""
     layout = ClockLayout.of_query(m, f)
     caps2 = tuple(0 if i == 0 else 2 * (layout.kvec[i] + 1)
@@ -92,9 +102,9 @@ def discretize(m: Wta, f=None, cap: int = 2_000_000) -> ExplicitGraph:
     est = len(m.locations)
     for i in range(1, layout.dim):
         est *= caps2[i] + 1
-    if est > cap:
+    if est > MAX_STATES:
         raise OracleScaleError(
-            f"discretization needs {est} states, over the cap of {cap}")
+            f"discretization needs {est} states, over the cap of {MAX_STATES}")
 
     nclocks = layout.dim - 1
     inv_atoms = {loc.name: [(layout.index[a.clock] - 1, a) for a in loc.invariant]
@@ -323,21 +333,19 @@ def oracle_sat(g: ExplicitGraph, f) -> dict:
     return sat
 
 
-def oracle_check(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
-                 graph: ExplicitGraph | None = None) -> bool:
-    g = graph if graph is not None else discretize(m, f, cap)
+def oracle_check(m: Wta, f: logic.TolFormula) -> bool:
+    g = discretize(m, f)
     sat = oracle_sat(g, f)
     return bool(sat[f][g.initial_index()])
 
 
-def tctl_check(m: Wta, f: logic.TctlFormula, cap: int = 2_000_000,
-               graph: ExplicitGraph | None = None) -> bool:
+def tctl_check(m: Wta, f: logic.TctlFormula) -> bool:
     """Textbook TCTL verdict on the discretization: oracle_sat's loop, in
     which the TCTL tree reaches only au_tctl/ar_tctl and never the games
     (used to validate the grade-0 fragment)."""
     if not isinstance(f, logic.TctlFormula):
         raise TypeError(f"not a TCTL formula: {f!r}")
-    return oracle_check(m, f, cap, graph)
+    return oracle_check(m, f)
 
 
 # -- differential harness -----------------------------------------------------
@@ -365,25 +373,22 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def differential(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
-                 pred_opts: dict | None = None, deep: bool = False,
-                 compare_all_states: bool = False) -> DiffReport:
+def differential(m: Wta, f: logic.TolFormula, deep: bool = False) -> DiffReport:
     """Run both checkers; agreement means equal verdicts at the initial state.
 
     On disagreement (or with deep=True) the report also carries the
     smallest subformula whose satisfaction sets differ on the sample
     grid, with the differing states and the checker's set dump.  The
-    grid comparison defaults to states reachable from the initial one:
+    grid comparison covers the states reachable from the initial one:
     at mixed half-fraction valuations the half-integer quotient is
     knowingly coarser than dense time (negating a closed atom opens a
     strict window that can fall between sample points), and a freeze
-    binder projects onto such valuations, so all-states comparison is
-    diagnostics only.
+    binder projects onto such valuations.
     """
     from .checker import check
 
-    verdict = check(m, f, pred_opts=pred_opts)
-    g = discretize(m, f, cap)
+    verdict = check(m, f)
+    g = discretize(m, f)
     osat = oracle_sat(g, f)
     o_verdict = bool(osat[f][g.initial_index()])
     report = DiffReport(agree=verdict.satisfied == o_verdict,
@@ -391,17 +396,16 @@ def differential(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
                         oracle_verdict=o_verdict)
     if report.agree and not deep:
         return report
-    grid_ok = _compare_grids(m, f, g, verdict.sat_sets, osat, report,
-                             compare_all_states)
+    grid_ok = _compare_grids(m, f, g, verdict.sat_sets, osat, report)
     if deep and not grid_ok:
         report.agree = False
     return report
 
 
-def _compare_grids(m, f, g, sat_sets, osat, report, compare_all_states) -> bool:
+def _compare_grids(m, f, g, sat_sets, osat, report) -> bool:
     from .checker import dump_sat
 
-    scope = bytearray([1]) * len(g.states) if compare_all_states else g.reachable()
+    scope = g.reachable()
     for psi in logic.subformulas_by_size(f):
         fed = sat_sets[psi]
         obits = osat[psi]
@@ -422,17 +426,16 @@ def _compare_grids(m, f, g, sat_sets, osat, report, compare_all_states) -> bool:
 
 # -- exhaustive enumeration of location-constant blocker choices -------------
 
-def location_choice_candidates(m: Wta, loc: str, n: int) -> list[frozenset]:
-    """Strict subsets of a location's outgoing edges with weight sum <= n."""
+def location_choice_candidates(m: Wta, loc: str, n: int) -> Iterator[frozenset]:
+    """Strict subsets of a location's outgoing edges with weight sum <= n,
+    by size, then in combination order."""
     edge_ids = m.out_edges[loc]
-    out = []
     for r in range(len(edge_ids) + 1):
         for combo in itertools.combinations(edge_ids, r):
             if len(combo) == len(edge_ids) and edge_ids:
                 continue  # must leave at least one edge active
             if sum(m.edges[i].weight for i in combo) <= n:
-                out.append(frozenset(combo))
-    return out
+                yield frozenset(combo)
 
 
 def _pruned_holds(g: ExplicitGraph, choice: dict, kind: str,
@@ -443,8 +446,7 @@ def _pruned_holds(g: ExplicitGraph, choice: dict, kind: str,
     return bool(solve(_succ_sets(g, choice), s1, s2)[start])
 
 
-def location_witnesses(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
-                       combo_cap: int = 1_000_000) -> list[dict]:
+def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     """All location-constant blocker choices witnessing the outermost
     strategic operator of f at the initial state.
 
@@ -453,7 +455,7 @@ def location_witnesses(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
     strategy but no location-constant one are not found (the game
     fixpoint in until_game/release_game covers those).
     """
-    g = discretize(m, f, cap)
+    g = discretize(m, f)
     inner = f
     while isinstance(inner, logic.Freeze):
         inner, = logic.children(inner)
@@ -465,14 +467,19 @@ def location_witnesses(m: Wta, f: logic.TolFormula, cap: int = 2_000_000,
     start = g.initial_index()
 
     locs = [loc.name for loc in m.locations]
-    cand = [location_choice_candidates(m, loc, inner.grade) for loc in locs]
-    total = 1
-    for c in cand:
-        total *= max(1, len(c))
-    if total > combo_cap:
-        raise OracleScaleError(f"{total} choice combinations exceed the cap")
+    cand = []
+    total = 1  # choice combinations of the locations listed so far
+    for loc in locs:
+        options = []
+        for choice in location_choice_candidates(m, loc, inner.grade):
+            options.append(choice)
+            if total * len(options) > MAX_CHOICES:
+                raise OracleScaleError(
+                    f"blocker choices exceed the cap of {MAX_CHOICES} combinations")
+        total *= len(options)
+        cand.append(options)
     witnesses = []
-    for combo in itertools.product(*[c or [frozenset()] for c in cand]):
+    for combo in itertools.product(*cand):
         choice = dict(zip(locs, combo))
         if _pruned_holds(g, choice, kind, s1, s2, start):
             witnesses.append(choice)

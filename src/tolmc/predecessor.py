@@ -127,6 +127,9 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
 
     cost_strict and require_witness exist for mutation testing only;
     the faithful semantics is cost <= n with the witness condition on.
+    No entry point passes them: a mutation test rebinds the name the
+    checker calls, e.g. monkeypatching tolmc.checker.obstruction_pred
+    with functools.partial(obstruction_pred, cost_strict=True).
     """
     complement = universe.subtract(target)
     hit_cache: dict[int, Federation] = {}

@@ -23,8 +23,8 @@ from tolmc.model import ClockLayout, Wta
 from tolmc.oracle import ExplicitGraph
 from tolmc.predecessor import pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _freeze,
-                         _reduce, bound_add, bound_sat, canonicalize,
-                         dbm_subtract)
+                         _reduce, bound_add, bound_neg, bound_sat,
+                         canonicalize)
 
 # a one-variable bound: (doubled value, strict flag)
 NEG_INF = (-(1 << 50), True)
@@ -291,12 +291,31 @@ def ref_union(a: Federation, b: Federation) -> Federation:
     return Federation(a.dim, {loc: _reduce(v) for loc, v in by.items()})
 
 
+def ref_dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
+    """a minus b split on b's bounds in dbm_subtract's order, each piece
+    closed by ref_conjoin_bound: the kernel's pieces, without its code."""
+    n = len(a)
+    pieces = []
+    cur = a
+    for i in range(n):
+        for j in range(n):
+            if i == j or b[i][j] >= INF or cur[i][j] <= b[i][j]:
+                continue
+            piece = ref_conjoin_bound(cur, j, i, bound_neg(b[i][j]))
+            if piece is not None:
+                pieces.append(piece)
+            cur = ref_conjoin_bound(cur, i, j, b[i][j])
+            if cur is None:
+                return pieces
+    return pieces
+
+
 def ref_subtract(a: Federation, b: Federation) -> Federation:
     by = {}
     for loc in _locations(a):
         rem = list(a.at(loc))
         for d in b.at(loc):
-            rem = [p for z in rem for p in dbm_subtract(z, d)]
+            rem = [p for z in rem for p in ref_dbm_subtract(z, d)]
         if rem:
             by[loc] = _reduce(rem)
     return Federation(a.dim, by)

@@ -4,6 +4,7 @@ Every tolerance is pinned here; run with `pytest -s tests/test_acceptance.py`
 to see the per-criterion lines.
 """
 
+import functools
 import random
 import time
 
@@ -232,9 +233,11 @@ edge b -> b action sb weight 1
 """
 
 
-def test_criterion_7_mutation_sensitivity():
+def test_criterion_7_mutation_sensitivity(monkeypatch):
     t0 = time.time()
+    import tolmc.checker
     from tolmc.model import parse_model
+    from tolmc.predecessor import obstruction_pred
 
     directed = [
         (parse_model(COST_TRAP), parse_formula("<#2> (true U pa)")),
@@ -247,9 +250,11 @@ def test_criterion_7_mutation_sensitivity():
         corpus.append((m, random_formula(rng, m, grades=(1, 2, 3))))
 
     for opts in ({"cost_strict": True}, {"require_witness": False}):
+        monkeypatch.setattr(tolmc.checker, "obstruction_pred",
+                            functools.partial(obstruction_pred, **opts))
         failures = 0
         for m, f in corpus:
-            mutated = check(m, f, pred_opts=opts).satisfied
+            mutated = check(m, f).satisfied
             if mutated != oracle_check(m, f):
                 failures += 1
         assert failures >= 1, f"mutation {opts} slipped through the corpus"

@@ -2,8 +2,8 @@ import csv
 
 import pytest
 
-from tolmc.bench import (CSV_HEADER, BenchResult, bench_row, gen_mesh,
-                         gen_pipeline, run_bench, write_csv, write_jsonl)
+from tolmc.bench import (CSV_HEADER, bench_row, gen_mesh, gen_pipeline,
+                         run_bench, write_csv)
 from tolmc.checker import check
 from tolmc.logic import Freeze, Release, print_formula
 from tolmc.model import parse_model, serialize_model
@@ -116,20 +116,3 @@ def test_csv_schema(tmp_path):
     assert [r[0] for r in body] == ["pipeline", "pipeline"]
     assert [r[6] for r in body] == ["SAT", "SAT"]
     assert all(float(r[2]) > 0 for r in body)
-
-
-def test_jsonl_dump(tmp_path):
-    rows = [BenchResult("mesh", 3, 1.0, 0.1, 2.0, 0.2, True)]
-    out = tmp_path / "bench.jsonl"
-    write_jsonl(rows, out)
-    import json
-
-    rec = json.loads(out.read_text().splitlines()[0])
-    assert rec["case"] == "mesh" and rec["k"] == 3 and rec["verdict"] is True
-
-
-def test_parallel_rows_match_sequential():
-    seq = run_bench(["mesh"], [3], runs=2)
-    par = run_bench(["mesh"], [3], runs=2, parallel=True)
-    assert seq[0].verdict == par[0].verdict
-    assert seq[0].case == par[0].case

@@ -149,20 +149,30 @@ def test_gen_roundtrip(capsys, tmp_path, monkeypatch):
 
 def test_bench_command(capsys, tmp_path):
     csv_path = tmp_path / "rows.csv"
-    jsonl_path = tmp_path / "rows.jsonl"
     code, _, _ = run(capsys, "bench", "mesh", "--k", "2,3", "--runs", "2",
-                     "--csv", str(csv_path), "--jsonl", str(jsonl_path))
+                     "--csv", str(csv_path))
     assert code == 0
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "case" and len(rows) == 3
-    assert jsonl_path.read_text().count("\n") == 2
 
 
 def test_bench_bad_k(capsys, tmp_path):
     code, _, err = run(capsys, "bench", "mesh", "--k", "two",
                        "--csv", str(tmp_path / "x.csv"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "mesh", "--k", "1"),
+    ("bench", "mesh", "--k", "3", "--runs", "0", "--csv", "x.csv")])
+def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal" not in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_scale_exit_code(capsys, tmp_path):

@@ -1,18 +1,20 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from helpers import ref_discretize
+from helpers import ref_discretize, run_python
 from test_acceptance import _corpus
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import check
 from tolmc.logic import parse_formula, to_tctl
 from tolmc.model import parse_model
-from tolmc.oracle import (OracleScaleError, differential, discretize,
-                          location_choice_candidates, location_witnesses,
-                          oracle_check, oracle_sat, tctl_check)
+from tolmc.oracle import (ExplicitGraph, OracleScaleError, differential,
+                          discretize, location_choice_candidates,
+                          location_witnesses, oracle_check, oracle_sat,
+                          tctl_check)
 from tolmc.randgen import random_formula, random_wta
 
 CHAIN = """wta
@@ -89,13 +91,15 @@ def test_invariant_filters_states():
 
 
 def test_scale_error():
+    # 2 * (1000000 + 1) + 1 half-unit points of x exceed MAX_STATES; the
+    # estimate comes before any state is built, so this raises at once
     m = parse_model("""wta
-clocks x y
+clocks x
 location l init
-edge l -> l action a guard x <= 3 weight 1
+edge l -> l action a guard x <= 1000000 weight 1
 """)
     with pytest.raises(OracleScaleError):
-        discretize(m, parse_formula("j . <#0> F (j >= 3)"), cap=10)
+        discretize(m, parse_formula("<#0> F true"))
 
 
 def test_chain_until():
@@ -111,7 +115,7 @@ def test_grade0_game_equals_textbook_tctl():
         f = random_formula(rng, m, grades=(0,))
         g = discretize(m, f)
         game = bool(oracle_sat(g, f)[f][g.initial_index()])
-        book = tctl_check(m, to_tctl(f), graph=g)
+        book = tctl_check(m, to_tctl(f))
         assert game == book
 
 
@@ -135,7 +139,8 @@ def test_tctl_check_builds_the_same_graph_as_the_tol_formula():
     f = parse_formula("k . j . <#0> (x <= 1 U (p & j >= 2 & k <= 7))")
     g, h = discretize(m, f), discretize(m, to_tctl(f))
     assert (g.layout, g.caps2, g.states) == (h.layout, h.caps2, h.states)
-    assert tctl_check(m, to_tctl(f)) == tctl_check(m, to_tctl(f), graph=g)
+    t = to_tctl(f)
+    assert tctl_check(m, t) == bool(oracle_sat(g, t)[t][g.initial_index()])
 
 
 def test_weight_zero_edges_are_freely_deactivated():
@@ -188,7 +193,7 @@ def test_candidate_counts_match_bruteforce():
     for loc in m.locations:
         edges = [(i, e) for i, e in enumerate(m.edges) if e.source == loc.name]
         for n in (0, 2, 3, 4):
-            got = location_choice_candidates(m, loc.name, n)
+            got = list(location_choice_candidates(m, loc.name, n))
             brute = 0
             for r in range(len(edges) + 1):
                 for combo in itertools.combinations(edges, r):
@@ -212,13 +217,42 @@ def test_location_witness_requires_strategic_root():
         location_witnesses(m, parse_formula("p & q"))
 
 
-def test_differential_report_on_mutation():
+def test_witness_choice_cap_stops_the_enumeration():
+    # 30 free self-loops give 2^30 - 1 candidate choices at one location;
+    # the cap must fire while they are generated, not after all of them
+    # are held in memory (the child's address space is bounded to 1 GiB)
+    proc = run_python("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        from tolmc import oracle
+        from tolmc.logic import parse_formula
+        from tolmc.model import parse_model
+        oracle.MAX_CHOICES = 1000
+        m = parse_model("wta\\nlocation l init\\n" + "".join(
+            f"edge l -> l action a{i} weight 0\\n" for i in range(30)))
+        try:
+            oracle.location_witnesses(m, parse_formula("<#0> G true"))
+        except oracle.OracleScaleError as e:
+            print(e)
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1000" in proc.stdout
+
+
+def test_differential_report_on_mutation(monkeypatch):
+    import tolmc.checker
+    from tolmc.predecessor import obstruction_pred
+
     m = parse_model(CHAIN)
     f = parse_formula("<#0> (true U r)")
     good = differential(m, f)
     assert good.agree and str(good).startswith("AGREE")
     # a deliberately broken checker shows up in the report
-    bad = differential(m, f, pred_opts={"require_witness": False, "cost_strict": True})
+    monkeypatch.setattr(tolmc.checker, "obstruction_pred", functools.partial(
+        obstruction_pred, require_witness=False, cost_strict=True))
+    bad = differential(m, f)
     assert not bad.agree
     assert "DISAGREE" in str(bad) or bad.mismatched_formula
 
@@ -237,7 +271,7 @@ edge l1 -> l0 action back guard x >= 1 reset x weight 2
         assert differential(m, parse_formula(text)).agree
 
 
-def test_known_digitization_gap_at_mixed_fraction_valuations():
+def test_known_digitization_gap_at_mixed_fraction_valuations(monkeypatch):
     # At (x=1.5, j=0), dense time violates the G through the open window
     # t in (1, 1.5) between the negated closed atoms, which half-integer
     # sampling cannot land in; the freeze binder projects the reachable
@@ -251,7 +285,9 @@ edge l0 -> l0 action a1 weight 1
 """)
     f = parse_formula("j . <#3> G (x >= 3 | j <= 1)")
     assert differential(m, f).agree
-    deep = differential(m, f, deep=True, compare_all_states=True)
+    # compare every grid state, not only the reachable ones
+    monkeypatch.setattr(ExplicitGraph, "reachable", lambda g: bytearray([1]) * len(g.states))
+    deep = differential(m, f, deep=True)
     assert not deep.agree
     for loc, coords, sym, orc in deep.mismatched_states:
         x2, j2 = coords

@@ -53,6 +53,13 @@ def test_printed_text_of_nested_formula_in_both_trees():
     assert print_tctl(to_tctl(f)) == print_formula(f).replace("<#0>", "A")
 
 
+def test_printed_text_of_a_chain_deeper_than_the_recursion_limit():
+    f = P
+    for _ in range(3000):
+        f = Not(f)
+    assert print_formula(f) == "! (" * 3000 + "p" + ")" * 3000
+
+
 def test_subformula_order_with_shared_subformula():
     shared = Until(1, P, ClockAtom("x", "<", 2))
     f = And(Not(shared), Freeze("j", And(shared, Q)))
