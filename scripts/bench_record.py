@@ -17,6 +17,8 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     PAIRS pairs, one seed per pair,
   - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
     state count for pipeline and mesh at DISCRETIZE_KS,
+  - untraced `oracle.location_witnesses` ms (median of 2 * REPEATS runs)
+    and the witness count for the case study's WITNESS_FORMULAS,
   - the tier-1 wall time: one pytest run per side, one after the other,
     so not a paired measurement.
 """
@@ -37,7 +39,9 @@ from pathlib import Path
 WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
 DISCRETIZE_KS = (4, 5, 6, 8)
 PAIRS = 10          # a gain claim needs 10 alternating pairs
-REPEATS = 5         # discretize timings per graph and probe process
+REPEATS = 5         # probe timings per input and probe process
+WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
+                    ("phi2", 3), ("phi2", 4), ("phi2", 5))
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent
                           / "BENCHMARK.json").read_text())["run_seconds"]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -57,6 +61,24 @@ for k in %r:
             g = discretize(m, f)
             times.append((time.perf_counter() - t0) * 1000.0)
         out[f"{name}/k={k}"] = [len(g.states), times]
+print(json.dumps(out))
+"""
+
+# one process per side: prints {"phi1(2)": [witnesses, [ms, ...]], ...}
+WITNESS_PROBE = """
+import json, time
+from tolmc import case_study
+from tolmc.oracle import location_witnesses
+m = case_study.build_case_study()
+out = {}
+for phi, t in %r:
+    f = getattr(case_study, phi)(t)
+    times = []
+    for _ in range(%d):
+        t0 = time.perf_counter()
+        w = location_witnesses(m, f)
+        times.append((time.perf_counter() - t0) * 1000.0)
+    out[f"{phi}({t})"] = [len(w), times]
 print(json.dumps(out))
 """
 
@@ -112,14 +134,16 @@ def main() -> int:
                 runs[tag][w].append(perfbench(root, w, seed))
                 print(f"pair {i + 1}/{PAIRS} {w} {tag}", file=sys.stderr)
 
-    probe = DISCRETIZE_PROBE % (DISCRETIZE_KS, REPEATS)
-    graphs = {tag: {} for tag, _ in sides}
+    probes = {"discretize": ("states", DISCRETIZE_PROBE % (DISCRETIZE_KS, REPEATS)),
+              "location_witnesses": ("witnesses", WITNESS_PROBE % (WITNESS_FORMULAS, REPEATS))}
+    layers = {tag: {layer: {} for layer in probes} for tag, _ in sides}
     for tag, root in sides + sides[::-1]:
-        proc = run_in(root, ["-c", probe], timeout=1800)
-        if proc.returncode:
-            raise RuntimeError(f"discretize probe failed in {root}: {proc.stderr.strip()}")
-        for name, (states, times) in json.loads(proc.stdout).items():
-            graphs[tag].setdefault(name, {"states": states, "ms": []})["ms"].extend(times)
+        for layer, (_, probe) in probes.items():
+            proc = run_in(root, ["-c", probe], timeout=1800)
+            if proc.returncode:
+                raise RuntimeError(f"{layer} probe failed in {root}: {proc.stderr.strip()}")
+            for name, (size, times) in json.loads(proc.stdout).items():
+                layers[tag][layer].setdefault(name, (size, []))[1].extend(times)
 
     tier1 = {}
     for tag, root in sides:
@@ -147,8 +171,9 @@ def main() -> int:
                                      f"--seconds {RUN_SECONDS:g} --trace 0",
                           "seeds": seeds, "alternating_with": [t for t, _ in sides if t != tag],
                           "workloads": bench},
-            "discretize": {name: {"states": g["states"], "ms_median": statistics.median(g["ms"]),
-                                  "ms_runs": g["ms"]} for name, g in graphs[tag].items()},
+            **{layer: {name: {probes[layer][0]: size, "ms_median": statistics.median(ms),
+                              "ms_runs": ms} for name, (size, ms) in entries.items()}
+               for layer, entries in layers[tag].items()},
             "tier1": tier1[tag],
         }
         path = Path(args.out_dir) / f"BENCH_{tag}.json"

@@ -16,12 +16,14 @@ output, not every delay up to the cap (time successors as in Alur &
 Dill, TCS 1994, on the digitized grid of Henzinger, Manna & Pnueli,
 ICALP 1992).  Strategic operators are decided as turn-based games with
 per-state blocker choices, solved by linear-time counting fixpoints.
-One textbook AU/AR over successor lists, independent of the game
-fixpoints, serves two uses: the grade-0 cross-check (tctl_check, on the
-full graph: oracle_sat's loop on the TCTL tree, whose A U / A R nodes
-reach only these solvers) and the witness re-check (on small instances,
-every location-constant blocker choice is enumerated and the graph
-pruned by it is checked again).  Clock order and caps come from
+One textbook AU/AR, independent of the game fixpoints, sweeps a
+mapping from states to the step groups a blocker choice leaves open
+(open_groups) and serves two uses: the grade-0 cross-check (tctl_check,
+on every state with nothing blocked: oracle_sat's loop on the TCTL tree,
+whose A U / A R nodes reach only these solvers) and the witness
+re-check (on small instances, every location-constant blocker choice is
+enumerated, and the graph pruned by it is checked again over the states
+reachable from the initial one only).  Clock order and caps come from
 model.ClockLayout.of_query, which also rejects unbound or colliding
 formula clocks; no DBM is read.
 
@@ -234,39 +236,39 @@ def release_game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray) -> byte
 
 # -- independent textbook AU/AR (grade-0 cross-check and witness re-check) --
 
-def _succ_sets(g: ExplicitGraph, choice: dict) -> list:
-    """Per-state successors without the edges blocked by choice (loc -> edge ids)."""
-    out = []
-    for s, (loc, _) in enumerate(g.states):
-        blocked = choice.get(loc, frozenset())
-        out.append(sorted({t for ei, _, targets in g.steps[s] if ei not in blocked
-                           for t in targets}))
-    return out
+def open_groups(g: ExplicitGraph, choice: dict, s: int) -> list:
+    """Target tuples of the step groups at state s that choice (loc -> blocked
+    edge ids) leaves open."""
+    blocked = choice.get(g.states[s][0], ())
+    return [ts for ei, _, ts in g.steps[s] if ei not in blocked]
 
 
-def au_tctl(succs: list, s1: bytearray, s2: bytearray) -> bytearray:
+def au_tctl(groups: dict, s1: bytearray, s2: bytearray) -> bytearray:
+    """A(s1 U s2) over groups (state -> open target tuples, keys ascending);
+    states outside groups keep their s2 bit."""
     y = bytearray(s2)
     changed = True
     while changed:
         changed = False
-        for s in range(len(succs)):
+        for s, gs in groups.items():
             if y[s] or not s1[s]:
                 continue
-            if succs[s] and all(y[t] for t in succs[s]):
+            if gs and all(y[t] for ts in gs for t in ts):
                 y[s] = 1
                 changed = True
     return y
 
 
-def ar_tctl(succs: list, s1: bytearray, s2: bytearray) -> bytearray:
+def ar_tctl(groups: dict, s1: bytearray, s2: bytearray) -> bytearray:
+    """A(s1 R s2) over groups, as au_tctl."""
     y = bytearray(s2)
     changed = True
     while changed:
         changed = False
-        for s in range(len(succs)):
+        for s, gs in groups.items():
             if not y[s] or s1[s]:
                 continue
-            if not succs[s] or not all(y[t] for t in succs[s]):
+            if not gs or not all(y[t] for ts in gs for t in ts):
                 y[s] = 0
                 changed = True
     return y
@@ -304,10 +306,10 @@ def _freeze_set(g: ExplicitGraph, var: str, inner: bytearray) -> bytearray:
 def oracle_sat(g: ExplicitGraph, f) -> dict:
     """Sat sets for every subformula of either tree.  Graded operators go
     to the per-state game fixpoints; the TCTL image's A U / A R go to the
-    textbook AU/AR over the unpruned successor lists."""
+    textbook AU/AR over every state's step groups, none blocked."""
     sat: dict = {}
     n = len(g.states)
-    succs = None
+    groups = None
     for psi in logic.subformulas_by_size(f):
         if not logic.children(psi):
             sat[psi] = _atom_set(g, psi)
@@ -322,10 +324,10 @@ def oracle_sat(g: ExplicitGraph, f) -> dict:
         elif isinstance(psi, logic.Release):
             sat[psi] = release_game(g, psi.grade, sat[psi.left], sat[psi.right])
         elif isinstance(psi, (logic.TAU, logic.TAR)):
-            if succs is None:
-                succs = _succ_sets(g, {})
+            if groups is None:
+                groups = {s: open_groups(g, {}, s) for s in range(n)}
             solve = au_tctl if isinstance(psi, logic.TAU) else ar_tctl
-            sat[psi] = solve(succs, sat[psi.left], sat[psi.right])
+            sat[psi] = solve(groups, sat[psi.left], sat[psi.right])
         elif isinstance(psi, logic.FREEZES):
             sat[psi] = _freeze_set(g, psi.var, sat[psi.sub])
         else:
@@ -428,22 +430,52 @@ def _compare_grids(m, f, g, sat_sets, osat, report) -> bool:
 
 def location_choice_candidates(m: Wta, loc: str, n: int) -> Iterator[frozenset]:
     """Strict subsets of a location's outgoing edges with weight sum <= n,
-    by size, then in combination order."""
+    by size, then in combination order.
+
+    Each size's subsets are grown edge by edge in combination order, and
+    a prefix is dropped once its weight passes n; sizes stop at the first
+    whose lightest edges already pass it.  Weights are naturals (the
+    parser rejects others as bad-weight), so no dropped prefix has a
+    fitting extension and no larger size fits: the pruning is exact.
+    """
     edge_ids = m.out_edges[loc]
-    for r in range(len(edge_ids) + 1):
-        for combo in itertools.combinations(edge_ids, r):
-            if len(combo) == len(edge_ids) and edge_ids:
-                continue  # must leave at least one edge active
-            if sum(m.edges[i].weight for i in combo) <= n:
-                yield frozenset(combo)
+    weights = [m.edges[i].weight for i in edge_ids]
+    k = len(edge_ids)
+    chosen: list = []
+
+    def grow(first: int, r: int, weight: int) -> Iterator[frozenset]:
+        if not r:
+            yield frozenset(chosen)
+            return
+        for p in range(first, k - r + 1):
+            if weight + weights[p] <= n:
+                chosen.append(edge_ids[p])
+                yield from grow(p + 1, r - 1, weight + weights[p])
+                chosen.pop()
+
+    lightest = sorted(weights)
+    for r in range(max(k, 1)):  # must leave at least one edge active
+        if sum(lightest[:r]) > n:
+            return
+        yield from grow(0, r, 0)
 
 
 def _pruned_holds(g: ExplicitGraph, choice: dict, kind: str,
                   s1: bytearray, s2: bytearray, start: int) -> bool:
     """Textbook AU/AR from start on the graph pruned by a location-constant
-    blocker choice."""
+    blocker choice, swept over the states reachable from start only: the
+    value at start depends on no other state."""
+    reached = {start: open_groups(g, choice, start)}
+    work = [start]
+    while work:
+        for ts in reached[work.pop()]:
+            for t in ts:
+                if t not in reached:
+                    reached[t] = open_groups(g, choice, t)
+                    work.append(t)
+    groups = {s: reached[s] for s in sorted(reached)}
     solve = au_tctl if kind == "until" else ar_tctl
-    return bool(solve(_succ_sets(g, choice), s1, s2)[start])
+    return bool(solve(groups, s1, s2)[start])
 
 
 def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:

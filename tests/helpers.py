@@ -20,7 +20,7 @@ import tolmc
 from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta
-from tolmc.oracle import ExplicitGraph
+from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
 from tolmc.predecessor import pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _freeze,
                          _reduce, bound_add, bound_neg, bound_sat,
@@ -397,3 +397,65 @@ def ref_discretize(g: ExplicitGraph) -> list:
         steps.append([(ei, g.m.edges[ei].weight, tuple(sorted(ts)))
                       for ei, ts in sorted(found.items())])
     return steps
+
+
+def ref_location_choice_candidates(m: Wta, loc: str, n: int) -> list:
+    """Every strict subset of loc's out-edges with weight sum <= n, by size,
+    then in combination order: all 2^k subsets tested, none pruned."""
+    edge_ids = m.out_edges[loc]
+    out = []
+    for r in range(len(edge_ids) + 1):
+        for combo in itertools.combinations(edge_ids, r):
+            if len(combo) == len(edge_ids) and edge_ids:
+                continue  # must leave at least one edge active
+            if sum(m.edges[i].weight for i in combo) <= n:
+                out.append(frozenset(combo))
+    return out
+
+
+def _ref_succ_sets(g: ExplicitGraph, choice: dict) -> list:
+    """Sorted successors of every state without the edges choice blocks."""
+    out = []
+    for s, (loc, _) in enumerate(g.states):
+        blocked = choice.get(loc, frozenset())
+        out.append(sorted({t for ei, _, targets in g.steps[s] if ei not in blocked
+                           for t in targets}))
+    return out
+
+
+def _ref_sweep(succs: list, s1: bytearray, s2: bytearray, until: bool) -> bytearray:
+    """Naive AU (until) or AR fixpoint over every state's successor list."""
+    y = bytearray(s2)
+    changed = True
+    while changed:
+        changed = False
+        for s, ts in enumerate(succs):
+            if until and not y[s] and s1[s] and ts and all(y[t] for t in ts):
+                y[s] = 1
+                changed = True
+            elif not until and y[s] and not s1[s] and not (ts and all(y[t] for t in ts)):
+                y[s] = 0
+                changed = True
+    return y
+
+
+def ref_location_witnesses(m: Wta, f: TolFormula) -> list:
+    """oracle.location_witnesses by full rebuild: every combination of the
+    unpruned candidates, a sorted successor list for every state, and a
+    sweep over all states, reachable or not."""
+    g = discretize(m, f)
+    inner = f
+    while isinstance(inner, logic.Freeze):
+        inner, = children(inner)
+    until = isinstance(inner, logic.Until)
+    sat = oracle_sat(g, f)
+    s1, s2 = (sat[c] for c in children(inner))
+    start = g.initial_index()
+    locs = [loc.name for loc in m.locations]
+    cand = [ref_location_choice_candidates(m, loc, inner.grade) for loc in locs]
+    witnesses = []
+    for combo in itertools.product(*cand):
+        choice = dict(zip(locs, combo))
+        if _ref_sweep(_ref_succ_sets(g, choice), s1, s2, until)[start]:
+            witnesses.append(choice)
+    return witnesses
