@@ -15,6 +15,12 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
   - perfbench medians, quartiles and IQR of every end-to-end metric for
     each workload, one untraced (`--trace 0`) run per side in each of
     PAIRS pairs, one seed per pair,
+  - the deterministic per-layer counters of each workload (`.calls` per
+    query and the other count and ratio metrics but the tracing
+    overhead) from one `--trace 1` run per side at the first seed,
+  - untraced `checker.check` ms (median of 2 * REPEATS runs) and the
+    verdict for pipeline and mesh at CHECK_KS, each with its
+    generator's formula,
   - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
     state count for pipeline and mesh at DISCRETIZE_KS,
   - untraced `oracle.location_witnesses` ms (median of 2 * REPEATS runs)
@@ -38,6 +44,7 @@ from pathlib import Path
 
 WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
 DISCRETIZE_KS = (4, 5, 6, 8)
+CHECK_KS = (4, 12, 16, 22, 30)
 PAIRS = 10          # a gain claim needs 10 alternating pairs
 REPEATS = 5         # probe timings per input and probe process
 WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
@@ -61,6 +68,24 @@ for k in %r:
             g = discretize(m, f)
             times.append((time.perf_counter() - t0) * 1000.0)
         out[f"{name}/k={k}"] = [len(g.states), times]
+print(json.dumps(out))
+"""
+
+# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...]], ...}
+CHECK_PROBE = """
+import json, time
+from tolmc.bench import gen_mesh, gen_pipeline
+from tolmc.checker import check
+out = {}
+for name, gen in (("pipeline", gen_pipeline), ("mesh", gen_mesh)):
+    for k in %r:
+        m, f = gen(k)
+        times = []
+        for _ in range(%d):
+            t0 = time.perf_counter()
+            v = check(m, f)
+            times.append((time.perf_counter() - t0) * 1000.0)
+        out[f"{name}/k={k}"] = [v.satisfied, times]
 print(json.dumps(out))
 """
 
@@ -97,12 +122,18 @@ def run_in(root: Path, args: list[str], timeout: float) -> subprocess.CompletedP
                           text=True, timeout=timeout, check=False)
 
 
-def perfbench(root: Path, workload: str, seed: int) -> dict:
+def perfbench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     proc = run_in(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                         "--seconds", str(RUN_SECONDS), "--trace", "0"], timeout=600)
+                         "--seconds", str(RUN_SECONDS), "--trace", str(trace)], timeout=600)
     if proc.returncode:
         raise RuntimeError(f"perfbench failed in {root}: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def counters(result: dict) -> dict:
+    """The metrics of a traced run that do not depend on time."""
+    return {name: m["value"] for name, m in result["metrics"].items()
+            if m["unit"] in ("count", "ratio") and name != "trace.overhead_ratio"}
 
 
 def summary(values: list[float]) -> dict:
@@ -134,7 +165,11 @@ def main() -> int:
                 runs[tag][w].append(perfbench(root, w, seed))
                 print(f"pair {i + 1}/{PAIRS} {w} {tag}", file=sys.stderr)
 
-    probes = {"discretize": ("states", DISCRETIZE_PROBE % (DISCRETIZE_KS, REPEATS)),
+    traced = {tag: {w: counters(perfbench(root, w, seeds[0], trace=1)) for w in WORKLOADS}
+              for tag, root in sides}
+
+    probes = {"check": ("satisfied", CHECK_PROBE % (CHECK_KS, REPEATS)),
+              "discretize": ("states", DISCRETIZE_PROBE % (DISCRETIZE_KS, REPEATS)),
               "location_witnesses": ("witnesses", WITNESS_PROBE % (WITNESS_FORMULAS, REPEATS))}
     layers = {tag: {layer: {} for layer in probes} for tag, _ in sides}
     for tag, root in sides + sides[::-1]:
@@ -171,6 +206,10 @@ def main() -> int:
                                      f"--seconds {RUN_SECONDS:g} --trace 0",
                           "seeds": seeds, "alternating_with": [t for t, _ in sides if t != tag],
                           "workloads": bench},
+            "perfbench_counters": {"command": "python3 perfbench/run.py --workload W "
+                                              f"--seed {seeds[0]} --seconds {RUN_SECONDS:g} "
+                                              "--trace 1",
+                                   "workloads": traced[tag]},
             **{layer: {name: {probes[layer][0]: size, "ms_median": statistics.median(ms),
                               "ms_runs": ms} for name, (size, ms) in entries.items()}
                for layer, entries in layers[tag].items()},

@@ -47,6 +47,7 @@ class Verdict:
     satisfied: bool
     sat_sets: dict
     stats: CheckStats
+    layout: ClockLayout  # the DBM index of every Sat set
 
 
 def region_count_bound(m: Wta, layout: ClockLayout) -> int:
@@ -80,7 +81,7 @@ class Checker:
         initial = (0,) * self.layout.dim
         ok = self.sat[self.f].contains_point(self.m.initial, initial)
         self.stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-        return Verdict(ok, self.sat, self.stats)
+        return Verdict(ok, self.sat, self.stats, self.layout)
 
     def _sat(self, psi: TolFormula) -> Federation:
         if isinstance(psi, (TrueF, Atom, ClockAtom)):

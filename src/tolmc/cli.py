@@ -10,6 +10,7 @@ everything diagnostic goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -18,7 +19,7 @@ from . import bench as bench_mod
 from . import logic, oracle
 from .checker import CheckError, check, dump_sat
 from .logic import FormulaError, FragmentError
-from .model import ClockLayout, ModelError, parse_model, serialize_model
+from .model import ModelError, parse_model, serialize_model
 
 # `translate` prints at most this many characters; the text of a shared
 # tree such as nested `W` doubles per level
@@ -92,13 +93,14 @@ def _dispatch(args) -> int:
     if args.cmd == "check":
         m = _load_model(args.model)
         f = _load_formula(args)
-        verdict = check(m, f)
-        print("SAT" if verdict.satisfied else "UNSAT")
-        if args.stats:
-            print(json.dumps(dataclasses.asdict(verdict.stats)), file=sys.stderr)
-        if args.dump_sat:
-            with open(args.dump_sat, "w") as fh:
-                fh.write(dump_sat(m, ClockLayout.of_query(m, f).names, verdict.sat_sets[f]))
+        # an unwritable dump path fails before a verdict reaches stdout
+        with open(args.dump_sat, "w") if args.dump_sat else contextlib.nullcontext() as dump:
+            verdict = check(m, f)
+            print("SAT" if verdict.satisfied else "UNSAT")
+            if args.stats:
+                print(json.dumps(dataclasses.asdict(verdict.stats)), file=sys.stderr)
+            if dump is not None:
+                dump.write(dump_sat(m, verdict.layout.names, verdict.sat_sets[f]))
         return 0 if verdict.satisfied else 1
 
     if args.cmd == "oracle":

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from . import logic
-from .zones import MAX_CONSTANT, OPS, Dbm, conjoin_atom, dbm_unconstrained
+from .zones import MAX_CONSTANT, MAX_DIM, OPS, Dbm, conjoin_atom, dbm_unconstrained
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,8 @@ def serialize_model(m: Wta) -> str:
 
 
 class CheckError(ValueError):
-    """Formula does not bind in the model (unknown clock, clock collision)."""
+    """Formula does not bind in the model (unknown clock, clock collision),
+    or the query has more clocks than a DBM holds."""
 
 
 @dataclass(frozen=True)
@@ -381,6 +382,8 @@ class ClockLayout:
     @staticmethod
     def build(m: Wta, formula_clocks: Iterable[str], kmap: dict) -> "ClockLayout":
         names = ("0",) + m.clocks + tuple(formula_clocks)
+        if len(names) > MAX_DIM:
+            raise CheckError(f"{len(names) - 1} clocks; a query may use at most {MAX_DIM - 1}")
         index = {c: i for i, c in enumerate(names)}
         kvec = tuple(0 if n == "0" else kmap.get(n, 0) for n in names)
         layout = ClockLayout(names, index, len(names), kvec)

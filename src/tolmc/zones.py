@@ -5,6 +5,12 @@ x_i - x_j ~ c with ~ in {<, <=}; index 0 is the constant reference
 clock (always 0), so x_i - x_0 ~ c encodes plain upper bounds and
 x_0 - x_j ~ c encodes lower bounds.
 
+A DBM of dimension n is one flat tuple of n*n packed bounds in
+row-major order: the bound on x_i - x_j is d[i*n + j], row i is
+d[i*n:(i+1)*n] and column j is d[j::n].  The dimension is read back
+from the length (`dbm_dim`), which must be the square of a dimension
+in 1..MAX_DIM; anything else raises ArityError.
+
 Bounds are packed into single ints: a weak bound (<= c) is 2c+1, a
 strict bound (< c) is 2c, and INF is a large even (strict) sentinel
 that compares greater than every finite bound.  With this packing,
@@ -18,13 +24,20 @@ operation that can produce an empty zone returns None for it, and
 federations simply never store empty zones.
 
 Every operation takes canonical (shortest-path closed) DBMs and returns
-canonical ones, but only the operations that can tighten a path run a
-closure.  `down` and `free` keep a canonical DBM canonical as they are
-(Bengtsson & Yi, *Timed Automata: Semantics, Algorithms and Tools*,
-2004), so they never close.  `conjoin_bound` re-closes only the paths
-through the new entry.  `dbm_intersect` returns an operand unchanged
-when it is entrywise inside the other, since the entrywise minimum is
-then that operand; only a genuine mix of the two is closed.
+canonical ones, but only `canonicalize` runs a full closure, and only
+`dbm_intersect` (on a genuine mix of its operands) and `extrapolate`
+(when it widens a bound) call it.  `down` and `free` keep a canonical
+DBM canonical as they are (Bengtsson & Yi, *Timed Automata: Semantics,
+Algorithms and Tools*, 2004).  `conjoin_bound` relaxes every entry once
+through the new edge: min(d[p][q], d[p][i] + b + d[j][q]).
+`reset_preimage` is closed form as well: for each reset clock y,
+conjoining y = 0 gives
+
+    min(d[i][j], d[i][y] + d[0][j], d[i][0] + d[y][j])    (i, j != y)
+
+and is empty iff d[0][y] or d[y][0] is tighter than <= 0; freeing y
+then clears row and column y.  Resets commute, so the clocks are
+handled one at a time, a repeated clock as a no-op.
 
 A federation keeps one reduced list of zones per location.  Operations
 share the lists they do not touch with their operands, so a list read
@@ -45,7 +58,7 @@ INF = 1 << 40
 # to 255 clocks (automaton and formula clocks together).
 MAX_CONSTANT = 1 << 30
 
-Dbm = tuple  # tuple of row tuples of packed int bounds
+Dbm = tuple  # flat row-major tuple of packed int bounds
 
 
 def le(c: int) -> int:
@@ -96,81 +109,79 @@ def bound_sat(b: int, diff2: int) -> bool:
 
 # -- construction ------------------------------------------------------------
 
+# Largest DBM dimension: the reference clock and 255 clocks (see
+# MAX_CONSTANT).  A flat DBM's length maps back to its dimension here.
+MAX_DIM = 256
+_DIM_OF_LENGTH = {n * n: n for n in range(1, MAX_DIM + 1)}
+
+
+def dbm_dim(d) -> int:
+    """The dimension n of a flat DBM of n*n bounds."""
+    n = _DIM_OF_LENGTH.get(len(d))
+    if n is None:
+        raise ArityError(f"a DBM of {len(d)} bounds is not the square "
+                         f"of a dimension in 1..{MAX_DIM}")
+    return n
+
+
 def dbm_unconstrained(dim: int) -> Dbm:
     """All clocks >= 0, nothing else."""
-    rows = []
-    for i in range(dim):
-        row = [INF] * dim
-        row[i] = ZERO
-        if i == 0:
-            row = [ZERO] * dim
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(ZERO if i == 0 or i == j else INF
+                 for i in range(dim) for j in range(dim))
 
 
 # -- canonical form ----------------------------------------------------------
 
 def canonicalize(d) -> Optional[Dbm]:
     """All-pairs tightening; None when a negative cycle makes the zone empty."""
-    n = len(d)
-    m = [list(row) for row in d]
+    n = dbm_dim(d)
+    m = list(d)
     for k in range(n):
-        mk = m[k]
-        for i in range(n):
-            dik = m[i][k]
+        kn = k * n
+        for i in range(0, n * n, n):
+            dik = m[i + k]
             if dik >= INF:
                 continue
-            mi = m[i]
             for j in range(n):
-                dkj = mk[j]
+                dkj = m[kn + j]
                 if dkj >= INF:
                     continue
                 via = dik + dkj - ((dik | dkj) & 1)
-                if via < mi[j]:
-                    mi[j] = via
-    for i in range(n):
-        if m[i][i] < ZERO:
+                if via < m[i + j]:
+                    m[i + j] = via
+    for ii in range(0, n * n, n + 1):
+        if m[ii] < ZERO:
             return None
-        m[i][i] = ZERO
-    return _freeze(m)
-
-
-def _freeze(m: list) -> Dbm:
-    return tuple(map(tuple, m))
+        m[ii] = ZERO
+    return tuple(m)
 
 
 # -- basic operations (inputs canonical non-empty unless noted) --------------
 
 def conjoin_bound(d: Dbm, i: int, j: int, b: int) -> Optional[Dbm]:
     """Intersect with x_i - x_j ~ c (packed bound b)."""
-    if b >= d[i][j]:
+    n = dbm_dim(d)
+    if b >= d[i * n + j]:
         return d
-    dji = d[j][i]
+    dji = d[j * n + i]
     if dji < INF and b + dji - ((b | dji) & 1) < ZERO:
         return None
-    m = [list(row) for row in d]
-    m[i][j] = b
-    # re-close: any tighter path must pass through the new (i, j) entry
-    n = len(d)
-    for k in (i, j):
-        mk = m[k]
-        for p in range(n):
-            dpk = m[p][k]
-            if dpk >= INF:
+    # a tighter path uses the new edge once: p -> i -> j -> q
+    m = list(d)
+    jn = j * n
+    for p in range(0, n * n, n):
+        dpi = d[p + i]
+        if dpi >= INF:
+            continue
+        s = dpi + b - ((dpi | b) & 1)
+        for q in range(n):
+            djq = d[jn + q]
+            if djq >= INF:
                 continue
-            mp = m[p]
-            for q in range(n):
-                dkq = mk[q]
-                if dkq >= INF:
-                    continue
-                via = dpk + dkq - ((dpk | dkq) & 1)
-                if via < mp[q]:
-                    mp[q] = via
-    for p in range(n):
-        if m[p][p] < ZERO:
-            return None
-        m[p][p] = ZERO
-    return _freeze(m)
+            via = s + djq - ((s | djq) & 1)
+            if via < m[p + q]:
+                m[p + q] = via
+    return tuple(m)
 
 
 OPS = ("<", "<=", "=", ">=", ">")
@@ -178,8 +189,9 @@ OPS = ("<", "<=", "=", ">=", ">")
 
 def conjoin_atom(d: Dbm, i: int, op: str, c: int) -> Optional[Dbm]:
     """Intersect with the atomic constraint x_i op c, c a natural."""
-    if not 1 <= i < len(d):
-        raise ArityError(f"clock index {i} out of range for dimension {len(d)}")
+    n = dbm_dim(d)
+    if not 1 <= i < n:
+        raise ArityError(f"clock index {i} out of range for dimension {n}")
     if op == "<":
         return conjoin_bound(d, i, 0, lt(c))
     if op == "<=":
@@ -203,50 +215,67 @@ def dbm_intersect(a: Dbm, b: Dbm) -> Optional[Dbm]:
         return a
     if dbm_subset(b, a):
         return b
-    return canonicalize([list(map(min, ra, rb)) for ra, rb in zip(a, b)])
+    return canonicalize(list(map(min, a, b)))
 
 
 def down(d: Dbm) -> Dbm:
     """Delay past: {v | exists t>=0, v+t in d}, clipped to non-negative clocks.
 
     Only row 0 changes: x_0 - x_j becomes the tightest of <= 0 and the
-    bounds on x_i - x_j, and the result is canonical without a closure."""
-    n = len(d)
-    lower = [ZERO]
-    for j in range(1, n):
-        b = ZERO
-        for i in range(1, n):
-            if i != j and d[i][j] < b:
-                b = d[i][j]
-        lower.append(b)
-    return (tuple(lower),) + d[1:]
+    bounds on x_i - x_j (column j below row 0, whose diagonal entry is
+    <= 0), and the result is canonical without a closure."""
+    n = dbm_dim(d)
+    return (ZERO,) + tuple(min(d[n + j::n]) for j in range(1, n)) + d[n:]
 
 
 def free(d: Dbm, y: int) -> Dbm:
     """Existentially quantify clock y: all constraints on y removed."""
-    n = len(d)
+    n = dbm_dim(d)
     if not 1 <= y < n:
         raise ArityError(f"clock index {y} out of range")
-    m = [list(row) for row in d]
-    for j in range(n):
-        if j != y:
-            m[y][j] = INF
-            m[j][y] = m[j][0]
-    m[y][0] = INF
-    m[0][y] = ZERO
-    return _freeze(m)
+    m = list(d)
+    _free_into(m, n, y)
+    return tuple(m)
+
+
+def _free_into(m: list, n: int, y: int) -> None:
+    """Free clock y of the canonical flat DBM m in place."""
+    m[y::n] = m[::n]                # x_i - y is bounded as x_i - x_0, 0 - y as <= 0
+    m[y * n:y * n + n] = [INF] * n  # y - x_j is unbounded ...
+    m[y * n + y] = ZERO             # ... but y - y = 0
 
 
 def reset_preimage(d: Dbm, clocks: Iterable[int]) -> Optional[Dbm]:
     """States whose reset of the given clocks lands in d: conjoin y = 0,
-    then free y.  None when d has no point with all of them at 0."""
+    then free y, one clock at a time.  None when d has no point with
+    all of them at 0."""
+    n = dbm_dim(d)
+    m = list(d)
     for y in clocks:
-        d = conjoin_atom(d, y, "=", 0)
-        if d is None:
+        if not 1 <= y < n:
+            raise ArityError(f"clock index {y} out of range")
+        yn = y * n
+        if m[y] < ZERO or m[yn] < ZERO:  # d[0][y], d[y][0]
             return None
-    for y in clocks:
-        d = free(d, y)
-    return d
+        # x_i - x_j through y - 0 <= 0: (x_i - y) + (0 - x_j).  Through
+        # 0 - y <= 0: (x_i - 0) + (y - x_j), which cannot tighten unless
+        # that bound is new, since d[i][j] <= d[i][0] + d[0][y] + d[y][j].
+        # Row y and column y are left to free.
+        from_0 = [(j, b) for j, b in enumerate(m[:n]) if b < INF and j != y]
+        from_y = [(j, b) for j, b in enumerate(m[yn:yn + n]) if b < INF and j != y] \
+            if m[y] > ZERO else ()
+        for i in range(0, n * n, n):
+            if i == yn:
+                continue
+            for a, via_row in ((m[i + y], from_0), (m[i], from_y)):
+                if a >= INF:
+                    continue
+                for j, b in via_row:
+                    via = a + b - ((a | b) & 1)
+                    if via < m[i + j]:
+                        m[i + j] = via
+        _free_into(m, n, y)
+    return tuple(m)
 
 
 _LEQ = operator.le
@@ -256,10 +285,7 @@ def dbm_subset(a: Dbm, b: Dbm) -> bool:
     """Entrywise a <= b, which for canonical DBMs is zone inclusion."""
     if len(a) != len(b):
         raise ArityError("dimension mismatch in inclusion")
-    for ra, rb in zip(a, b):
-        if not all(map(_LEQ, ra, rb)):
-            return False
-    return True
+    return all(map(_LEQ, a, b))
 
 
 def extrapolate(d: Dbm, ks) -> Dbm:
@@ -269,23 +295,23 @@ def extrapolate(d: Dbm, ks) -> Dbm:
     widen to (-k_j, <).  Result is re-canonicalized and never smaller
     than the input zone.
     """
-    n = len(d)
+    n = dbm_dim(d)
     if len(ks) != n:
         raise ArityError("one max constant per clock expected")
-    m = [list(row) for row in d]
+    m = list(d)
     changed = False
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            b = d[i][j]
+            b = d[i * n + j]
             if b >= INF:
                 continue
             if b > le(ks[i]):
-                m[i][j] = INF
+                m[i * n + j] = INF
                 changed = True
             elif b < lt(-ks[j]):
-                m[i][j] = lt(-ks[j])
+                m[i * n + j] = lt(-ks[j])
                 changed = True
     if not changed:
         return d
@@ -299,33 +325,29 @@ def dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
     """a minus b as a list of disjoint canonical non-empty zones."""
     if len(a) != len(b):
         raise ArityError("dimension mismatch in subtraction")
-    n = len(a)
+    n = dbm_dim(a)
     pieces: list[Dbm] = []
     cur: Optional[Dbm] = a
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bb = b[i][j]
-            if bb >= INF or cur[i][j] <= bb:
-                continue
-            piece = conjoin_bound(cur, j, i, bound_neg(bb))
-            if piece is not None:
-                pieces.append(piece)
-            cur = conjoin_bound(cur, i, j, bb)
-            if cur is None:
-                return pieces
+    for ij, bb in enumerate(b):  # row-major; a diagonal entry never splits
+        if bb >= INF or cur[ij] <= bb:
+            continue
+        i, j = divmod(ij, n)
+        piece = conjoin_bound(cur, j, i, bound_neg(bb))
+        if piece is not None:
+            pieces.append(piece)
+        cur = conjoin_bound(cur, i, j, bb)
+        if cur is None:
+            return pieces
     return pieces  # remainder lies inside b
 
 
 def contains_point(d: Dbm, point2) -> bool:
     """Membership of a doubled-integer valuation (point2[0] must be 0)."""
-    n = len(d)
+    n = dbm_dim(d)
     for i in range(n):
-        row = d[i]
         pi = point2[i]
-        for j in range(n):
-            if not bound_sat(row[j], pi - point2[j]):
+        for j, b in enumerate(d[i * n:i * n + n]):
+            if not bound_sat(b, pi - point2[j]):
                 return False
     return True
 
@@ -333,22 +355,22 @@ def contains_point(d: Dbm, point2) -> bool:
 def constraint_lines(d: Dbm, names) -> list[str]:
     """Human-readable canonical constraints, sorted by clock index pair."""
     out = []
-    n = len(d)
-    for i in range(n):
-        for j in range(n):
-            if i == j or d[i][j] >= INF:
-                continue
-            if i == 0 and d[i][j] == ZERO:
-                continue  # x >= 0 holds by the clock domain
-            val, strict = bound_parts(d[i][j])
-            op = "<" if strict else "<="
-            if j == 0:
-                out.append(f"{names[i]} {op} {val}")
-            elif i == 0:
-                flip = ">" if strict else ">="
-                out.append(f"{names[j]} {flip} {-val}")
-            else:
-                out.append(f"{names[i]} - {names[j]} {op} {val}")
+    n = dbm_dim(d)
+    for ij, b in enumerate(d):
+        i, j = divmod(ij, n)
+        if i == j or b >= INF:
+            continue
+        if i == 0 and b == ZERO:
+            continue  # x >= 0 holds by the clock domain
+        val, strict = bound_parts(b)
+        op = "<" if strict else "<="
+        if j == 0:
+            out.append(f"{names[i]} {op} {val}")
+        elif i == 0:
+            flip = ">" if strict else ">="
+            out.append(f"{names[j]} {flip} {-val}")
+        else:
+            out.append(f"{names[i]} - {names[j]} {op} {val}")
     return out
 
 
@@ -390,8 +412,9 @@ class Federation:
         for z in zones:
             if z.dbm is None:
                 raise ValueError("federations hold no empty zones")
-            if len(z.dbm) != dim:
-                raise ArityError(f"zone of dimension {len(z.dbm)} in a federation of dimension {dim}")
+            if dbm_dim(z.dbm) != dim:
+                raise ArityError(f"zone of dimension {dbm_dim(z.dbm)} "
+                                 f"in a federation of dimension {dim}")
             by.setdefault(z.loc, []).append(z.dbm)
         return Federation(dim, {k: _reduce(v) for k, v in by.items()})
 

@@ -22,9 +22,9 @@ from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta
 from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
 from tolmc.predecessor import pred
-from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _freeze,
-                         _reduce, bound_add, bound_neg, bound_sat,
-                         canonicalize)
+from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _reduce,
+                         bound_add, bound_neg, bound_sat, canonicalize,
+                         dbm_dim)
 
 # a one-variable bound: (doubled value, strict flag)
 NEG_INF = (-(1 << 50), True)
@@ -47,6 +47,18 @@ def _interval_nonempty(lo, hi) -> bool:
     return not (lo[1] or hi[1])
 
 
+def rows(d: Dbm) -> list:
+    """The row view of a flat DBM: rows(d)[i][j] is the bound on x_i - x_j.
+    The rows are fresh lists; `flat` packs (edited) rows back."""
+    n = dbm_dim(d)
+    return [list(d[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def flat(m) -> Dbm:
+    """The flat row-major DBM of a list of rows."""
+    return tuple(b for row in m for b in row)
+
+
 def _bound2(b):
     """Packed DBM bound -> (doubled value, strict)."""
     if b >= INF:
@@ -63,6 +75,7 @@ def grid_points(nclocks: int, cmax: int):
 def in_dbm(d: Dbm, p2) -> bool:
     """p2 excludes the reference coordinate."""
     full = (0,) + tuple(p2)
+    d = rows(d)
     n = len(d)
     return all(bound_sat(d[i][j], full[i] - full[j])
                for i in range(n) for j in range(n))
@@ -71,6 +84,7 @@ def in_dbm(d: Dbm, p2) -> bool:
 def _delay_feasible(d: Dbm, p2, sign: int) -> bool:
     """Exists t >= 0 with p + sign*t in d (checking t-free constraints too)."""
     full = (0,) + tuple(p2)
+    d = rows(d)
     n = len(d)
     lo, hi = (0, False), POS_INF
     for i in range(1, n):
@@ -107,6 +121,7 @@ def in_down(d: Dbm, p2) -> bool:
 def fiber_feasible(d: Dbm, p2, y: int) -> bool:
     """Exists v >= 0 such that p with coordinate y replaced by v lies in d."""
     full = [0] + list(p2)
+    d = rows(d)
     n = len(d)
     lo, hi = (0, False), POS_INF
     for i in range(n):
@@ -180,10 +195,11 @@ def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
 
 def dbm_zero(dim: int) -> Dbm:
     """All clocks exactly 0."""
-    return tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim))
+    return (ZERO,) * (dim * dim)
 
 
 def is_canonical(d: Dbm) -> bool:
+    d = rows(d)
     n = len(d)
     for i in range(n):
         if d[i][i] != ZERO:
@@ -206,6 +222,7 @@ def relation(a: Dbm | None, b: Dbm | None) -> str:
         return "superset"
     if len(a) != len(b):
         raise ArityError("dimension mismatch in relation")
+    a, b = rows(a), rows(b)
     n = len(a)
     sub = all(a[i][j] <= b[i][j] for i in range(n) for j in range(n))
     sup = all(b[i][j] <= a[i][j] for i in range(n) for j in range(n))
@@ -220,16 +237,16 @@ def relation(a: Dbm | None, b: Dbm | None) -> str:
 
 def up(d: Dbm) -> Dbm:
     """Delay future: remove upper bounds, keep differences (stays canonical)."""
-    m = [list(row) for row in d]
-    for i in range(1, len(d)):
+    m = rows(d)
+    for i in range(1, len(m)):
         m[i][0] = INF
-    return _freeze(m)
+    return flat(m)
 
 
 def reset(d: Dbm, clocks) -> Dbm:
     """Image under setting the given clocks to 0 (stays canonical)."""
-    m = [list(row) for row in d]
-    n = len(d)
+    m = rows(d)
+    n = len(m)
     for y in clocks:
         if not 1 <= y < n:
             raise ArityError(f"clock index {y} out of range")
@@ -237,7 +254,7 @@ def reset(d: Dbm, clocks) -> Dbm:
             m[y][j] = m[0][j]
             m[j][y] = m[j][0]
         m[y][y] = ZERO
-    return _freeze(m)
+    return flat(m)
 
 
 # -- reference kernels --------------------------------------------------------
@@ -245,39 +262,56 @@ def reset(d: Dbm, clocks) -> Dbm:
 # exactly: every result closed again, every location re-reduced.
 
 def ref_down(d: Dbm) -> Dbm:
-    m = [list(row) for row in d]
-    for j in range(1, len(d)):
-        m[0][j] = min([ZERO] + [d[i][j] for i in range(1, len(d)) if i != j])
-    return canonicalize(m)
+    m = rows(d)
+    n = len(m)
+    m[0] = [ZERO] + [min([ZERO] + [m[i][j] for i in range(1, n) if i != j])
+                     for j in range(1, n)]
+    return canonicalize(flat(m))
 
 
 def ref_free(d: Dbm, y: int) -> Dbm:
-    m = [list(row) for row in d]
-    for j in range(len(d)):
+    m = rows(d)
+    for j in range(len(m)):
         if j != y:
             m[y][j] = INF
             m[j][y] = m[j][0]
     m[y][0] = INF
     m[0][y] = ZERO
-    return canonicalize(m)
+    return canonicalize(flat(m))
 
 
 def ref_intersect(a: Dbm, b: Dbm) -> Dbm | None:
+    a, b = rows(a), rows(b)
     n = len(a)
-    return canonicalize([[min(a[i][j], b[i][j]) for j in range(n)] for i in range(n)])
+    return canonicalize(flat([[min(a[i][j], b[i][j]) for j in range(n)] for i in range(n)]))
 
 
 def ref_subset(a: Dbm, b: Dbm) -> bool:
+    a, b = rows(a), rows(b)
     n = len(a)
     return all(a[i][j] <= b[i][j] for i in range(n) for j in range(n))
 
 
 def ref_conjoin_bound(d: Dbm, i: int, j: int, b: int) -> Dbm | None:
-    if b >= d[i][j]:
+    m = rows(d)
+    if b >= m[i][j]:
         return d
-    m = [list(row) for row in d]
     m[i][j] = b
-    return canonicalize(m)
+    return canonicalize(flat(m))
+
+
+def ref_reset_preimage(d: Dbm, clocks) -> Dbm | None:
+    """Conjoin y <= 0 and y >= 0 for every reset clock y, then free each."""
+    for y in clocks:
+        d = ref_conjoin_bound(d, y, 0, ZERO)
+        if d is None:
+            return None
+        d = ref_conjoin_bound(d, 0, y, ZERO)
+        if d is None:
+            return None
+    for y in clocks:
+        d = ref_free(d, y)
+    return d
 
 
 def _locations(fed: Federation) -> list:
@@ -294,12 +328,13 @@ def ref_union(a: Federation, b: Federation) -> Federation:
 def ref_dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
     """a minus b split on b's bounds in dbm_subtract's order, each piece
     closed by ref_conjoin_bound: the kernel's pieces, without its code."""
-    n = len(a)
+    b = rows(b)
+    n = len(b)
     pieces = []
-    cur = a
+    cur, view = a, rows(a)
     for i in range(n):
         for j in range(n):
-            if i == j or b[i][j] >= INF or cur[i][j] <= b[i][j]:
+            if i == j or b[i][j] >= INF or view[i][j] <= b[i][j]:
                 continue
             piece = ref_conjoin_bound(cur, j, i, bound_neg(b[i][j]))
             if piece is not None:
@@ -307,6 +342,7 @@ def ref_dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
             cur = ref_conjoin_bound(cur, i, j, b[i][j])
             if cur is None:
                 return pieces
+            view = rows(cur)
     return pieces
 
 

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from helpers import run_python
+from tolmc.checker import check, dump_sat
 from tolmc.cli import main
-from tolmc.logic import MAX_NESTING
+from tolmc.logic import MAX_NESTING, parse_formula
+from tolmc.model import parse_model
 from tolmc.zones import MAX_CONSTANT
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,6 +90,44 @@ def test_dump_sat(capsys, tmp_path):
                        "--dump-sat", str(dump))
     assert code == 0
     assert dump.read_text().startswith("l |")
+
+
+def test_dump_sat_unwritable_path_prints_no_verdict(capsys, tmp_path):
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nlocation l init labels p\nedge l -> l action a weight 1\n")
+    dump = tmp_path / "no-such-dir" / "sat.txt"
+    code, out, err = run(capsys, "check", str(model), "-f", "p", "--dump-sat", str(dump))
+    assert code == 2
+    assert out == ""
+    assert "no-such-dir" in err
+
+
+def test_dump_sat_names_formula_clocks(capsys, tmp_path):
+    text = ("wta\nclocks x\nlocation l init labels p\n"
+            "edge l -> l action a guard x >= 1 reset x weight 1\n")
+    model = tmp_path / "m.wta"
+    model.write_text(text)
+    dump = tmp_path / "sat.txt"
+    formula = "j . <#0> (p U (p & j >= 2))"
+    code, out, _ = run(capsys, "check", str(model), "-f", formula, "--dump-sat", str(dump))
+    m, f = parse_model(text), parse_formula(formula)
+    verdict = check(m, f)
+    assert out.splitlines() == ["SAT" if verdict.satisfied else "UNSAT"]
+    assert code == (0 if verdict.satisfied else 1)
+    assert verdict.layout.names == ("0", "x", "j")
+    assert dump.read_text() == dump_sat(m, verdict.layout.names, verdict.sat_sets[f])
+
+
+def test_too_many_clocks_is_a_usage_error(capsys, tmp_path):
+    # 255 automaton clocks and one freeze clock fill a DBM of dimension 257
+    clocks = " ".join(f"c{i}" for i in range(255))
+    model = tmp_path / "m.wta"
+    model.write_text(f"wta\nclocks {clocks}\nlocation l init labels p\n")
+    code, out, err = run(capsys, "check", str(model), "-f", "j . p")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 256 clocks")
+    code, out, _ = run(capsys, "check", str(model), "-f", "p")
+    assert code == 0 and out.splitlines() == ["SAT"]
 
 
 def test_oracle_command(capsys):

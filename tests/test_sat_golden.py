@@ -2,7 +2,7 @@
 
 fixtures/sat_golden.json.gz holds every Sat set of the corpus of
 scripts/sat_digest.py: per query, one zone list per subformula in
-subformulas_by_size order, each zone as [location, row-major bounds].
+subformulas_by_size order, each zone as [location, its flat row-major bounds].
 The test recomputes each set and checks mutual inclusion with its
 golden set through helpers.ref_subtract, so a change that splits zones
 differently but keeps every set passes, and the check does not trust
@@ -42,8 +42,7 @@ def corpus_sat_sets():
 def _decode(dim: int, zones) -> Federation:
     by: dict = {}
     for loc, flat in zones:
-        by.setdefault(loc, []).append(
-            tuple(tuple(flat[i * dim:(i + 1) * dim]) for i in range(dim)))
+        by.setdefault(loc, []).append(tuple(flat))
     return Federation(dim, by)
 
 
@@ -61,7 +60,7 @@ def test_sat_sets_equal_the_golden_sets():
 
 
 if __name__ == "__main__":
-    data = [[[[z.loc, [b for row in z.dbm for b in row]] for z in fed.zones()]
+    data = [[[[z.loc, list(z.dbm)] for z in fed.zones()]
              for fed in sets] for sets in corpus_sat_sets()]
     text = json.dumps(data, separators=(",", ":"))
     GOLDEN.write_bytes(gzip.compress(text.encode(), mtime=0))

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dbm_zero, grid_points, in_dbm, in_down, in_free,
+from helpers import (dbm_zero, flat, grid_points, in_dbm, in_down, in_free,
                      in_reset, in_up, is_canonical, random_dbm,
                      ref_conjoin_bound, ref_down, ref_free, ref_intersect,
-                     ref_subset, ref_subtract, ref_union, relation, reset,
-                     run_python, up)
+                     ref_reset_preimage, ref_subset, ref_subtract, ref_union,
+                     relation, reset, rows, run_python, up)
 from tolmc import zones as Z
-from tolmc.zones import (INF, MAX_CONSTANT, ArityError, Federation, Zone,
-                         bound_add, canonicalize, conjoin_atom, conjoin_bound,
-                         dbm_intersect, dbm_subset, dbm_subtract,
-                         dbm_unconstrained, down, extrapolate, free, le, lt)
+from tolmc.zones import (INF, MAX_CONSTANT, ZERO, ArityError, Federation,
+                         Zone, bound_add, canonicalize, conjoin_atom,
+                         conjoin_bound, dbm_intersect, dbm_subset,
+                         dbm_subtract, dbm_unconstrained, down, extrapolate,
+                         free, le, lt, reset_preimage)
 
 
 def constrained(dim, *atoms):
@@ -56,10 +57,10 @@ def test_canonicalize_detects_contradiction():
 def test_canonicalize_derives_transitive_bound():
     # x - y <= 1 and y <= 2 force x <= 3
     d = dbm_unconstrained(3)
-    m = [list(r) for r in d]
+    m = rows(d)
     m[1][2] = le(1)
     m[2][0] = le(2)
-    out = canonicalize(m)
+    out = rows(canonicalize(flat(m)))
     assert out[1][0] == le(3)
 
 
@@ -71,7 +72,7 @@ def test_conjoin_contradictory_is_empty():
 
 
 def test_conjoin_unconstrained_gives_interval():
-    d = constrained(2, (1, "<=", 5))
+    d = rows(constrained(2, (1, "<=", 5)))
     assert d[1][0] == le(5)
     assert d[0][1] == ZERO_LOWER
 
@@ -81,11 +82,11 @@ ZERO_LOWER = le(0)
 
 def test_conjoin_equality_propagates_through_difference():
     d = dbm_unconstrained(3)
-    m = [list(r) for r in d]
+    m = rows(d)
     m[1][2] = le(0)
     m[2][1] = le(0)  # x = y
-    d = canonicalize(m)
-    d = conjoin_atom(d, 1, "=", 3)
+    d = canonicalize(flat(m))
+    d = rows(conjoin_atom(d, 1, "=", 3))
     assert d[2][0] == le(3) and d[0][2] == le(-3)
 
 
@@ -97,18 +98,18 @@ def test_conjoin_unknown_index_raises():
 # -- up / down ---------------------------------------------------------------
 
 def test_up_zero_zone_is_diagonal():
-    d = up(dbm_zero(3))
+    d = rows(up(dbm_zero(3)))
     assert d[1][2] == le(0) and d[2][1] == le(0)
     assert d[1][0] == INF and d[2][0] == INF
 
 
 def test_up_removes_upper_bound():
-    d = up(constrained(2, (1, ">=", 1), (1, "<=", 2)))
+    d = rows(up(constrained(2, (1, ">=", 1), (1, "<=", 2))))
     assert d[1][0] == INF and d[0][1] == le(-1)
 
 
 def test_down_single_clock():
-    d = down(constrained(2, (1, ">=", 3), (1, "<=", 5)))
+    d = rows(down(constrained(2, (1, ">=", 3), (1, "<=", 5))))
     assert d[0][1] == le(0) and d[1][0] == le(5)
 
 
@@ -126,11 +127,11 @@ def test_down_with_diagonal_matches_grid_oracle():
 
 def test_down_preserves_diagonal():
     d = dbm_unconstrained(3)
-    m = [list(r) for r in d]
+    m = rows(d)
     m[1][2] = le(0)
     m[2][1] = le(0)
-    d = canonicalize(m)
-    out = down(d)
+    d = canonicalize(flat(m))
+    out = rows(down(d))
     assert out[1][2] == le(0) and out[2][1] == le(0)
 
 
@@ -146,7 +147,7 @@ def test_up_down_idempotent():
 
 def test_reset_examples():
     d = constrained(3, (1, "<=", 5), (2, "<=", 3))
-    r = reset(d, [1])
+    r = rows(reset(d, [1]))
     assert r[1][0] == le(0) and r[0][1] == le(0)
     assert r[2][0] == le(3)
     assert reset(d, []) == d
@@ -155,8 +156,9 @@ def test_reset_examples():
 def test_free_examples():
     d = constrained(3, (1, "=", 0), (2, "<=", 3))
     f = free(d, 2)
-    assert f[2][0] == INF and f[0][2] == le(0)
-    assert f[1][0] == le(0)
+    r = rows(f)
+    assert r[2][0] == INF and r[0][2] == le(0)
+    assert r[1][0] == le(0)
     assert free(f, 2) == f
 
 
@@ -188,7 +190,7 @@ def test_relation_cases():
 
 def test_extrapolate_relaxes_above_k():
     d = constrained(2, (1, "<=", 9))
-    out = extrapolate(d, (0, 5))
+    out = rows(extrapolate(d, (0, 5)))
     assert out[1][0] == INF
 
 
@@ -345,9 +347,9 @@ def canonical_dbms(draw, dim, base=None):
         i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
         if i == j:
             continue
-        m = [list(row) for row in d]
+        m = rows(d)
         m[i][j] = min(m[i][j], draw(bounds(i, j)))
-        d = canonicalize(m) or d
+        d = canonicalize(flat(m)) or d
     return d
 
 
@@ -376,6 +378,39 @@ def test_dbm_kernels_equal_their_references(data):
     j = data.draw(st.sampled_from([k for k in range(dim) if k != i]))
     bound = data.draw(bounds(i, j))
     assert conjoin_bound(a, i, j, bound) == ref_conjoin_bound(a, i, j, bound)
+
+
+@st.composite
+def signed_dbms(draw, dim):
+    """A canonical non-empty DBM over clocks that may also be negative:
+    bounds of either sign on every entry, row 0 included."""
+    d = tuple(ZERO if i == j else INF for i in range(dim) for j in range(dim))
+    for _ in range(draw(st.integers(0, 2 * dim))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i == j:
+            continue
+        m = rows(d)
+        c = draw(st.integers(-4, 4))
+        m[i][j] = min(m[i][j], le(c) if draw(st.booleans()) else lt(c))
+        d = canonicalize(flat(m)) or d
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reset_preimage_equals_reference_and_grid(data):
+    # signed DBMs reach the relaxation through 0 -> y, which a zone of
+    # non-negative clocks (0 - y <= 0 already) never tightens
+    dim = data.draw(st.integers(2, 4))
+    d = data.draw(st.one_of(canonical_dbms(dim), signed_dbms(dim)))
+    clocks = data.draw(st.lists(st.integers(1, dim - 1), min_size=1, max_size=3))
+    out = reset_preimage(d, clocks)
+    assert out == ref_reset_preimage(d, clocks)
+    for p in grid_points(dim - 1, 4):
+        landed = list(p)
+        for y in clocks:
+            landed[y - 1] = 0
+        assert (out is not None and in_dbm(out, p)) == in_dbm(d, landed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,6 +449,20 @@ def test_dimension_checks_hold_under_optimize():
     assert proc.stdout.split() == ["union", "intersect", "subset_of"]
 
 
+def test_non_square_dbm_raises_arity_error_under_optimize():
+    # the dimension is read back from the length; python -O keeps the check
+    proc = run_python("""
+        from tolmc.zones import ArityError, Federation, Zone, dbm_unconstrained
+        for dim, d in ((3, dbm_unconstrained(3)[:8]), (3, ()), (257, (1,) * (257 * 257))):
+            try:
+                Federation.of_zones(dim, [Zone("l", d)])
+            except ArityError:
+                print("arity")
+    """, "-O")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["arity"] * 3
+
+
 def test_mismatched_inputs_raise():
     with pytest.raises(ArityError):
         Federation.of_zones(3, [Zone("l", dbm_unconstrained(2))])
@@ -421,5 +470,9 @@ def test_mismatched_inputs_raise():
         dbm_subset(dbm_unconstrained(3), dbm_unconstrained(2))
     with pytest.raises(ArityError):
         extrapolate(dbm_unconstrained(3), (0, 1))
+    with pytest.raises(ArityError):
+        canonicalize(dbm_unconstrained(3)[:-1])
+    with pytest.raises(ArityError):
+        down(dbm_unconstrained(2) + (INF,))
     with pytest.raises(ValueError):
         Z.bound_neg(INF)
