@@ -3,20 +3,20 @@
 from .bench import gen_mesh, gen_pipeline, run_bench
 from .case_study import build_case_study, phi1, phi2
 from .checker import CheckError, Verdict, check
-from .logic import (FormulaError, FragmentError, TolFormula, formula_clocks,
-                    parse_formula, print_formula, print_tctl,
+from .logic import (ClockAtom, FormulaError, FragmentError, TolFormula,
+                    formula_clocks, parse_formula, print_formula,
                     subformulas_by_size, to_tctl)
-from .model import (ClockConstraint, Edge, Location, ModelError, Wta,
-                    max_constants, parse_model, serialize_model)
+from .model import (Edge, Location, ModelError, Wta, max_constants,
+                    parse_model, serialize_model)
 from .oracle import (OracleScaleError, differential, discretize, oracle_check,
                      tctl_check)
 
 __all__ = [
-    "CheckError", "ClockConstraint", "Edge", "FormulaError", "FragmentError",
+    "CheckError", "ClockAtom", "Edge", "FormulaError", "FragmentError",
     "Location", "ModelError", "OracleScaleError", "TolFormula", "Verdict",
     "Wta", "build_case_study", "check", "differential", "discretize",
     "formula_clocks", "gen_mesh", "gen_pipeline", "max_constants",
     "oracle_check", "parse_formula", "parse_model", "phi1", "phi2",
-    "print_formula", "print_tctl", "run_bench", "serialize_model",
+    "print_formula", "run_bench", "serialize_model",
     "subformulas_by_size", "tctl_check", "to_tctl",
 ]

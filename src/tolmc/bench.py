@@ -18,8 +18,8 @@ import tracemalloc
 from dataclasses import dataclass
 
 from .checker import check
-from .logic import TolFormula, parse_formula
-from .model import ClockConstraint, Edge, Location, Wta
+from .logic import ClockAtom, TolFormula, parse_formula
+from .model import Edge, Location, Wta
 
 CSV_HEADER = ["case", "k", "runtime_ms_mean", "runtime_ms_std",
               "mem_kb_mean", "mem_kb_std", "verdict"]
@@ -38,9 +38,9 @@ def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
     edges = []
     for i in range(k - 1):
         bound = 2 * k if i == k - 2 else k
-        edges.append(Edge(f"s{i}", f"step{i}", (ClockConstraint("x", ">=", bound),),
+        edges.append(Edge(f"s{i}", f"step{i}", (ClockAtom("x", ">=", bound),),
                           frozenset({"x"}), f"s{i + 1}", 1))
-    edges.append(Edge(f"s{k - 1}", "stay", (ClockConstraint("x", ">=", k),),
+    edges.append(Edge(f"s{k - 1}", "stay", (ClockAtom("x", ">=", k),),
                       frozenset({"x"}), f"s{k - 1}", 1))
     m = Wta(("x",), locations, "s0", tuple(edges))
     f = parse_formula(f"j . <#1> G (s{k - 1} -> j >= {k * k})")
@@ -57,7 +57,7 @@ def gen_mesh(k: int) -> tuple[Wta, TolFormula]:
         for j in range(k):
             if i != j:
                 edges.append(Edge(f"s{i}", f"m{i}_{j}",
-                                  (ClockConstraint("x", ">=", 1),),
+                                  (ClockAtom("x", ">=", 1),),
                                   frozenset({"x"}), f"s{j}", 1))
     m = Wta(("x",), locations, "s0", tuple(edges))
     f = parse_formula(f"j . <#1> G (s{k - 1} -> j >= {k * k})")

@@ -15,7 +15,7 @@ afford the two cost-3 deactivations.
 
 from __future__ import annotations
 
-from .logic import TolFormula, parse_formula
+from .logic import ClockAtom, TolFormula, parse_formula
 from .model import Edge, Location, Wta
 
 _EDGES = [
@@ -55,10 +55,8 @@ def build_case_study() -> Wta:
     return Wta(clocks=("x",), locations=tuple(locations), initial="s0", edges=edges)
 
 
-def _inv(clock: str, bound: int):
-    from .model import ClockConstraint
-
-    return ClockConstraint(clock, "<=", bound)
+def _inv(clock: str, bound: int) -> ClockAtom:
+    return ClockAtom(clock, "<=", bound)
 
 
 def phi1(t1: int) -> TolFormula:

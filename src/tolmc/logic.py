@@ -9,11 +9,12 @@ and the freeze binder.  F, G, weak-until, disjunction, implication and
     p W q == (q R (p | q))      p | q == !(!p & !q)
     p -> q == !(p & !q)         false == !true
 
-The grade-0 fragment maps onto a separate TCTL tree whose classes cannot
-hold a grade.  Both trees name their operands `sub` or `left`/`right`,
-and `children()` is the one place that reads them to walk a tree: the
-subformula order, the printer, formula clocks and the scope walk are
-written once over it and accept either tree.
+The TCTL image of the grade-0 fragment shares these nodes; its only
+kinds of its own are A U and A R (TAU/TAR, which hold no grade).  Every
+node names its operands `sub` or `left`/`right`, and `children()` is the
+one place that reads them to walk a tree: the subformula order, the
+printer, formula clocks and the scope walk are written once over it.
+ClockAtom is also the atom of model guards and invariants.
 
 Parsing bounds nesting at MAX_NESTING levels, so the recursive descent,
 the recursive walks and the dataclass hashing of a parsed formula stay
@@ -28,6 +29,7 @@ and `scoped` visits a shared node once per set of bound identifiers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .zones import MAX_CONSTANT, OPS
@@ -78,11 +80,25 @@ class Atom(TolFormula):
     name: str
 
 
+_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
+        ">": operator.gt}
+
+
 @_node
 class ClockAtom(TolFormula):
+    """`clock op value` with op in OPS: a formula atom, and the atom of
+    model guards and invariants."""
+
     clock: str
     op: str
     value: int
+
+    def __str__(self) -> str:
+        return f"{self.clock} {self.op} {self.value}"
+
+    def sat2(self, value2: int) -> bool:
+        """Satisfaction at a doubled-integer clock value."""
+        return _CMP[self.op](value2, 2 * self.value)
 
 
 @_node
@@ -155,6 +171,12 @@ class FragmentError(ValueError):
 _KEYWORDS = {"true", "false", "U", "R", "F", "G", "W"}
 
 
+def is_numeral(text: str) -> bool:
+    """Whether text is a natural in ASCII digits.  str.isdigit alone also
+    accepts other digits, such as '²', which int() rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def _tokenize(text: str):
     toks = []
     i, n = 0, len(text)
@@ -165,7 +187,7 @@ def _tokenize(text: str):
             continue
         if text.startswith("<#", i):
             j = i + 2
-            while j < n and text[j].isdigit():
+            while j < n and is_numeral(text[j]):
                 j += 1
             if j == i + 2 or j >= n or text[j] != ">":
                 raise FormulaError("malformed grade annotation, expected <#n>", i)
@@ -188,9 +210,9 @@ def _tokenize(text: str):
             toks.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if is_numeral(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and is_numeral(text[j]):
                 j += 1
             toks.append(("nat", int(text[i:j]), i))
             i = j
@@ -341,62 +363,26 @@ def parse_formula(text: str) -> TolFormula:
 
 # -- TCTL image of the grade-0 fragment --------------------------------------
 
-class TctlFormula:
-    pass
+@_node
+class TAU(TolFormula):
+    left: TolFormula
+    right: TolFormula
 
 
 @_node
-class TTrue(TctlFormula):
-    pass
+class TAR(TolFormula):
+    left: TolFormula
+    right: TolFormula
 
 
-@_node
-class TAtom(TctlFormula):
-    name: str
-
-
-@_node
-class TClockAtom(TctlFormula):
-    clock: str
-    op: str
-    value: int
-
-
-@_node
-class TNot(TctlFormula):
-    sub: TctlFormula
-
-
-@_node
-class TAnd(TctlFormula):
-    left: TctlFormula
-    right: TctlFormula
-
-
-@_node
-class TAU(TctlFormula):
-    left: TctlFormula
-    right: TctlFormula
-
-
-@_node
-class TAR(TctlFormula):
-    left: TctlFormula
-    right: TctlFormula
-
-
-@_node
-class TFreeze(TctlFormula):
-    var: str
-    sub: TctlFormula
-
-
-def to_tctl(f: TolFormula) -> TctlFormula:
+def to_tctl(f: TolFormula) -> TolFormula:
     """Structure-preserving translation; defined on grade 0 only.
 
-    Each distinct node is translated once, so the image shares what the
+    Until/Release become TAU/TAR, the connectives are rebuilt over the
+    translated operands and leaves are returned as they are.  Each
+    distinct node is translated once, so the image shares what the
     source shares and costs its distinct nodes, not its tree size."""
-    image: dict = {}  # node id -> TCTL node
+    image: dict = {}  # node id -> image node
 
     def tr(g):
         out = image.get(id(g))
@@ -407,41 +393,33 @@ def to_tctl(f: TolFormula) -> TctlFormula:
     return tr(f)
 
 
-def _tctl_node(f: TolFormula, tr) -> TctlFormula:
-    """The TCTL node for f, with its operands translated by tr."""
-    if isinstance(f, TrueF):
-        return TTrue()
-    if isinstance(f, Atom):
-        return TAtom(f.name)
-    if isinstance(f, ClockAtom):
-        return TClockAtom(f.clock, f.op, f.value)
-    if isinstance(f, Not):
-        return TNot(tr(f.sub))
-    if isinstance(f, And):
-        return TAnd(tr(f.left), tr(f.right))
-    if isinstance(f, Until):
+def _tctl_node(f: TolFormula, tr) -> TolFormula:
+    """The image of f, with its operands translated by tr."""
+    kind = type(f)
+    if kind in (TrueF, Atom, ClockAtom):
+        return f
+    if kind is Not:
+        return Not(tr(f.sub))
+    if kind is And:
+        return And(tr(f.left), tr(f.right))
+    if kind is Freeze:
+        return Freeze(f.var, tr(f.sub))
+    if kind in (Until, Release):
         if f.grade != 0:
-            raise FragmentError(f"grade {f.grade} until is outside the grade-0 fragment")
-        return TAU(tr(f.left), tr(f.right))
-    if isinstance(f, Release):
-        if f.grade != 0:
-            raise FragmentError(f"grade {f.grade} release is outside the grade-0 fragment")
-        return TAR(tr(f.left), tr(f.right))
-    if isinstance(f, Freeze):
-        return TFreeze(f.var, tr(f.sub))
-    raise TypeError(f"not a formula node: {f!r}")
+            raise FragmentError(f"grade {f.grade} {kind.__name__.lower()} is outside "
+                                "the grade-0 fragment")
+        return (TAU if kind is Until else TAR)(tr(f.left), tr(f.right))
+    raise TypeError(f"not a TOL formula node: {f!r}")
 
 
-# -- structure of both trees ------------------------------------------------
+# -- structure ---------------------------------------------------------------
 
-_UNARY = frozenset({Not, Freeze, TNot, TFreeze})
-_BINARY = frozenset({And, Until, Release, TAnd, TAU, TAR})
-CLOCK_ATOMS = (ClockAtom, TClockAtom)
-FREEZES = (Freeze, TFreeze)
+_UNARY = frozenset({Not, Freeze})
+_BINARY = frozenset({And, Until, Release, TAU, TAR})
 
 
 def children(f) -> tuple:
-    """A node's operands, left to right, in either tree."""
+    """A node's operands, left to right."""
     kind = type(f)
     if kind in _UNARY:
         return (f.sub,)
@@ -464,7 +442,7 @@ def scoped(f):
         key, g = stack.pop()
         if key in states:
             continue
-        bound = key[1] | {g.var} if isinstance(g, FREEZES) else key[1]
+        bound = key[1] | {g.var} if isinstance(g, Freeze) else key[1]
         kids = children(g)
         keys = [(id(c), bound) for c in kids]
         states[key] = (g, keys)
@@ -505,11 +483,11 @@ def subformulas_by_size(f) -> list:
 
 def formula_clocks(f) -> tuple[str, ...]:
     """Freeze-bound identifiers in first-binding order."""
-    return tuple(dict.fromkeys(g.var for g, _, _ in scoped(f) if isinstance(g, FREEZES)))
+    return tuple(dict.fromkeys(g.var for g, _, _ in scoped(f) if isinstance(g, Freeze)))
 
 
 def _text(f):
-    """The printed text of either tree as a stream of pieces.  An explicit
+    """The printed text of f as a stream of pieces.  An explicit
     stack of pending nodes and pieces keeps each piece O(1) whatever the
     nesting depth, and deep trees never reach the recursion limit."""
     stack = [f]
@@ -521,19 +499,19 @@ def _text(f):
         kids = children(g)
         kind = type(g)
         if not kids:
-            if kind in (Atom, TAtom):
+            if kind is Atom:
                 yield g.name
-            elif kind in CLOCK_ATOMS:
-                yield f"{g.clock} {g.op} {g.value}"
-            elif kind in (TrueF, TTrue):
+            elif kind is ClockAtom:
+                yield str(g)
+            elif kind is TrueF:
                 yield "true"
             else:
                 raise TypeError(f"not a formula node: {g!r}")
         elif len(kids) == 1:
             stack += (")", kids[0])
-            yield "! (" if kind in (Not, TNot) else f"{g.var} . ("
+            yield "! (" if kind is Not else f"{g.var} . ("
         else:
-            if kind in (And, TAnd):
+            if kind is And:
                 head, op = "(", "&"
             else:
                 head = "A (" if kind in (TAU, TAR) else f"<#{g.grade}> ("
@@ -543,8 +521,8 @@ def _text(f):
 
 
 def print_formula(f) -> str:
-    """Text of either tree.  TOL text re-parses; desugared nodes print in
-    core syntax.  The TCTL image prints its quantifier as A."""
+    """Text of f.  TOL text re-parses; desugared nodes print in core
+    syntax.  TAU/TAR print their quantifier as A."""
     return "".join(_text(f))
 
 
@@ -570,6 +548,3 @@ def short_text(f) -> str:
     """print_formula(f), cut after SHORT_TEXT characters with '...'."""
     text = text_upto(f, SHORT_TEXT)
     return text if len(text) <= SHORT_TEXT else text[:SHORT_TEXT] + "..."
-
-
-print_tctl = print_formula

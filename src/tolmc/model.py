@@ -7,40 +7,20 @@ the invariant DBMs.  The oracle reads only names, index and kvec.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
 from . import logic
+from .logic import ClockAtom, is_numeral
 from .zones import MAX_CONSTANT, MAX_DIM, OPS, Dbm, conjoin_atom, dbm_unconstrained
-
-
-@dataclass(frozen=True)
-class ClockConstraint:
-    """Atomic constraint `clock op value` with op in {<, <=, =, >=, >}."""
-
-    clock: str
-    op: str
-    value: int
-
-    def __str__(self) -> str:
-        return f"{self.clock} {self.op} {self.value}"
-
-    def sat2(self, value2: int) -> bool:
-        """Satisfaction at a doubled-integer clock value."""
-        return _CMP[self.op](value2, 2 * self.value)
-
-
-_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
-        ">": operator.gt}
 
 
 @dataclass(frozen=True)
 class Edge:
     source: str
     action: str
-    guard: tuple[ClockConstraint, ...]
+    guard: tuple[ClockAtom, ...]
     resets: frozenset[str]
     target: str
     weight: int
@@ -49,7 +29,7 @@ class Edge:
 @dataclass(frozen=True)
 class Location:
     name: str
-    invariant: tuple[ClockConstraint, ...] = ()
+    invariant: tuple[ClockAtom, ...] = ()
     labels: frozenset[str] = frozenset()
     is_goal: bool = False
 
@@ -184,7 +164,7 @@ def _check_ident(tok: str, lineno: int) -> None:
         raise ModelError(E_SYNTAX, f"bad identifier {tok!r}", lineno)
 
 
-def _parse_atoms(toks: list[str], clocks: list[str], at: "_Cursor") -> tuple[ClockConstraint, ...]:
+def _parse_atoms(toks: list[str], clocks: list[str], at: "_Cursor") -> tuple[ClockAtom, ...]:
     """Atoms are `clock op nat` triples joined by '&' tokens."""
     atoms = []
     lineno = at.lineno
@@ -198,14 +178,14 @@ def _parse_atoms(toks: list[str], clocks: list[str], at: "_Cursor") -> tuple[Clo
                              lineno, at.col(clock))
         if op not in OPS:
             raise ModelError(E_SYNTAX, f"bad comparison operator {op!r}", lineno, at.col(op))
-        if not val.isdigit():
+        if not is_numeral(val):
             raise ModelError(E_SYNTAX, f"constraint constant must be a natural, got {val!r}",
                              lineno, at.col(val))
         value = int(val)
         if value > MAX_CONSTANT:
             raise ModelError(E_CONSTANT_RANGE, f"constraint constant {value} exceeds {MAX_CONSTANT}",
                              lineno, at.col(val))
-        atoms.append(ClockConstraint(clock, op, value))
+        atoms.append(ClockAtom(clock, op, value))
         i += 3
         if i < len(toks):
             if toks[i] != "&":
@@ -228,7 +208,7 @@ def _parse_location(toks: list[str], clocks: list[str], at: "_Cursor"):
     _check_ident(name, lineno)
     is_init = False
     is_goal = False
-    invariant: tuple[ClockConstraint, ...] = ()
+    invariant: Optional[tuple[ClockAtom, ...]] = None
     labels: list[str] = []
     i = 1
     while i < len(toks):
@@ -240,6 +220,8 @@ def _parse_location(toks: list[str], clocks: list[str], at: "_Cursor"):
             is_goal = True
             i += 1
         elif word == "invariant":
+            if invariant is not None:  # a second clause would replace the first
+                raise ModelError(E_SYNTAX, "repeated 'invariant' clause", lineno)
             j = i + 1
             while j < len(toks) and toks[j] not in _LOC_KEYWORDS:
                 j += 1
@@ -259,7 +241,7 @@ def _parse_location(toks: list[str], clocks: list[str], at: "_Cursor"):
         else:
             raise ModelError(E_SYNTAX, f"unexpected token {word!r} in location",
                              lineno, at.col(word))
-    return Location(name, invariant, frozenset(labels), is_goal), is_init
+    return Location(name, invariant or (), frozenset(labels), is_goal), is_init
 
 
 def _parse_edge(toks: list[str], clocks: list[str], at: "_Cursor") -> Edge:
@@ -270,11 +252,15 @@ def _parse_edge(toks: list[str], clocks: list[str], at: "_Cursor") -> Edge:
     src, dst = toks[0], toks[2]
     i = 3
     action = None
-    guard: tuple[ClockConstraint, ...] = ()
+    guard: tuple[ClockAtom, ...] = ()
     resets: frozenset[str] = frozenset()
     weight = None
+    seen: set = set()
     while i < len(toks):
         word = toks[i]
+        if word in seen:  # a second clause would replace the first
+            raise ModelError(E_SYNTAX, f"repeated {word!r} clause", lineno)
+        seen.add(word)
         if word == "action":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge action needs a name", lineno)
@@ -297,7 +283,7 @@ def _parse_edge(toks: list[str], clocks: list[str], at: "_Cursor") -> Edge:
             resets = frozenset(rs)
             i += 2
         elif word == "weight":
-            if i + 1 >= len(toks) or not toks[i + 1].lstrip("-").isdigit():
+            if i + 1 >= len(toks) or not is_numeral(toks[i + 1].removeprefix("-")):
                 raise ModelError(E_SYNTAX, "edge weight needs a number", lineno)
             weight = int(toks[i + 1])
             if weight < 0:
@@ -367,14 +353,14 @@ class ClockLayout:
 
     @staticmethod
     def of_query(m: Wta, f=None) -> "ClockLayout":
-        """The layout of checking f (of either tree) on m, once f's clock
-        atoms and freeze binders are known to bind in m."""
+        """The layout of checking f on m, once f's clock atoms and freeze
+        binders are known to bind in m."""
         if f is None:
             return ClockLayout.build(m, (), max_constants(m))
         for g, scope, _ in logic.scoped(f):
-            if isinstance(g, logic.FREEZES) and g.var in m.clocks:
+            if isinstance(g, logic.Freeze) and g.var in m.clocks:
                 raise CheckError(f"freeze identifier {g.var!r} collides with an automaton clock")
-            if isinstance(g, logic.CLOCK_ATOMS) and g.clock not in m.clocks \
+            if isinstance(g, ClockAtom) and g.clock not in m.clocks \
                     and g.clock not in scope:
                 raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
         return ClockLayout.build(m, logic.formula_clocks(f), max_constants(m, f))
@@ -409,7 +395,7 @@ def max_constants(m: Wta, formula=None) -> dict[str, int]:
     """Per-clock max constant over guards, invariants and formula atoms.
 
     Clocks never compared map to 0; formula clocks are included when a
-    formula (of either tree) is given.
+    formula is given.
     """
     out: dict[str, int] = {c: 0 for c in m.clocks}
     for loc in m.locations:
@@ -420,8 +406,8 @@ def max_constants(m: Wta, formula=None) -> dict[str, int]:
             out[a.clock] = max(out[a.clock], a.value)
     if formula is not None:
         for g, _, _ in logic.scoped(formula):
-            if isinstance(g, logic.FREEZES):
+            if isinstance(g, logic.Freeze):
                 out.setdefault(g.var, 0)
-            elif isinstance(g, logic.CLOCK_ATOMS):
+            elif isinstance(g, ClockAtom):
                 out[g.clock] = max(out.get(g.clock, 0), g.value)
     return out

@@ -19,13 +19,13 @@ per-state blocker choices, solved by linear-time counting fixpoints.
 One textbook AU/AR, independent of the game fixpoints, sweeps a
 mapping from states to the step groups a blocker choice leaves open
 (open_groups) and serves two uses: the grade-0 cross-check (tctl_check,
-on every state with nothing blocked: oracle_sat's loop on the TCTL tree,
+on every state with nothing blocked: oracle_sat's loop on the TCTL image,
 whose A U / A R nodes reach only these solvers) and the witness
 re-check (on small instances, every location-constant blocker choice is
 enumerated, and the graph pruned by it is checked again over the states
-reachable from the initial one only).  Clock order and caps come from
-model.ClockLayout.of_query, which also rejects unbound or colliding
-formula clocks; no DBM is read.
+reachable from the initial one only, as reachable_groups finds them).
+Clock order and caps come from model.ClockLayout.of_query, which also
+rejects unbound or colliding formula clocks; no DBM is read.
 
 Past either of two caps an entry point raises OracleScaleError (CLI
 exit 3) before memory runs out: MAX_STATES bounds discretize's grid,
@@ -45,7 +45,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import logic
-from .model import ClockConstraint, ClockLayout, Wta
+from .model import ClockLayout, Wta
 
 
 MAX_STATES = 2_000_000
@@ -79,20 +79,6 @@ class ExplicitGraph:
                 for t in targets:
                     preds.setdefault(t, []).append((s, local))
         self.preds = preds
-
-    def reachable(self) -> bytearray:
-        """States reachable from the initial state by delay-then-edge steps."""
-        seen = bytearray(len(self.states))
-        work = [self.initial_index()]
-        seen[work[0]] = 1
-        while work:
-            s = work.pop()
-            for _, _, targets in self.steps[s]:
-                for t in targets:
-                    if not seen[t]:
-                        seen[t] = 1
-                        work.append(t)
-        return seen
 
 
 def discretize(m: Wta, f=None) -> ExplicitGraph:
@@ -243,6 +229,20 @@ def open_groups(g: ExplicitGraph, choice: dict, s: int) -> list:
     return [ts for ei, _, ts in g.steps[s] if ei not in blocked]
 
 
+def reachable_groups(g: ExplicitGraph, choice: dict, start: int) -> dict:
+    """State -> open_groups(g, choice, state) for the states reachable from
+    start on the graph pruned by choice, keys ascending."""
+    reached = {start: open_groups(g, choice, start)}
+    work = [start]
+    while work:
+        for ts in reached[work.pop()]:
+            for t in ts:
+                if t not in reached:
+                    reached[t] = open_groups(g, choice, t)
+                    work.append(t)
+    return {s: reached[s] for s in sorted(reached)}
+
+
 def au_tctl(groups: dict, s1: bytearray, s2: bytearray) -> bytearray:
     """A(s1 U s2) over groups (state -> open target tuples, keys ascending);
     states outside groups keep their s2 bit."""
@@ -278,16 +278,15 @@ def ar_tctl(groups: dict, s1: bytearray, s2: bytearray) -> bytearray:
 
 def _atom_set(g: ExplicitGraph, psi) -> bytearray:
     n = len(g.states)
-    if isinstance(psi, (logic.TrueF, logic.TTrue)):
+    if isinstance(psi, logic.TrueF):
         return bytearray([1]) * n
-    if isinstance(psi, (logic.Atom, logic.TAtom)):
+    if isinstance(psi, logic.Atom):
         labelled = {loc.name for loc in g.m.locations
                     if psi.name in g.m.labels_of(loc.name)}
         return bytearray(1 if g.states[s][0] in labelled else 0 for s in range(n))
-    if isinstance(psi, (logic.ClockAtom, logic.TClockAtom)):
+    if isinstance(psi, logic.ClockAtom):
         ci = g.layout.index[psi.clock] - 1
-        atom = ClockConstraint(psi.clock, psi.op, psi.value)
-        return bytearray(atom.sat2(coords[ci]) for _, coords in g.states)
+        return bytearray(psi.sat2(coords[ci]) for _, coords in g.states)
     raise TypeError(f"not atomic: {psi!r}")
 
 
@@ -304,19 +303,19 @@ def _freeze_set(g: ExplicitGraph, var: str, inner: bytearray) -> bytearray:
 
 
 def oracle_sat(g: ExplicitGraph, f) -> dict:
-    """Sat sets for every subformula of either tree.  Graded operators go
-    to the per-state game fixpoints; the TCTL image's A U / A R go to the
-    textbook AU/AR over every state's step groups, none blocked."""
+    """Sat sets for every subformula.  Graded operators go to the
+    per-state game fixpoints; A U / A R (the TCTL image's TAU/TAR) go to
+    the textbook AU/AR over every state's step groups, none blocked."""
     sat: dict = {}
     n = len(g.states)
     groups = None
     for psi in logic.subformulas_by_size(f):
         if not logic.children(psi):
             sat[psi] = _atom_set(g, psi)
-        elif isinstance(psi, (logic.Not, logic.TNot)):
+        elif isinstance(psi, logic.Not):
             inner = sat[psi.sub]
             sat[psi] = bytearray(1 - inner[s] for s in range(n))
-        elif isinstance(psi, (logic.And, logic.TAnd)):
+        elif isinstance(psi, logic.And):
             a, b = sat[psi.left], sat[psi.right]
             sat[psi] = bytearray(a[s] & b[s] for s in range(n))
         elif isinstance(psi, logic.Until):
@@ -328,7 +327,7 @@ def oracle_sat(g: ExplicitGraph, f) -> dict:
                 groups = {s: open_groups(g, {}, s) for s in range(n)}
             solve = au_tctl if isinstance(psi, logic.TAU) else ar_tctl
             sat[psi] = solve(groups, sat[psi.left], sat[psi.right])
-        elif isinstance(psi, logic.FREEZES):
+        elif isinstance(psi, logic.Freeze):
             sat[psi] = _freeze_set(g, psi.var, sat[psi.sub])
         else:
             raise TypeError(f"not a formula node: {psi!r}")
@@ -341,12 +340,14 @@ def oracle_check(m: Wta, f: logic.TolFormula) -> bool:
     return bool(sat[f][g.initial_index()])
 
 
-def tctl_check(m: Wta, f: logic.TctlFormula) -> bool:
+def tctl_check(m: Wta, f: logic.TolFormula) -> bool:
     """Textbook TCTL verdict on the discretization: oracle_sat's loop, in
-    which the TCTL tree reaches only au_tctl/ar_tctl and never the games
+    which a TCTL formula (one with no graded Until/Release, such as a
+    to_tctl image) reaches only au_tctl/ar_tctl and never the games
     (used to validate the grade-0 fragment)."""
-    if not isinstance(f, logic.TctlFormula):
-        raise TypeError(f"not a TCTL formula: {f!r}")
+    if any(isinstance(g, (logic.Until, logic.Release))
+           for g in logic.subformulas_by_size(f)):
+        raise TypeError(f"not a TCTL formula: {logic.short_text(f)}")
     return oracle_check(m, f)
 
 
@@ -407,13 +408,13 @@ def differential(m: Wta, f: logic.TolFormula, deep: bool = False) -> DiffReport:
 def _compare_grids(m, f, g, sat_sets, osat, report) -> bool:
     from .checker import dump_sat
 
-    scope = g.reachable()
+    scope = reachable_groups(g, {}, g.initial_index())
     for psi in logic.subformulas_by_size(f):
         fed = sat_sets[psi]
         obits = osat[psi]
         bad = []
         for s, (loc, coords) in enumerate(g.states):
-            if not scope[s]:
+            if s not in scope:
                 continue
             sym = fed.contains_point(loc, (0,) + coords)
             if sym != bool(obits[s]):
@@ -465,17 +466,8 @@ def _pruned_holds(g: ExplicitGraph, choice: dict, kind: str,
     """Textbook AU/AR from start on the graph pruned by a location-constant
     blocker choice, swept over the states reachable from start only: the
     value at start depends on no other state."""
-    reached = {start: open_groups(g, choice, start)}
-    work = [start]
-    while work:
-        for ts in reached[work.pop()]:
-            for t in ts:
-                if t not in reached:
-                    reached[t] = open_groups(g, choice, t)
-                    work.append(t)
-    groups = {s: reached[s] for s in sorted(reached)}
     solve = au_tctl if kind == "until" else ar_tctl
-    return bool(solve(groups, s1, s2)[start])
+    return bool(solve(reachable_groups(g, choice, start), s1, s2)[start])
 
 
 def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 
 from . import logic
-from .logic import TolFormula
-from .model import ClockConstraint, Edge, Location, Wta
+from .logic import ClockAtom, TolFormula
+from .model import Edge, Location, Wta
 
 CLOSED_OPS = ("<=", "=", ">=")
 PROPS = ("p", "q", "r")
@@ -32,13 +32,13 @@ def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 
         labels = frozenset(p for p in PROPS if rng.random() < 0.4)
         invariant = ()
         if clocks and rng.random() < 0.3:
-            invariant = (ClockConstraint(rng.choice(clocks), "<=", rng.randint(0, cmax)),)
+            invariant = (ClockAtom(rng.choice(clocks), "<=", rng.randint(0, cmax)),)
         locations.append(Location(name, invariant, labels, is_goal=rng.random() < 0.15))
     nedges = rng.randint(1, max_edges)
     edges = []
     for i in range(nedges):
         guard = tuple(
-            ClockConstraint(rng.choice(clocks), rng.choice(ops), rng.randint(0, cmax))
+            ClockAtom(rng.choice(clocks), rng.choice(ops), rng.randint(0, cmax))
             for _ in range(rng.randint(0, 2)) if clocks)
         resets = frozenset(c for c in clocks if rng.random() < 0.4)
         edges.append(Edge(rng.choice(names), f"a{i}", guard, resets,

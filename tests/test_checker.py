@@ -178,11 +178,11 @@ def test_fixpoint_bound_holds_under_optimize():
 
 
 UNSAT_INVARIANT = """
-    from tolmc.logic import TRUE
-    from tolmc.model import ClockConstraint, Edge, Location, ModelError, Wta
+    from tolmc.logic import TRUE, ClockAtom
+    from tolmc.model import Edge, Location, ModelError, Wta
     from tolmc.checker import check
     from tolmc.oracle import oracle_check
-    m = Wta(("x",), (Location("l", (ClockConstraint("x", "<", 0),)),), "l",
+    m = Wta(("x",), (Location("l", (ClockAtom("x", "<", 0),)),), "l",
             (Edge("l", "a", (), frozenset(), "l", 1),))
     for run in (check, oracle_check):
         try:

@@ -51,6 +51,32 @@ def test_check_missing_file(capsys):
     assert "missing.wta" in err
 
 
+def test_repeated_invariant_is_a_syntax_error(capsys, tmp_path):
+    # checked under x <= 5, the edge could fire and q would be reached
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nclocks x\nlocation l init invariant x <= 1 invariant x <= 5 "
+                     "labels p\nlocation m labels q\nedge l -> m action a guard x >= 3 "
+                     "weight 1\n")
+    code, out, err = run(capsys, "check", str(model), "-f", "<#0> F q")
+    assert (code, out) == (2, "")
+    assert "[syntax] (line 3) repeated 'invariant' clause" in err
+
+
+@pytest.mark.parametrize("edge,formula,diagnostic", [
+    ("guard x <= ² weight 1", "true", "[syntax]"),
+    ("weight --5", "true", "[syntax]"),
+    ("weight 1", "x <= ²", "(at char 5)"),
+    ("weight 1", "<#²> F p", "(at char 0)"),
+])
+def test_non_ascii_and_malformed_numerals_are_diagnosed(capsys, tmp_path, edge, formula,
+                                                        diagnostic):
+    model = tmp_path / "m.wta"
+    model.write_text(f"wta\nclocks x\nlocation l init labels p\nedge l -> l action a {edge}\n")
+    code, out, err = run(capsys, "check", str(model), "-f", formula)
+    assert (code, out) == (2, "")
+    assert diagnostic in err and "internal" not in err
+
+
 def test_check_parse_error(capsys, tmp_path):
     model = tmp_path / "bad.wta"
     model.write_text("not a model\n")

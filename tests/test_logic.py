@@ -5,10 +5,10 @@ import pytest
 
 from helpers import random_tol_ast, run_python, size
 from tolmc import logic
-from tolmc.logic import (FALSE, TRUE, And, Atom, ClockAtom, FormulaError,
-                         FragmentError, Freeze, Not, Release, Until,
-                         formula_clocks, parse_formula, print_formula,
-                         print_tctl, subformulas_by_size, to_tctl)
+from tolmc.logic import (FALSE, TAR, TAU, TRUE, And, Atom, ClockAtom,
+                         FormulaError, FragmentError, Freeze, Not, Release,
+                         Until, formula_clocks, parse_formula, print_formula,
+                         subformulas_by_size, to_tctl)
 
 
 def test_finally_sugar_expands():
@@ -95,12 +95,16 @@ def test_roundtrip_random_asts():
 
 
 def test_to_tctl_table():
-    assert to_tctl(Until(0, Atom("p"), Atom("q"))) == logic.TAU(
-        logic.TAtom("p"), logic.TAtom("q"))
-    assert to_tctl(Atom("p")) == logic.TAtom("p")
-    assert to_tctl(Release(0, Atom("p"), Atom("q"))) == logic.TAR(
-        logic.TAtom("p"), logic.TAtom("q"))
-    assert to_tctl(Freeze("j", TRUE)) == logic.TFreeze("j", logic.TTrue())
+    p, q, x = Atom("p"), Atom("q"), ClockAtom("x", "<", 1)
+    assert to_tctl(Until(0, p, q)) == TAU(p, q)
+    assert to_tctl(Release(0, p, q)) == TAR(p, q)
+    for leaf in (TRUE, p, x):
+        assert to_tctl(leaf) is leaf
+    assert to_tctl(Not(Until(0, p, x))) == Not(TAU(p, x))
+    assert to_tctl(And(Until(0, p, q), q)) == And(TAU(p, q), q)
+    assert to_tctl(Freeze("j", Release(0, p, q))) == Freeze("j", TAR(p, q))
+    with pytest.raises(TypeError):
+        to_tctl(TAU(p, q))
 
 
 def test_to_tctl_rejects_positive_grades():
@@ -135,22 +139,18 @@ def _zero_grades(f):
     return Freeze(f.var, _zero_grades(f.sub))
 
 
-def test_print_tctl():
+def test_printed_text_of_tctl_image():
     t = to_tctl(parse_formula("j . <#0> (p U j <= 2)"))
-    assert print_tctl(t) == "j . (A (p U j <= 2))"
+    assert print_formula(t) == "j . (A (p U j <= 2))"
 
 
 def test_children_of_every_node_kind_in_both_trees():
     p, q = Atom("p"), Atom("q")
-    tp, tq = logic.TAtom("p"), logic.TAtom("q")
-    for leaf in (TRUE, p, ClockAtom("x", "<", 1), logic.TTrue(), tp,
-                 logic.TClockAtom("x", "<", 1)):
+    for leaf in (TRUE, p, ClockAtom("x", "<", 1)):
         assert logic.children(leaf) == ()
     for node, ops in ((Not(p), (p,)), (Freeze("j", p), (p,)), (And(p, q), (p, q)),
                       (Until(2, p, q), (p, q)), (Release(0, q, p), (q, p)),
-                      (logic.TNot(tp), (tp,)), (logic.TFreeze("j", tp), (tp,)),
-                      (logic.TAnd(tp, tq), (tp, tq)), (logic.TAU(tp, tq), (tp, tq)),
-                      (logic.TAR(tq, tp), (tq, tp))):
+                      (TAU(p, q), (p, q)), (TAR(q, p), (q, p))):
         assert logic.children(node) == ops
 
 
@@ -167,7 +167,7 @@ def test_walks_agree_on_the_tctl_image():
         assert formula_clocks(t) == formula_clocks(f)
         assert size(t) == size(f)
         assert max_constants(m, t) == max_constants(m, f)
-        assert print_tctl(t) == print_formula(f).replace("<#0> (", "A (")
+        assert print_formula(t) == print_formula(f).replace("<#0> (", "A (")
 
 
 def test_nesting_bound_counts_parser_levels_and_connectives():

@@ -5,8 +5,8 @@ import pytest
 from tolmc import logic
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1
-from tolmc.model import (ClockConstraint, ModelError, max_constants,
-                         parse_model, serialize_model)
+from tolmc.logic import ClockAtom
+from tolmc.model import ModelError, max_constants, parse_model, serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,6 +59,18 @@ def test_error_corpus(code):
     with pytest.raises(ModelError) as err:
         parse_model(text)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("line,lineno", [
+    ("location l init invariant x <= 1 invariant x <= 5", 3),
+    ("location l init\nedge l -> l action a action b weight 1", 4),
+    ("location l init\nedge l -> l action a reset x reset y weight 1", 4),
+    ("location l init\nedge l -> l action a weight 1 weight 2", 4),
+])
+def test_repeated_clause_is_a_syntax_error(line, lineno):
+    with pytest.raises(ModelError) as err:
+        parse_model(f"wta\nclocks x y\n{line}\n")
+    assert (err.value.code, err.value.line) == ("syntax", lineno)
 
 
 def test_valid_fixtures_pass_validation():
@@ -126,5 +138,6 @@ def test_weight_zero_allowed():
 
 
 def test_constraint_helpers():
-    c = ClockConstraint("x", "<=", 2)
+    c = ClockAtom("x", "<=", 2)
     assert c.sat2(0) and c.sat2(4) and not c.sat2(5)
+    assert str(c) == "x <= 2"
