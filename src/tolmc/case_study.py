@@ -1,10 +1,10 @@
 """The attack-graph case study: six locations guarded by a blocker.
 
-The attacker walks an attack graph s0..s5; s1, s3, s5 grant root
-privilege (r_s) and s5 additionally identifies the attacker (a).  The
-defender may temporarily deactivate outgoing edges within a cost
-budget.  Deactivation costs are 2 everywhere except the two shortcut
-bypasses (s1,s2) and (s3,s4), which cost 3.
+The attacker walks an attack graph s0..s5; s1, s3, s5 are goals that
+grant root privilege (r_s) and s5 additionally identifies the attacker
+(a).  The defender may temporarily deactivate outgoing edges within a
+cost budget.  Deactivation costs are 2 everywhere except the two
+shortcut bypasses (s1,s2) and (s3,s4), which cost 3.
 
 Timing is a reconstruction: each hop takes at most one time unit (a
 single clock x, invariant x <= 1, reset on every edge) and s5 freezes
@@ -37,26 +37,15 @@ _EDGES = [
 def build_case_study() -> Wta:
     locations = []
     for name in ("s0", "s1", "s2", "s3", "s4", "s5"):
-        labels = set()
-        if name in ("s1", "s3", "s5"):
-            labels.add("r_s")
+        labels = {"r_s", "goal"} if name in ("s1", "s3", "s5") else set()
         if name == "s5":
             labels.add("a")
         bound = 0 if name == "s5" else 1
-        locations.append(Location(
-            name,
-            invariant=(_inv("x", bound),),
-            labels=frozenset(labels),
-            is_goal=name in ("s1", "s3", "s5"),
-        ))
+        locations.append(Location(name, (ClockAtom("x", "<=", bound),), frozenset(labels)))
     edges = tuple(
         Edge(src, f"a{i + 1}", (), frozenset({"x"}), dst, w)
         for i, (src, dst, w) in enumerate(_EDGES))
     return Wta(clocks=("x",), locations=tuple(locations), initial="s0", edges=edges)
-
-
-def _inv(clock: str, bound: int) -> ClockAtom:
-    return ClockAtom(clock, "<=", bound)
 
 
 def phi1(t1: int) -> TolFormula:

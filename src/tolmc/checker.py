@@ -105,7 +105,7 @@ class Checker:
             return self.universe
         if isinstance(psi, Atom):
             zones = [Zone(loc.name, d) for loc in self.m.locations
-                     if psi.name in self.m.labels_of(loc.name)
+                     if psi.name in loc.labels
                      for d in self.universe.at(loc.name)]
             return Federation.of_zones(self.layout.dim, zones)
         if isinstance(psi, ClockAtom):

@@ -177,6 +177,16 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def numeral_value(digits: str) -> int | None:
+    """An ASCII numeral's value, or None past MAX_CONSTANT: decided by
+    length first, as int() refuses more than 4300 digits."""
+    digits = digits.lstrip("0")
+    if len(digits) > len(str(MAX_CONSTANT)):
+        return None
+    value = int(digits or "0")
+    return value if value <= MAX_CONSTANT else None
+
+
 def _tokenize(text: str):
     toks = []
     i, n = 0, len(text)
@@ -191,7 +201,10 @@ def _tokenize(text: str):
                 j += 1
             if j == i + 2 or j >= n or text[j] != ">":
                 raise FormulaError("malformed grade annotation, expected <#n>", i)
-            toks.append(("grade", int(text[i + 2:j]), i))
+            grade = numeral_value(text[i + 2:j])
+            if grade is None:
+                raise FormulaError(f"grade {text[i + 2:j]} exceeds {MAX_CONSTANT}", i + 2)
+            toks.append(("grade", grade, i))
             i = j + 1
             continue
         if text.startswith("->", i):
@@ -214,7 +227,7 @@ def _tokenize(text: str):
             j = i
             while j < n and is_numeral(text[j]):
                 j += 1
-            toks.append(("nat", int(text[i:j]), i))
+            toks.append(("nat", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -343,9 +356,10 @@ class _Parser:
                 if op not in OPS:
                     raise FormulaError(f"bad comparison {op!r}", nxt[2])
                 v = self.expect("nat")
-                if v[1] > MAX_CONSTANT:
+                value = numeral_value(v[1])
+                if value is None:
                     raise FormulaError(f"clock constant {v[1]} exceeds {MAX_CONSTANT}", v[2])
-                return ClockAtom(t[1], op, v[1])
+                return ClockAtom(t[1], op, value)
             return Atom(t[1])
         raise FormulaError(f"unexpected token {t[1]!r}", t[2])
 

@@ -7,12 +7,13 @@ the invariant DBMs.  The oracle reads only names, index and kvec.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
 from . import logic
-from .logic import ClockAtom, is_numeral
+from .logic import ClockAtom, is_numeral, numeral_value
 from .zones import MAX_CONSTANT, MAX_DIM, OPS, Dbm, conjoin_atom, dbm_unconstrained
 
 
@@ -31,7 +32,6 @@ class Location:
     name: str
     invariant: tuple[ClockAtom, ...] = ()
     labels: frozenset[str] = frozenset()
-    is_goal: bool = False
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ class Wta:
         for i, e in enumerate(self.edges):
             out[e.source].append(i)
         return {name: tuple(ids) for name, ids in out.items()}
-
-    def labels_of(self, name: str) -> frozenset[str]:
-        loc = self.location(name)
-        if loc.is_goal:
-            return loc.labels | {"goal"}
-        return loc.labels
 
 
 class ModelError(ValueError):
@@ -92,19 +86,17 @@ E_CONSTANT_RANGE = "constant-range"
 
 def parse_model(text: str) -> Wta:
     """Parse and validate the line-oriented model format."""
-    lines = text.splitlines()
     clocks: list[str] = []
     locations: list[Location] = []
     edges: list[Edge] = []
     initial: Optional[str] = None
     saw_header = False
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        at = _Line(raw, lineno)
+        toks = at.toks
+        if not toks:
             continue
-        toks = line.split()
-        at = _Cursor(raw, lineno)
         if not saw_header:
             if toks != ["wta"]:
                 raise ModelError(E_HEADER, "model must start with a 'wta' line", lineno)
@@ -112,14 +104,14 @@ def parse_model(text: str) -> Wta:
             continue
         kind = toks[0]
         if kind == "clocks":
-            for c in toks[1:]:
+            for k, c in enumerate(toks[1:], start=1):
                 if c in clocks:
                     raise ModelError(E_DUP_CLOCK, f"clock {c!r} declared twice",
-                                     lineno, at.col(c))
+                                     lineno, at.col(k))
                 _check_ident(c, lineno)
                 clocks.append(c)
         elif kind == "location":
-            loc, is_init = _parse_location(toks[1:], clocks, at)
+            loc, is_init = _parse_location(at, clocks)
             if any(l.name == loc.name for l in locations):
                 raise ModelError(E_DUP_LOCATION, f"location {loc.name!r} declared twice", lineno)
             if is_init:
@@ -128,9 +120,9 @@ def parse_model(text: str) -> Wta:
                 initial = loc.name
             locations.append(loc)
         elif kind == "edge":
-            edges.append(_parse_edge(toks[1:], clocks, at))
+            edges.append(_parse_edge(at, clocks))
         else:
-            raise ModelError(E_SYNTAX, f"unknown directive {kind!r}", lineno, at.col(kind))
+            raise ModelError(E_SYNTAX, f"unknown directive {kind!r}", lineno, at.col(0))
 
     if not saw_header:
         raise ModelError(E_HEADER, "empty model: missing 'wta' header")
@@ -146,16 +138,17 @@ def parse_model(text: str) -> Wta:
     return m
 
 
-class _Cursor:
-    """Line context for diagnostics; finds a token's column lazily."""
+class _Line:
+    """One model line split into words; parsers address words by index."""
 
     def __init__(self, raw: str, lineno: int):
-        self.raw = raw
+        self.text = raw.split("#", 1)[0]
+        self.toks = self.text.split()
         self.lineno = lineno
 
-    def col(self, token: str) -> Optional[int]:
-        pos = self.raw.find(token)
-        return pos + 1 if pos >= 0 else None
+    def col(self, k: int) -> int:
+        """The 1-based column of word k, from the same split with offsets."""
+        return [w.start() for w in re.finditer(r"\S+", self.text)][k] + 1
 
 
 def _check_ident(tok: str, lineno: int) -> None:
@@ -164,60 +157,68 @@ def _check_ident(tok: str, lineno: int) -> None:
         raise ModelError(E_SYNTAX, f"bad identifier {tok!r}", lineno)
 
 
-def _parse_atoms(toks: list[str], clocks: list[str], at: "_Cursor") -> tuple[ClockAtom, ...]:
-    """Atoms are `clock op nat` triples joined by '&' tokens."""
+def _parse_atoms(at: _Line, start: int, stop: int, clocks: list[str]) -> tuple[ClockAtom, ...]:
+    """Atoms are `clock op nat` triples joined by '&' words, in at.toks[start:stop]."""
+    toks, lineno = at.toks, at.lineno
     atoms = []
-    lineno = at.lineno
-    i = 0
-    while i < len(toks):
-        if len(toks) - i < 3:
+    i = start
+    while i < stop:
+        if stop - i < 3:
             raise ModelError(E_SYNTAX, "truncated clock constraint", lineno)
-        clock, op, val = toks[i], toks[i + 1], toks[i + 2]
+        clock, op = toks[i], toks[i + 1]
         if clock not in clocks:
             raise ModelError(E_UNKNOWN_CLOCK, f"constraint on undeclared clock {clock!r}",
-                             lineno, at.col(clock))
+                             lineno, at.col(i))
         if op not in OPS:
-            raise ModelError(E_SYNTAX, f"bad comparison operator {op!r}", lineno, at.col(op))
-        if not is_numeral(val):
-            raise ModelError(E_SYNTAX, f"constraint constant must be a natural, got {val!r}",
-                             lineno, at.col(val))
-        value = int(val)
-        if value > MAX_CONSTANT:
-            raise ModelError(E_CONSTANT_RANGE, f"constraint constant {value} exceeds {MAX_CONSTANT}",
-                             lineno, at.col(val))
-        atoms.append(ClockAtom(clock, op, value))
+            raise ModelError(E_SYNTAX, f"bad comparison operator {op!r}", lineno,
+                             at.col(i + 1))
+        atoms.append(ClockAtom(clock, op, _natural(at, i + 2, "constraint constant")))
         i += 3
-        if i < len(toks):
+        if i < stop:
             if toks[i] != "&":
                 raise ModelError(E_SYNTAX, f"expected '&' between atoms, got {toks[i]!r}",
-                                 lineno, at.col(toks[i]))
+                                 lineno, at.col(i))
             i += 1
-            if i >= len(toks):
+            if i >= stop:
                 raise ModelError(E_SYNTAX, "dangling '&' in constraint", lineno)
     return tuple(atoms)
 
 
-_LOC_KEYWORDS = {"init", "goal", "invariant", "labels"}
+def _natural(at: _Line, k: int, what: str) -> int:
+    """Word k as a natural of at most MAX_CONSTANT."""
+    text = at.toks[k]
+    if not is_numeral(text):
+        raise ModelError(E_SYNTAX, f"{what} must be a natural, got {text!r}",
+                         at.lineno, at.col(k))
+    value = numeral_value(text)
+    if value is None:
+        raise ModelError(E_CONSTANT_RANGE, f"{what} {text} exceeds {MAX_CONSTANT}",
+                         at.lineno, at.col(k))
+    return value
 
 
-def _parse_location(toks: list[str], clocks: list[str], at: "_Cursor"):
-    lineno = at.lineno
-    if not toks:
+# `goal` ends an invariant but not a labels clause, where it is a label
+_LOC_CLAUSES = {"init", "invariant", "labels"}
+_LOC_KEYWORDS = _LOC_CLAUSES | {"goal"}
+
+
+def _parse_location(at: _Line, clocks: list[str]):
+    toks, lineno = at.toks, at.lineno
+    if len(toks) < 2:
         raise ModelError(E_SYNTAX, "location needs a name", lineno)
-    name = toks[0]
+    name = toks[1]
     _check_ident(name, lineno)
     is_init = False
-    is_goal = False
     invariant: Optional[tuple[ClockAtom, ...]] = None
     labels: list[str] = []
-    i = 1
+    i = 2
     while i < len(toks):
         word = toks[i]
         if word == "init":
             is_init = True
             i += 1
-        elif word == "goal":
-            is_goal = True
+        elif word == "goal":  # shorthand for `labels goal`
+            labels.append(word)
             i += 1
         elif word == "invariant":
             if invariant is not None:  # a second clause would replace the first
@@ -225,7 +226,7 @@ def _parse_location(toks: list[str], clocks: list[str], at: "_Cursor"):
             j = i + 1
             while j < len(toks) and toks[j] not in _LOC_KEYWORDS:
                 j += 1
-            invariant = _parse_atoms(toks[i + 1:j], clocks, at)
+            invariant = _parse_atoms(at, i + 1, j, clocks)
             for a in invariant:
                 if a.op not in ("<", "<="):
                     raise ModelError(E_BAD_INVARIANT_OP,
@@ -233,24 +234,24 @@ def _parse_location(toks: list[str], clocks: list[str], at: "_Cursor"):
             i = j
         elif word == "labels":
             j = i + 1
-            while j < len(toks) and toks[j] not in _LOC_KEYWORDS:
+            while j < len(toks) and toks[j] not in _LOC_CLAUSES:
                 _check_ident(toks[j], lineno)
                 labels.append(toks[j])
                 j += 1
             i = j
         else:
             raise ModelError(E_SYNTAX, f"unexpected token {word!r} in location",
-                             lineno, at.col(word))
-    return Location(name, invariant or (), frozenset(labels), is_goal), is_init
+                             lineno, at.col(i))
+    return Location(name, invariant or (), frozenset(labels)), is_init
 
 
-def _parse_edge(toks: list[str], clocks: list[str], at: "_Cursor") -> Edge:
+def _parse_edge(at: _Line, clocks: list[str]) -> Edge:
     # edge <src> -> <dst> action <a> [guard ...] [reset x,y] weight <n>
-    lineno = at.lineno
-    if len(toks) < 3 or toks[1] != "->":
+    toks, lineno = at.toks, at.lineno
+    if len(toks) < 4 or toks[2] != "->":
         raise ModelError(E_SYNTAX, "edge must read '<src> -> <dst> ...'", lineno)
-    src, dst = toks[0], toks[2]
-    i = 3
+    src, dst = toks[1], toks[3]
+    i = 4
     action = None
     guard: tuple[ClockAtom, ...] = ()
     resets: frozenset[str] = frozenset()
@@ -270,28 +271,29 @@ def _parse_edge(toks: list[str], clocks: list[str], at: "_Cursor") -> Edge:
             j = i + 1
             while j < len(toks) and toks[j] not in ("reset", "weight", "action"):
                 j += 1
-            guard = _parse_atoms(toks[i + 1:j], clocks, at)
+            guard = _parse_atoms(at, i + 1, j, clocks)
             i = j
         elif word == "reset":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge reset needs clocks", lineno)
-            rs = [c for c in toks[i + 1].split(",") if c]
-            for c in rs:
-                if c not in clocks:
+            rs = toks[i + 1].split(",")
+            for n, c in enumerate(rs):
+                if c and c not in clocks:  # column of c inside the comma list
+                    col = at.col(i + 1) + sum(len(r) + 1 for r in rs[:n])
                     raise ModelError(E_UNKNOWN_CLOCK, f"reset of undeclared clock {c!r}",
-                                     lineno, at.col(c))
-            resets = frozenset(rs)
+                                     lineno, col)
+            resets = frozenset(c for c in rs if c)
             i += 2
         elif word == "weight":
-            if i + 1 >= len(toks) or not is_numeral(toks[i + 1].removeprefix("-")):
+            if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge weight needs a number", lineno)
-            weight = int(toks[i + 1])
-            if weight < 0:
+            if toks[i + 1][0] == "-" and is_numeral(toks[i + 1][1:]):
                 raise ModelError(E_BAD_WEIGHT, "edge weight must be a natural", lineno)
+            weight = _natural(at, i + 1, "edge weight")
             i += 2
         else:
             raise ModelError(E_SYNTAX, f"unexpected token {word!r} in edge",
-                             lineno, at.col(word))
+                             lineno, at.col(i))
     if action is None:
         raise ModelError(E_SYNTAX, "edge is missing its action", lineno)
     if weight is None:
@@ -316,8 +318,6 @@ def serialize_model(m: Wta) -> str:
         parts = [f"location {loc.name}"]
         if loc.name == m.initial:
             parts.append("init")
-        if loc.is_goal:
-            parts.append("goal")
         if loc.invariant:
             parts.append("invariant " + " & ".join(str(a) for a in loc.invariant))
         if loc.labels:

@@ -281,8 +281,7 @@ def _atom_set(g: ExplicitGraph, psi) -> bytearray:
     if isinstance(psi, logic.TrueF):
         return bytearray([1]) * n
     if isinstance(psi, logic.Atom):
-        labelled = {loc.name for loc in g.m.locations
-                    if psi.name in g.m.labels_of(loc.name)}
+        labelled = {loc.name for loc in g.m.locations if psi.name in loc.labels}
         return bytearray(1 if g.states[s][0] in labelled else 0 for s in range(n))
     if isinstance(psi, logic.ClockAtom):
         ci = g.layout.index[psi.clock] - 1

@@ -18,11 +18,16 @@ from .model import Edge, Location, Wta
 
 CLOSED_OPS = ("<=", "=", ">=")
 PROPS = ("p", "q", "r")
+WEIGHTS = (1, 2, 3)
+# random_formula: clock constants, strategic operators, root freeze chance, depth
+FORMULA_CMAX = 3
+MAX_STRATEGIC = 2
+FREEZE_PROB = 0.4
+MAX_DEPTH = 4
 
 
 def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 2,
-               max_edges: int = 6, cmax: int = 3, ops=CLOSED_OPS,
-               weights=(1, 2, 3)) -> Wta:
+               max_edges: int = 6, cmax: int = 3, ops=CLOSED_OPS) -> Wta:
     nloc = rng.randint(1, max_locations)
     nclk = rng.randint(0, max_clocks)
     clocks = tuple("xy"[i] for i in range(nclk))
@@ -33,7 +38,9 @@ def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 
         invariant = ()
         if clocks and rng.random() < 0.3:
             invariant = (ClockAtom(rng.choice(clocks), "<=", rng.randint(0, cmax)),)
-        locations.append(Location(name, invariant, labels, is_goal=rng.random() < 0.15))
+        if rng.random() < 0.15:
+            labels |= {"goal"}
+        locations.append(Location(name, invariant, labels))
     nedges = rng.randint(1, max_edges)
     edges = []
     for i in range(nedges):
@@ -42,21 +49,20 @@ def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 
             for _ in range(rng.randint(0, 2)) if clocks)
         resets = frozenset(c for c in clocks if rng.random() < 0.4)
         edges.append(Edge(rng.choice(names), f"a{i}", guard, resets,
-                          rng.choice(names), rng.choice(weights)))
+                          rng.choice(names), rng.choice(WEIGHTS)))
     return Wta(clocks, tuple(locations), names[0], tuple(edges))
 
 
-def random_formula(rng: random.Random, m: Wta, *, grades=(0,), cmax: int = 3,
-                   ops=CLOSED_OPS, max_strategic: int = 2,
-                   freeze_prob: float = 0.4, max_depth: int = 4) -> TolFormula:
-    use_freeze = rng.random() < freeze_prob
+def random_formula(rng: random.Random, m: Wta, *, grades=(0,),
+                   ops=CLOSED_OPS) -> TolFormula:
+    use_freeze = rng.random() < FREEZE_PROB
     clock_pool = list(m.clocks) + (["j"] if use_freeze else [])
-    budget = [max_strategic]
+    budget = [MAX_STRATEGIC]
 
     def atom() -> TolFormula:
         if clock_pool and rng.random() < 0.45:
             return logic.ClockAtom(rng.choice(clock_pool), rng.choice(ops),
-                                   rng.randint(0, cmax))
+                                   rng.randint(0, FORMULA_CMAX))
         r = rng.random()
         if r < 0.1:
             return logic.TRUE
@@ -65,7 +71,7 @@ def random_formula(rng: random.Random, m: Wta, *, grades=(0,), cmax: int = 3,
         return logic.Atom(rng.choice(PROPS + ("goal",)))
 
     def build(depth: int) -> TolFormula:
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             return atom()
         r = rng.random()
         if r < 0.3:
@@ -136,11 +142,11 @@ def _model_shrinks(m: Wta):
         yield Wta(m.clocks, rest, m.initial, edges)
     for i, loc in enumerate(m.locations):
         if loc.labels:
-            slim = Location(loc.name, loc.invariant, frozenset(), loc.is_goal)
+            slim = Location(loc.name, loc.invariant, frozenset())
             yield Wta(m.clocks, m.locations[:i] + (slim,) + m.locations[i + 1:],
                       m.initial, m.edges)
         if loc.invariant:
-            slim = Location(loc.name, (), loc.labels, loc.is_goal)
+            slim = Location(loc.name, (), loc.labels)
             yield Wta(m.clocks, m.locations[:i] + (slim,) + m.locations[i + 1:],
                       m.initial, m.edges)
     for i, e in enumerate(m.edges):

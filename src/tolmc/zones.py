@@ -74,12 +74,6 @@ def lt(c: int) -> int:
 ZERO = le(0)
 
 
-def bound_add(a: int, b: int) -> int:
-    if a >= INF or b >= INF:
-        return INF
-    return a + b - ((a | b) & 1)
-
-
 def bound_neg(b: int) -> int:
     """Negation of a finite bound: not(x-y ~ c) == y-x ~' -c."""
     if b >= INF:
@@ -482,9 +476,6 @@ class Federation:
 
     def subset_of(self, other: "Federation") -> bool:
         return self.subtract(other).is_empty()
-
-    def equal(self, other: "Federation") -> bool:
-        return self.subset_of(other) and other.subset_of(self)
 
     def contains_point(self, loc: str, point2) -> bool:
         return any(contains_point(d, point2) for d in self._by_loc.get(loc, []))

@@ -8,6 +8,7 @@ so they are independent of the code they check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -23,8 +24,7 @@ from tolmc.model import ClockLayout, Wta
 from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
 from tolmc.predecessor import pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _reduce,
-                         bound_add, bound_neg, bound_sat, canonicalize,
-                         dbm_dim)
+                         bound_neg, bound_sat, canonicalize, dbm_dim)
 
 # a one-variable bound: (doubled value, strict flag)
 NEG_INF = (-(1 << 50), True)
@@ -59,6 +59,13 @@ def flat(m) -> Dbm:
     return tuple(b for row in m for b in row)
 
 
+def bound_add(a: int, b: int) -> int:
+    """The sum of two packed bounds: strict if either is; INF absorbs."""
+    if a >= INF or b >= INF:
+        return INF
+    return a + b - ((a | b) & 1)
+
+
 def _bound2(b):
     """Packed DBM bound -> (doubled value, strict)."""
     if b >= INF:
@@ -75,30 +82,53 @@ def grid_points(nclocks: int, cmax: int):
 def in_dbm(d: Dbm, p2) -> bool:
     """p2 excludes the reference coordinate."""
     full = (0,) + tuple(p2)
-    d = rows(d)
-    n = len(d)
-    return all(bound_sat(d[i][j], full[i] - full[j])
+    n = dbm_dim(d)
+    return all(bound_sat(d[i * n + j], full[i] - full[j])
                for i in range(n) for j in range(n))
+
+
+@functools.cache
+def _grid_set(dim: int, cmax: int) -> frozenset:
+    return frozenset(grid_points(dim - 1, cmax))
+
+
+@functools.cache
+def _bound_points(dim: int, cmax: int, i: int, j: int, b: int) -> frozenset:
+    """The grid points up to cmax+1 whose x_i - x_j satisfies bound b."""
+    return frozenset(p for p in _grid_set(dim, cmax)
+                     if bound_sat(b, (p[i - 1] if i else 0) - (p[j - 1] if j else 0)))
+
+
+def dbm_points(d: Dbm, cmax: int) -> frozenset:
+    """The points of grid_points(dim - 1, cmax) that lie in d, as the
+    intersection of one cached point set per finite bound."""
+    n = dbm_dim(d)
+    out = _grid_set(n, cmax)
+    for i in range(n):
+        for j in range(n):
+            b = d[i * n + j]
+            if b < INF and not (i == j and bound_sat(b, 0)):
+                out = out & _bound_points(n, cmax, i, j, b)
+    return out
 
 
 def _delay_feasible(d: Dbm, p2, sign: int) -> bool:
     """Exists t >= 0 with p + sign*t in d (checking t-free constraints too)."""
     full = (0,) + tuple(p2)
-    d = rows(d)
-    n = len(d)
+    n = dbm_dim(d)
     lo, hi = (0, False), POS_INF
     for i in range(1, n):
         for j in range(1, n):
-            if i != j and not bound_sat(d[i][j], full[i] - full[j]):
+            if i != j and not bound_sat(d[i * n + j], full[i] - full[j]):
                 return False
-        ub = _bound2(d[i][0])   # x_i + sign*t ~ c
+        ub = _bound2(d[i * n])   # x_i + sign*t ~ c
         if ub is not None:
             c2, strict = ub
             if sign > 0:
                 hi = _tighten_upper(hi, (c2 - full[i], strict))
             else:
                 lo = _tighten_lower(lo, (full[i] - c2, strict))
-        lb = _bound2(d[0][i])   # -(x_i + sign*t) ~ c
+        lb = _bound2(d[i])   # -(x_i + sign*t) ~ c
         if lb is not None:
             c2, strict = lb
             if sign > 0:
@@ -121,23 +151,22 @@ def in_down(d: Dbm, p2) -> bool:
 def fiber_feasible(d: Dbm, p2, y: int) -> bool:
     """Exists v >= 0 such that p with coordinate y replaced by v lies in d."""
     full = [0] + list(p2)
-    d = rows(d)
-    n = len(d)
+    n = dbm_dim(d)
     lo, hi = (0, False), POS_INF
     for i in range(n):
         for j in range(n):
             if i == j or i == y or j == y:
                 continue
-            if not bound_sat(d[i][j], full[i] - full[j]):
+            if not bound_sat(d[i * n + j], full[i] - full[j]):
                 return False
     for j in range(n):
         if j == y:
             continue
-        ub = _bound2(d[y][j])   # v - x_j ~ c
+        ub = _bound2(d[y * n + j])   # v - x_j ~ c
         if ub is not None:
             c2, strict = ub
             hi = _tighten_upper(hi, (c2 + full[j], strict))
-        lb = _bound2(d[j][y])   # x_j - v ~ c
+        lb = _bound2(d[j * n + y])   # x_j - v ~ c
         if lb is not None:
             c2, strict = lb
             lo = _tighten_lower(lo, (full[j] - c2, strict))
@@ -184,6 +213,11 @@ def fed_points(fed, m, cmax: int):
     """All (loc, point2) grid pairs of a model up to cmax+1 per clock."""
     pts = grid_points(fed.dim - 1, cmax)
     return [(loc.name, p) for loc in m.locations for p in pts]
+
+
+def fed_equal(a: Federation, b: Federation) -> bool:
+    """Whether two federations hold the same valuations."""
+    return a.subset_of(b) and b.subset_of(a)
 
 
 def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:

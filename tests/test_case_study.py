@@ -18,9 +18,9 @@ def test_structure():
 
 def test_labels():
     m = build_case_study()
-    assert m.labels_of("s1") == {"r_s", "goal"}
-    assert m.labels_of("s5") == {"r_s", "a", "goal"}
-    assert m.labels_of("s0") == set()
+    assert m.location("s1").labels == {"r_s", "goal"}
+    assert m.location("s5").labels == {"r_s", "a", "goal"}
+    assert m.location("s0").labels == set()
 
 
 def test_roundtrips_through_text_format():

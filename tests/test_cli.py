@@ -77,6 +77,34 @@ def test_non_ascii_and_malformed_numerals_are_diagnosed(capsys, tmp_path, edge, 
     assert diagnostic in err and "internal" not in err
 
 
+LONG = "1" * 5000  # past int()'s 4300-digit limit
+
+
+@pytest.mark.parametrize("edge,formula,diagnostic", [
+    (f"weight {LONG}", "true", "error: [constant-range] (line 4, col 29) edge weight 1111"),
+    (f"weight {MAX_CONSTANT + 1}", "true", "error: [constant-range] (line 4, col 29)"),
+    (f"guard x <= {LONG} weight 1", "true", "error: [constant-range] (line 4, col 33)"),
+    ("weight 1", f"x <= {LONG}", f"exceeds {MAX_CONSTANT} (at char 5)"),
+    ("weight 1", f"<#{LONG}> F p", f"exceeds {MAX_CONSTANT} (at char 2)"),
+    ("weight 1", f"<#{MAX_CONSTANT + 1}> F p", f"grade {MAX_CONSTANT + 1} exceeds"),
+], ids=["long-weight", "weight", "long-guard", "long-constant", "long-grade", "grade"])
+def test_numerals_past_the_limit_are_diagnosed(capsys, tmp_path, edge, formula, diagnostic):
+    model = tmp_path / "m.wta"
+    model.write_text(f"wta\nclocks x\nlocation l init labels p\nedge l -> l action a {edge}\n")
+    code, out, err = run(capsys, "check", str(model), "-f", formula)
+    assert (code, out) == (2, "")
+    assert diagnostic in err and "internal" not in err
+
+
+def test_numerals_up_to_the_limit_keep_their_value(capsys, tmp_path):
+    model = tmp_path / "m.wta"
+    model.write_text(f"wta\nlocation l init labels p\n"
+                     f"edge l -> l action a weight {'0' * 20}{MAX_CONSTANT}\n")
+    assert parse_model(model.read_text()).edges[0].weight == MAX_CONSTANT
+    code, out, _ = run(capsys, "check", str(model), "-f", f"<#{MAX_CONSTANT}> G p")
+    assert (code, out) == (0, "SAT\n")
+
+
 def test_check_parse_error(capsys, tmp_path):
     model = tmp_path / "bad.wta"
     model.write_text("not a model\n")

@@ -1,0 +1,118 @@
+"""Metamorphic properties: transformations that must keep the checker's
+verdict, checked on instances past the explicit oracle's reach.
+
+- Scaling every clock constant (guards, invariants, formula atoms) by 3
+  scales time; weights and grades count costs, not time.
+- Renaming every clock (formula clocks too) and every location, with the
+  labels kept, changes no run.
+- Reversing the edge order changes no run.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from tolmc.bench import gen_mesh, gen_pipeline
+from tolmc.checker import check
+from tolmc.logic import ClockAtom, Freeze, TolFormula, formula_clocks, print_formula
+from tolmc.model import Edge, Location, Wta
+from tolmc.randgen import random_formula, random_wta
+
+SCALE = 3
+
+
+def _map_formula(f: TolFormula, atom, var, memo=None) -> TolFormula:
+    """f with atom applied to every clock atom and var to every freeze
+    identifier; a node shared by several paths is rebuilt once."""
+    memo = {} if memo is None else memo
+    if id(f) not in memo:
+        if isinstance(f, ClockAtom):
+            out = atom(f)
+        else:
+            fields = {fl.name: getattr(f, fl.name) for fl in dataclasses.fields(f)}
+            for k, v in fields.items():
+                if isinstance(v, TolFormula):
+                    fields[k] = _map_formula(v, atom, var, memo)
+            if isinstance(f, Freeze):
+                fields["var"] = var(f.var)
+            out = type(f)(**fields)
+        memo[id(f)] = out
+    return memo[id(f)]
+
+
+def _map_model(m: Wta, atom, clock=str, loc=str) -> Wta:
+    def atoms(g):
+        return tuple(atom(a) for a in g)
+
+    return Wta(tuple(clock(c) for c in m.clocks),
+               tuple(Location(loc(l.name), atoms(l.invariant), l.labels)
+                     for l in m.locations),
+               loc(m.initial),
+               tuple(Edge(loc(e.source), e.action, atoms(e.guard),
+                          frozenset(clock(c) for c in e.resets), loc(e.target), e.weight)
+                     for e in m.edges))
+
+
+def scaled(m: Wta, f: TolFormula):
+    def atom(a):
+        return ClockAtom(a.clock, a.op, a.value * SCALE)
+
+    return _map_model(m, atom), _map_formula(f, atom, str)
+
+
+def renamed(m: Wta, f: TolFormula):
+    def clock(c):
+        return f"k_{c}"
+
+    def atom(a):
+        return ClockAtom(clock(a.clock), a.op, a.value)
+
+    return (_map_model(m, atom, clock, lambda name: f"loc_{name}"),
+            _map_formula(f, atom, clock))
+
+
+def reversed_edges(m: Wta, f: TolFormula):
+    return Wta(m.clocks, m.locations, m.initial, m.edges[::-1]), f
+
+
+TRANSFORMS = {"scale": scaled, "rename": renamed, "reverse": reversed_edges}
+
+
+def _criterion_2_queries(count: int):
+    """The first queries of the acceptance suite's graded corpus."""
+    rng = random.Random(20260811)
+    out = []
+    while len(out) < count:
+        m = random_wta(rng)
+        out.extend((m, random_formula(rng, m, grades=(0, 1, 2, 3))) for _ in range(20))
+    return out[:count]
+
+
+QUERIES = {
+    "bench": [gen(k) for gen in (gen_pipeline, gen_mesh) for k in (4, 12, 16, 22, 30)],
+    "random": _criterion_2_queries(200),
+}
+
+
+def test_transforms_change_the_model():
+    m, f = gen_pipeline(4)
+    sm, sf = scaled(m, f)
+    assert sm.edges[0].guard[0].value == SCALE * m.edges[0].guard[0].value and sf != f
+    rm, rf = renamed(m, f)
+    assert rm.clocks == ("k_x",) and rm.initial == "loc_s0"
+    assert formula_clocks(rf) == ("k_j",) and print_formula(rf).count("k_j") == 2
+    assert rm.location("loc_s3").labels == m.location("s3").labels
+    assert reversed_edges(m, f)[0].edges == m.edges[::-1]
+
+
+@pytest.mark.parametrize("corpus", sorted(QUERIES))
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_transform_keeps_the_verdict(name, corpus):
+    changed = []
+    for m, f in QUERIES[corpus]:
+        want = check(m, f).satisfied
+        tm, tf = TRANSFORMS[name](m, f)
+        if check(tm, tf).satisfied != want:
+            changed.append((m, f))
+    assert not changed, f"{name} changed {len(changed)} verdict(s)"

@@ -73,6 +73,18 @@ def test_repeated_clause_is_a_syntax_error(line, lineno):
     assert (err.value.code, err.value.line) == ("syntax", lineno)
 
 
+@pytest.mark.parametrize("line,col", [
+    ("location my init invariant y <= 1", 28),  # not the y inside 'my'
+    ("location l init\nedge l -> l action y guard x >= 1 reset x,y weight 1", 43),
+    ("location l init\nedge l -> l action x guard x <= 1 & x <= 1 x weight 1", 44),
+])
+def test_diagnostic_column_is_the_offending_word(line, col):
+    with pytest.raises(ModelError) as err:
+        parse_model(f"wta\nclocks x\n{line}\n")
+    assert err.value.column == col
+    assert f", col {col})" in str(err.value)
+
+
 def test_valid_fixtures_pass_validation():
     for path in (FIXTURES / "errors").glob("*.wta"):
         with pytest.raises(ModelError):
@@ -107,7 +119,7 @@ def test_mesh_out_degree():
 
 def test_goal_becomes_label():
     m = parse_model("wta\nlocation l init goal\n")
-    assert "goal" in m.labels_of("l")
+    assert m.location("l").labels == {"goal"}
 
 
 def test_max_constants_guard_and_formula():

@@ -2,7 +2,8 @@
 
 Texts are well-formed models and formulas with up to two tokens
 replaced or inserted: each format's own tokens, digits that str.isdigit
-accepts but ASCII does not ('²', '٣'), '-' and a few stray characters.
+accepts but ASCII does not ('²', '٣'), a numeral past int()'s
+4300-digit limit, '-' and a few stray characters.
 Every text must parse or be rejected with the parser's own error (a
 formula error with its position, where it has one), and what parses
 must round-trip through the printer.
@@ -15,8 +16,9 @@ from tolmc.logic import FormulaError, parse_formula, print_formula
 from tolmc.model import ModelError, parse_model, serialize_model
 
 NATS = ("0", "1", "3", "17")
-# tokens outside both formats, and numerals that are no ASCII natural
-ODD = ("²", "٣", "-", "-1", "--5", "#", "@")
+# tokens outside both formats, numerals that are no ASCII natural, and
+# one past the 2^30 limit that int() would refuse
+ODD = ("²", "٣", "-", "-1", "--5", "#", "@", "9" * 5000)
 OPS = ("<", "<=", "=", ">=", ">")
 
 
@@ -55,8 +57,8 @@ edge = _fmt("edge {} -> {} action a {} {} weight {}", st.sampled_from("lm"),
             _optional(st.sampled_from(("reset x", "reset x,y"))), st.sampled_from(NATS))
 models = _fmt("clocks x y\nlocation l init {} {}\nlocation m {} {}\n{}",
               _optional(st.sampled_from(("invariant x <= 3", "invariant x <= 1 & y < 2"))),
-              _optional(st.just("labels p")), _optional(st.just("goal")),
-              _optional(st.just("labels p q")),
+              _optional(st.sampled_from(("labels p", "labels goal p"))),
+              _optional(st.just("goal")), _optional(st.just("labels p q")),
               st.lists(edge, max_size=3).map("\n".join))
 model_texts = _mutated(models, MODEL_TOKENS).map("wta\n".__add__)
 
@@ -78,6 +80,8 @@ formula_texts = _mutated(formulas, FORMULA_TOKENS, (" ", ""))
 @given(model_texts)
 @example("wta\nclocks x\nlocation l init\nedge l -> l action a guard x <= ² weight 1")
 @example("wta\nclocks x\nlocation l init\nedge l -> l action a weight --5")
+@example(f"wta\nclocks x\nlocation l init\nedge l -> l action a weight {ODD[-1]}")
+@example("wta\nlocation l init labels goal p\n")
 def test_model_parser_accepts_or_diagnoses_and_round_trips(text):
     try:
         m = parse_model(text)
@@ -90,6 +94,7 @@ def test_model_parser_accepts_or_diagnoses_and_round_trips(text):
 @given(formula_texts)
 @example("x <= ²")
 @example("<#²> F p")
+@example(f"x <= {ODD[-1]}")
 def test_formula_parser_accepts_or_diagnoses_and_round_trips(text):
     try:
         f = parse_formula(text)

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from helpers import grid_points, pred_union
+from helpers import fed_equal, grid_points, pred_union
 from tolmc.logic import formula_clocks
 from tolmc.model import ClockLayout, max_constants, parse_model
 from tolmc.predecessor import (EscapeProfile, disc_pred, escape_profiles,
@@ -104,7 +104,7 @@ def test_time_pred_idempotent_and_empty_outside_invariant():
     target = full_space(m, layout).map_zones(lambda loc, d: conjoin_atom(d, 1, ">=", 4))
     once = time_pred(m, layout, target)
     twice = time_pred(m, layout, once)
-    assert once.equal(twice)
+    assert fed_equal(once, twice)
     # a target outside its own invariant clips to nothing
     bad = full_space(m, layout).map_zones(
         lambda loc, d: conjoin_atom(d, 2, ">", 9) if loc == "l1" else None)
@@ -204,7 +204,7 @@ edge l0 -> l1 action go guard x >= 2 weight 1
 """)
     layout = layout_for(m, 2)
     target = full_space(m, layout).map_zones(lambda l, d: d if l == "l1" else None)
-    assert pred_union(m, layout, target).equal(pred(m, layout, m.edges[0], target))
+    assert fed_equal(pred_union(m, layout, target), pred(m, layout, m.edges[0], target))
 
 
 def test_obstruction_fan_thresholds():
@@ -225,7 +225,7 @@ def test_obstruction_big_budget_equals_pred_union():
     universe = full_space(m, layout)
     target = fan_target(m, layout, "a")
     big = obstruction_pred(m, layout, 100, target, universe)
-    assert big.equal(pred_union(m, layout, target).intersect(universe))
+    assert fed_equal(big, pred_union(m, layout, target).intersect(universe))
 
 
 def test_obstruction_zero_budget_excludes_weighted_escape():
@@ -247,7 +247,7 @@ def test_obstruction_subset_of_pred_union_and_monotone():
         ks = max_constants(m)
         layout = ClockLayout.build(m, (), ks)
         universe = full_space(m, layout)
-        labelled = [loc.name for loc in m.locations if "p" in m.labels_of(loc.name)]
+        labelled = [loc.name for loc in m.locations if "p" in loc.labels]
         target = universe.map_zones(lambda l, d: d if l in labelled else None)
         pu = pred_union(m, layout, target).intersect(universe)
         prev = None
@@ -290,7 +290,7 @@ def test_untimed_obstruction_matches_bruteforce():
         m = random_wta(rng, max_clocks=0, max_locations=4, max_edges=6)
         layout = ClockLayout.build(m, (), {})
         universe = full_space(m, layout)
-        tlocs = {loc.name for loc in m.locations if "q" in m.labels_of(loc.name)}
+        tlocs = {loc.name for loc in m.locations if "q" in loc.labels}
         target = universe.map_zones(lambda l, d: d if l in tlocs else None)
         for n in (0, 1, 2, 3):
             v = obstruction_pred(m, layout, n, target, universe)
@@ -316,7 +316,7 @@ def test_escape_profiles_partition_and_cost():
         assert prof.escape_cost == sum(m.edges[i].weight for i in prof.escaping_edges)
     # cells cover the location's space and are pairwise disjoint
     cover = Federation.of_zones(layout.dim, [Zone("l", p.cell) for p in profiles])
-    assert cover.equal(universe.map_zones(lambda l, d: d if l == "l" else None))
+    assert fed_equal(cover, universe.map_zones(lambda l, d: d if l == "l" else None))
     for i, a in enumerate(profiles):
         for b in profiles[i + 1:]:
             from tolmc.zones import dbm_intersect

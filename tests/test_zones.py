@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dbm_zero, flat, grid_points, in_dbm, in_down, in_free,
-                     in_reset, in_up, is_canonical, random_dbm,
-                     ref_conjoin_bound, ref_down, ref_free, ref_intersect,
-                     ref_reset_preimage, ref_subset, ref_subtract, ref_union,
-                     relation, reset, rows, run_python, up)
+from helpers import (bound_add, dbm_points, dbm_zero, fed_equal, flat,
+                     grid_points, in_dbm, in_down, in_free, in_reset, in_up,
+                     is_canonical, random_dbm, ref_conjoin_bound, ref_down,
+                     ref_free, ref_intersect, ref_reset_preimage, ref_subset,
+                     ref_subtract, ref_union, relation, reset, rows,
+                     run_python, up)
 from tolmc import zones as Z
 from tolmc.zones import (INF, MAX_CONSTANT, ZERO, ArityError, Federation,
-                         Zone, bound_add, canonicalize, conjoin_atom,
-                         conjoin_bound, dbm_intersect, dbm_subset,
-                         dbm_subtract, dbm_unconstrained, down, extrapolate,
-                         free, le, lt, reset_preimage)
+                         Zone, canonicalize, conjoin_atom, conjoin_bound,
+                         dbm_intersect, dbm_subset, dbm_subtract,
+                         dbm_unconstrained, down, extrapolate, free, le, lt,
+                         reset_preimage)
 
 
 def constrained(dim, *atoms):
@@ -295,7 +296,7 @@ def test_federation_equality_and_subset():
     lohi = fed(2, ("l", constrained(2, (1, "<=", 2))),
                ("l", constrained(2, (1, ">=", 2), (1, "<=", 4))))
     whole = fed(2, ("l", d))
-    assert lohi.equal(whole)
+    assert fed_equal(lohi, whole)
     assert fed(2, ("l", constrained(2, (1, "<=", 1)))).subset_of(whole)
     assert not whole.subset_of(fed(2, ("l", constrained(2, (1, "<=", 1)))))
 
@@ -476,3 +477,17 @@ def test_mismatched_inputs_raise():
         down(dbm_unconstrained(2) + (INF,))
     with pytest.raises(ValueError):
         Z.bound_neg(INF)
+
+
+def test_dbm_points_equal_in_dbm_over_the_grid():
+    # dbm_points is criterion 5's per-zone membership oracle
+    rng = random.Random(20260901)
+    cmax = 5
+    zones = [z(dim) for z in (dbm_unconstrained, dbm_zero) for dim in (2, 3, 4)]
+    zones += [random_dbm(rng, dim, cmax=cmax) for dim in (2, 3, 4) for _ in range(60)]
+    off_diagonal = [b for d in zones for k, b in enumerate(d)
+                    if b < INF and k % (Z.dbm_dim(d) + 1)]
+    assert any(b & 1 for b in off_diagonal) and any(not b & 1 for b in off_diagonal)
+    for d in zones:
+        want = {p for p in grid_points(Z.dbm_dim(d) - 1, cmax) if in_dbm(d, p)}
+        assert dbm_points(d, cmax) == want, d
