@@ -17,11 +17,16 @@ them that keeps a cell's states when
 usable edge and no discrete step remains; with it, budget 0 on
 positive-weight models coincides with the universal one-step
 predecessor of TCTL.
+
+Within one obstruction step pred(e, T) is computed once per edge class
+(Wta.edge_class), once for the escape split's complement and once for
+the hit target, and relabelled to each source of the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .model import ClockLayout, Edge, Wta
 from .zones import (Dbm, Federation, Zone, dbm_intersect, dbm_subtract, down,
@@ -70,8 +75,23 @@ def time_pred(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
     return target.map_zones(shift)
 
 
-def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Federation:
-    """Delay, then take e into the target."""
+def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
+         memo: Optional[dict] = None, i: int = -1) -> Federation:
+    """Delay, then take e into the target.
+
+    Within one obstruction step, memo (a dict kept for one target)
+    shares the result among the edges of edge i's class (Wta.edge_class):
+    their zones are the same and only the source location differs.  An
+    edge alone in its class bypasses the memo.
+    """
+    if memo is not None:
+        cls = m.edge_class[i]
+        if len(cls) > 1:
+            dbms = memo.get(cls[0])
+            if dbms is None:
+                dbms = memo[cls[0]] = time_pred(
+                    m, layout, disc_pred(m, layout, e, target)).at(e.source)
+            return Federation(layout.dim, {e.source: dbms} if dbms else {})
     return time_pred(m, layout, disc_pred(m, layout, e, target))
 
 
@@ -85,12 +105,14 @@ class EscapeProfile:
     escape_cost: int
 
 
-def _escape_cells(m: Wta, layout: ClockLayout, loc: str,
-                  complement: Federation, universe: Federation) -> list[tuple[list, frozenset]]:
-    """Split a location's space into (DBMs, edges escaping into the complement) cells."""
+def _escape_cells(m: Wta, layout: ClockLayout, loc: str, complement: Federation,
+                  universe: Federation, memo: dict) -> list[tuple[list, frozenset]]:
+    """Split a location's space into (DBMs, edges escaping into the complement) cells.
+
+    memo holds the escape preds per edge class for this complement."""
     cells: list[tuple[list, frozenset]] = [(list(universe.at(loc)), frozenset())]
     for i in m.out_edges[loc]:
-        esc_dbms = pred(m, layout, m.edges[i], complement).at(loc)
+        esc_dbms = pred(m, layout, m.edges[i], complement, memo, i).at(loc)
         if not esc_dbms:
             continue
         nxt = []
@@ -113,7 +135,7 @@ def _escape_cells(m: Wta, layout: ClockLayout, loc: str,
 def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
                     target: Federation, universe: Federation) -> list[EscapeProfile]:
     """Partition a location's space by which edges escape the target."""
-    cells = _escape_cells(m, layout, loc, universe.subtract(target), universe)
+    cells = _escape_cells(m, layout, loc, universe.subtract(target), universe, {})
     return [EscapeProfile(loc, d, pattern, sum(m.edges[i].weight for i in pattern))
             for dbms, pattern in cells for d in dbms]
 
@@ -132,11 +154,14 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
     with functools.partial(obstruction_pred, cost_strict=True).
     """
     complement = universe.subtract(target)
+    escape_memo: dict = {}
+    hit_memo: dict = {}
     hit_cache: dict[int, Federation] = {}
     out = Federation.empty(layout.dim)
     for loc in m.locations:
         edge_ids = m.out_edges[loc.name]
-        for dbms, pattern in _escape_cells(m, layout, loc.name, complement, universe):
+        for dbms, pattern in _escape_cells(m, layout, loc.name, complement, universe,
+                                           escape_memo):
             cost = sum(m.edges[i].weight for i in pattern)
             if (cost >= n) if cost_strict else (cost > n):
                 continue
@@ -147,7 +172,7 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
             hits = Federation.empty(layout.dim)
             for i in witnesses:
                 if i not in hit_cache:
-                    hit_cache[i] = pred(m, layout, m.edges[i], target)
+                    hit_cache[i] = pred(m, layout, m.edges[i], target, hit_memo, i)
                 hits = hits.union(hit_cache[i])
             cell_fed = Federation.of_zones(
                 layout.dim, (Zone(loc.name, d) for d in dbms))

@@ -22,9 +22,10 @@ from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta
 from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
-from tolmc.predecessor import pred
-from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, _reduce,
-                         bound_neg, bound_sat, canonicalize, dbm_dim)
+from tolmc.predecessor import EscapeProfile, pred
+from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, Zone, _reduce,
+                         bound_neg, bound_sat, canonicalize, dbm_dim,
+                         dbm_intersect, dbm_subtract)
 
 # a one-variable bound: (doubled value, strict flag)
 NEG_INF = (-(1 << 50), True)
@@ -224,6 +225,65 @@ def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
     out = Federation.empty(layout.dim)
     for e in m.edges:
         out = out.union(pred(m, layout, e, target))
+    return out
+
+
+def _ref_escape_cells(m: Wta, layout: ClockLayout, loc: str,
+                      complement: Federation, universe: Federation) -> list:
+    """The escape split with one pred per edge, no sharing across edges."""
+    cells = [(list(universe.at(loc)), frozenset())]
+    for i in m.out_edges[loc]:
+        esc_dbms = pred(m, layout, m.edges[i], complement).at(loc)
+        if not esc_dbms:
+            continue
+        nxt = []
+        for dbms, pattern in cells:
+            inside = [c for d in dbms for ed in esc_dbms
+                      if (c := dbm_intersect(d, ed)) is not None]
+            outside = list(dbms)
+            for ed in esc_dbms:
+                outside = [p for d in outside for p in dbm_subtract(d, ed)]
+                if not outside:
+                    break
+            if inside:
+                nxt.append((inside, pattern | {i}))
+            if outside:
+                nxt.append((outside, pattern))
+        cells = nxt
+    return cells
+
+
+def ref_escape_profiles(m: Wta, layout: ClockLayout, loc: str,
+                        target: Federation, universe: Federation) -> list:
+    """escape_profiles computing pred separately for every edge."""
+    cells = _ref_escape_cells(m, layout, loc, universe.subtract(target), universe)
+    return [EscapeProfile(loc, d, pattern, sum(m.edges[i].weight for i in pattern))
+            for dbms, pattern in cells for d in dbms]
+
+
+def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
+                         target: Federation, universe: Federation) -> Federation:
+    """obstruction_pred computing pred separately for every edge, with no
+    memo per edge class."""
+    complement = universe.subtract(target)
+    hit_cache: dict = {}
+    out = Federation.empty(layout.dim)
+    for loc in m.locations:
+        edge_ids = m.out_edges[loc.name]
+        for dbms, pattern in _ref_escape_cells(m, layout, loc.name, complement, universe):
+            if sum(m.edges[i].weight for i in pattern) > n:
+                continue
+            witnesses = [i for i in edge_ids if i not in pattern]
+            if not witnesses:
+                continue
+            hits = Federation.empty(layout.dim)
+            for i in witnesses:
+                if i not in hit_cache:
+                    hit_cache[i] = pred(m, layout, m.edges[i], target)
+                hits = hits.union(hit_cache[i])
+            cell_fed = Federation.of_zones(
+                layout.dim, (Zone(loc.name, d) for d in dbms))
+            out = out.union(cell_fed.intersect(hits))
     return out
 
 

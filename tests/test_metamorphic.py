@@ -2,7 +2,9 @@
 verdict, checked on instances past the explicit oracle's reach.
 
 - Scaling every clock constant (guards, invariants, formula atoms) by 3
-  scales time; weights and grades count costs, not time.
+  scales time; weights and grades count costs, not time.  Scaling the
+  formula's constants alone does change verdicts, so the property can
+  fail.
 - Renaming every clock (formula clocks too) and every location, with the
   labels kept, changes no run.
 - Reversing the edge order changes no run.
@@ -54,11 +56,16 @@ def _map_model(m: Wta, atom, clock=str, loc=str) -> Wta:
                      for e in m.edges))
 
 
-def scaled(m: Wta, f: TolFormula):
-    def atom(a):
-        return ClockAtom(a.clock, a.op, a.value * SCALE)
+def _scaled_atom(a: ClockAtom) -> ClockAtom:
+    return ClockAtom(a.clock, a.op, a.value * SCALE)
 
-    return _map_model(m, atom), _map_formula(f, atom, str)
+
+def scaled(m: Wta, f: TolFormula):
+    return _map_model(m, _scaled_atom), _map_formula(f, _scaled_atom, str)
+
+
+def formula_scaled(m: Wta, f: TolFormula):
+    return m, _map_formula(f, _scaled_atom, str)
 
 
 def renamed(m: Wta, f: TolFormula):
@@ -116,3 +123,16 @@ def test_transform_keeps_the_verdict(name, corpus):
         if check(tm, tf).satisfied != want:
             changed.append((m, f))
     assert not changed, f"{name} changed {len(changed)} verdict(s)"
+
+
+def test_scaling_one_side_is_caught():
+    """A control on the pinned instances: scaling only the formula's
+    constants flips a verdict, scaling both sides flips none."""
+    flips = {"formula": 0, "both": 0}
+    for gen in (gen_pipeline, gen_mesh):
+        for k in (2, 3, 4):
+            m, f = gen(k)
+            want = check(m, f).satisfied
+            flips["formula"] += check(*formula_scaled(m, f)).satisfied != want
+            flips["both"] += check(*scaled(m, f)).satisfied != want
+    assert flips["formula"] >= 1 and flips["both"] == 0, flips

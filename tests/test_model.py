@@ -153,3 +153,49 @@ def test_constraint_helpers():
     c = ClockAtom("x", "<=", 2)
     assert c.sat2(0) and c.sat2(4) and not c.sat2(5)
     assert str(c) == "x <= 2"
+
+
+@pytest.mark.parametrize("k", (2, 5, 12, 30))
+def test_mesh_edges_form_one_class_per_target(k):
+    m, _ = gen_mesh(k)
+    classes = set(m.edge_class)
+    assert len(classes) == k
+    for cls in classes:
+        assert len({m.edges[i].target for i in cls}) == 1
+        assert len({m.edges[i].source for i in cls}) == k - 1
+
+
+@pytest.mark.parametrize("k", (2, 5, 30))
+def test_pipeline_edges_are_alone_in_their_class(k):
+    m, _ = gen_pipeline(k)
+    assert m.edge_class == tuple((i,) for i in range(len(m.edges)))
+
+
+EDGE_CLASSES = """wta
+clocks x y
+location a init
+location b
+location c invariant x <= 4
+location d invariant x <= 4
+location t
+edge a -> t action go guard x >= 1 reset y weight 1
+edge b -> t action other guard x >= 1 reset y weight 5
+edge c -> t action go guard x >= 1 reset y weight 1
+edge d -> t action go guard x >= 1 reset y weight 2
+edge a -> t action go guard x >= 1 reset x weight 1
+edge a -> t action go guard x >= 2 reset y weight 1
+edge a -> b action go guard x >= 1 reset y weight 1
+"""
+
+
+def test_edge_class_ignores_weight_action_and_source_name():
+    m = parse_model(EDGE_CLASSES)
+    cls = m.edge_class
+    # a and b have no invariant: weight and action do not split the class
+    assert cls[0] == cls[1] == (0, 1)
+    # c and d share an invariant, so their edges share a class too
+    assert cls[2] == cls[3] == (2, 3)
+    # a differing source invariant, resets, guard or target splits it
+    assert cls[0] != cls[2]
+    assert [cls[i] for i in (4, 5, 6)] == [(4,), (5,), (6,)]
+    assert cls[0] is cls[1]

@@ -76,7 +76,7 @@ formulas = st.recursive(leaf, lambda sub: st.one_of(
 formula_texts = _mutated(formulas, FORMULA_TOKENS, (" ", ""))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(model_texts)
 @example("wta\nclocks x\nlocation l init\nedge l -> l action a guard x <= ² weight 1")
 @example("wta\nclocks x\nlocation l init\nedge l -> l action a weight --5")
@@ -90,7 +90,7 @@ def test_model_parser_accepts_or_diagnoses_and_round_trips(text):
     assert parse_model(serialize_model(m)) == m
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(formula_texts)
 @example("x <= ²")
 @example("<#²> F p")

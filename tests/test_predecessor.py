@@ -1,12 +1,13 @@
 import itertools
 import random
 
-from helpers import fed_equal, grid_points, pred_union
-from tolmc.logic import formula_clocks
-from tolmc.model import ClockLayout, max_constants, parse_model
+from helpers import (fed_equal, grid_points, pred_union, random_dbm, ref_escape_profiles,
+                     ref_obstruction_pred)
+from tolmc.logic import ClockAtom, formula_clocks
+from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
 from tolmc.predecessor import (EscapeProfile, disc_pred, escape_profiles,
                                full_space, obstruction_pred, pred, time_pred)
-from tolmc.randgen import random_wta
+from tolmc.randgen import WEIGHTS, random_wta
 from tolmc.zones import Federation, Zone
 
 TWO_LOC = """wta
@@ -334,3 +335,55 @@ def test_outputs_clipped_to_invariants():
         assert v.subset_of(universe)
         for z in v.zones():
             assert z.dbm is not None
+
+
+def shared_class_wta(rng):
+    """A random model built so that edge classes have several members:
+    each edge is copied to other sources under a new action and weight,
+    and some locations get an invariant of their own."""
+    base = random_wta(rng, max_locations=4, max_clocks=2, max_edges=4, cmax=3)
+    while len(base.locations) < 2:
+        base = random_wta(rng, max_locations=4, max_clocks=2, max_edges=4, cmax=3)
+    locations = tuple(
+        Location(loc.name, (ClockAtom(rng.choice(base.clocks), "<=", rng.randint(1, 3)),),
+                 loc.labels) if base.clocks and rng.random() < 0.3 else loc
+        for loc in base.locations)
+    edges = list(base.edges)
+    for e in base.edges:
+        others = [loc.name for loc in locations if loc.name != e.source]
+        for src in rng.sample(others, rng.randint(1, len(others))):
+            edges.append(Edge(src, f"{e.action}{src}", e.guard, e.resets,
+                              e.target, rng.choice(WEIGHTS)))
+    rng.shuffle(edges)
+    return Wta(base.clocks, locations, base.initial, tuple(edges))
+
+
+def random_target(rng, m, layout, universe):
+    zones = [Zone(rng.choice(m.locations).name, random_dbm(rng, layout.dim, cmax=3))
+             for _ in range(rng.randint(0, 4))]
+    return Federation.of_zones(layout.dim, zones).intersect(universe)
+
+
+def test_class_sharing_gives_the_reference_zone_lists():
+    rng = random.Random(20261018)
+    shared = 0
+    for _ in range(60):
+        m = shared_class_wta(rng)
+        shared += any(len(cls) > 1 for cls in m.edge_class)
+        fclocks = ("j",) if rng.random() < 0.3 else ()
+        layout = ClockLayout.build(m, fclocks, max_constants(m) | {"j": 2})
+        universe = full_space(m, layout)
+        labelled = {loc.name for loc in m.locations if "p" in loc.labels}
+        targets = [universe.map_zones(lambda l, d: d if l in labelled else None),
+                   random_target(rng, m, layout, universe),
+                   random_target(rng, m, layout, universe)]
+        for target in targets:
+            for n in (0, 1, 2, 4):
+                got = obstruction_pred(m, layout, n, target, universe)
+                want = ref_obstruction_pred(m, layout, n, target, universe)
+                assert list(got.zones()) == list(want.zones()), (serialize_str(m), n)
+            for loc in m.locations:
+                assert escape_profiles(m, layout, loc.name, target, universe) == \
+                    ref_escape_profiles(m, layout, loc.name, target, universe)
+    # most models have a class of several edges, so the memo is exercised
+    assert shared >= 40, shared
