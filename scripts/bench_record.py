@@ -7,7 +7,10 @@
 Each side is a directory holding a `src/` tree and a `perfbench/` copy
 (for an older commit: `git archive <rev> | tar -x -C DIR`).  The sides
 alternate within every measurement, the first side going first on even
-pairs, so slow phases of a shared host hit both.  Each perfbench run
+pairs, so slow phases of a shared host hit both.  Each side reads and
+writes bytecode in its own cache (`build/pycache` under the side's
+directory, via PYTHONPYCACHEPREFIX), emptied and warmed before the first
+pair, so neither side's `setup_s` counts compilation.  Each perfbench run
 lasts BENCHMARK.json's `run_seconds`.  One file per side records:
 
   - the host and the Python version, and a SHA-256 of the side's
@@ -36,6 +39,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,7 @@ WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
                     ("phi2", 3), ("phi2", 4), ("phi2", 5))
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent
                           / "BENCHMARK.json").read_text())["run_seconds"]
+PYCACHE = Path("build", "pycache")  # per side, under the side's directory
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 # one process per side: prints {"pipeline/k=4": [states, [ms, ...]], ...}
@@ -117,9 +122,25 @@ def src_digest(root: Path) -> str:
 
 
 def run_in(root: Path, args: list[str], timeout: float) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONPYCACHEPREFIX=str(root / PYCACHE))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
                           text=True, timeout=timeout, check=False)
+
+
+def warm_cache(root: Path) -> None:
+    """Refill the side's bytecode cache: its source by compileall, and the
+    standard library modules perfbench imports (a prefixed cache does not
+    read the library's own __pycache__) by importing them once."""
+    shutil.rmtree(root / PYCACHE, ignore_errors=True)
+    for args in (["-m", "compileall", "-q", "src", "perfbench"],
+                 ["-c", "import sys; sys.path[:0] = ['perfbench']; "
+                        "import run, tracer, workloads"]):
+        proc = run_in(root, args, timeout=600)
+        if proc.returncode:
+            raise RuntimeError(f"warming the bytecode cache failed in {root}: "
+                               f"{proc.stderr.strip()}")
 
 
 def perfbench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -156,6 +177,8 @@ def main() -> int:
     if len(sides) != 2:
         ap.error("give exactly two --side options")
     seeds = [args.first_seed + i for i in range(PAIRS)]
+    for _, root in sides:
+        warm_cache(root)
 
     runs = {tag: {w: [] for w in WORKLOADS} for tag, _ in sides}
     for i, seed in enumerate(seeds):

@@ -20,9 +20,22 @@ from dataclasses import dataclass
 from .checker import check
 from .logic import ClockAtom, TolFormula, parse_formula
 from .model import Edge, Location, Wta
+from .zones import MAX_CONSTANT
 
 CSV_HEADER = ["case", "k", "runtime_ms_mean", "runtime_ms_std",
               "mem_kb_mean", "mem_kb_std", "verdict"]
+
+# gen_mesh builds k*(k-1) edges; past this many it refuses the size
+MAX_MESH_EDGES = 1_000_000
+
+
+def _check_size(family: str, k: int) -> None:
+    """Reject a size the family does not have before anything is built:
+    the objective's bound k*k must be a clock constant."""
+    if k < 2:
+        raise ValueError(f"{family} needs k >= 2")
+    if k * k > MAX_CONSTANT:
+        raise ValueError(f"{family} needs k*k <= {MAX_CONSTANT}, got k = {k}")
 
 
 def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
@@ -32,8 +45,7 @@ def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
     k-1 hops take at least (k-2)*k + 2k = k*k time units and the bound
     in the objective is tight.
     """
-    if k < 2:
-        raise ValueError("pipeline needs k >= 2")
+    _check_size("pipeline", k)
     locations = tuple(Location(f"s{i}", (), frozenset({f"s{i}"})) for i in range(k))
     edges = []
     for i in range(k - 1):
@@ -49,8 +61,10 @@ def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
 
 def gen_mesh(k: int) -> tuple[Wta, TolFormula]:
     """Complete digraph on k locations, every hop takes at least one unit."""
-    if k < 2:
-        raise ValueError("mesh needs k >= 2")
+    _check_size("mesh", k)
+    if k * (k - 1) > MAX_MESH_EDGES:
+        raise ValueError(f"mesh k = {k} has {k * (k - 1)} edges, over the cap of "
+                         f"{MAX_MESH_EDGES}")
     locations = tuple(Location(f"s{i}", (), frozenset({f"s{i}"})) for i in range(k))
     edges = []
     for i in range(k):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 formula satisfied / reports agree, 1 not satisfied /
-reports disagree, 2 usage, parse or internal errors, 3 oracle-scale
-errors.
+reports disagree, 2 usage, parse or internal errors, 3 a query too
+large for either engine (ScaleError).
 The first stdout line of `check`/`oracle` is exactly SAT or UNSAT;
 everything diagnostic goes to stderr.
 """
@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from . import logic, oracle
 from .checker import CheckError, check, dump_sat
 from .logic import FormulaError, FragmentError
-from .model import ModelError, parse_model, serialize_model
+from .model import ModelError, ScaleError, parse_model, serialize_model
 
 # `translate` prints at most this many characters; the text of a shared
 # tree such as nested `W` doubles per level
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     except (ModelError, FormulaError, FragmentError, CheckError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except oracle.OracleScaleError as e:
+    except ScaleError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except Exception as e:  # exit 1 means "not satisfied", never a crash

@@ -104,6 +104,7 @@ def parse_model(text: str) -> Wta:
     """Parse and validate the line-oriented model format."""
     clocks: list[str] = []
     locations: list[Location] = []
+    names: set[str] = set()
     edges: list[Edge] = []
     initial: Optional[str] = None
     saw_header = False
@@ -128,8 +129,9 @@ def parse_model(text: str) -> Wta:
                 clocks.append(c)
         elif kind == "location":
             loc, is_init = _parse_location(at, clocks)
-            if any(l.name == loc.name for l in locations):
+            if loc.name in names:
                 raise ModelError(E_DUP_LOCATION, f"location {loc.name!r} declared twice", lineno)
+            names.add(loc.name)
             if is_init:
                 if initial is not None:
                     raise ModelError(E_MULTI_INIT, "more than one init location", lineno)
@@ -144,7 +146,6 @@ def parse_model(text: str) -> Wta:
         raise ModelError(E_HEADER, "empty model: missing 'wta' header")
     if initial is None:
         raise ModelError(E_NO_INIT, "no location marked init")
-    names = {l.name for l in locations}
     for e in edges:
         for end in (e.source, e.target):
             if end not in names:
@@ -355,6 +356,11 @@ class CheckError(ValueError):
     or the query has more clocks than a DBM holds."""
 
 
+class ScaleError(RuntimeError):
+    """Query too large for an engine's budget (checker.MAX_ZONES,
+    oracle.MAX_STATES or oracle.MAX_CHOICES); the CLI exits 3."""
+
+
 @dataclass(frozen=True)
 class ClockLayout:
     """Index layout for DBMs: 0 is the reference, then automaton clocks in
@@ -368,11 +374,9 @@ class ClockLayout:
     invariants: dict = field(default_factory=dict, compare=False)
 
     @staticmethod
-    def of_query(m: Wta, f=None) -> "ClockLayout":
+    def of_query(m: Wta, f: logic.TolFormula) -> "ClockLayout":
         """The layout of checking f on m, once f's clock atoms and freeze
         binders are known to bind in m."""
-        if f is None:
-            return ClockLayout.build(m, (), max_constants(m))
         for g, scope, _ in logic.scoped(f):
             if isinstance(g, logic.Freeze) and g.var in m.clocks:
                 raise CheckError(f"freeze identifier {g.var!r} collides with an automaton clock")

@@ -27,10 +27,11 @@ reachable from the initial one only, as reachable_groups finds them).
 Clock order and caps come from model.ClockLayout.of_query, which also
 rejects unbound or colliding formula clocks; no DBM is read.
 
-Past either of two caps an entry point raises OracleScaleError (CLI
-exit 3) before memory runs out: MAX_STATES bounds discretize's grid,
-estimated before any state is built, and MAX_CHOICES the blocker-choice
-combinations of location_witnesses, counted as they are generated.
+Past either of two caps an entry point raises model.ScaleError (CLI
+exit 3, as for the checker's MAX_ZONES) before memory runs out:
+MAX_STATES bounds discretize's grid, estimated before any state is
+built, and MAX_CHOICES the blocker-choice combinations of
+location_witnesses, counted as they are generated.
 
 Coordinates are stored doubled (1 unit = half a time unit) so all
 arithmetic stays integral.
@@ -45,15 +46,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import logic
-from .model import ClockLayout, Wta
+from .model import ClockLayout, ScaleError, Wta
 
 
 MAX_STATES = 2_000_000
 MAX_CHOICES = 1_000_000
-
-
-class OracleScaleError(RuntimeError):
-    """Instance too large for explicit enumeration."""
 
 
 @dataclass
@@ -81,7 +78,7 @@ class ExplicitGraph:
         self.preds = preds
 
 
-def discretize(m: Wta, f=None) -> ExplicitGraph:
+def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
     """Build the capped half-integer quotient of the model's state space."""
     layout = ClockLayout.of_query(m, f)
     caps2 = tuple(0 if i == 0 else 2 * (layout.kvec[i] + 1)
@@ -91,7 +88,7 @@ def discretize(m: Wta, f=None) -> ExplicitGraph:
     for i in range(1, layout.dim):
         est *= caps2[i] + 1
     if est > MAX_STATES:
-        raise OracleScaleError(
+        raise ScaleError(
             f"discretization needs {est} states, over the cap of {MAX_STATES}")
 
     nclocks = layout.dim - 1
@@ -497,7 +494,7 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
         for choice in location_choice_candidates(m, loc, inner.grade):
             options.append(choice)
             if total * len(options) > MAX_CHOICES:
-                raise OracleScaleError(
+                raise ScaleError(
                     f"blocker choices exceed the cap of {MAX_CHOICES} combinations")
         total *= len(options)
         cand.append(options)

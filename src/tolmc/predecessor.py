@@ -141,18 +141,9 @@ def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
 
 
 def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
-                     target: Federation, universe: Federation, *,
-                     cost_strict: bool = False,
-                     require_witness: bool = True) -> Federation:
+                     target: Federation, universe: Federation) -> Federation:
     """The budget-n obstruction predecessor of the target set: the cells
-    of the escape split that the budget affords and that keep a witness.
-
-    cost_strict and require_witness exist for mutation testing only;
-    the faithful semantics is cost <= n with the witness condition on.
-    No entry point passes them: a mutation test rebinds the name the
-    checker calls, e.g. monkeypatching tolmc.checker.obstruction_pred
-    with functools.partial(obstruction_pred, cost_strict=True).
-    """
+    of the escape split that the budget affords and that keep a witness."""
     complement = universe.subtract(target)
     escape_memo: dict = {}
     hit_memo: dict = {}
@@ -162,11 +153,9 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
         edge_ids = m.out_edges[loc.name]
         for dbms, pattern in _escape_cells(m, layout, loc.name, complement, universe,
                                            escape_memo):
-            cost = sum(m.edges[i].weight for i in pattern)
-            if (cost >= n) if cost_strict else (cost > n):
+            if sum(m.edges[i].weight for i in pattern) > n:
                 continue
-            witnesses = [i for i in edge_ids if i not in pattern] \
-                if require_witness else edge_ids
+            witnesses = [i for i in edge_ids if i not in pattern]
             if not witnesses:
                 continue
             hits = Federation.empty(layout.dim)

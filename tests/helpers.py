@@ -262,18 +262,27 @@ def ref_escape_profiles(m: Wta, layout: ClockLayout, loc: str,
 
 
 def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
-                         target: Federation, universe: Federation) -> Federation:
+                         target: Federation, universe: Federation, *,
+                         cost_strict: bool = False,
+                         require_witness: bool = True) -> Federation:
     """obstruction_pred computing pred separately for every edge, with no
-    memo per edge class."""
+    memo per edge class.
+
+    The faithful semantics is cost <= n with the witness condition on;
+    cost_strict and require_witness=False build the mutants (MUTANTS)
+    that the mutation tests put in place of tolmc.checker.obstruction_pred.
+    """
     complement = universe.subtract(target)
     hit_cache: dict = {}
     out = Federation.empty(layout.dim)
     for loc in m.locations:
         edge_ids = m.out_edges[loc.name]
         for dbms, pattern in _ref_escape_cells(m, layout, loc.name, complement, universe):
-            if sum(m.edges[i].weight for i in pattern) > n:
+            cost = sum(m.edges[i].weight for i in pattern)
+            if (cost >= n) if cost_strict else (cost > n):
                 continue
-            witnesses = [i for i in edge_ids if i not in pattern]
+            witnesses = [i for i in edge_ids if i not in pattern] \
+                if require_witness else edge_ids
             if not witnesses:
                 continue
             hits = Federation.empty(layout.dim)
@@ -285,6 +294,14 @@ def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                 layout.dim, (Zone(loc.name, d) for d in dbms))
             out = out.union(cell_fed.intersect(hits))
     return out
+
+
+# broken obstruction predecessors that the acceptance corpus must catch:
+# a budget that affords one unit less, and no witness edge required
+MUTANTS = {
+    "cost_strict": functools.partial(ref_obstruction_pred, cost_strict=True),
+    "no_witness": functools.partial(ref_obstruction_pred, require_witness=False),
+}
 
 
 def dbm_zero(dim: int) -> Dbm:

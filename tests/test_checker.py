@@ -7,9 +7,10 @@ import pytest
 from helpers import fed_equal, run_python
 from tolmc import logic
 from tolmc.case_study import build_case_study, phi1, phi2
-from tolmc.checker import CheckError, Checker, check, dump_sat
+from tolmc.bench import gen_pipeline
+from tolmc.checker import MAX_ZONES, CheckError, Checker, check, dump_sat
 from tolmc.logic import And, parse_formula
-from tolmc.model import parse_model
+from tolmc.model import parse_model, serialize_model
 from tolmc.randgen import random_formula, random_wta
 
 SIMPLE = """wta
@@ -150,31 +151,42 @@ def test_desugared_forms_check_identically():
 
 
 def test_fixpoint_iteration_counts_within_bound():
+    # the iterates before the closing one form a strict chain, at most
+    # one of them empty, so the zone budget also bounds the iterations
     rng = random.Random(3)
     for _ in range(20):
         m = random_wta(rng)
         f = random_formula(rng, m, grades=(0, 1, 2))
         v = check(m, f)
-        for count in v.stats.fixpoint_iterations.values():
-            assert count <= v.stats.iteration_bound + 1
+        counts = v.stats.fixpoint_iterations.values()
+        assert sum(counts) <= v.stats.zones_noted + 2 * len(counts)
+        assert v.stats.zones_noted <= MAX_ZONES
 
 
-def test_fixpoint_bound_holds_under_optimize():
-    # python -O strips asserts; the bound must still stop the loop
-    proc = run_python("""
+def test_fixpoint_bound_holds_under_optimize(tmp_path):
+    # python -O strips asserts; the zone budget must still stop a check,
+    # and check/diff past it exit 3
+    model = tmp_path / "pipe4.wta"
+    model.write_text(serialize_model(gen_pipeline(4)[0]))
+    proc = run_python(f"""
+        from tolmc import checker
         from tolmc.bench import gen_pipeline
-        from tolmc.checker import Checker, FixpointError
-        c = Checker(*gen_pipeline(4))
-        c.stats.iteration_bound = 0
+        from tolmc.cli import main
+        from tolmc.model import ScaleError
+        checker.MAX_ZONES = 1
         try:
-            c.run()
-        except FixpointError as e:
+            checker.Checker(*gen_pipeline(4)).run()
+        except ScaleError as e:
             print(e)
-            raise SystemExit(0)
-        raise SystemExit(1)
+        else:
+            raise SystemExit("no ScaleError")
+        print(*(main([cmd, {str(model)!r}, "-f", "<#1> G s0"]) for cmd in ("check", "diff")))
     """, "-O")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "exceeded the symbolic-state bound" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert "over the budget of 1" in lines[0]
+    assert lines[1:] == ["3 3"]
+    assert proc.stderr.count("error: ") == 2 and "internal" not in proc.stderr
 
 
 UNSAT_INVARIANT = """

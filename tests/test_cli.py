@@ -259,6 +259,9 @@ def test_bench_bad_k(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("gen", "mesh", "--k", "1"),
+    ("gen", "pipeline", "--k", "100000000"),
+    ("gen", "mesh", "--k", "40000"),
+    ("gen", "mesh", "--k", "1001"),
     ("bench", "mesh", "--k", "3", "--runs", "0", "--csv", "x.csv")])
 def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -278,6 +281,18 @@ def test_oracle_scale_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "oracle", str(model), "-f", "true")
     assert code == 3
     assert "states" in err and out == ""
+
+
+@pytest.mark.parametrize("cmd", ["check", "diff"])
+def test_checker_budget_exit_code(capsys, tmp_path, monkeypatch, cmd):
+    monkeypatch.setattr("tolmc.checker.MAX_ZONES", 1)
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nlocation l init labels p\nlocation m\n"
+                     "edge l -> m action a weight 1\nedge m -> l action b weight 1\n")
+    code, out, err = run(capsys, cmd, str(model), "-f", "<#1> G p")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "budget of 1" in err and "internal" not in err
+    assert err.count("\n") == 1
 
 
 def test_internal_error_exits_two_not_unsat(capsys, tmp_path, monkeypatch):

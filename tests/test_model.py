@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,16 @@ def test_generator_outputs_roundtrip():
         for k in (2, 4, 7):
             m, _ = gen(k)
             assert parse_model(serialize_model(m)) == m
+
+
+def test_parse_is_linear_in_the_locations():
+    # the duplicate-location check must not rescan the earlier locations;
+    # a quadratic scan takes about 18 s here
+    text = serialize_model(gen_pipeline(20000)[0])
+    t0 = time.perf_counter()
+    m = parse_model(text)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(m.locations) == 20000
 
 
 def test_case_study_fixture_matches_builder():

@@ -5,16 +5,15 @@ import random
 import pytest
 
 from helpers import (ref_discretize, ref_location_choice_candidates,
-                     ref_location_witnesses, run_python)
+                     ref_location_witnesses, ref_obstruction_pred, run_python)
 from test_acceptance import _corpus
 from tolmc import logic
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import check
 from tolmc.logic import parse_formula, to_tctl
-from tolmc.model import parse_model
-from tolmc.oracle import (OracleScaleError, differential,
-                          discretize, location_choice_candidates,
+from tolmc.model import ScaleError, parse_model
+from tolmc.oracle import (differential, discretize, location_choice_candidates,
                           location_witnesses, oracle_check, oracle_sat,
                           tctl_check)
 from tolmc.randgen import random_formula, random_wta
@@ -39,7 +38,7 @@ edge m -> m action stay guard x >= 1 reset x weight 1
 
 def test_zero_clock_graph_matches_digraph():
     m = parse_model(CHAIN)
-    g = discretize(m)
+    g = discretize(m, logic.TRUE)
     assert len(g.states) == 3
     by_loc = {g.states[i][0]: i for i in range(3)}
     assert g.steps[by_loc["a"]][0][2] == (by_loc["b"],)
@@ -48,7 +47,7 @@ def test_zero_clock_graph_matches_digraph():
 
 def test_one_clock_grid_size():
     m = parse_model("wta\nclocks x\nlocation l init\nedge l -> l action a guard x <= 2 weight 1\n")
-    g = discretize(m)
+    g = discretize(m, logic.TRUE)
     # C = 2: seven half-integer points 0 .. 3 per location
     assert len(g.states) == 7
 
@@ -78,7 +77,7 @@ def test_delay_sweep_equals_reference_on_the_bench_families(k):
 
 def test_strict_guard_sampling():
     m = parse_model(ONE_CLOCK)
-    g = discretize(m)
+    g = discretize(m, logic.TRUE)
     # x > 1 holds exactly at the points 1.5, 2, 2.5, 3 (doubled: 3, 4, 5, 6)
     sat_pts = {coords[0] for (loc, coords) in g.states
                if loc == "l" and any(a.sat2(coords[0]) for e in [m.edges[0]] for a in e.guard)}
@@ -87,7 +86,7 @@ def test_strict_guard_sampling():
 
 def test_invariant_filters_states():
     m = parse_model(ONE_CLOCK)
-    g = discretize(m)
+    g = discretize(m, logic.TRUE)
     l_points = [c[0] for (loc, c) in g.states if loc == "l"]
     assert max(l_points) == 4  # x <= 2 doubled
 
@@ -100,7 +99,7 @@ clocks x
 location l init
 edge l -> l action a guard x <= 1000000 weight 1
 """)
-    with pytest.raises(OracleScaleError):
+    with pytest.raises(ScaleError):
         discretize(m, parse_formula("<#0> F true"))
 
 
@@ -172,7 +171,7 @@ edge l -> b action y weight 2
 edge a -> a action sa weight 1
 edge b -> b action sb weight 1
 """)
-    g = discretize(m)
+    g = discretize(m, logic.TRUE)
     sat = oracle_sat(g, parse_formula("<#2> (true U pa)"))
     start = g.initial_index()
     assert sat[parse_formula("<#2> (true U pa)")][start]
@@ -271,13 +270,13 @@ def test_witness_choice_cap_stops_the_enumeration():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
         from tolmc import oracle
         from tolmc.logic import parse_formula
-        from tolmc.model import parse_model
+        from tolmc.model import ScaleError, parse_model
         oracle.MAX_CHOICES = 1000
         m = parse_model("wta\\nlocation l init\\n" + "".join(
             f"edge l -> l action a{i} weight 0\\n" for i in range(30)))
         try:
             oracle.location_witnesses(m, parse_formula("<#0> G true"))
-        except oracle.OracleScaleError as e:
+        except ScaleError as e:
             print(e)
             raise SystemExit(0)
         raise SystemExit(1)
@@ -288,7 +287,6 @@ def test_witness_choice_cap_stops_the_enumeration():
 
 def test_differential_report_on_mutation(monkeypatch):
     import tolmc.checker
-    from tolmc.predecessor import obstruction_pred
 
     m = parse_model(CHAIN)
     f = parse_formula("<#0> (true U r)")
@@ -296,7 +294,7 @@ def test_differential_report_on_mutation(monkeypatch):
     assert good.agree and str(good).startswith("AGREE")
     # a deliberately broken checker shows up in the report
     monkeypatch.setattr(tolmc.checker, "obstruction_pred", functools.partial(
-        obstruction_pred, require_witness=False, cost_strict=True))
+        ref_obstruction_pred, require_witness=False, cost_strict=True))
     bad = differential(m, f)
     assert not bad.agree
     assert "DISAGREE" in str(bad) or bad.mismatched_formula
