@@ -20,7 +20,7 @@ from .logic import (And, Atom, ClockAtom, Freeze, Not, Release, TolFormula,
                     TrueF, Until)
 from .model import CheckError, ClockLayout, Wta  # noqa: F401  (CheckError re-exported)
 from .model import ScaleError
-from .predecessor import full_space, obstruction_pred
+from .predecessor import ClassMemo, full_space, obstruction_pred
 from .zones import Federation, Zone, extrapolate, reset_preimage
 
 
@@ -40,6 +40,7 @@ class CheckStats:
     fixpoint_iterations: dict = field(default_factory=dict)
     zones_noted: int = 0  # federation sizes summed at each note()
     peak_federation_size: int = 0
+    preds_computed: int = 0  # pred computations run, i.e. class-memo misses
     wall_ms: float = 0.0
 
     def note(self, fed: Federation) -> None:
@@ -67,6 +68,9 @@ class Checker:
         self.universe = full_space(m, self.layout)
         self.stats = CheckStats()
         self.sat: dict[TolFormula, Federation] = {}
+        # pred per edge class for the complement and the hit target,
+        # kept across every fixpoint round of the check
+        self.pred_memo = (ClassMemo(), ClassMemo())
 
     # -- satisfaction sets ---------------------------------------------------
 
@@ -115,7 +119,10 @@ class Checker:
         return fed.map_zones(lambda loc, d: extrapolate(d, k))
 
     def _vee(self, n: int, target: Federation) -> Federation:
-        return obstruction_pred(self.m, self.layout, n, target, self.universe)
+        out = obstruction_pred(self.m, self.layout, n, target, self.universe,
+                               self.pred_memo)
+        self.stats.preds_computed = sum(c.computed for c in self.pred_memo)
+        return out
 
     def _fixpoint(self, key: str, start: Federation, grows: bool, step) -> Federation:
         """Iterate step from start to a least (grows) or greatest fixpoint."""

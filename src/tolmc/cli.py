@@ -93,13 +93,15 @@ def _dispatch(args) -> int:
     if args.cmd == "check":
         m = _load_model(args.model)
         f = _load_formula(args)
-        # an unwritable dump path fails before a verdict reaches stdout
-        with open(args.dump_sat, "w") if args.dump_sat else contextlib.nullcontext() as dump:
+        # an unwritable dump path fails before a verdict reaches stdout;
+        # the file keeps its old content unless a verdict replaces it
+        with open(args.dump_sat, "a") if args.dump_sat else contextlib.nullcontext() as dump:
             verdict = check(m, f)
             print("SAT" if verdict.satisfied else "UNSAT")
             if args.stats:
                 print(json.dumps(dataclasses.asdict(verdict.stats)), file=sys.stderr)
             if dump is not None:
+                dump.truncate(0)
                 dump.write(dump_sat(m, verdict.layout.names, verdict.sat_sets[f]))
         return 0 if verdict.satisfied else 1
 

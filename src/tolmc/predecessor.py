@@ -18,9 +18,12 @@ usable edge and no discrete step remains; with it, budget 0 on
 positive-weight models coincides with the universal one-step
 predecessor of TCTL.
 
-Within one obstruction step pred(e, T) is computed once per edge class
-(Wta.edge_class), once for the escape split's complement and once for
-the hit target, and relabelled to each source of the class.
+pred(e, T) is kept per edge class (Wta.edge_class) in a ClassMemo, one
+for the escape split's complement and one for the hit target, and
+relabelled to each source of the class.  A Checker keeps its two memos
+for a whole check, so a fixpoint round recomputes only the classes
+whose target zone list changed; escape_profiles and callers without a
+memo get fresh ones per call.
 """
 
 from __future__ import annotations
@@ -75,24 +78,43 @@ def time_pred(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
     return target.map_zones(shift)
 
 
-def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
-         memo: Optional[dict] = None, i: int = -1) -> Federation:
-    """Delay, then take e into the target.
+class ClassMemo(dict):
+    """pred results per edge class for one role (complement or hit target).
 
-    Within one obstruction step, memo (a dict kept for one target)
-    shares the result among the edges of edge i's class (Wta.edge_class):
-    their zones are the same and only the source location differs.  An
-    edge alone in its class bypasses the memo.
+    Maps a class's first edge id to (the target zone list at the class's
+    target, the zone list pred gave at the source).  An entry stands
+    while the target list is unchanged and is replaced when it is not,
+    so the memo holds one zone list per class.  computed counts the
+    pred computations run, i.e. the misses.
     """
-    if memo is not None:
-        cls = m.edge_class[i]
-        if len(cls) > 1:
-            dbms = memo.get(cls[0])
-            if dbms is None:
-                dbms = memo[cls[0]] = time_pred(
-                    m, layout, disc_pred(m, layout, e, target)).at(e.source)
-            return Federation(layout.dim, {e.source: dbms} if dbms else {})
-    return time_pred(m, layout, disc_pred(m, layout, e, target))
+
+    __slots__ = ("computed",)
+
+    def __init__(self):
+        super().__init__()
+        self.computed = 0
+
+
+def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
+         memo: Optional[ClassMemo] = None, i: int = -1) -> Federation:
+    """Delay, then take e (edge id i) into the target.
+
+    pred reads only target.at(e.target), and the edges of i's class
+    (Wta.edge_class) differ only in their source, so memo shares one
+    zone list among the class and across targets that agree there.
+    """
+    if memo is None:
+        return time_pred(m, layout, disc_pred(m, layout, e, target))
+    rep = m.edge_class[i][0]
+    tgt = target.at(e.target)
+    entry = memo.get(rep)
+    if entry is not None and entry[0] == tgt:
+        dbms = entry[1]
+    else:
+        dbms = time_pred(m, layout, disc_pred(m, layout, e, target)).at(e.source)
+        memo[rep] = (tgt, dbms)
+        memo.computed += 1
+    return Federation(layout.dim, {e.source: dbms} if dbms else {})
 
 
 @dataclass(frozen=True)
@@ -106,10 +128,10 @@ class EscapeProfile:
 
 
 def _escape_cells(m: Wta, layout: ClockLayout, loc: str, complement: Federation,
-                  universe: Federation, memo: dict) -> list[tuple[list, frozenset]]:
+                  universe: Federation, memo: ClassMemo) -> list[tuple[list, frozenset]]:
     """Split a location's space into (DBMs, edges escaping into the complement) cells.
 
-    memo holds the escape preds per edge class for this complement."""
+    memo holds the escape preds per edge class."""
     cells: list[tuple[list, frozenset]] = [(list(universe.at(loc)), frozenset())]
     for i in m.out_edges[loc]:
         esc_dbms = pred(m, layout, m.edges[i], complement, memo, i).at(loc)
@@ -135,18 +157,22 @@ def _escape_cells(m: Wta, layout: ClockLayout, loc: str, complement: Federation,
 def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
                     target: Federation, universe: Federation) -> list[EscapeProfile]:
     """Partition a location's space by which edges escape the target."""
-    cells = _escape_cells(m, layout, loc, universe.subtract(target), universe, {})
+    cells = _escape_cells(m, layout, loc, universe.subtract(target), universe,
+                          ClassMemo())
     return [EscapeProfile(loc, d, pattern, sum(m.edges[i].weight for i in pattern))
             for dbms, pattern in cells for d in dbms]
 
 
 def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
-                     target: Federation, universe: Federation) -> Federation:
+                     target: Federation, universe: Federation,
+                     memo: Optional[tuple[ClassMemo, ClassMemo]] = None) -> Federation:
     """The budget-n obstruction predecessor of the target set: the cells
-    of the escape split that the budget affords and that keep a witness."""
+    of the escape split that the budget affords and that keep a witness.
+
+    memo is the (complement, hit target) pair of ClassMemos to read and
+    update; without one the memos last for this call."""
     complement = universe.subtract(target)
-    escape_memo: dict = {}
-    hit_memo: dict = {}
+    escape_memo, hit_memo = memo if memo is not None else (ClassMemo(), ClassMemo())
     hit_cache: dict[int, Federation] = {}
     out = Federation.empty(layout.dim)
     for loc in m.locations:

@@ -262,11 +262,12 @@ def ref_escape_profiles(m: Wta, layout: ClockLayout, loc: str,
 
 
 def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
-                         target: Federation, universe: Federation, *,
+                         target: Federation, universe: Federation, memo=None, *,
                          cost_strict: bool = False,
                          require_witness: bool = True) -> Federation:
     """obstruction_pred computing pred separately for every edge, with no
-    memo per edge class.
+    memo per edge class; memo is accepted, so that it can stand in for
+    tolmc.checker.obstruction_pred, and ignored.
 
     The faithful semantics is cost <= n with the witness condition on;
     cost_strict and require_witness=False build the mutants (MUTANTS)

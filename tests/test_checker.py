@@ -7,7 +7,7 @@ import pytest
 from helpers import fed_equal, run_python
 from tolmc import logic
 from tolmc.case_study import build_case_study, phi1, phi2
-from tolmc.bench import gen_pipeline
+from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import MAX_ZONES, CheckError, Checker, check, dump_sat
 from tolmc.logic import And, parse_formula
 from tolmc.model import parse_model, serialize_model
@@ -249,6 +249,22 @@ def test_stats_recorded():
     assert v.stats.wall_ms > 0
     assert v.stats.zones_noted > 0
     assert v.stats.peak_federation_size > 0
+
+
+@pytest.mark.parametrize("gen, k, formula, computed", [
+    (gen_pipeline, 30, None, 120),
+    (gen_pipeline, 30, "j . <#1> F (s29 & j >= 900)", 1082),
+    (gen_mesh, 30, None, 62),
+    (gen_mesh, 12, "j . <#10> F (s11 & j >= 12)", 323),
+])
+def test_preds_computed_counts_memo_misses(gen, k, formula, computed):
+    # the pred memo lives for the whole check: a fixpoint round recomputes
+    # only the edge classes whose target zone list changed (a memo kept
+    # for one obstruction step computes 1860, 1514, 120 and 325)
+    m, f = gen(k)
+    v = check(m, parse_formula(formula) if formula else f)
+    assert v.satisfied
+    assert v.stats.preds_computed == computed
 
 
 def test_dump_sat_deterministic():

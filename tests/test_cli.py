@@ -156,6 +156,35 @@ def test_dump_sat_unwritable_path_prints_no_verdict(capsys, tmp_path):
     assert "no-such-dir" in err
 
 
+def test_dump_sat_replaces_a_longer_file(capsys, tmp_path):
+    text = "wta\nlocation l init labels p\nedge l -> l action a weight 1\n"
+    model = tmp_path / "m.wta"
+    model.write_text(text)
+    dump = tmp_path / "sat.txt"
+    dump.write_text("old line\n" * 100)
+    code, _, _ = run(capsys, "check", str(model), "-f", "p", "--dump-sat", str(dump))
+    m, f = parse_model(text), parse_formula("p")
+    verdict = check(m, f)
+    assert code == 0
+    assert dump.read_text() == dump_sat(m, verdict.layout.names, verdict.sat_sets[f])
+
+
+def test_failed_check_keeps_the_dump_file(capsys, tmp_path, monkeypatch):
+    prefix = tmp_path / "pipe"
+    assert run(capsys, "gen", "pipeline", "--k", "4", "-o", str(prefix))[0] == 0
+    model = str(prefix) + ".wta"
+    dump = tmp_path / "sat.txt"
+    dump.write_text("keep me\n")
+    # a freeze on an automaton clock: a CheckError once the check starts
+    code, out, err = run(capsys, "check", model, "-f", "x . <#0> F s3", "--dump-sat", str(dump))
+    assert (code, out) == (2, "") and "collides" in err
+    assert dump.read_text() == "keep me\n"
+    monkeypatch.setattr("tolmc.checker.MAX_ZONES", 1)
+    code, out, err = run(capsys, "check", model, "-f", "<#1> F s3", "--dump-sat", str(dump))
+    assert (code, out) == (3, "") and "budget of 1" in err
+    assert dump.read_text() == "keep me\n"
+
+
 def test_dump_sat_names_formula_clocks(capsys, tmp_path):
     text = ("wta\nclocks x\nlocation l init labels p\n"
             "edge l -> l action a guard x >= 1 reset x weight 1\n")
@@ -321,6 +350,7 @@ def test_stats_line_is_one_json_object(capsys, tmp_path):
     stats = json.loads(lines[0])
     assert list(stats["fixpoint_iterations"]) == ["<#1> (! (true) R p)"]
     assert stats["zones_noted"] > 0 and stats["peak_federation_size"] > 0
+    assert stats["preds_computed"] > 0
 
 
 OVERFLOW = 600000000000

@@ -3,11 +3,15 @@ import random
 
 from helpers import (fed_equal, grid_points, pred_union, random_dbm, ref_escape_profiles,
                      ref_obstruction_pred)
-from tolmc.logic import ClockAtom, formula_clocks
+from tolmc import checker
+from tolmc.bench import gen_mesh, gen_pipeline
+from tolmc.checker import Checker
+from tolmc.logic import (ClockAtom, formula_clocks, parse_formula, print_formula,
+                         subformulas_by_size)
 from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
 from tolmc.predecessor import (EscapeProfile, disc_pred, escape_profiles,
                                full_space, obstruction_pred, pred, time_pred)
-from tolmc.randgen import WEIGHTS, random_wta
+from tolmc.randgen import WEIGHTS, random_formula, random_wta
 from tolmc.zones import Federation, Zone
 
 TWO_LOC = """wta
@@ -364,12 +368,12 @@ def random_target(rng, m, layout, universe):
     return Federation.of_zones(layout.dim, zones).intersect(universe)
 
 
-def test_class_sharing_gives_the_reference_zone_lists():
+def shared_class_cases():
+    """60 shared-class models, each with a layout, its universe and three
+    targets: the states labelled p and two random sets."""
     rng = random.Random(20261018)
-    shared = 0
     for _ in range(60):
         m = shared_class_wta(rng)
-        shared += any(len(cls) > 1 for cls in m.edge_class)
         fclocks = ("j",) if rng.random() < 0.3 else ()
         layout = ClockLayout.build(m, fclocks, max_constants(m) | {"j": 2})
         universe = full_space(m, layout)
@@ -377,6 +381,13 @@ def test_class_sharing_gives_the_reference_zone_lists():
         targets = [universe.map_zones(lambda l, d: d if l in labelled else None),
                    random_target(rng, m, layout, universe),
                    random_target(rng, m, layout, universe)]
+        yield m, layout, universe, targets
+
+
+def test_class_sharing_gives_the_reference_zone_lists():
+    shared = 0
+    for m, layout, universe, targets in shared_class_cases():
+        shared += any(len(cls) > 1 for cls in m.edge_class)
         for target in targets:
             for n in (0, 1, 2, 4):
                 got = obstruction_pred(m, layout, n, target, universe)
@@ -387,3 +398,44 @@ def test_class_sharing_gives_the_reference_zone_lists():
                     ref_escape_profiles(m, layout, loc.name, target, universe)
     # most models have a class of several edges, so the memo is exercised
     assert shared >= 40, shared
+
+
+def _memo_queries():
+    """Queries for the kept memo: criterion 2's corpus head, the shared-class
+    models, pipeline and mesh, and two strategic operators sharing a memo."""
+    rng = random.Random(20260811)  # the seed of criterion 2's corpus
+    for _ in range(10):
+        m = random_wta(rng)
+        for _ in range(20):
+            yield m, random_formula(rng, m, grades=(0, 1, 2, 3))
+    rng = random.Random(7)
+    nested = ("<#1> G (<#1> F p)", "<#0> (p U (<#2> G (q | ! p)))",
+              "<#1> ((<#0> F q) R p)")
+    for i, (m, *_) in enumerate(shared_class_cases()):
+        yield m, random_formula(rng, m, grades=(0, 1, 2, 3))
+        yield m, parse_formula(nested[i % len(nested)])
+    for k in range(2, 9):
+        last = f"s{k - 1}"
+        for gen in (gen_pipeline, gen_mesh):
+            m, release = gen(k)
+            yield m, release
+            for text in (f"j . <#1> F ({last} & j >= {k * k})",
+                         f"j . <#{max(k - 2, 0)}> F ({last} & j >= {k})",
+                         f"<#1> G (<#0> F {last})",
+                         f"j . <#0> F (<#1> G ({last} -> j >= {k}))"):
+                yield m, parse_formula(text)
+
+
+def test_kept_memo_gives_the_reference_sat_sets(monkeypatch):
+    # one Checker keeps its pred memo across every fixpoint round and
+    # every strategic subformula; memo-free predecessors must give the
+    # same zone lists, in the same order
+    for m, f in _memo_queries():
+        got = Checker(m, f).run().sat_sets
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "obstruction_pred", ref_obstruction_pred)
+            want = Checker(m, f).run().sat_sets
+        for psi in subformulas_by_size(f):
+            assert list(got[psi].zones()) == list(want[psi].zones()), print_formula(f)
+            assert all(got[psi].at(loc.name) == want[psi].at(loc.name)
+                       for loc in m.locations)
