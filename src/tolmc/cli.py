@@ -147,7 +147,9 @@ def _dispatch(args) -> int:
         try:
             ks = [int(x) for x in args.k.split(",") if x]
         except ValueError:
-            print("error: --k wants comma-separated integers", file=sys.stderr)
+            ks = []
+        if not ks:
+            print("error: --k wants one or more comma-separated integers", file=sys.stderr)
             return 2
         try:
             results = bench_mod.run_bench([args.case], ks, args.runs)

@@ -246,6 +246,11 @@ def _tokenize(text: str):
     return toks
 
 
+def _shown(t) -> str:
+    """A token as a diagnostic names it."""
+    return "end of formula" if t[0] == "eof" else repr(t[1])
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -263,7 +268,7 @@ class _Parser:
     def expect(self, kind, value=None):
         t = self.next()
         if t[0] != kind or (value is not None and t[1] != value):
-            raise FormulaError(f"expected {value or kind}, got {t[1]!r}", t[2])
+            raise FormulaError(f"expected {value or kind}, got {_shown(t)}", t[2])
         return t
 
     def nested(self, parse, at: int) -> TolFormula:
@@ -279,7 +284,7 @@ class _Parser:
         f = self.implies()
         t = self.peek()
         if t[0] != "eof":
-            raise FormulaError(f"trailing input {t[1]!r}", t[2])
+            raise FormulaError(f"trailing input {_shown(t)}", t[2])
         return f
 
     def implies(self) -> TolFormula:
@@ -330,7 +335,8 @@ class _Parser:
         left = self.nested(self.implies, t[2])
         op = self.next()
         if op[0] != "kw" or op[1] not in ("U", "R", "W"):
-            raise FormulaError(f"expected U, R or W inside graded operator, got {op[1]!r}", op[2])
+            raise FormulaError(f"expected U, R or W inside graded operator, got {_shown(op)}",
+                               op[2])
         right = self.nested(self.implies, op[2])
         self.expect("op", ")")
         if op[1] == "U":
@@ -361,6 +367,8 @@ class _Parser:
                     raise FormulaError(f"clock constant {v[1]} exceeds {MAX_CONSTANT}", v[2])
                 return ClockAtom(t[1], op, value)
             return Atom(t[1])
+        if t[0] == "eof":
+            raise FormulaError("unexpected end of formula", t[2])
         raise FormulaError(f"unexpected token {t[1]!r}", t[2])
 
 

@@ -411,11 +411,10 @@ class ClockLayout:
         return d
 
 
-def max_constants(m: Wta, formula=None) -> dict[str, int]:
+def max_constants(m: Wta, formula: logic.TolFormula) -> dict[str, int]:
     """Per-clock max constant over guards, invariants and formula atoms.
 
-    Clocks never compared map to 0; formula clocks are included when a
-    formula is given.
+    Clocks never compared map to 0; the formula's clocks are included.
     """
     out: dict[str, int] = {c: 0 for c in m.clocks}
     for loc in m.locations:
@@ -424,10 +423,9 @@ def max_constants(m: Wta, formula=None) -> dict[str, int]:
     for e in m.edges:
         for a in e.guard:
             out[a.clock] = max(out[a.clock], a.value)
-    if formula is not None:
-        for g, _, _ in logic.scoped(formula):
-            if isinstance(g, logic.Freeze):
-                out.setdefault(g.var, 0)
-            elif isinstance(g, ClockAtom):
-                out[g.clock] = max(out.get(g.clock, 0), g.value)
+    for g, _, _ in logic.scoped(formula):
+        if isinstance(g, logic.Freeze):
+            out.setdefault(g.var, 0)
+        elif isinstance(g, ClockAtom):
+            out[g.clock] = max(out.get(g.clock, 0), g.value)
     return out

@@ -15,15 +15,17 @@ it, so it comes later.  Each state thus costs its edges plus its
 output, not every delay up to the cap (time successors as in Alur &
 Dill, TCS 1994, on the digitized grid of Henzinger, Manna & Pnueli,
 ICALP 1992).  Strategic operators are decided as turn-based games with
-per-state blocker choices, solved by linear-time counting fixpoints.
-One textbook AU/AR, independent of the game fixpoints, sweeps a
-mapping from states to the step groups a blocker choice leaves open
+per-state blocker choices, solved by one linear-time counting fixpoint
+for graded Until and Release (Liu & Smolka, ICALP 1998).  One textbook
+sweep, sharing no code with it, iterates A U / A R over a mapping from
+states to the targets of the step groups a blocker choice leaves open
 (open_groups) and serves two uses: the grade-0 cross-check (tctl_check,
-on every state with nothing blocked: oracle_sat's loop on the TCTL image,
-whose A U / A R nodes reach only these solvers) and the witness
-re-check (on small instances, every location-constant blocker choice is
-enumerated, and the graph pruned by it is checked again over the states
-reachable from the initial one only, as reachable_groups finds them).
+on every state with nothing blocked: oracle_sat's loop on the TCTL
+image, whose A U / A R nodes reach only the sweep) and the witness
+re-check (on small instances, every location-constant blocker choice
+is enumerated, and the graph pruned by it is checked again over the
+states reachable from the initial one only, as reachable_groups finds
+them).
 Clock order and caps come from model.ClockLayout.of_query, which also
 rejects unbound or colliding formula clocks; no DBM is read.
 
@@ -39,9 +41,9 @@ arithmetic stays integral.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -61,21 +63,21 @@ class ExplicitGraph:
     states: list                    # (loc_name, coords) with coords doubled
     index: dict                     # state -> position
     steps: list                     # per state: list of (edge_idx, weight, targets tuple)
-    preds: dict = field(default_factory=dict)   # built lazily
 
     def initial_index(self) -> int:
         coords = (0,) * (self.layout.dim - 1)
         return self.index[(self.m.initial, coords)]
 
-    def build_preds(self) -> None:
-        if self.preds:
-            return
-        preds: dict[int, list] = {}
+    @functools.cached_property
+    def preds(self) -> list:
+        """Per state t, the (state, group index) pairs of the step groups
+        that target t."""
+        preds: list = [[] for _ in self.steps]
         for s, groups in enumerate(self.steps):
             for local, (_, _, targets) in enumerate(groups):
                 for t in targets:
-                    preds.setdefault(t, []).append((s, local))
-        self.preds = preds
+                    preds[t].append((s, local))
+        return preds
 
 
 def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
@@ -144,86 +146,76 @@ def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
 
 def until_game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray) -> bytearray:
     """States from which a budget-n blocker forces (s1 U s2) along all plays."""
-    g.build_preds()
-    nstates = len(g.states)
-    y = bytearray(s2)
-    out_count = [[0] * len(g.steps[s]) for s in range(nstates)]
-    esc_cost = [0] * nstates
-    witness = [0] * nstates
-    for s in range(nstates):
-        for local, (_, w, targets) in enumerate(g.steps[s]):
-            cnt = sum(1 for t in targets if not y[t])
-            out_count[s][local] = cnt
-            if cnt:
-                esc_cost[s] += w
-            else:
-                witness[s] += 1
-
-    def qualifies(s: int) -> bool:
-        return bool(s1[s]) and esc_cost[s] <= n and witness[s] > 0
-
-    # counts above already account for the S2 seeds; only enqueue new joins
-    work = deque()
-    for s in range(nstates):
-        if not y[s] and qualifies(s):
-            y[s] = 1
-            work.append(s)
-    while work:
-        t = work.popleft()
-        for s, local in g.preds.get(t, ()):
-            out_count[s][local] -= 1
-            if out_count[s][local] == 0:
-                esc_cost[s] -= g.steps[s][local][1]
-                witness[s] += 1
-                if not y[s] and qualifies(s):
-                    y[s] = 1
-                    work.append(s)
-    return y
+    return _game(g, n, s1, s2, True)
 
 
 def release_game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray) -> bytearray:
     """States from which a budget-n blocker maintains (s1 R s2) along all plays."""
-    g.build_preds()
-    nstates = len(g.states)
-    y = bytearray([1]) * nstates
-    out_count = [[0] * len(g.steps[s]) for s in range(nstates)]
-    esc_cost = [0] * nstates
-    witness = [len(g.steps[s]) for s in range(nstates)]
+    return _game(g, n, s1, s2, False)
 
-    def holds(s: int) -> bool:
-        if not s2[s]:
-            return False
-        if s1[s]:
-            return True
-        return esc_cost[s] <= n and witness[s] > 0
 
-    work = deque()
+def _game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray,
+          until: bool) -> bytearray:
+    """The least (until) or greatest fixpoint of y = s2 | (s1 & blocked(y))
+    or y = s2 & (s1 | blocked(y)).  blocked(y) holds at a state whose
+    escaping step groups (those with a target outside y) weigh at most n
+    while some group lies wholly inside y.  It decides only the states in
+    exactly one of s1, s2, and each flips at most once: Until grows y from
+    s2, Release shrinks it from every state.  Each group counts its
+    targets outside y, updated over the predecessor lists."""
+    steps = g.steps
+    nstates = len(steps)
+    y = bytearray(s2)
+    # the states blocked(y) decides that have not flipped yet
+    live = bytearray(a & (1 - b) for a, b in (zip(s1, s2) if until else zip(s2, s1)))
+    count = [None] * nstates    # per live state and group: its targets outside y
+    esc = [0] * nstates         # per live state: the weight of its groups counting one
+    wit = [0] * nstates         # per live state: its groups counting none
     for s in range(nstates):
-        if not holds(s):
-            y[s] = 0
+        if live[s]:
+            groups = steps[s]
+            if until:
+                cs = count[s] = [sum(1 for t in ts if not y[t]) for _, _, ts in groups]
+                esc[s] = sum(w for (_, w, _), c in zip(groups, cs) if c)
+                wit[s] = cs.count(0)
+            else:  # no target is outside y yet
+                count[s] = [0] * len(groups)
+                wit[s] = len(groups)
+    # Release's states outside s2 leave y first
+    work = [] if until else [s for s in range(nstates) if not s2[s]]
+    flip = int(until)           # the bit a live state flips to
+    step = -1 if until else 1   # a group's count change as one of its targets flips
+    turn = 1 - flip             # the count at which a group turns witness (until)
+                                # or escaping (release)
+    for s in range(nstates):
+        if live[s] and (esc[s] <= n and wit[s] > 0) == until:
+            live[s] = 0
+            y[s] = flip
             work.append(s)
+    preds = g.preds
     while work:
-        t = work.popleft()
-        for s, local in g.preds.get(t, ()):
-            if not y[s]:
+        for s, local in preds[work.pop()]:
+            if not live[s]:
                 continue
-            out_count[s][local] += 1
-            if out_count[s][local] == 1:
-                esc_cost[s] += g.steps[s][local][1]
-                witness[s] -= 1
-                if not holds(s):
-                    y[s] = 0
+            cs = count[s]
+            cs[local] += step
+            if cs[local] == turn:
+                esc[s] += step * steps[s][local][1]
+                wit[s] -= step
+                if (esc[s] <= n and wit[s] > 0) == until:
+                    live[s] = 0
+                    y[s] = flip
                     work.append(s)
     return y
 
 
-# -- independent textbook AU/AR (grade-0 cross-check and witness re-check) --
+# -- independent textbook sweep (grade-0 cross-check and witness re-check) --
 
 def open_groups(g: ExplicitGraph, choice: dict, s: int) -> list:
-    """Target tuples of the step groups at state s that choice (loc -> blocked
+    """The targets of the step groups at state s that choice (loc -> blocked
     edge ids) leaves open."""
     blocked = choice.get(g.states[s][0], ())
-    return [ts for ei, _, ts in g.steps[s] if ei not in blocked]
+    return [t for ei, _, ts in g.steps[s] if ei not in blocked for t in ts]
 
 
 def reachable_groups(g: ExplicitGraph, choice: dict, start: int) -> dict:
@@ -232,41 +224,31 @@ def reachable_groups(g: ExplicitGraph, choice: dict, start: int) -> dict:
     reached = {start: open_groups(g, choice, start)}
     work = [start]
     while work:
-        for ts in reached[work.pop()]:
-            for t in ts:
-                if t not in reached:
-                    reached[t] = open_groups(g, choice, t)
-                    work.append(t)
+        for t in reached[work.pop()]:
+            if t not in reached:
+                reached[t] = open_groups(g, choice, t)
+                work.append(t)
     return {s: reached[s] for s in sorted(reached)}
 
 
-def au_tctl(groups: dict, s1: bytearray, s2: bytearray) -> bytearray:
-    """A(s1 U s2) over groups (state -> open target tuples, keys ascending);
-    states outside groups keep their s2 bit."""
+def tctl_sweep(groups: dict, s1: bytearray, s2: bytearray, until: bool) -> bytearray:
+    """A(s1 U s2) (until) or A(s1 R s2) over groups (state -> the targets
+    of its open step groups, keys ascending), swept in key order until no
+    state changes; states outside groups keep their s2 bit.  A state in
+    s1 but not y joins A U once it has a successor and all of them lie in
+    y; a state in y but not s1 leaves A R unless that holds."""
+    flip = int(until)   # the bit a state may take: 1 joins A U, 0 leaves A R
     y = bytearray(s2)
+    in_y = y.__getitem__
     changed = True
     while changed:
         changed = False
-        for s, gs in groups.items():
-            if y[s] or not s1[s]:
+        for s, succ in groups.items():
+            if y[s] == flip or s1[s] != flip:
                 continue
-            if gs and all(y[t] for ts in gs for t in ts):
-                y[s] = 1
-                changed = True
-    return y
-
-
-def ar_tctl(groups: dict, s1: bytearray, s2: bytearray) -> bytearray:
-    """A(s1 R s2) over groups, as au_tctl."""
-    y = bytearray(s2)
-    changed = True
-    while changed:
-        changed = False
-        for s, gs in groups.items():
-            if not y[s] or s1[s]:
-                continue
-            if not gs or not all(y[t] for ts in gs for t in ts):
-                y[s] = 0
+            closed = succ and all(map(in_y, succ))
+            if closed if until else not closed:
+                y[s] = flip
                 changed = True
     return y
 
@@ -300,8 +282,8 @@ def _freeze_set(g: ExplicitGraph, var: str, inner: bytearray) -> bytearray:
 
 def oracle_sat(g: ExplicitGraph, f) -> dict:
     """Sat sets for every subformula.  Graded operators go to the
-    per-state game fixpoints; A U / A R (the TCTL image's TAU/TAR) go to
-    the textbook AU/AR over every state's step groups, none blocked."""
+    per-state game fixpoint; A U / A R (the TCTL image's TAU/TAR) go to
+    the textbook sweep over every state's step groups, none blocked."""
     sat: dict = {}
     n = len(g.states)
     groups = None
@@ -321,8 +303,8 @@ def oracle_sat(g: ExplicitGraph, f) -> dict:
         elif isinstance(psi, (logic.TAU, logic.TAR)):
             if groups is None:
                 groups = {s: open_groups(g, {}, s) for s in range(n)}
-            solve = au_tctl if isinstance(psi, logic.TAU) else ar_tctl
-            sat[psi] = solve(groups, sat[psi.left], sat[psi.right])
+            sat[psi] = tctl_sweep(groups, sat[psi.left], sat[psi.right],
+                                  isinstance(psi, logic.TAU))
         elif isinstance(psi, logic.Freeze):
             sat[psi] = _freeze_set(g, psi.var, sat[psi.sub])
         else:
@@ -339,7 +321,7 @@ def oracle_check(m: Wta, f: logic.TolFormula) -> bool:
 def tctl_check(m: Wta, f: logic.TolFormula) -> bool:
     """Textbook TCTL verdict on the discretization: oracle_sat's loop, in
     which a TCTL formula (one with no graded Until/Release, such as a
-    to_tctl image) reaches only au_tctl/ar_tctl and never the games
+    to_tctl image) reaches only tctl_sweep and never the games
     (used to validate the grade-0 fragment)."""
     if any(isinstance(g, (logic.Until, logic.Release))
            for g in logic.subformulas_by_size(f)):
@@ -457,13 +439,12 @@ def location_choice_candidates(m: Wta, loc: str, n: int) -> Iterator[frozenset]:
         yield from grow(0, r, 0)
 
 
-def _pruned_holds(g: ExplicitGraph, choice: dict, kind: str,
+def _pruned_holds(g: ExplicitGraph, choice: dict, until: bool,
                   s1: bytearray, s2: bytearray, start: int) -> bool:
-    """Textbook AU/AR from start on the graph pruned by a location-constant
+    """The textbook sweep from start on the graph pruned by a location-constant
     blocker choice, swept over the states reachable from start only: the
     value at start depends on no other state."""
-    solve = au_tctl if kind == "until" else ar_tctl
-    return bool(solve(reachable_groups(g, choice, start), s1, s2)[start])
+    return bool(tctl_sweep(reachable_groups(g, choice, start), s1, s2, until)[start])
 
 
 def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
@@ -481,7 +462,7 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
         inner, = logic.children(inner)
     if not isinstance(inner, (logic.Until, logic.Release)):
         raise ValueError("witness enumeration needs an outermost strategic operator")
-    kind = "until" if isinstance(inner, logic.Until) else "release"
+    until = isinstance(inner, logic.Until)
     sat = oracle_sat(g, f)
     s1, s2 = (sat[c] for c in logic.children(inner))
     start = g.initial_index()
@@ -501,6 +482,6 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     witnesses = []
     for combo in itertools.product(*cand):
         choice = dict(zip(locs, combo))
-        if _pruned_holds(g, choice, kind, s1, s2, start):
+        if _pruned_holds(g, choice, until, s1, s2, start):
             witnesses.append(choice)
     return witnesses

@@ -607,3 +607,26 @@ def ref_location_witnesses(m: Wta, f: TolFormula) -> list:
         if _ref_sweep(_ref_succ_sets(g, choice), s1, s2, until)[start]:
             witnesses.append(choice)
     return witnesses
+
+
+def ref_game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray,
+             until: bool) -> bytearray:
+    """oracle.until_game (until) or release_game by plain Kleene iteration
+    of the one-step blocker operator, read straight from g.steps: from s2
+    (until) or every state, recompute all states at once until nothing
+    changes.  A state is blocked into y when the weight of its escaping
+    groups (those with a target outside y) is <= n and one group lies
+    wholly inside y."""
+    def blocked(y: bytearray, s: int) -> bool:
+        inside = [all(y[t] for t in ts) for _, _, ts in g.steps[s]]
+        escape = sum(w for (_, w, _), ok in zip(g.steps[s], inside) if not ok)
+        return escape <= n and any(inside)
+
+    y = bytearray(s2) if until else bytearray([1]) * len(g.states)
+    while True:
+        nxt = bytearray((s2[s] or (s1[s] and blocked(y, s))) if until
+                        else (s2[s] and (s1[s] or blocked(y, s)))
+                        for s in range(len(g.states)))
+        if nxt == y:
+            return y
+        y = nxt

@@ -291,7 +291,8 @@ def test_bench_bad_k(capsys, tmp_path):
     ("gen", "pipeline", "--k", "100000000"),
     ("gen", "mesh", "--k", "40000"),
     ("gen", "mesh", "--k", "1001"),
-    ("bench", "mesh", "--k", "3", "--runs", "0", "--csv", "x.csv")])
+    ("bench", "mesh", "--k", "3", "--runs", "0", "--csv", "x.csv"),
+    ("bench", "pipeline", "--k", ",", "--csv", "out.csv")])
 def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)

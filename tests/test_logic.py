@@ -49,6 +49,18 @@ def test_truncated_until_is_syntax_error():
         parse_formula("<#2> (p U)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of formula (at char 0)"),
+    ("<#0> (a U", "unexpected end of formula (at char 9)"),
+    ("(p", "expected ), got end of formula (at char 2)"),
+    ("<#0> (a", "expected U, R or W inside graded operator, got end of formula (at char 7)"),
+    ("<#1>", "expected (, got end of formula (at char 4)")])
+def test_truncated_input_names_the_end_of_formula(text, message):
+    with pytest.raises(FormulaError) as e:
+        parse_formula(text)
+    assert str(e.value) == message
+
+
 def test_malformed_grade():
     with pytest.raises(FormulaError):
         parse_formula("<#> (p U q)")

@@ -146,7 +146,7 @@ edge l0 -> l1 action go guard x <= 2 weight 1
 
 def test_max_constants_all_zero():
     m = parse_model("wta\nclocks x\nlocation l init\n")
-    assert max_constants(m) == {"x": 0}
+    assert max_constants(m, logic.TRUE) == {"x": 0}
 
 
 def test_max_constants_case_study():

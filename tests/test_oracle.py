@@ -1,17 +1,20 @@
 import functools
+import hashlib
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import (ref_discretize, ref_location_choice_candidates,
+from helpers import (ref_discretize, ref_game, ref_location_choice_candidates,
                      ref_location_witnesses, ref_obstruction_pred, run_python)
 from test_acceptance import _corpus
 from tolmc import logic
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import check
-from tolmc.logic import parse_formula, to_tctl
+from tolmc.logic import FragmentError, parse_formula, subformulas_by_size, to_tctl
 from tolmc.model import ScaleError, parse_model
 from tolmc.oracle import (differential, discretize, location_choice_candidates,
                           location_witnesses, oracle_check, oracle_sat,
@@ -177,6 +180,51 @@ edge b -> b action sb weight 1
     assert sat[parse_formula("<#2> (true U pa)")][start]
     sat1 = oracle_sat(g, parse_formula("<#1> (true U pa)"))
     assert not sat1[parse_formula("<#1> (true U pa)")][start]
+
+
+WEIGHT_ZERO = """wta
+clocks x
+location l init invariant x <= 2 labels p
+location a labels q
+location b
+edge l -> a action x guard x >= 1 weight 0
+edge l -> b action y weight 0
+edge l -> l action z guard x <= 1 reset x weight 1
+edge a -> l action back weight 0
+edge b -> b action sb weight 2
+"""
+
+
+def _assert_games_equal_reference(m, f):
+    g = discretize(m, f)
+    sat = oracle_sat(g, f)
+    for psi in subformulas_by_size(f):
+        if isinstance(psi, (logic.Until, logic.Release)):
+            ref = ref_game(g, psi.grade, sat[psi.left], sat[psi.right],
+                           isinstance(psi, logic.Until))
+            assert sat[psi] == ref, logic.print_formula(psi)
+
+
+def test_games_equal_reference_on_the_differential_corpus():
+    # the first queries of criterion 2 and a model with weight-0 edges
+    for m, f in itertools.islice(_corpus(20260811, grades=(0, 1, 2, 3)), 300):
+        _assert_games_equal_reference(m, f)
+    m = parse_model(WEIGHT_ZERO)
+    for text in ("<#0> (true U q)", "<#0> G p", "<#1> G (p | q)",
+                 "<#1> (p U q)", "<#2> (p R !q)", "<#0> F (q & <#0> G (x <= 1))"):
+        _assert_games_equal_reference(m, parse_formula(text))
+
+
+def test_games_equal_reference_on_case_study():
+    m = build_case_study()
+    for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]:
+        _assert_games_equal_reference(m, f)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_games_equal_reference_on_the_bench_families(k):
+    _assert_games_equal_reference(*gen_pipeline(k))
+    _assert_games_equal_reference(*gen_mesh(k))
 
 
 def test_freeze_set_lookup():
@@ -351,3 +399,52 @@ def test_oracle_entries_reject_unbound_clocks(text):
                 lambda: location_witnesses(m, f)):
         with pytest.raises(CheckError):
             run()
+
+
+ORACLE_DIGEST = "5544 bd80e7cede436af2b569b4f44c9aad7892adb5e26155b34e81e904a0f616aeff"
+
+
+def _sat_digest_corpus():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sat_digest.py"
+    spec = importlib.util.spec_from_file_location("sat_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.corpus()
+
+
+def _oracle_digest() -> str:
+    """`<count> <sha256>` over scripts/sat_digest.py's corpus without
+    pipeline/mesh at k = 12 (seconds each for the oracle): the oracle_sat
+    bits of every subformula, those of the TCTL image of every grade-0
+    query, and the witness lists of the case-study queries."""
+    slow = [gen_pipeline(12)[0], gen_mesh(12)[0]]
+    cs = build_case_study()
+    h = hashlib.sha256()
+    count = 0
+
+    def add_sat(m, f):
+        nonlocal count
+        g = discretize(m, f)
+        sat = oracle_sat(g, f)
+        for psi in subformulas_by_size(f):
+            h.update(bytes(sat[psi]))
+            count += 1
+
+    for m, f in _sat_digest_corpus():
+        if m in slow:
+            continue
+        add_sat(m, f)
+        try:
+            add_sat(m, to_tctl(f))
+        except FragmentError:
+            pass
+        if m == cs:
+            ws = location_witnesses(m, f)
+            h.update(repr([sorted((loc, sorted(c)) for loc, c in w.items())
+                           for w in ws]).encode())
+            count += 1
+    return f"{count} {h.hexdigest()}"
+
+
+def test_oracle_output_of_the_digest_corpus_is_unchanged():
+    assert _oracle_digest() == ORACLE_DIGEST

@@ -6,7 +6,7 @@ from helpers import (fed_equal, grid_points, pred_union, random_dbm, ref_escape_
 from tolmc import checker
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
-from tolmc.logic import (ClockAtom, formula_clocks, parse_formula, print_formula,
+from tolmc.logic import (TRUE, ClockAtom, formula_clocks, parse_formula, print_formula,
                          subformulas_by_size)
 from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
 from tolmc.predecessor import (EscapeProfile, disc_pred, escape_profiles,
@@ -249,7 +249,7 @@ def test_obstruction_subset_of_pred_union_and_monotone():
     rng = random.Random(97)
     for _ in range(25):
         m = random_wta(rng, max_clocks=1, max_locations=3, max_edges=4, cmax=2)
-        ks = max_constants(m)
+        ks = max_constants(m, TRUE)
         layout = ClockLayout.build(m, (), ks)
         universe = full_space(m, layout)
         labelled = [loc.name for loc in m.locations if "p" in loc.labels]
@@ -375,7 +375,7 @@ def shared_class_cases():
     for _ in range(60):
         m = shared_class_wta(rng)
         fclocks = ("j",) if rng.random() < 0.3 else ()
-        layout = ClockLayout.build(m, fclocks, max_constants(m) | {"j": 2})
+        layout = ClockLayout.build(m, fclocks, max_constants(m, TRUE) | {"j": 2})
         universe = full_space(m, layout)
         labelled = {loc.name for loc in m.locations if "p" in loc.labels}
         targets = [universe.map_zones(lambda l, d: d if l in labelled else None),
