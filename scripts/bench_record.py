@@ -25,7 +25,8 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     verdict for pipeline and mesh at CHECK_KS, each with its
     generator's formula,
   - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
-    state count for pipeline and mesh at DISCRETIZE_KS,
+    count of states it builds (those the initial state's Sat bits read,
+    not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
   - untraced `oracle.location_witnesses` ms (median of 2 * REPEATS runs)
     and the witness count for the case study's WITNESS_FORMULAS,
   - the tier-1 wall time: one pytest run per side, one after the other,

@@ -3,40 +3,35 @@
 States sample every clock (automaton and formula clocks alike) at
 half-integer points capped at max_constant + 1; the cap value stands
 for "anything larger", which rectangular constraints cannot
-distinguish.  Steps are delay-then-edge composites between grid
-states.  They are built by a delay sweep: a state's successors per
-edge are its own edge landings joined with those of its half-unit
-delay successor next(v) = min(v + 1, cap), taken while next(v) moves
-and the invariant holds there (an upper-bound invariant never recovers
-under delay).  States are visited in reverse list order, which finds
-next(v) done: a location's states are listed in lexicographic
-coordinate order and next(v) is componentwise >= v and differs from
-it, so it comes later.  Each state thus costs its edges plus its
-output, not every delay up to the cap (time successors as in Alur &
-Dill, TCS 1994, on the digitized grid of Henzinger, Manna & Pnueli,
-ICALP 1992).  Strategic operators are decided as turn-based games with
-per-state blocker choices, solved by one linear-time counting fixpoint
-for graded Until and Release (Liu & Smolka, ICALP 1998).  One textbook
-sweep, sharing no code with it, iterates A U / A R over a mapping from
-states to the targets of the step groups a blocker choice leaves open
-(open_groups) and serves two uses: the grade-0 cross-check (tctl_check,
-on every state with nothing blocked: oracle_sat's loop on the TCTL
-image, whose A U / A R nodes reach only the sweep) and the witness
-re-check (on small instances, every location-constant blocker choice
-is enumerated, and the graph pruned by it is checked again over the
-states reachable from the initial one only, as reachable_groups finds
-them).
-Clock order and caps come from model.ClockLayout.of_query, which also
-rejects unbound or colliding formula clocks; no DBM is read.
+distinguish.  Steps are delay-then-edge composites between states.
+discretize builds only the states a Sat bit at the initial state reads:
+it walks forward from there (Alur & Dill, TCS 1994, on the digitized
+grid of Henzinger, Manna & Pnueli, ICALP 1992) under step targets and
+the formula clocks' freeze-reset images, since a step group reads its
+targets, an atom its own state and a freeze its reset image.  A point's
+successors per edge are its own edge landings joined with those of its
+half-unit delay successor next(v) = min(v + 1, cap), taken while next(v)
+moves and the invariant holds there (an upper-bound invariant never
+recovers under delay).  Each delay chain is walked forward to a
+memoised or terminal point and folded back, memoising every point, so
+a point costs its edges plus its output; a chain point no step lands
+on is not a state.  Strategic operators are decided as turn-based games
+with per-state blocker choices, solved by one linear-time counting
+fixpoint for graded Until and Release (Liu & Smolka, ICALP 1998).  One
+textbook sweep, sharing no code with it, iterates A U / A R over the
+targets of the step groups a blocker choice leaves open (open_groups)
+for the grade-0 cross-check (tctl_check: every state, nothing blocked)
+and the witness re-check (location_witnesses: each location-constant
+blocker choice, over the states reachable_groups finds).  Clock order
+and caps come from model.ClockLayout.of_query, which also rejects
+unbound or colliding formula clocks; no DBM is read.  Coordinates are
+stored doubled (1 unit = half a time unit), so arithmetic stays integral.
 
 Past either of two caps an entry point raises model.ScaleError (CLI
 exit 3, as for the checker's MAX_ZONES) before memory runs out:
-MAX_STATES bounds discretize's grid, estimated before any state is
-built, and MAX_CHOICES the blocker-choice combinations of
-location_witnesses, counted as they are generated.
-
-Coordinates are stored doubled (1 unit = half a time unit) so all
-arithmetic stays integral.
+MAX_STATES bounds the states, chain points and step-target entries
+discretize builds, MAX_CHOICES the blocker-choice combinations of
+location_witnesses; both count as they are generated.
 """
 
 from __future__ import annotations
@@ -65,13 +60,11 @@ class ExplicitGraph:
     steps: list                     # per state: list of (edge_idx, weight, targets tuple)
 
     def initial_index(self) -> int:
-        coords = (0,) * (self.layout.dim - 1)
-        return self.index[(self.m.initial, coords)]
+        return self.index[(self.m.initial, (0,) * (self.layout.dim - 1))]
 
     @functools.cached_property
     def preds(self) -> list:
-        """Per state t, the (state, group index) pairs of the step groups
-        that target t."""
+        """Per state t, the (state, group index) pairs of the groups targeting t."""
         preds: list = [[] for _ in self.steps]
         for s, groups in enumerate(self.steps):
             for local, (_, _, targets) in enumerate(groups):
@@ -81,64 +74,79 @@ class ExplicitGraph:
 
 
 def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
-    """Build the capped half-integer quotient of the model's state space."""
+    """Build the states of the capped half-integer quotient that the
+    initial state's Sat bits read, numbered in the order the walk finds them."""
     layout = ClockLayout.of_query(m, f)
-    caps2 = tuple(0 if i == 0 else 2 * (layout.kvec[i] + 1)
-                  for i in range(layout.dim))
-
-    est = len(m.locations)
-    for i in range(1, layout.dim):
-        est *= caps2[i] + 1
-    if est > MAX_STATES:
-        raise ScaleError(
-            f"discretization needs {est} states, over the cap of {MAX_STATES}")
-
-    nclocks = layout.dim - 1
-    inv_atoms = {loc.name: [(layout.index[a.clock] - 1, a) for a in loc.invariant]
-                 for loc in m.locations}
-
-    def inv_ok(loc: str, coords) -> bool:
-        return all(a.sat2(coords[ci]) for ci, a in inv_atoms[loc])
-
-    states = []
-    index: dict = {}
-    ranges = [range(caps2[i] + 1) for i in range(1, layout.dim)]
-    for loc in m.locations:
-        for coords in itertools.product(*ranges) if nclocks else [()]:
-            if inv_ok(loc.name, coords):
-                index[(loc.name, coords)] = len(states)
-                states.append((loc.name, coords))
-
-    prepared = [(ei, e, [(layout.index[a.clock] - 1, a) for a in e.guard],
-                 [layout.index[c] - 1 for c in e.resets]) for ei, e in enumerate(m.edges)]
-    edges_by_loc = {loc: [prepared[ei] for ei in ids] for loc, ids in m.out_edges.items()}
-
-    # the delay sweep of the module docstring, in reverse state order
+    caps2 = tuple(0 if i == 0 else 2 * (layout.kvec[i] + 1) for i in range(layout.dim))
     top = caps2[1:]
-    steps: list = [None] * len(states)
-    for s in range(len(states) - 1, -1, -1):
-        loc, coords = states[s]
-        nxt = tuple(min(c + 1, t) for c, t in zip(coords, top))
-        later = index.get((loc, nxt)) if nxt != coords else None
-        found = {} if later is None else {ei: ts for ei, _, ts in steps[later]}
-        grown = later is None
-        for ei, e, guard, resets in edges_by_loc[loc]:
-            if not all(a.sat2(coords[ci]) for ci, a in guard):
-                continue
-            landing = list(coords)
-            for ci in resets:
-                landing[ci] = 0
-            t = index.get((e.target, tuple(landing)))
-            if t is None:
-                continue
-            ts = found.get(ei, ())
-            at = bisect_left(ts, t)
-            if at == len(ts) or ts[at] != t:
-                found[ei] = ts[:at] + (t,) + ts[at:]
-                grown = True
-        steps[s] = ([(ei, m.edges[ei].weight, ts) for ei, ts in sorted(found.items())]
-                    if grown else steps[later])
 
+    def coords_of(atoms) -> tuple:
+        return tuple((layout.index[a.clock] - 1, a) for a in atoms)
+    inv = {loc.name: coords_of(loc.invariant) for loc in m.locations}
+    shapes: dict = {}  # per location: edges by (guard, resets), one landing per shape
+    for ei, e in enumerate(m.edges):
+        resets = frozenset(layout.index[c] - 1 for c in e.resets)
+        shapes.setdefault(e.source, {}).setdefault((coords_of(e.guard), resets), []) \
+            .append((ei, e.target, inv[e.target]))
+    frozen = range(len(m.clocks), layout.dim - 1)  # the formula clocks' coordinates
+    states = [(m.initial, (0,) * (layout.dim - 1))]
+    index = {states[0]: 0}
+    memo: dict = {loc.name: {} for loc in m.locations}  # chain point -> its step groups
+    spent = 1  # states, chain points and target entries built so far
+
+    def sweep(loc: str, coords: tuple) -> list:
+        """(loc, coords)'s step groups, memoised along its delay chain."""
+        nonlocal spent
+        known, loc_inv, loc_shapes = memo[loc], inv[loc], shapes.get(loc, {}).items()
+        # walk the chain forward to a memoised or terminal point, then fold it back
+        chain, later = [coords], None
+        while spent + len(chain) <= MAX_STATES:
+            v = chain[-1]
+            nxt = tuple(min(c + 1, t) for c, t in zip(v, top))
+            if nxt == v or not all(a.sat2(nxt[ci]) for ci, a in loc_inv):
+                break
+            later = known.get(nxt)
+            if later is not None:
+                break
+            chain.append(nxt)
+        spent += len(chain)
+        for v in reversed(chain):
+            if spent > MAX_STATES:
+                raise ScaleError(f"discretization builds over {MAX_STATES} states and targets")
+            found = {} if later is None else {ei: ts for ei, _, ts in later}
+            grown = later is None
+            for (guard, resets), outs in loc_shapes:
+                if not all(a.sat2(v[ci]) for ci, a in guard):
+                    continue
+                landing = tuple(0 if ci in resets else c for ci, c in enumerate(v))
+                for ei, target, target_inv in outs:
+                    t = index.get((target, landing))
+                    if t is None:
+                        if not all(a.sat2(landing[ci]) for ci, a in target_inv):
+                            continue
+                        t = index[(target, landing)] = len(states)
+                        states.append((target, landing))
+                        spent += 1
+                    ts = found.get(ei, ())
+                    at = bisect_left(ts, t)
+                    if at == len(ts) or ts[at] != t:
+                        found[ei] = ts[:at] + (t,) + ts[at:]
+                        spent += len(ts) + 1
+                        grown = True
+            later = known[v] = ([(ei, m.edges[ei].weight, ts) for ei, ts in sorted(found.items())]
+                                if grown else later)
+        return later
+
+    steps: list = []
+    for loc, coords in states:  # states grows as the walk finds new ones
+        groups = memo[loc].get(coords)
+        steps.append(sweep(loc, coords) if groups is None else groups)
+        for ci in frozen:
+            key = (loc, coords[:ci] + (0,) + coords[ci + 1:])
+            if key not in index:
+                index[key] = len(states)
+                states.append(key)
+                spent += 1
     return ExplicitGraph(m, layout, caps2, states, index, steps)
 
 
@@ -269,15 +277,9 @@ def _atom_set(g: ExplicitGraph, psi) -> bytearray:
 
 
 def _freeze_set(g: ExplicitGraph, var: str, inner: bytearray) -> bytearray:
-    ci = g.layout.index[var] - 1
-    out = bytearray(len(g.states))
-    for s, (loc, coords) in enumerate(g.states):
-        if coords[ci] == 0:
-            out[s] = inner[s]
-        else:
-            reset_coords = coords[:ci] + (0,) + coords[ci + 1:]
-            out[s] = inner[g.index[(loc, reset_coords)]]
-    return out
+    ci = g.layout.index[var] - 1  # discretize built every state's reset image
+    return bytearray(inner[g.index[(loc, coords[:ci] + (0,) + coords[ci + 1:])]]
+                     for loc, coords in g.states)
 
 
 def oracle_sat(g: ExplicitGraph, f) -> dict:
@@ -314,8 +316,7 @@ def oracle_sat(g: ExplicitGraph, f) -> dict:
 
 def oracle_check(m: Wta, f: logic.TolFormula) -> bool:
     g = discretize(m, f)
-    sat = oracle_sat(g, f)
-    return bool(sat[f][g.initial_index()])
+    return bool(oracle_sat(g, f)[f][g.initial_index()])
 
 
 def tctl_check(m: Wta, f: logic.TolFormula) -> bool:
@@ -358,13 +359,13 @@ def differential(m: Wta, f: logic.TolFormula, deep: bool = False) -> DiffReport:
     """Run both checkers; agreement means equal verdicts at the initial state.
 
     On disagreement (or with deep=True) the report also carries the
-    smallest subformula whose satisfaction sets differ on the sample
-    grid, with the differing states and the checker's set dump.  The
-    grid comparison covers the states reachable from the initial one:
-    at mixed half-fraction valuations the half-integer quotient is
-    knowingly coarser than dense time (negating a closed atom opens a
-    strict window that can fall between sample points), and a freeze
-    binder projects onto such valuations.
+    smallest subformula whose satisfaction sets differ on the states
+    reachable from the initial one, with the differing states and the
+    checker's set dump.  The freeze images are left out: at mixed
+    half-fraction valuations the half-integer quotient is knowingly
+    coarser than dense time (negating a closed atom opens a strict
+    window that can fall between sample points), and a freeze binder
+    projects onto such valuations.
     """
     from .checker import check
 
@@ -391,9 +392,8 @@ def _compare_grids(m, f, g, sat_sets, osat, report) -> bool:
         fed = sat_sets[psi]
         obits = osat[psi]
         bad = []
-        for s, (loc, coords) in enumerate(g.states):
-            if s not in scope:
-                continue
+        for s in scope:
+            loc, coords = g.states[s]
             sym = fed.contains_point(loc, (0,) + coords)
             if sym != bool(obits[s]):
                 bad.append((loc, coords, sym, bool(obits[s])))

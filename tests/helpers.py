@@ -516,35 +516,71 @@ def run_python(code: str, *flags: str, timeout: float = 120) -> subprocess.Compl
                           capture_output=True, text=True, timeout=timeout)
 
 
-def ref_discretize(g: ExplicitGraph) -> list:
-    """The steps of oracle.discretize's graph g, rebuilt by rescanning
-    every delay from every state: quadratic in the cap, the reference
-    for the delay sweep."""
-    layout = g.layout
-    prepared = [(ei, e, [(layout.index[a.clock] - 1, a) for a in e.guard],
-                 [layout.index[c] - 1 for c in e.resets]) for ei, e in enumerate(g.m.edges)]
-    edges_by_loc = {loc: [prepared[ei] for ei in ids] for loc, ids in g.m.out_edges.items()}
+def ref_grid(m: Wta, f: TolFormula, rescan=None) -> ExplicitGraph:
+    """The whole capped half-integer grid that oracle.discretize walks a
+    part of: every (location, point) whose invariant holds, locations in
+    model order and points in lexicographic order, each with the steps
+    found by rescanning every delay from it (only the states in rescan,
+    if given; the others get None).  Each point's landings and delay
+    successor are listed once, but every state joins the landings of all
+    its delays anew: quadratic in the cap, the reference for the delay
+    sweep."""
+    layout = ClockLayout.of_query(m, f)
+    caps2 = tuple(0 if i == 0 else 2 * (layout.kvec[i] + 1) for i in range(layout.dim))
+    invariant = {loc.name: loc.invariant for loc in m.locations}
 
-    steps: list[list] = []
-    for loc, coords in g.states:
-        found: dict[int, set] = {}
-        max_delay = max((g.caps2[i + 1] - c for i, c in enumerate(coords)), default=0)
-        for d2 in range(max_delay + 1):
-            shifted = tuple(min(c + d2, g.caps2[i + 1]) for i, c in enumerate(coords))
-            if (loc, shifted) not in g.index:
-                break  # the invariant fails; upper bounds never recover under delay
-            for ei, e, guard, resets in edges_by_loc[loc]:
-                if not all(a.sat2(shifted[ci]) for ci, a in guard):
-                    continue
-                landing = list(shifted)
-                for ci in resets:
-                    landing[ci] = 0
-                key = (e.target, tuple(landing))
-                if key in g.index:
-                    found.setdefault(ei, set()).add(g.index[key])
-        steps.append([(ei, g.m.edges[ei].weight, tuple(sorted(ts)))
+    def holds(atoms, coords) -> bool:
+        return all(a.sat2(coords[layout.index[a.clock] - 1]) for a in atoms)
+
+    states = [(loc.name, coords) for loc in m.locations
+              for coords in itertools.product(*(range(c + 1) for c in caps2[1:]))
+              if holds(invariant[loc.name], coords)]
+    index = {st: i for i, st in enumerate(states)}
+    landings = []   # per state: (edge id, target state) for each edge it can take
+    delayed = []    # per state: its half-unit delay successor, None past the cap
+                    # or the invariant (upper bounds never recover under delay)
+    for loc, coords in states:
+        out = []
+        for ei in m.out_edges[loc]:
+            e = m.edges[ei]
+            landing = tuple(0 if layout.names[ci + 1] in e.resets else c
+                            for ci, c in enumerate(coords))
+            if holds(e.guard, coords) and holds(invariant[e.target], landing):
+                out.append((ei, index[(e.target, landing)]))
+        landings.append(out)
+        later = tuple(min(x + 1, c) for c, x in zip(caps2[1:], coords))
+        delayed.append(index[(loc, later)] if later != coords
+                       and holds(invariant[loc], later) else None)
+    steps = []
+    for s, st in enumerate(states):
+        if rescan is not None and st not in rescan:
+            steps.append(None)
+            continue
+        found: dict = {}
+        while s is not None:
+            for ei, t in landings[s]:
+                found.setdefault(ei, set()).add(t)
+            s = delayed[s]
+        steps.append([(ei, m.edges[ei].weight, tuple(sorted(ts)))
                       for ei, ts in sorted(found.items())])
-    return steps
+    return ExplicitGraph(m, layout, caps2, states, index, steps)
+
+
+def ref_closure(r: ExplicitGraph) -> set:
+    """The states of grid r reachable from its initial one under step
+    targets and the reset images of the formula clocks."""
+    initial = (r.m.initial, (0,) * (r.layout.dim - 1))
+    frozen = range(len(r.m.clocks), r.layout.dim - 1)
+    seen, work = {initial}, [initial]
+    while work:
+        loc, coords = work.pop()
+        nxt = [r.states[t] for _, _, ts in r.steps[r.index[(loc, coords)]] for t in ts]
+        nxt += [(loc, coords[:ci] + (0,) + coords[ci + 1:]) for ci in frozen]
+        for st in nxt:
+            if st not in seen:
+                seen.add(st)
+                work.append(st)
+    return seen
 
 
 def ref_location_choice_candidates(m: Wta, loc: str, n: int) -> list:

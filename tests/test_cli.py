@@ -251,6 +251,22 @@ def test_translate_bounds_its_output():
                         proc.stderr)
 
 
+@pytest.mark.parametrize("formula, code, verdict", [("<#0> F q", 0, "SAT"),
+                                                     ("<#0> G q", 1, "UNSAT")])
+def test_python_m_tolmc_keeps_the_exit_codes(tmp_path, formula, code, verdict):
+    # `python -m tolmc` runs the same command: 0 for SAT, 1 only for UNSAT
+    model = tmp_path / "m.wta"
+    model.write_text("wta\nlocation l init\nlocation m labels q\n"
+                     "edge l -> m action a weight 1\nedge m -> m action b weight 1\n")
+    proc = run_python(f"""
+        import runpy, sys
+        sys.argv = ["tolmc", "check", {str(model)!r}, "-f", {formula!r}]
+        runpy.run_module("tolmc", run_name="__main__")
+    """, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.split()[0] == verdict
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -302,15 +318,31 @@ def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, monkeypatch, argv
     assert list(tmp_path.iterdir()) == []
 
 
-def test_oracle_scale_exit_code(capsys, tmp_path):
+def _diagonal_model(tmp_path, bound: int) -> str:
+    """A model whose oracle walk stays on the x = y diagonal, where state
+    (l, v) steps to every later diagonal point of m up to the bound: about
+    4 * bound^2 target entries."""
     model = tmp_path / "big.wta"
     model.write_text(
         "wta\nclocks x y\nlocation l init\nlocation m\n"
-        "edge l -> m action a guard x <= 700 & y <= 700 weight 1\n"
+        f"edge l -> m action a guard x <= {bound} & y <= {bound} weight 1\n"
         "edge m -> l action b weight 1\n")
-    code, out, err = run(capsys, "oracle", str(model), "-f", "true")
+    return str(model)
+
+
+def test_oracle_scale_exit_code(capsys, tmp_path):
+    # 2000: about 1.6 * 10^7 target entries, over MAX_STATES
+    code, out, err = run(capsys, "oracle", _diagonal_model(tmp_path, 2000), "-f", "true")
     assert code == 3
     assert "states" in err and out == ""
+
+
+def test_oracle_answers_on_the_reached_diagonal(capsys, tmp_path):
+    # 700: its 2 * 1403^2 grid points were over MAX_STATES, but the
+    # walk builds 2804 states and about 1.97 * 10^6 target entries
+    code, out, err = run(capsys, "oracle", _diagonal_model(tmp_path, 700), "-f", "true")
+    assert code == 0
+    assert out.startswith("SAT") and err == ""
 
 
 @pytest.mark.parametrize("cmd", ["check", "diff"])

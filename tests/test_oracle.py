@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (ref_discretize, ref_game, ref_location_choice_candidates,
-                     ref_location_witnesses, ref_obstruction_pred, run_python)
+from helpers import (ref_closure, ref_game, ref_grid,
+                     ref_location_choice_candidates, ref_location_witnesses,
+                     ref_obstruction_pred, run_python)
 from test_acceptance import _corpus
-from tolmc import logic
+from tolmc import logic, oracle
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import check
@@ -50,26 +51,37 @@ def test_zero_clock_graph_matches_digraph():
 
 def test_one_clock_grid_size():
     m = parse_model("wta\nclocks x\nlocation l init\nedge l -> l action a guard x <= 2 weight 1\n")
-    g = discretize(m, logic.TRUE)
-    # C = 2: seven half-integer points 0 .. 3 per location
-    assert len(g.states) == 7
+    # C = 2: seven half-integer points 0 .. 3 per location; past the guard,
+    # 2.5 and 3 are delay-only chain points that no step lands on
+    assert len(ref_grid(m, logic.TRUE).states) == 7
+    assert sorted(coords for _, coords in discretize(m, logic.TRUE).states) == \
+        [(0,), (1,), (2,), (3,), (4,)]
 
 
 def _assert_reference_graph(m, f):
+    # g's steps, renumbered to the grid's states, are the grid's
     g = discretize(m, f)
-    assert g.steps == ref_discretize(g)
+    r = ref_grid(m, f, rescan=set(g.states))
+    pos = [r.index[st] for st in g.states]
+    assert [[(ei, w, tuple(sorted(pos[t] for t in ts))) for ei, w, ts in groups]
+            for groups in g.steps] == [r.steps[p] for p in pos]
+
+
+def _acceptance_prefixes():
+    """The first queries of criteria 1 (with the TCTL images) and 2 and
+    case-study queries."""
+    for m, f in itertools.islice(_corpus(20260810, grades=(0,)), 400):
+        yield m, f
+        yield m, to_tctl(f)
+    yield from itertools.islice(_corpus(20260811, grades=(0, 1, 2, 3)), 400)
+    cs = build_case_study()
+    for f in (phi1(2), phi1(3), phi2(2), phi2(4)):
+        yield cs, f
 
 
 def test_delay_sweep_equals_reference_on_the_acceptance_corpora():
-    # the first models of criteria 1 (with the TCTL images) and 2
-    for m, f in itertools.islice(_corpus(20260810, grades=(0,)), 400):
+    for m, f in _acceptance_prefixes():
         _assert_reference_graph(m, f)
-        _assert_reference_graph(m, to_tctl(f))
-    for m, f in itertools.islice(_corpus(20260811, grades=(0, 1, 2, 3)), 400):
-        _assert_reference_graph(m, f)
-    cs = build_case_study()
-    for f in (phi1(2), phi1(3), phi2(2), phi2(4)):
-        _assert_reference_graph(cs, f)
 
 
 @pytest.mark.parametrize("k", (4, 5, 6, 8))
@@ -78,32 +90,105 @@ def test_delay_sweep_equals_reference_on_the_bench_families(k):
     _assert_reference_graph(*gen_mesh(k))
 
 
+def _assert_kept_bits_equal_the_grid(m, f):
+    g, r = discretize(m, f), ref_grid(m, f)
+    assert set(g.states) == ref_closure(r)
+    pos = [r.index[st] for st in g.states]
+    kept, grid = oracle_sat(g, f), oracle_sat(r, f)
+    for psi in subformulas_by_size(f):
+        assert kept[psi] == bytearray(grid[psi][p] for p in pos), logic.print_formula(psi)
+
+
+def test_built_states_are_the_closure_on_the_reference_grid():
+    # the walk keeps exactly the grid states the initial state's bits
+    # read: step targets and, under nested binders, every freeze image
+    m = parse_model(ONE_CLOCK)
+    for text in ("true", "j . <#0> F (p & j <= 3)",
+                 "j . <#0> F (p & (k . <#0> G (k <= 2 | j >= 1)))"):
+        f = parse_formula(text)
+        assert set(discretize(m, f).states) == ref_closure(ref_grid(m, f))
+    m = parse_model(CHAIN.replace("location c labels r", "location c labels r\nlocation d"))
+    assert {loc for loc, _ in discretize(m, logic.TRUE).states} == {"a", "b", "c"}
+
+
+@pytest.mark.parametrize("inputs", ["acceptance", 4, 5, 6, 8])
+def test_kept_bits_equal_the_full_grid(inputs):
+    # every Sat bit of a built state equals that of the same point on the
+    # whole grid, which also holds the states the walk leaves out
+    queries = _acceptance_prefixes() if inputs == "acceptance" \
+        else (gen_pipeline(inputs), gen_mesh(inputs))
+    for m, f in queries:
+        _assert_kept_bits_equal_the_grid(m, f)
+
+
 def test_strict_guard_sampling():
     m = parse_model(ONE_CLOCK)
     g = discretize(m, logic.TRUE)
-    # x > 1 holds exactly at the points 1.5, 2, 2.5, 3 (doubled: 3, 4, 5, 6)
-    sat_pts = {coords[0] for (loc, coords) in g.states
-               if loc == "l" and any(a.sat2(coords[0]) for e in [m.edges[0]] for a in e.guard)}
-    assert sat_pts == {3, 4}  # invariant x <= 2 caps l's points at 4
+    # x > 1 holds exactly at the points 1.5, 2, 2.5, 3 (doubled: 3, 4, 5, 6);
+    # the invariant x <= 2 stops l's delays at 4, so go lands at 3 and 4
+    (_, _, targets), = g.steps[g.initial_index()]
+    assert sorted(g.states[t] for t in targets) == [("m", (3,)), ("m", (4,))]
 
 
 def test_invariant_filters_states():
     m = parse_model(ONE_CLOCK)
     g = discretize(m, logic.TRUE)
-    l_points = [c[0] for (loc, c) in g.states if loc == "l"]
-    assert max(l_points) == 4  # x <= 2 doubled
+    # the invariant x <= 2 (doubled 4) stops the delays in l, so nothing
+    # reaches m later than x = 2; stay resets x to 0 there
+    assert sorted(g.states) == [("l", (0,)), ("m", (0,)), ("m", (3,)), ("m", (4,))]
 
 
-def test_scale_error():
-    # 2 * (1000000 + 1) + 1 half-unit points of x exceed MAX_STATES; the
-    # estimate comes before any state is built, so this raises at once
+def test_scale_error(monkeypatch):
+    # every point of the delay chain from x = 0 counts, states or not: the
+    # forward walk stops at the cap before folding the chain back
+    monkeypatch.setattr("tolmc.oracle.MAX_STATES", 10_000)
     m = parse_model("""wta
 clocks x
 location l init
 edge l -> l action a guard x <= 1000000 weight 1
 """)
-    with pytest.raises(ScaleError):
+    with pytest.raises(ScaleError, match="states"):
         discretize(m, parse_formula("<#0> F true"))
+
+
+def test_step_target_entries_count_toward_max_states():
+    # 32001 states, but state x = v lists every later landing: about
+    # 5 * 10^8 target entries.  The walk stops at MAX_STATES entries,
+    # in a child whose address space is bounded to 1 GiB
+    proc = run_python("""
+        import resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        from tolmc.logic import parse_formula
+        from tolmc.model import ScaleError, parse_model
+        from tolmc.oracle import discretize
+        m = parse_model("wta\\nclocks x\\nlocation l init\\n"
+                        "edge l -> l action a guard x <= 16000 weight 1\\n")
+        t0 = time.perf_counter()
+        try:
+            discretize(m, parse_formula("<#0> F true"))
+        except ScaleError as e:
+            print(e)
+            print(time.perf_counter() - t0)
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    message, seconds = proc.stdout.splitlines()
+    assert "states" in message and float(seconds) < 5
+
+
+def test_bench_families_agree_past_k8(monkeypatch):
+    # toward the paper's k = 30, as far as MAX_STATES allows: every target
+    # entry counts, so the default cap stops pipeline at k = 10 and mesh
+    # at k = 9; ten times the cap reaches k = 12 for both
+    assert differential(*gen_pipeline(9)).agree
+    for m, f in (gen_pipeline(10), gen_mesh(9)):
+        with pytest.raises(ScaleError):
+            discretize(m, f)
+    monkeypatch.setattr("tolmc.oracle.MAX_STATES", 10 * oracle.MAX_STATES)
+    for k in (10, 12):
+        for gen in (gen_pipeline, gen_mesh):
+            assert differential(*gen(k)).agree, (gen.__name__, k)
 
 
 def test_chain_until():
@@ -401,7 +486,7 @@ def test_oracle_entries_reject_unbound_clocks(text):
             run()
 
 
-ORACLE_DIGEST = "5544 bd80e7cede436af2b569b4f44c9aad7892adb5e26155b34e81e904a0f616aeff"
+ORACLE_DIGEST = "5562 6c7fa32e1d2589c21ab96ce61a26da5e0fb492e093a5beef5d69bc3753873db1"
 
 
 def _sat_digest_corpus():
@@ -413,11 +498,10 @@ def _sat_digest_corpus():
 
 
 def _oracle_digest() -> str:
-    """`<count> <sha256>` over scripts/sat_digest.py's corpus without
-    pipeline/mesh at k = 12 (seconds each for the oracle): the oracle_sat
-    bits of every subformula, those of the TCTL image of every grade-0
-    query, and the witness lists of the case-study queries."""
-    slow = [gen_pipeline(12)[0], gen_mesh(12)[0]]
+    """`<count> <sha256>` over scripts/sat_digest.py's corpus: the
+    oracle_sat bits of every subformula on the states discretize builds,
+    in its order, those of the TCTL image of every grade-0 query, and the
+    witness lists of the case-study queries."""
     cs = build_case_study()
     h = hashlib.sha256()
     count = 0
@@ -431,8 +515,6 @@ def _oracle_digest() -> str:
             count += 1
 
     for m, f in _sat_digest_corpus():
-        if m in slow:
-            continue
         add_sat(m, f)
         try:
             add_sat(m, to_tctl(f))
@@ -446,5 +528,8 @@ def _oracle_digest() -> str:
     return f"{count} {h.hexdigest()}"
 
 
-def test_oracle_output_of_the_digest_corpus_is_unchanged():
+def test_oracle_output_of_the_digest_corpus_is_unchanged(monkeypatch):
+    # pipeline and mesh at k = 12 build about 7.6 and 16.4 million states,
+    # chain points and target entries, over the default MAX_STATES
+    monkeypatch.setattr("tolmc.oracle.MAX_STATES", 10 * oracle.MAX_STATES)
     assert _oracle_digest() == ORACLE_DIGEST
