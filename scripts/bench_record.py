@@ -23,7 +23,9 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     overhead) from one `--trace 1` run per side at the first seed,
   - untraced `checker.check` ms (median of 2 * REPEATS runs) and the
     verdict for pipeline and mesh at CHECK_KS, each with its
-    generator's formula,
+    generator's formula, and for the fan family at FAN_NS with
+    `<#n/2> G ! q` (the model is built inside the probe, so that an
+    older side runs it too),
   - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
     count of states it builds (those the initial state's Sat bits read,
     not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
@@ -50,6 +52,7 @@ from pathlib import Path
 WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
 DISCRETIZE_KS = (4, 5, 6, 8)
 CHECK_KS = (4, 12, 16, 22, 30)
+FAN_NS = (4, 5, 6)  # n = 8 took about 20 s a run before the split stopped at the budget
 PAIRS = 10          # a gain claim needs 10 alternating pairs
 REPEATS = 5         # probe timings per input and probe process
 WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
@@ -77,21 +80,38 @@ for k in %r:
 print(json.dumps(out))
 """
 
-# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...]], ...}
+# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...]], ...,
+# "fan/n=4": ...}; fan(n) is tests/helpers.py::fan_model, written out here
 CHECK_PROBE = """
 import json, time
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import check
+from tolmc.logic import parse_formula
+from tolmc.model import parse_model
+
+def fan(n):
+    pairs = (("x", "y"), ("y", "z"), ("z", "x"))
+    lines = ["wta", "clocks x y z", "location l0 init", "location l1 labels q",
+             "edge l1 -> l1 action s weight 1"]
+    for i in range(n):
+        c, d = pairs[i %% 3]
+        lines.append(f"edge l0 -> l1 action a{i} guard {c} > {i} & {d} < {n - i} "
+                     f"reset {c} weight 1")
+        lines.append(f"edge l0 -> l0 action b{i} guard {d} >= {i} reset {d} weight 1")
+    return parse_model("\\n".join(lines) + "\\n"), parse_formula(f"<#{n // 2}> G ! q")
+
+inputs = [(f"{name}/k={k}", gen) for name, gen in (("pipeline", gen_pipeline),
+                                                   ("mesh", gen_mesh)) for k in %r]
+inputs += [(f"fan/n={n}", fan) for n in %r]
 out = {}
-for name, gen in (("pipeline", gen_pipeline), ("mesh", gen_mesh)):
-    for k in %r:
-        m, f = gen(k)
-        times = []
-        for _ in range(%d):
-            t0 = time.perf_counter()
-            v = check(m, f)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        out[f"{name}/k={k}"] = [v.satisfied, times]
+for name, gen in inputs:
+    m, f = gen(int(name.partition("=")[2]))
+    times = []
+    for _ in range(%d):
+        t0 = time.perf_counter()
+        v = check(m, f)
+        times.append((time.perf_counter() - t0) * 1000.0)
+    out[name] = [v.satisfied, times]
 print(json.dumps(out))
 """
 
@@ -192,7 +212,7 @@ def main() -> int:
     traced = {tag: {w: counters(perfbench(root, w, seeds[0], trace=1)) for w in WORKLOADS}
               for tag, root in sides}
 
-    probes = {"check": ("satisfied", CHECK_PROBE % (CHECK_KS, REPEATS)),
+    probes = {"check": ("satisfied", CHECK_PROBE % (CHECK_KS, FAN_NS, REPEATS)),
               "discretize": ("states", DISCRETIZE_PROBE % (DISCRETIZE_KS, REPEATS)),
               "location_witnesses": ("witnesses", WITNESS_PROBE % (WITNESS_FORMULAS, REPEATS))}
     layers = {tag: {layer: {} for layer in probes} for tag, _ in sides}

@@ -466,6 +466,8 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     sat = oracle_sat(g, f)
     s1, s2 = (sat[c] for c in logic.children(inner))
     start = g.initial_index()
+    if not sat[inner][start]:
+        return []  # a location-constant witness is a winning per-state strategy
 
     locs = [loc.name for loc in m.locations]
     cand = []

@@ -5,30 +5,27 @@ them, never rebuilds one) and conjoins edge guards.  One step of the
 underlying game is delay-then-edge, so the plain one-step predecessor
 of a target set is time_pred(disc_pred(e, T)).
 An edge escapes from a state iff some delay lets it land outside the
-target.  The escape-cell split (_escape_cells) partitions a location's
-space into cells with a fixed set of escaping edges; escape_profiles
-lists those cells, and obstruction_pred with budget n is a filter over
-them that keeps a cell's states when
-
-  (a) the total weight of its escaping edges is <= n, and
-  (b) some non-escaping edge can actually step into the target.
-
-(b) rules out the degenerate play where the blocker deactivates every
-usable edge and no discrete step remains; with it, budget 0 on
-positive-weight models coincides with the universal one-step
-predecessor of TCTL.
+target.  The escape-cell split (_escape_cells) partitions the states of
+a location whose escaping edges weigh <= n into cells with a fixed set
+of escaping edges: it never builds a cell's part inside an edge's escape
+set when that edge's weight takes the cell past n.  Weights are
+naturals, so a cell's weight never falls and the cut is exact.
+obstruction_pred with budget n keeps a cell's states where some
+non-escaping edge can actually step into the target.  That witness
+rules out the degenerate play where the blocker deactivates every
+usable edge; with it, budget 0 on positive-weight models coincides with
+the universal one-step predecessor of TCTL.
 
 pred(e, T) is kept per edge class (Wta.edge_class) in a ClassMemo, one
 for the escape split's complement and one for the hit target, and
 relabelled to each source of the class.  A Checker keeps its two memos
 for a whole check, so a fixpoint round recomputes only the classes
-whose target zone list changed; escape_profiles and callers without a
-memo get fresh ones per call.
+whose target zone list changed; callers without a memo get fresh ones
+per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .model import ClockLayout, Edge, Wta
@@ -117,57 +114,43 @@ def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
     return Federation(layout.dim, {e.source: dbms} if dbms else {})
 
 
-@dataclass(frozen=True)
-class EscapeProfile:
-    """One cell of a location's space with a fixed set of escaping edges."""
-
-    location: str
-    cell: Dbm
-    escaping_edges: frozenset[int]
-    escape_cost: int
-
-
 def _escape_cells(m: Wta, layout: ClockLayout, loc: str, complement: Federation,
-                  universe: Federation, memo: ClassMemo) -> list[tuple[list, frozenset]]:
-    """Split a location's space into (DBMs, edges escaping into the complement) cells.
+                  universe: Federation, memo: ClassMemo,
+                  n: int) -> list[tuple[list, frozenset, int]]:
+    """Split the part of a location's space that budget n affords into
+    (DBMs, edges escaping into the complement, their weight) cells.
 
-    memo holds the escape preds per edge class."""
-    cells: list[tuple[list, frozenset]] = [(list(universe.at(loc)), frozenset())]
+    memo holds the escape preds per edge class.  Every out-edge's escape
+    pred is read, also once no cell is left."""
+    cells: list[tuple[list, frozenset, int]] = [(list(universe.at(loc)), frozenset(), 0)]
     for i in m.out_edges[loc]:
         esc_dbms = pred(m, layout, m.edges[i], complement, memo, i).at(loc)
         if not esc_dbms:
             continue
+        w = m.edges[i].weight
         nxt = []
-        for dbms, pattern in cells:
-            inside = [c for d in dbms for ed in esc_dbms
-                      if (c := dbm_intersect(d, ed)) is not None]
+        for dbms, pattern, weight in cells:
+            if weight + w <= n:
+                inside = [c for d in dbms for ed in esc_dbms
+                          if (c := dbm_intersect(d, ed)) is not None]
+                if inside:
+                    nxt.append((inside, pattern | {i}, weight + w))
             outside = list(dbms)
             for ed in esc_dbms:
                 outside = [p for d in outside for p in dbm_subtract(d, ed)]
                 if not outside:
                     break
-            if inside:
-                nxt.append((inside, pattern | {i}))
             if outside:
-                nxt.append((outside, pattern))
+                nxt.append((outside, pattern, weight))
         cells = nxt
     return cells
-
-
-def escape_profiles(m: Wta, layout: ClockLayout, loc: str,
-                    target: Federation, universe: Federation) -> list[EscapeProfile]:
-    """Partition a location's space by which edges escape the target."""
-    cells = _escape_cells(m, layout, loc, universe.subtract(target), universe,
-                          ClassMemo())
-    return [EscapeProfile(loc, d, pattern, sum(m.edges[i].weight for i in pattern))
-            for dbms, pattern in cells for d in dbms]
 
 
 def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                      target: Federation, universe: Federation,
                      memo: Optional[tuple[ClassMemo, ClassMemo]] = None) -> Federation:
     """The budget-n obstruction predecessor of the target set: the cells
-    of the escape split that the budget affords and that keep a witness.
+    of the budget-n escape split that keep a witness.
 
     memo is the (complement, hit target) pair of ClassMemos to read and
     update; without one the memos last for this call."""
@@ -177,10 +160,8 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
     out = Federation.empty(layout.dim)
     for loc in m.locations:
         edge_ids = m.out_edges[loc.name]
-        for dbms, pattern in _escape_cells(m, layout, loc.name, complement, universe,
-                                           escape_memo):
-            if sum(m.edges[i].weight for i in pattern) > n:
-                continue
+        for dbms, pattern, _ in _escape_cells(m, layout, loc.name, complement,
+                                              universe, escape_memo, n):
             witnesses = [i for i in edge_ids if i not in pattern]
             if not witnesses:
                 continue

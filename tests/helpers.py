@@ -15,14 +15,15 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import tolmc
 from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
-from tolmc.model import ClockLayout, Wta
+from tolmc.model import ClockLayout, Wta, parse_model
 from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
-from tolmc.predecessor import EscapeProfile, pred
+from tolmc.predecessor import pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, Zone, _reduce,
                          bound_neg, bound_sat, canonicalize, dbm_dim,
                          dbm_intersect, dbm_subtract)
@@ -253,9 +254,32 @@ def _ref_escape_cells(m: Wta, layout: ClockLayout, loc: str,
     return cells
 
 
+def ref_escape_cells(m: Wta, layout: ClockLayout, loc: str, complement: Federation,
+                     universe: Federation, n: int) -> list:
+    """The cells of the whole escape split that budget n affords, each with
+    its weight, as tolmc.predecessor._escape_cells lists them."""
+    out = []
+    for dbms, pattern in _ref_escape_cells(m, layout, loc, complement, universe):
+        weight = sum(m.edges[i].weight for i in pattern)
+        if weight <= n:
+            out.append((dbms, pattern, weight))
+    return out
+
+
+@dataclass(frozen=True)
+class EscapeProfile:
+    """One cell of a location's space with a fixed set of escaping edges."""
+
+    location: str
+    cell: Dbm
+    escaping_edges: frozenset[int]
+    escape_cost: int
+
+
 def ref_escape_profiles(m: Wta, layout: ClockLayout, loc: str,
                         target: Federation, universe: Federation) -> list:
-    """escape_profiles computing pred separately for every edge."""
+    """Partition a location's space by which edges escape the target, with
+    no budget: one profile per DBM of every cell of the whole split."""
     cells = _ref_escape_cells(m, layout, loc, universe.subtract(target), universe)
     return [EscapeProfile(loc, d, pattern, sum(m.edges[i].weight for i in pattern))
             for dbms, pattern in cells for d in dbms]
@@ -295,6 +319,22 @@ def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                 layout.dim, (Zone(loc.name, d) for d in dbms))
             out = out.union(cell_fed.intersect(hits))
     return out
+
+
+def fan_model(n: int) -> Wta:
+    """The fan family, queried with <#n/2> G ! q: from l0, n edges into
+    the q-labelled l1 and n self-loops, all of weight 1, whose guards
+    cycle over the clock pairs (x, y), (y, z), (z, x).  Most cells of its
+    whole escape split cost more than n/2 (ROADMAP items 10 and 12)."""
+    pairs = (("x", "y"), ("y", "z"), ("z", "x"))
+    lines = ["wta", "clocks x y z", "location l0 init", "location l1 labels q",
+             "edge l1 -> l1 action s weight 1"]
+    for i in range(n):
+        c, d = pairs[i % 3]
+        lines.append(f"edge l0 -> l1 action a{i} guard {c} > {i} & {d} < {n - i} "
+                     f"reset {c} weight 1")
+        lines.append(f"edge l0 -> l0 action b{i} guard {d} >= {i} reset {d} weight 1")
+    return parse_model("\n".join(lines) + "\n")
 
 
 # broken obstruction predecessors that the acceptance corpus must catch:

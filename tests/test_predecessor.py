@@ -1,16 +1,17 @@
+import dataclasses
 import itertools
 import random
 
-from helpers import (fed_equal, grid_points, pred_union, random_dbm, ref_escape_profiles,
-                     ref_obstruction_pred)
-from tolmc import checker
+from helpers import (EscapeProfile, fan_model, fed_equal, grid_points, pred_union,
+                     random_dbm, ref_escape_cells, ref_escape_profiles, ref_obstruction_pred)
+from tolmc import checker, predecessor
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
 from tolmc.logic import (TRUE, ClockAtom, formula_clocks, parse_formula, print_formula,
                          subformulas_by_size)
 from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
-from tolmc.predecessor import (EscapeProfile, disc_pred, escape_profiles,
-                               full_space, obstruction_pred, pred, time_pred)
+from tolmc.predecessor import (ClassMemo, _escape_cells, disc_pred, full_space,
+                               obstruction_pred, pred, time_pred)
 from tolmc.randgen import WEIGHTS, random_formula, random_wta
 from tolmc.zones import Federation, Zone
 
@@ -314,7 +315,7 @@ def test_escape_profiles_partition_and_cost():
     layout = layout_for(m, 0)
     universe = full_space(m, layout)
     target = fan_target(m, layout, "a")
-    profiles = escape_profiles(m, layout, "l", target, universe)
+    profiles = ref_escape_profiles(m, layout, "l", target, universe)
     assert profiles, "location l has outgoing edges, so it has cells"
     for prof in profiles:
         assert isinstance(prof, EscapeProfile)
@@ -341,10 +342,11 @@ def test_outputs_clipped_to_invariants():
             assert z.dbm is not None
 
 
-def shared_class_wta(rng):
+def shared_class_wta(rng, weights=WEIGHTS):
     """A random model built so that edge classes have several members:
     each edge is copied to other sources under a new action and weight,
-    and some locations get an invariant of their own."""
+    and some locations get an invariant of their own.  With weights other
+    than randgen.WEIGHTS, every edge's weight is drawn from them."""
     base = random_wta(rng, max_locations=4, max_clocks=2, max_edges=4, cmax=3)
     while len(base.locations) < 2:
         base = random_wta(rng, max_locations=4, max_clocks=2, max_edges=4, cmax=3)
@@ -359,6 +361,8 @@ def shared_class_wta(rng):
             edges.append(Edge(src, f"{e.action}{src}", e.guard, e.resets,
                               e.target, rng.choice(WEIGHTS)))
     rng.shuffle(edges)
+    if weights != WEIGHTS:
+        edges = [dataclasses.replace(e, weight=rng.choice(weights)) for e in edges]
     return Wta(base.clocks, locations, base.initial, tuple(edges))
 
 
@@ -368,12 +372,12 @@ def random_target(rng, m, layout, universe):
     return Federation.of_zones(layout.dim, zones).intersect(universe)
 
 
-def shared_class_cases():
+def shared_class_cases(seed=20261018, weights=WEIGHTS):
     """60 shared-class models, each with a layout, its universe and three
     targets: the states labelled p and two random sets."""
-    rng = random.Random(20261018)
+    rng = random.Random(seed)
     for _ in range(60):
-        m = shared_class_wta(rng)
+        m = shared_class_wta(rng, weights)
         fclocks = ("j",) if rng.random() < 0.3 else ()
         layout = ClockLayout.build(m, fclocks, max_constants(m, TRUE) | {"j": 2})
         universe = full_space(m, layout)
@@ -384,20 +388,42 @@ def shared_class_cases():
         yield m, layout, universe, targets
 
 
-def test_class_sharing_gives_the_reference_zone_lists():
+def assert_reference_zone_lists(cases) -> int:
+    """obstruction_pred and the budget-cut escape split with a class memo
+    give the zone lists, in order, of the whole split computed per edge
+    and cut afterwards.  Returns how many models share an edge class."""
     shared = 0
-    for m, layout, universe, targets in shared_class_cases():
+    for m, layout, universe, targets in cases:
         shared += any(len(cls) > 1 for cls in m.edge_class)
         for target in targets:
+            complement = universe.subtract(target)
             for n in (0, 1, 2, 4):
                 got = obstruction_pred(m, layout, n, target, universe)
                 want = ref_obstruction_pred(m, layout, n, target, universe)
                 assert list(got.zones()) == list(want.zones()), (serialize_str(m), n)
-            for loc in m.locations:
-                assert escape_profiles(m, layout, loc.name, target, universe) == \
-                    ref_escape_profiles(m, layout, loc.name, target, universe)
+                for loc in m.locations:
+                    assert _escape_cells(m, layout, loc.name, complement, universe,
+                                         ClassMemo(), n) == \
+                        ref_escape_cells(m, layout, loc.name, complement, universe, n)
+    return shared
+
+
+def test_class_sharing_gives_the_reference_zone_lists():
+    shared = assert_reference_zone_lists(shared_class_cases())
     # most models have a class of several edges, so the memo is exercised
     assert shared >= 40, shared
+
+
+def test_weight_zero_edges_give_the_reference_zone_lists():
+    # an escape along a weight-0 edge costs nothing, so the cut must keep
+    # every cell that includes it
+    cases = list(shared_class_cases(seed=20261019, weights=(0, 1, 2, 3)))
+    assert assert_reference_zone_lists(cases) >= 30
+    free = sum(bool(pattern) for m, layout, universe, targets in cases for t in targets
+               for loc in m.locations
+               for _, pattern, _ in ref_escape_cells(m, layout, loc.name,
+                                                     universe.subtract(t), universe, 0))
+    assert free >= 50, free  # budget-0 cells that escape along weight-0 edges
 
 
 def _memo_queries():
@@ -439,3 +465,30 @@ def test_kept_memo_gives_the_reference_sat_sets(monkeypatch):
             assert list(got[psi].zones()) == list(want[psi].zones()), print_formula(f)
             assert all(got[psi].at(loc.name) == want[psi].at(loc.name)
                        for loc in m.locations)
+
+
+def test_fan_family_gives_the_reference_sat_sets(monkeypatch):
+    # on the fan family the budget cuts most of the whole split away
+    for n in (3, 4, 5):
+        m, f = fan_model(n), parse_formula(f"<#{n // 2}> G ! q")
+        got = Checker(m, f).run().sat_sets
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "obstruction_pred", ref_obstruction_pred)
+            want = Checker(m, f).run().sat_sets
+        for psi in subformulas_by_size(f):
+            assert list(got[psi].zones()) == list(want[psi].zones()), (n, print_formula(psi))
+
+
+def test_escape_split_stops_at_the_budget(monkeypatch):
+    # the whole split of fan n = 6 makes 38445 subtractions, the cut one 3560
+    calls = 0
+    subtract = predecessor.dbm_subtract
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return subtract(a, b)
+
+    monkeypatch.setattr(predecessor, "dbm_subtract", counted)
+    assert not checker.check(fan_model(6), parse_formula("<#3> G ! q")).satisfied
+    assert calls < 10000, calls
