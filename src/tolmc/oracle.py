@@ -21,8 +21,9 @@ fixpoint for graded Until and Release (Liu & Smolka, ICALP 1998).  One
 textbook sweep, sharing no code with it, iterates A U / A R over the
 targets of the step groups a blocker choice leaves open (open_groups)
 for the grade-0 cross-check (tctl_check: every state, nothing blocked)
-and the witness re-check (location_witnesses: each location-constant
-blocker choice, over the states reachable_groups finds).  Clock order
+and the witness search (location_witnesses: one sweep per group of
+location-constant blocker choices that agree where the walk from the
+initial state reaches a state the sweep may flip).  Clock order
 and caps come from model.ClockLayout.of_query, which also rejects
 unbound or colliding formula clocks; no DBM is read.  Coordinates are
 stored doubled (1 unit = half a time unit), so arithmetic stays integral.
@@ -439,22 +440,33 @@ def location_choice_candidates(m: Wta, loc: str, n: int) -> Iterator[frozenset]:
         yield from grow(0, r, 0)
 
 
-def _pruned_holds(g: ExplicitGraph, choice: dict, until: bool,
-                  s1: bytearray, s2: bytearray, start: int) -> bool:
-    """The textbook sweep from start on the graph pruned by a location-constant
-    blocker choice, swept over the states reachable from start only: the
-    value at start depends on no other state."""
-    return bool(tctl_sweep(reachable_groups(g, choice, start), s1, s2, until)[start])
+def _pruned_holds(groups: dict, until: bool, s1: bytearray, s2: bytearray,
+                  start: int) -> bool:
+    """The textbook sweep's value at start over groups (keys ascending), the
+    open targets of the live states that the walk from start reaches under
+    a location-constant blocker choice: the value reads no other state."""
+    return bool(tctl_sweep(groups, s1, s2, until)[start])
 
 
 def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     """All location-constant blocker choices witnessing the outermost
-    strategic operator of f at the initial state.
+    strategic operator of f at the initial state, in itertools.product
+    order over the locations' candidates.
 
     f must be a strategic operator possibly under freeze binders; the
     operands may be arbitrary.  Choices witnessing with a per-state
     strategy but no location-constant one are not found (the game
     fixpoint in until_game/release_game covers those).
+
+    The choices are searched depth first, driven by the walk from the
+    initial state (a local exploration in the sense of Liu & Smolka,
+    ICALP 1998).  The sweep flips only live states (s1 and not s2 for
+    Until, s2 and not s1 for Release); every other state keeps its s2
+    bit, so the walk stops there.  A live state at an undecided location
+    waits; when the walk closes, the search branches over the candidates
+    of the first waiting state's location, sharing the reached prefix
+    between siblings.  With nothing waiting, one sweep decides every
+    choice that agrees on the decided locations.
     """
     g = discretize(m, f)
     inner = f
@@ -481,9 +493,59 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
                     f"blocker choices exceed the cap of {MAX_CHOICES} combinations")
         total *= len(options)
         cand.append(options)
-    witnesses = []
-    for combo in itertools.product(*cand):
-        choice = dict(zip(locs, combo))
-        if _pruned_holds(g, choice, until, s1, s2, start):
-            witnesses.append(choice)
-    return witnesses
+
+    live = bytearray(a & (1 - b) for a, b in (zip(s1, s2) if until else zip(s2, s1)))
+    at = {loc: i for i, loc in enumerate(locs)}
+    where = [at[loc] for loc, _ in g.states]  # per state: its location's position
+    # a location with one candidate is decided from the start, so the search
+    # branches only over locations of two or more and recurses at most
+    # log2(MAX_CHOICES) levels deep
+    picked = [0 if len(options) == 1 else None for options in cand]
+    choice = {loc: options[0] for loc, options in zip(locs, cand) if len(options) == 1}
+    seen = {start: None}  # the states the walk reached, in reach order
+    groups: dict = {}     # reached live state at a decided location -> its open targets
+    waiting: list = []    # reached live states at undecided locations, in reach order
+    leaves = []           # picked at every witnessing leaf
+
+    def walk(work: list) -> None:
+        while work:
+            s = work.pop()
+            if not live[s]:
+                continue  # its bit is fixed: the sweep reads none of its successors
+            if picked[where[s]] is None:
+                waiting.append(s)
+                continue
+            groups[s] = succ = open_groups(g, choice, s)
+            for t in succ:
+                if t not in seen:
+                    seen[t] = None
+                    work.append(t)
+
+    def search() -> None:
+        loc = next((where[s] for s in waiting if picked[where[s]] is None), None)
+        if loc is None:
+            if _pruned_holds(dict(sorted(groups.items())), until, s1, s2, start):
+                leaves.append(tuple(picked))
+            return
+        marks = len(seen), len(groups), len(waiting)
+        for i, blocked in enumerate(cand[loc]):
+            picked[loc], choice[locs[loc]] = i, blocked
+            walk([s for s in waiting if where[s] == loc])
+            search()
+            while len(seen) > marks[0]:  # undo the branch: dicts pop in LIFO order
+                seen.popitem()
+            while len(groups) > marks[1]:
+                groups.popitem()
+            del waiting[marks[2]:]
+        picked[loc] = None
+        del choice[locs[loc]]
+
+    walk([start])
+    search()
+    # a witnessing leaf stands for every candidate at the locations it left open
+    combos = sorted(itertools.chain.from_iterable(
+        itertools.product(*(range(len(options)) if i is None else (i,)
+                            for options, i in zip(cand, leaf)))
+        for leaf in leaves))
+    return [{loc: options[i] for loc, options, i in zip(locs, cand, combo)}
+            for combo in combos]

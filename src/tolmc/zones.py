@@ -475,7 +475,27 @@ class Federation:
         return Federation(self.dim, by)
 
     def subset_of(self, other: "Federation") -> bool:
-        return self.subtract(other).is_empty()
+        """self.subtract(other).is_empty(), without building the difference:
+        a zone inside a single zone of other needs no subtraction, and the
+        test stops at the first fragment no zone of other takes away."""
+        self._check_dim(other)
+        for loc, dbms in self._by_loc.items():
+            theirs = other._by_loc.get(loc)
+            if not theirs:
+                return False
+            if theirs == dbms:
+                continue
+            for a in dbms:
+                if any(dbm_subset(a, b) for b in theirs):
+                    continue
+                rem = [a]
+                for b in theirs:
+                    rem = [p for r in rem for p in dbm_subtract(r, b)]
+                    if not rem:
+                        break
+                if rem:
+                    return False
+        return True
 
     def contains_point(self, loc: str, point2) -> bool:
         return any(contains_point(d, point2) for d in self._by_loc.get(loc, []))

@@ -9,8 +9,9 @@ import pytest
 
 from helpers import (ref_closure, ref_game, ref_grid,
                      ref_location_choice_candidates, ref_location_witnesses,
-                     ref_obstruction_pred, run_python)
+                     ref_obstruction_pred, ref_witness_sweeps, run_python)
 from test_acceptance import _corpus
+from test_predecessor import shared_class_cases
 from tolmc import logic, oracle
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1, phi2
@@ -380,6 +381,74 @@ def test_witnesses_equal_reference_on_corpus():
         assert got == ref_location_witnesses(m, f), logic.print_formula(f)
         found += bool(got)
     assert found >= 100  # the comparison covers witnessing choices, not only empty lists
+
+
+def _counting_sweeps(monkeypatch) -> list:
+    """Counts oracle._pruned_holds calls into the returned one-item list."""
+    calls = [0]
+    holds = oracle._pruned_holds
+
+    def counted(*args):
+        calls[0] += 1
+        return holds(*args)
+
+    monkeypatch.setattr(oracle, "_pruned_holds", counted)
+    return calls
+
+
+def test_witness_search_sweeps_once_per_reached_choice(monkeypatch):
+    # one sweep per group of combinations that agree on the locations of
+    # the live states they reach; re-checking every combination made 324,
+    # 567, 567 and 567 sweeps at phi1(3), phi1(4), phi2(4) and phi2(5)
+    m = build_case_study()
+    calls = _counting_sweeps(monkeypatch)
+    got = {}
+    for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]:
+        calls[0] = 0
+        location_witnesses(m, f)
+        assert calls[0] == ref_witness_sweeps(m, f), logic.print_formula(f)
+        got[f] = calls[0]
+    assert [got[phi1(3)], got[phi1(4)], got[phi2(4)], got[phi2(5)]] == [255, 383, 31, 31]
+
+
+WITNESS_ROOTS = ("<#{n}> (p U q)", "<#{n}> (true U q)", "<#{n}> (!q U (p & r))",
+                 "<#{n}> (p R q)", "<#{n}> G p", "<#{n}> (q R (p | q))")
+
+
+def test_witnesses_equal_reference_with_weight_zero_edges():
+    # weight-0 edges leave a budget-0 blocker choices to make, and copies
+    # of an edge at several sources share its targets and guard
+    found = 0
+    for m, *_ in shared_class_cases(seed=20261019, weights=(0, 1, 2, 3)):
+        for n, text in itertools.product((0, 1, 2), WITNESS_ROOTS):
+            f = parse_formula(text.format(n=n))
+            got = location_witnesses(m, f)
+            assert got == ref_location_witnesses(m, f), (text, n)
+            found += any(c for w in got for c in w.values())
+    assert found >= 100, found  # witnesses that block an edge somewhere
+
+
+def test_every_choice_witnesses_when_the_initial_state_is_fixed(monkeypatch):
+    # the initial state satisfies q (Until) or p and q (Release): the sweep
+    # never changes its bit, so one sweep accepts every combination
+    m = parse_model("""wta
+location a init labels p q
+location b labels p
+edge a -> b action u weight 0
+edge a -> a action v weight 0
+edge a -> b action w weight 1
+edge b -> a action x weight 0
+edge b -> b action y weight 0
+""")
+    calls = _counting_sweeps(monkeypatch)
+    # candidates at a and b: 7 * 3 under budget 1, 4 * 3 under budget 0
+    for text, combos in (("<#1> (p U q)", 21), ("<#1> (p R q)", 21), ("<#0> (p R q)", 12)):
+        f = parse_formula(text)
+        calls[0] = 0
+        got = location_witnesses(m, f)
+        assert got == ref_location_witnesses(m, f), text
+        assert len(got) == combos, text
+        assert calls[0] == 1, text
 
 
 def test_location_witnesses_chain():
