@@ -25,7 +25,10 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     verdict for pipeline and mesh at CHECK_KS, each with its
     generator's formula, and for the fan family at FAN_NS with
     `<#n/2> G ! q` (the model is built inside the probe, so that an
-    older side runs it too),
+    older side runs it too); beside each row the check's deterministic
+    counters, equal in every run of a side: `iterations` (summed over
+    the fixpoints), `preds_computed`, `zones_noted` and
+    `splits_computed` (null where a side's CheckStats lacks the field),
   - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
     count of states it builds (those the initial state's Sat bits read,
     not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
@@ -51,7 +54,7 @@ from pathlib import Path
 
 WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
 DISCRETIZE_KS = (4, 5, 6, 8)
-CHECK_KS = (4, 12, 16, 22, 30)
+CHECK_KS = (4, 12, 16, 22, 30, 60, 120)
 FAN_NS = (4, 5, 6)  # n = 8 took about 20 s a run before the split stopped at the budget
 PAIRS = 10          # a gain claim needs 10 alternating pairs
 REPEATS = 5         # probe timings per input and probe process
@@ -80,8 +83,8 @@ for k in %r:
 print(json.dumps(out))
 """
 
-# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...]], ...,
-# "fan/n=4": ...}; fan(n) is tests/helpers.py::fan_model, written out here
+# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...], counters],
+# ..., "fan/n=4": ...}; fan(n) is tests/helpers.py::fan_model, written out here
 CHECK_PROBE = """
 import json, time
 from tolmc.bench import gen_mesh, gen_pipeline
@@ -111,7 +114,11 @@ for name, gen in inputs:
         t0 = time.perf_counter()
         v = check(m, f)
         times.append((time.perf_counter() - t0) * 1000.0)
-    out[name] = [v.satisfied, times]
+    st = v.stats
+    counters = {"iterations": sum(st.fixpoint_iterations.values())}
+    counters.update((key, getattr(st, key, None))
+                    for key in ("preds_computed", "zones_noted", "splits_computed"))
+    out[name] = [v.satisfied, times, counters]
 print(json.dumps(out))
 """
 
@@ -221,8 +228,12 @@ def main() -> int:
             proc = run_in(root, ["-c", probe], timeout=1800)
             if proc.returncode:
                 raise RuntimeError(f"{layer} probe failed in {root}: {proc.stderr.strip()}")
-            for name, (size, times) in json.loads(proc.stdout).items():
-                layers[tag][layer].setdefault(name, (size, []))[1].extend(times)
+            for name, (size, times, *counts) in json.loads(proc.stdout).items():
+                row = layers[tag][layer].setdefault(name, (size, [], counts))
+                if row[2] != counts:
+                    raise RuntimeError(f"{layer} probe counters of {name} differ between "
+                                       f"runs in {root}: {row[2]} vs {counts}")
+                row[1].extend(times)
 
     tier1 = {}
     for tag, root in sides:
@@ -255,7 +266,8 @@ def main() -> int:
                                               "--trace 1",
                                    "workloads": traced[tag]},
             **{layer: {name: {probes[layer][0]: size, "ms_median": statistics.median(ms),
-                              "ms_runs": ms} for name, (size, ms) in entries.items()}
+                              "ms_runs": ms, **(counts[0] if counts else {})}
+                       for name, (size, ms, counts) in entries.items()}
                for layer, entries in layers[tag].items()},
             "tier1": tier1[tag],
         }

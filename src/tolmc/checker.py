@@ -20,8 +20,8 @@ from .logic import (And, Atom, ClockAtom, Freeze, Not, Release, TolFormula,
                     TrueF, Until)
 from .model import CheckError, ClockLayout, Wta  # noqa: F401  (CheckError re-exported)
 from .model import ScaleError
-from .predecessor import ClassMemo, full_space, obstruction_pred
-from .zones import Federation, Zone, extrapolate, reset_preimage
+from .predecessor import PredMemo, full_space, obstruction_pred
+from .zones import Federation, Zone, _reduce, extrapolate, reset_preimage
 
 
 # The work budget of one check: past this many zones noted (summed
@@ -41,6 +41,7 @@ class CheckStats:
     zones_noted: int = 0  # federation sizes summed at each note()
     peak_federation_size: int = 0
     preds_computed: int = 0  # pred computations run, i.e. class-memo misses
+    splits_computed: int = 0  # escape splits run, i.e. location-entry misses
     wall_ms: float = 0.0
 
     def note(self, fed: Federation) -> None:
@@ -68,9 +69,11 @@ class Checker:
         self.universe = full_space(m, self.layout)
         self.stats = CheckStats()
         self.sat: dict[TolFormula, Federation] = {}
-        # pred per edge class for the complement and the hit target,
-        # kept across every fixpoint round of the check
-        self.pred_memo = (ClassMemo(), ClassMemo())
+        # pred per edge class and the obstruction predecessor per
+        # (location, budget), kept across every fixpoint round of the check
+        self.pred_memo = PredMemo()
+        # location -> (zone list, its extrapolation), the last one mapped
+        self.extrapolated: dict[str, tuple[list, list]] = {}
 
     # -- satisfaction sets ---------------------------------------------------
 
@@ -115,13 +118,26 @@ class Checker:
         raise TypeError(f"not an atomic formula: {psi!r}")
 
     def _extrap(self, fed: Federation) -> Federation:
+        """Extrapolate zone-wise; a location whose list equals the one it
+        had at the last call keeps that call's result."""
         k = self.layout.kvec
-        return fed.map_zones(lambda loc, d: extrapolate(d, k))
+        kept = self.extrapolated
+
+        def at(loc: str, dbms: list) -> list:
+            old = kept.get(loc)
+            if old is not None and (old[0] is dbms or old[0] == dbms):
+                return old[1]
+            out = _reduce([extrapolate(d, k) for d in dbms])
+            kept[loc] = (dbms, out)
+            return out
+        return fed.map_lists(at)
 
     def _vee(self, n: int, target: Federation) -> Federation:
         out = obstruction_pred(self.m, self.layout, n, target, self.universe,
                                self.pred_memo)
-        self.stats.preds_computed = sum(c.computed for c in self.pred_memo)
+        memo = self.pred_memo
+        self.stats.preds_computed = memo.escape.computed + memo.hit.computed
+        self.stats.splits_computed = memo.splits
         return out
 
     def _fixpoint(self, key: str, start: Federation, grows: bool, step) -> Federation:

@@ -18,10 +18,18 @@ the universal one-step predecessor of TCTL.
 
 pred(e, T) is kept per edge class (Wta.edge_class) in a ClassMemo, one
 for the escape split's complement and one for the hit target, and
-relabelled to each source of the class.  A Checker keeps its two memos
-for a whole check, so a fixpoint round recomputes only the classes
-whose target zone list changed; callers without a memo get fresh ones
-per call.
+relabelled to each source of the class.  Above the class memos, a
+location's result is kept per budget in a location entry: the escape
+pred of each out-edge, the ids of the edges that witnessed in some cell
+with their hit preds, and the result.  Every round still reads those
+preds, but the split, the hit unions and the cell intersections run
+again only at a location where one of them changed (Liu & Smolka,
+ICALP 1998; Cassez et al., CONCUR 2005).  The complement universe −
+target is likewise subtracted again only where the target changed.  The
+result is a function of the lists compared, so an entry serves any
+target of its budget.  All of this lives in a PredMemo, which a Checker
+keeps for a whole check, over every fixpoint round and every strategic
+subformula; callers without a memo get a fresh one per call.
 """
 
 from __future__ import annotations
@@ -114,17 +122,54 @@ def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
     return Federation(layout.dim, {e.source: dbms} if dbms else {})
 
 
-def _escape_cells(m: Wta, layout: ClockLayout, loc: str, complement: Federation,
-                  universe: Federation, memo: ClassMemo,
+class PredMemo:
+    """What obstruction_pred keeps across calls over one universe.
+
+    escape and hit are the ClassMemos of the two pred roles (the escape
+    split's complement and the hit target).  complements maps a location
+    to (its target zone list, universe − target there).  locations maps
+    (location, budget n) to the location's entry: the escape-pred zone
+    list of each out-edge, the witness edge ids, their hit-pred zone
+    lists and the location's result.  splits counts the escape splits
+    run, i.e. the entry misses.
+    """
+
+    __slots__ = ("escape", "hit", "complements", "locations", "splits")
+
+    def __init__(self):
+        self.escape = ClassMemo()
+        self.hit = ClassMemo()
+        self.complements: dict[str, tuple[list, list]] = {}
+        self.locations: dict[tuple[str, int], tuple[list, list, list, list]] = {}
+        self.splits = 0
+
+
+def _complement(m: Wta, target: Federation, universe: Federation,
+                kept: dict) -> Federation:
+    """universe − target, subtracting only at the locations whose target
+    list differs from the one kept there (kept: location -> (target list,
+    complement list), updated)."""
+    changed = []
+    for loc in m.locations:
+        old, now = kept.get(loc.name), target.at(loc.name)
+        if old is None or not (old[0] is now or old[0] == now):
+            changed.append(loc.name)
+    if changed:
+        fresh = universe.restrict(changed).subtract(target.restrict(changed))
+        for name in changed:
+            kept[name] = (target.at(name), fresh.at(name))
+    return Federation(universe.dim, {name: c for name, (_, c) in kept.items() if c})
+
+
+def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
                   n: int) -> list[tuple[list, frozenset, int]]:
     """Split the part of a location's space that budget n affords into
     (DBMs, edges escaping into the complement, their weight) cells.
 
-    memo holds the escape preds per edge class.  Every out-edge's escape
-    pred is read, also once no cell is left."""
+    esc holds the escape pred's zone list of each of the location's
+    out-edges, in m.out_edges order."""
     cells: list[tuple[list, frozenset, int]] = [(list(universe.at(loc)), frozenset(), 0)]
-    for i in m.out_edges[loc]:
-        esc_dbms = pred(m, layout, m.edges[i], complement, memo, i).at(loc)
+    for i, esc_dbms in zip(m.out_edges[loc], esc):
         if not esc_dbms:
             continue
         w = m.edges[i].weight
@@ -146,31 +191,57 @@ def _escape_cells(m: Wta, layout: ClockLayout, loc: str, complement: Federation,
     return cells
 
 
+def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federation,
+                   complement: Federation, universe: Federation, memo: PredMemo) -> list:
+    """The zone list of the budget-n obstruction predecessor at loc.
+
+    Every out-edge's escape pred and every witness edge's hit pred is
+    read; the split and the cell intersections run only when one of
+    those lists differs from the location's entry."""
+    edge_ids = m.out_edges[loc]
+    esc = [pred(m, layout, m.edges[i], complement, memo.escape, i).at(loc) for i in edge_ids]
+    hits: dict[int, Federation] = {}
+    entry = memo.locations.get((loc, n))
+    # == on lists of zone lists tests each item by identity first, and a
+    # list kept from an earlier round is usually the very object pred
+    # hands out again
+    if entry is not None and entry[0] == esc:
+        for i in entry[1]:
+            hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
+        if entry[2] == [hits[i].at(loc) for i in entry[1]]:
+            return entry[3]
+    memo.splits += 1
+    out = Federation.empty(layout.dim)
+    for dbms, pattern, _ in _escape_cells(m, loc, esc, universe, n):
+        witnesses = [i for i in edge_ids if i not in pattern]
+        if not witnesses:
+            continue
+        cell_hits = Federation.empty(layout.dim)
+        for i in witnesses:
+            if i not in hits:
+                hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
+            cell_hits = cell_hits.union(hits[i])
+        cell_fed = Federation.of_zones(layout.dim, (Zone(loc, d) for d in dbms))
+        out = out.union(cell_fed.intersect(cell_hits))
+    ids = list(hits)
+    memo.locations[(loc, n)] = (esc, ids, [hits[i].at(loc) for i in ids], out.at(loc))
+    return out.at(loc)
+
+
 def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                      target: Federation, universe: Federation,
-                     memo: Optional[tuple[ClassMemo, ClassMemo]] = None) -> Federation:
+                     memo: Optional[PredMemo] = None) -> Federation:
     """The budget-n obstruction predecessor of the target set: the cells
     of the budget-n escape split that keep a witness.
 
-    memo is the (complement, hit target) pair of ClassMemos to read and
-    update; without one the memos last for this call."""
-    complement = universe.subtract(target)
-    escape_memo, hit_memo = memo if memo is not None else (ClassMemo(), ClassMemo())
-    hit_cache: dict[int, Federation] = {}
-    out = Federation.empty(layout.dim)
+    memo is the PredMemo to read and update; without one everything
+    is computed afresh."""
+    if memo is None:
+        memo = PredMemo()
+    complement = _complement(m, target, universe, memo.complements)
+    by = {}
     for loc in m.locations:
-        edge_ids = m.out_edges[loc.name]
-        for dbms, pattern, _ in _escape_cells(m, layout, loc.name, complement,
-                                              universe, escape_memo, n):
-            witnesses = [i for i in edge_ids if i not in pattern]
-            if not witnesses:
-                continue
-            hits = Federation.empty(layout.dim)
-            for i in witnesses:
-                if i not in hit_cache:
-                    hit_cache[i] = pred(m, layout, m.edges[i], target, hit_memo, i)
-                hits = hits.union(hit_cache[i])
-            cell_fed = Federation.of_zones(
-                layout.dim, (Zone(loc.name, d) for d in dbms))
-            out = out.union(cell_fed.intersect(hits))
-    return out
+        dbms = _location_pred(m, layout, loc.name, n, target, complement, universe, memo)
+        if dbms:
+            by[loc.name] = dbms
+    return Federation(layout.dim, by)

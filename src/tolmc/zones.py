@@ -423,6 +423,11 @@ class Federation:
     def is_empty(self) -> bool:
         return not self._by_loc
 
+    def restrict(self, locs: Iterable[str]) -> "Federation":
+        """The part of self at the given locations."""
+        return Federation(self.dim, {loc: self._by_loc[loc] for loc in locs
+                                     if loc in self._by_loc})
+
     def zone_count(self) -> int:
         return sum(len(v) for v in self._by_loc.values())
 
@@ -499,6 +504,16 @@ class Federation:
 
     def contains_point(self, loc: str, point2) -> bool:
         return any(contains_point(d, point2) for d in self._by_loc.get(loc, []))
+
+    def map_lists(self, fn) -> "Federation":
+        """Apply fn(loc, dbms) -> list location-wise; fn returns a list
+        _reduce leaves alone, and empty lists are dropped."""
+        by = {}
+        for loc, dbms in self._by_loc.items():
+            out = fn(loc, dbms)
+            if out:
+                by[loc] = out
+        return Federation(self.dim, by)
 
     def map_zones(self, fn) -> "Federation":
         """Apply fn(loc, dbm) -> Dbm|None zone-wise."""

@@ -267,6 +267,29 @@ def test_preds_computed_counts_memo_misses(gen, k, formula, computed):
     assert v.stats.preds_computed == computed
 
 
+def test_escape_splits_run_only_where_inputs_changed(monkeypatch):
+    # a Release round changes the target at one pipeline location, so a
+    # location's split and extrapolation are redone about twice per check,
+    # not in every one of the k + 1 rounds (930 splits and 1396
+    # extrapolations at k = 30 when every round redoes every location)
+    import tolmc.checker as checker_mod
+
+    calls = 0
+    extrapolate = checker_mod.extrapolate
+
+    def counted(d, k):
+        nonlocal calls
+        calls += 1
+        return extrapolate(d, k)
+
+    monkeypatch.setattr(checker_mod, "extrapolate", counted)
+    k = 30
+    v = check(*gen_pipeline(k))
+    assert v.satisfied
+    assert v.stats.splits_computed <= 2 * k + 2, v.stats.splits_computed
+    assert calls <= 4 * k, calls
+
+
 def test_dump_sat_deterministic():
     m = build_case_study()
     f = phi1(3)

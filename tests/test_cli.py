@@ -384,6 +384,7 @@ def test_stats_line_is_one_json_object(capsys, tmp_path):
     assert list(stats["fixpoint_iterations"]) == ["<#1> (! (true) R p)"]
     assert stats["zones_noted"] > 0 and stats["peak_federation_size"] > 0
     assert stats["preds_computed"] > 0
+    assert stats["splits_computed"] > 0
 
 
 OVERFLOW = 600000000000

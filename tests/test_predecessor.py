@@ -10,7 +10,7 @@ from tolmc.checker import Checker
 from tolmc.logic import (TRUE, ClockAtom, formula_clocks, parse_formula, print_formula,
                          subformulas_by_size)
 from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
-from tolmc.predecessor import (ClassMemo, _escape_cells, disc_pred, full_space,
+from tolmc.predecessor import (_escape_cells, disc_pred, full_space,
                                obstruction_pred, pred, time_pred)
 from tolmc.randgen import WEIGHTS, random_formula, random_wta
 from tolmc.zones import Federation, Zone
@@ -402,8 +402,9 @@ def assert_reference_zone_lists(cases) -> int:
                 want = ref_obstruction_pred(m, layout, n, target, universe)
                 assert list(got.zones()) == list(want.zones()), (serialize_str(m), n)
                 for loc in m.locations:
-                    assert _escape_cells(m, layout, loc.name, complement, universe,
-                                         ClassMemo(), n) == \
+                    esc = [pred(m, layout, m.edges[i], complement).at(loc.name)
+                           for i in m.out_edges[loc.name]]
+                    assert _escape_cells(m, loc.name, esc, universe, n) == \
                         ref_escape_cells(m, layout, loc.name, complement, universe, n)
     return shared
 
@@ -428,7 +429,8 @@ def test_weight_zero_edges_give_the_reference_zone_lists():
 
 def _memo_queries():
     """Queries for the kept memo: criterion 2's corpus head, the shared-class
-    models, pipeline and mesh, and two strategic operators sharing a memo."""
+    and weight-0 models, pipeline and mesh, and two strategic operators
+    sharing a memo, also of one grade over different targets."""
     rng = random.Random(20260811)  # the seed of criterion 2's corpus
     for _ in range(10):
         m = random_wta(rng)
@@ -440,6 +442,14 @@ def _memo_queries():
     for i, (m, *_) in enumerate(shared_class_cases()):
         yield m, random_formula(rng, m, grades=(0, 1, 2, 3))
         yield m, parse_formula(nested[i % len(nested)])
+    # two operators of one grade over different targets share the entries
+    # of that grade
+    same_grade = [parse_formula("(<#1> (p U q)) & (<#1> (p R q))"),
+                  parse_formula("<#1> G (<#1> G p)")]
+    for m, *_ in itertools.chain(shared_class_cases(),
+                                 shared_class_cases(seed=20261019, weights=(0, 1, 2, 3))):
+        for f in same_grade:
+            yield m, f
     for k in range(2, 9):
         last = f"s{k - 1}"
         for gen in (gen_pipeline, gen_mesh):
