@@ -34,6 +34,12 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
   - untraced `oracle.location_witnesses` ms (median of 2 * REPEATS runs)
     and the witness count for the case study's WITNESS_FORMULAS,
+  - beside each probe row's raw ms (`ms_median`, `ms_runs`), the same
+    runs scaled to the reference host speed by the side's
+    `perfbench/calibrate.py::HostClock` (`scaled_ms_median`,
+    `scaled_ms_runs`), calibrated before each timed call and after the
+    last, so rows of the two sides compare though their probes run at
+    different times,
   - the tier-1 wall time: one pytest run per side, one after the other,
     so not a paired measurement.
 """
@@ -65,28 +71,42 @@ RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent
 PYCACHE = Path("build", "pycache")  # per side, under the side's directory
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
-# one process per side: prints {"pipeline/k=4": [states, [ms, ...]], ...}
-DISCRETIZE_PROBE = """
+# the head of every probe: timed(call, repeats) runs call repeats times
+# and returns its last result with the raw and the scaled ms of each run
+TIMER = """
 import json, sys, time
+sys.path.insert(0, "perfbench")
+from calibrate import HostClock
+clock = HostClock()
+
+def timed(call, repeats):
+    spans = []
+    for _ in range(repeats):
+        clock.calibrate()
+        t0 = time.perf_counter()
+        result = call()
+        spans.append((t0, time.perf_counter()))
+    clock.calibrate()
+    return (result, [(t1 - t0) * 1000.0 for t0, t1 in spans],
+            [clock.scaled(t0, t1) * 1000.0 for t0, t1 in spans])
+"""
+
+# one process per side: prints {"pipeline/k=4": [states, [ms, ...], [scaled ms, ...]], ...}
+DISCRETIZE_PROBE = TIMER + """
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.oracle import discretize
 out = {}
 for k in %r:
     for name, gen in (("pipeline", gen_pipeline), ("mesh", gen_mesh)):
         m, f = gen(k)
-        times = []
-        for _ in range(%d):
-            t0 = time.perf_counter()
-            g = discretize(m, f)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        out[f"{name}/k={k}"] = [len(g.states), times]
+        g, raw, scaled = timed(lambda: discretize(m, f), %d)
+        out[f"{name}/k={k}"] = [len(g.states), raw, scaled]
 print(json.dumps(out))
 """
 
-# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...], counters],
-# ..., "fan/n=4": ...}; fan(n) is tests/helpers.py::fan_model, written out here
-CHECK_PROBE = """
-import json, time
+# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...], [scaled ms, ...],
+# counters], ..., "fan/n=4": ...}; fan(n) is tests/helpers.py::fan_model, written out here
+CHECK_PROBE = TIMER + """
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import check
 from tolmc.logic import parse_formula
@@ -109,34 +129,25 @@ inputs += [(f"fan/n={n}", fan) for n in %r]
 out = {}
 for name, gen in inputs:
     m, f = gen(int(name.partition("=")[2]))
-    times = []
-    for _ in range(%d):
-        t0 = time.perf_counter()
-        v = check(m, f)
-        times.append((time.perf_counter() - t0) * 1000.0)
+    v, raw, scaled = timed(lambda: check(m, f), %d)
     st = v.stats
     counters = {"iterations": sum(st.fixpoint_iterations.values())}
     counters.update((key, getattr(st, key, None))
                     for key in ("preds_computed", "zones_noted", "splits_computed"))
-    out[name] = [v.satisfied, times, counters]
+    out[name] = [v.satisfied, raw, scaled, counters]
 print(json.dumps(out))
 """
 
-# one process per side: prints {"phi1(2)": [witnesses, [ms, ...]], ...}
-WITNESS_PROBE = """
-import json, time
+# one process per side: prints {"phi1(2)": [witnesses, [ms, ...], [scaled ms, ...]], ...}
+WITNESS_PROBE = TIMER + """
 from tolmc import case_study
 from tolmc.oracle import location_witnesses
 m = case_study.build_case_study()
 out = {}
 for phi, t in %r:
     f = getattr(case_study, phi)(t)
-    times = []
-    for _ in range(%d):
-        t0 = time.perf_counter()
-        w = location_witnesses(m, f)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    out[f"{phi}({t})"] = [len(w), times]
+    w, raw, scaled = timed(lambda: location_witnesses(m, f), %d)
+    out[f"{phi}({t})"] = [len(w), raw, scaled]
 print(json.dumps(out))
 """
 
@@ -228,12 +239,13 @@ def main() -> int:
             proc = run_in(root, ["-c", probe], timeout=1800)
             if proc.returncode:
                 raise RuntimeError(f"{layer} probe failed in {root}: {proc.stderr.strip()}")
-            for name, (size, times, *counts) in json.loads(proc.stdout).items():
-                row = layers[tag][layer].setdefault(name, (size, [], counts))
-                if row[2] != counts:
+            for name, (size, raw, scaled, *counts) in json.loads(proc.stdout).items():
+                row = layers[tag][layer].setdefault(name, (size, [], [], counts))
+                if row[3] != counts:
                     raise RuntimeError(f"{layer} probe counters of {name} differ between "
-                                       f"runs in {root}: {row[2]} vs {counts}")
-                row[1].extend(times)
+                                       f"runs in {root}: {row[3]} vs {counts}")
+                row[1].extend(raw)
+                row[2].extend(scaled)
 
     tier1 = {}
     for tag, root in sides:
@@ -266,8 +278,9 @@ def main() -> int:
                                               "--trace 1",
                                    "workloads": traced[tag]},
             **{layer: {name: {probes[layer][0]: size, "ms_median": statistics.median(ms),
-                              "ms_runs": ms, **(counts[0] if counts else {})}
-                       for name, (size, ms, counts) in entries.items()}
+                              "ms_runs": ms, "scaled_ms_median": statistics.median(scaled),
+                              "scaled_ms_runs": scaled, **(counts[0] if counts else {})}
+                       for name, (size, ms, scaled, counts) in entries.items()}
                for layer, entries in layers[tag].items()},
             "tier1": tier1[tag],
         }

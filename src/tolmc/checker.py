@@ -5,8 +5,10 @@ clocks are unconstrained until frozen.  Until is a least fixpoint
 grown from Sat(psi2), release a greatest fixpoint shrunk from the full
 invariant-clipped space; both apply per-clock max-constant
 extrapolation to every iterate so the chains close in finitely many
-steps.  The freeze case is computed from the semantic clause (the
-reset preimage j := 0), not by passing the operand set through.
+steps.  A round redoes only the locations whose obstruction predecessor
+changed (Liu & Smolka, ICALP 1998; see _fixpoint).  The freeze case is
+computed from the semantic clause (the reset preimage j := 0), not by
+passing the operand set through.
 Layout, bindings and invariant DBMs come from ClockLayout.of_query.
 """
 
@@ -21,7 +23,7 @@ from .logic import (And, Atom, ClockAtom, Freeze, Not, Release, TolFormula,
 from .model import CheckError, ClockLayout, Wta  # noqa: F401  (CheckError re-exported)
 from .model import ScaleError
 from .predecessor import PredMemo, full_space, obstruction_pred
-from .zones import Federation, Zone, _reduce, extrapolate, reset_preimage
+from .zones import Federation, Zone, extrapolate, reset_preimage
 
 
 # The work budget of one check: past this many zones noted (summed
@@ -72,8 +74,6 @@ class Checker:
         # pred per edge class and the obstruction predecessor per
         # (location, budget), kept across every fixpoint round of the check
         self.pred_memo = PredMemo()
-        # location -> (zone list, its extrapolation), the last one mapped
-        self.extrapolated: dict[str, tuple[list, list]] = {}
 
     # -- satisfaction sets ---------------------------------------------------
 
@@ -117,21 +117,6 @@ class Checker:
             return self.universe.map_zones(lambda loc, d: self.layout.conjoin(d, (psi,)))
         raise TypeError(f"not an atomic formula: {psi!r}")
 
-    def _extrap(self, fed: Federation) -> Federation:
-        """Extrapolate zone-wise; a location whose list equals the one it
-        had at the last call keeps that call's result."""
-        k = self.layout.kvec
-        kept = self.extrapolated
-
-        def at(loc: str, dbms: list) -> list:
-            old = kept.get(loc)
-            if old is not None and (old[0] is dbms or old[0] == dbms):
-                return old[1]
-            out = _reduce([extrapolate(d, k) for d in dbms])
-            kept[loc] = (dbms, out)
-            return out
-        return fed.map_lists(at)
-
     def _vee(self, n: int, target: Federation) -> Federation:
         out = obstruction_pred(self.m, self.layout, n, target, self.universe,
                                self.pred_memo)
@@ -140,29 +125,48 @@ class Checker:
         self.stats.splits_computed = memo.splits
         return out
 
-    def _fixpoint(self, key: str, start: Federation, grows: bool, step) -> Federation:
-        """Iterate step from start to a least (grows) or greatest fixpoint."""
-        y = start
+    def _fixpoint(self, key: str, n: int, s1: Federation, s2: Federation,
+                  until: bool) -> Federation:
+        """y = s2 ∪ (s1 ∩ vee(y)) grown from s2 (until) or s2 ∩ (s1 ∪ vee(y))
+        shrunk from the universe, vee the budget-n obstruction predecessor.
+
+        The one change test: a location whose vee list is the very list
+        its iterate was built from keeps its iterate.  The operands,
+        extrapolation, chain-direction check and termination test run on
+        the others: every location in round 1, as the start is no iterate."""
+        k = self.layout.kvec
+
+        def widen(fed: Federation) -> Federation:
+            return fed.map_zones(lambda loc, d: extrapolate(d, k))
+
+        names = [loc.name for loc in self.m.locations]
+        y = widen(s2) if until else self.universe
+        built = None  # the vee that y was built from
         iterations = 0
         while True:
             iterations += 1
-            x = y
-            y = step(x)
+            vee = self._vee(n, y)
+            changed = {loc: None for loc in names
+                       if built is None or built.at(loc) is not vee.at(loc)}
+            a, b, v = s1.restrict(changed), s2.restrict(changed), vee.restrict(changed)
+            new = widen(b.union(a.intersect(v)) if until else b.intersect(a.union(v)))
+            old = y.restrict(changed)
+            y = Federation(y.dim, {loc: dbms for loc in names
+                                   if (dbms := (new if loc in changed else y).at(loc))})
+            built = vee
             self.stats.note(y)
-            if not (x.subset_of(y) if grows else y.subset_of(x)):
-                raise FixpointError(f"{key}: iterates must {'grow' if grows else 'shrink'}")
-            if y.subset_of(x) if grows else x.subset_of(y):
+            if not (old.subset_of(new) if until else new.subset_of(old)):
+                raise FixpointError(f"{key}: iterates must {'grow' if until else 'shrink'}")
+            if new.subset_of(old) if until else old.subset_of(new):
                 break
         self.stats.fixpoint_iterations[key] = iterations
         return y
 
     def sat_until(self, n: int, s1: Federation, s2: Federation, key: str) -> Federation:
-        return self._fixpoint(key, self._extrap(s2), True, lambda x: self._extrap(
-            s2.union(s1.intersect(self._vee(n, x)))))
+        return self._fixpoint(key, n, s1, s2, True)
 
     def sat_release(self, n: int, s1: Federation, s2: Federation, key: str) -> Federation:
-        return self._fixpoint(key, self.universe, False, lambda x: self._extrap(
-            s2.intersect(s1.union(self._vee(n, x)))))
+        return self._fixpoint(key, n, s1, s2, False)
 
     def sat_freeze(self, var: str, s_phi: Federation) -> Federation:
         j = (self.layout.index[var],)

@@ -23,8 +23,9 @@ inside Python's default recursion limit.
 Trees share nodes: `W` reuses its right operand, so a tree of nested
 `W` doubles per level while its node count only grows linearly.  Every
 walk here therefore costs the number of distinct nodes, not the tree
-size: each node caches its hash, `subformulas_by_size` memoises sizes
-and `scoped` visits a shared node once per set of bound identifiers.
+size: each node caches its hash, `subformulas_by_size` memoises sizes,
+`scoped` visits a shared node once per set of bound identifiers and the
+parser's height bound measures a shared node once.
 """
 
 from __future__ import annotations
@@ -374,9 +375,9 @@ class _Parser:
 
 def parse_formula(text: str) -> TolFormula:
     f = _Parser(text).parse()
-    for g, bound, depth in scoped(f):
-        if depth > MAX_NESTING:
-            raise FormulaError(TOO_DEEP)
+    if _height(f) > MAX_NESTING:
+        raise FormulaError(TOO_DEEP)
+    for g, bound in scoped(f):
         # rebinding a freeze identifier in a nested scope has no defined meaning
         if isinstance(g, Freeze) and g.var in bound:
             raise FormulaError(f"freeze identifier {g.var!r} rebound in nested scope")
@@ -451,40 +452,38 @@ def children(f) -> tuple:
 
 
 def scoped(f):
-    """Each node of the tree with the freeze identifiers bound above it
-    and its depth: the most connectives above it on any path.
+    """Yield each node of the tree with the freeze identifiers bound above it.
 
     A node shared by several paths is visited once per bound set, so the
-    walk costs the distinct (node, bound set) pairs, which come in the
-    pre-order of their first visit."""
-    root = (id(f), frozenset())
-    states = {}  # (node id, bound set) -> (node, child keys), in pre-order
-    stack = [(root, f)]
+    walk costs the distinct (node, bound set) pairs, which come lazily in
+    the pre-order of their first visit."""
+    seen = set()  # (node id, bound set)
+    stack = [(f, frozenset())]
     while stack:
-        key, g = stack.pop()
-        if key in states:
+        g, bound = stack.pop()
+        key = (id(g), bound)
+        if key in seen:
             continue
-        bound = key[1] | {g.var} if isinstance(g, Freeze) else key[1]
-        kids = children(g)
-        keys = [(id(c), bound) for c in kids]
-        states[key] = (g, keys)
-        stack.extend(reversed(list(zip(keys, kids))))
-    # longest paths: relax depths in topological order (Kahn)
-    parents = dict.fromkeys(states, 0)
-    for _, kids in states.values():
-        for ck in kids:
-            parents[ck] += 1
-    depth = dict.fromkeys(states, 0)
-    ready = [root]
-    while ready:
-        key = ready.pop()
-        for ck in states[key][1]:
-            depth[ck] = max(depth[ck], depth[key] + 1)
-            parents[ck] -= 1
-            if not parents[ck]:
-                ready.append(ck)
-    for key, (g, _) in states.items():
-        yield g, key[1], depth[key]
+        seen.add(key)
+        yield g, bound
+        if isinstance(g, Freeze):
+            bound = bound | {g.var}
+        stack.extend((c, bound) for c in reversed(children(g)))
+
+
+def _height(f) -> int:
+    """The most connectives on any path from f down to a leaf, over the
+    distinct nodes and off an explicit stack, clear of the recursion limit."""
+    height: dict = {}  # node id -> its height
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        todo = [c for c in children(g) if id(c) not in height]
+        if todo:
+            stack.extend(todo)
+        else:
+            height[id(stack.pop())] = max((height[id(c)] + 1 for c in children(g)), default=0)
+    return height[id(f)]
 
 
 def subformulas_by_size(f) -> list:
@@ -505,7 +504,7 @@ def subformulas_by_size(f) -> list:
 
 def formula_clocks(f) -> tuple[str, ...]:
     """Freeze-bound identifiers in first-binding order."""
-    return tuple(dict.fromkeys(g.var for g, _, _ in scoped(f) if isinstance(g, Freeze)))
+    return tuple(dict.fromkeys(g.var for g, _ in scoped(f) if isinstance(g, Freeze)))
 
 
 def _text(f):

@@ -377,7 +377,7 @@ class ClockLayout:
     def of_query(m: Wta, f: logic.TolFormula) -> "ClockLayout":
         """The layout of checking f on m, once f's clock atoms and freeze
         binders are known to bind in m."""
-        for g, scope, _ in logic.scoped(f):
+        for g, scope in logic.scoped(f):
             if isinstance(g, logic.Freeze) and g.var in m.clocks:
                 raise CheckError(f"freeze identifier {g.var!r} collides with an automaton clock")
             if isinstance(g, ClockAtom) and g.clock not in m.clocks \
@@ -423,7 +423,7 @@ def max_constants(m: Wta, formula: logic.TolFormula) -> dict[str, int]:
     for e in m.edges:
         for a in e.guard:
             out[a.clock] = max(out[a.clock], a.value)
-    for g, _, _ in logic.scoped(formula):
+    for g, _ in logic.scoped(formula):
         if isinstance(g, logic.Freeze):
             out.setdefault(g.var, 0)
         elif isinstance(g, ClockAtom):

@@ -17,13 +17,15 @@ memoised or terminal point and folded back, memoising every point, so
 a point costs its edges plus its output; a chain point no step lands
 on is not a state.  Strategic operators are decided as turn-based games
 with per-state blocker choices, solved by one linear-time counting
-fixpoint for graded Until and Release (Liu & Smolka, ICALP 1998).  One
-textbook sweep, sharing no code with it, iterates A U / A R over the
-targets of the step groups a blocker choice leaves open (open_groups)
-for the grade-0 cross-check (tctl_check: every state, nothing blocked)
-and the witness search (location_witnesses: one sweep per group of
-location-constant blocker choices that agree where the walk from the
-initial state reaches a state the sweep may flip).  Clock order
+fixpoint for graded Until and Release (Liu & Smolka, ICALP 1998); each
+game gathers the predecessor lists of its own live states, and the
+graph keeps none.  One textbook sweep, sharing no code with it,
+iterates A U / A R over the targets of the step groups a blocker choice
+leaves open (open_groups) for the grade-0 cross-check (tctl_check:
+every state, nothing blocked) and the witness search
+(location_witnesses: one sweep per group of location-constant blocker
+choices that agree where the walk from the initial state reaches a
+state the sweep may flip).  Clock order
 and caps come from model.ClockLayout.of_query, which also rejects
 unbound or colliding formula clocks; no DBM is read.  Coordinates are
 stored doubled (1 unit = half a time unit), so arithmetic stays integral.
@@ -37,7 +39,6 @@ location_witnesses; both count as they are generated.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_left
 from collections.abc import Iterator
@@ -62,16 +63,6 @@ class ExplicitGraph:
 
     def initial_index(self) -> int:
         return self.index[(self.m.initial, (0,) * (self.layout.dim - 1))]
-
-    @functools.cached_property
-    def preds(self) -> list:
-        """Per state t, the (state, group index) pairs of the groups targeting t."""
-        preds: list = [[] for _ in self.steps]
-        for s, groups in enumerate(self.steps):
-            for local, (_, _, targets) in enumerate(groups):
-                for t in targets:
-                    preds[t].append((s, local))
-        return preds
 
 
 def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
@@ -171,7 +162,8 @@ def _game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray,
     while some group lies wholly inside y.  It decides only the states in
     exactly one of s1, s2, and each flips at most once: Until grows y from
     s2, Release shrinks it from every state.  Each group counts its
-    targets outside y, updated over the predecessor lists."""
+    targets outside y, updated over the predecessor lists, which hold
+    only the live states' groups, as only a live state reads a count."""
     steps = g.steps
     nstates = len(steps)
     y = bytearray(s2)
@@ -180,9 +172,13 @@ def _game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray,
     count = [None] * nstates    # per live state and group: its targets outside y
     esc = [0] * nstates         # per live state: the weight of its groups counting one
     wit = [0] * nstates         # per live state: its groups counting none
+    preds: dict = {}            # target -> (live state, group index) pairs
     for s in range(nstates):
         if live[s]:
             groups = steps[s]
+            for local, (_, _, ts) in enumerate(groups):
+                for t in ts:
+                    preds.setdefault(t, []).append((s, local))
             if until:
                 cs = count[s] = [sum(1 for t in ts if not y[t]) for _, _, ts in groups]
                 esc[s] = sum(w for (_, w, _), c in zip(groups, cs) if c)
@@ -201,9 +197,8 @@ def _game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray,
             live[s] = 0
             y[s] = flip
             work.append(s)
-    preds = g.preds
     while work:
-        for s, local in preds[work.pop()]:
+        for s, local in preds.get(work.pop(), ()):
             if not live[s]:
                 continue
             cs = count[s]

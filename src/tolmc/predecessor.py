@@ -30,6 +30,11 @@ result is a function of the lists compared, so an entry serves any
 target of its budget.  All of this lives in a PredMemo, which a Checker
 keeps for a whole check, over every fixpoint round and every strategic
 subformula; callers without a memo get a fresh one per call.
+
+The identity of the lists obstruction_pred returns is a contract: while
+a location's entry stands, its list is the very object stored there (or
+Federation.at's shared empty list), and the checker redoes a location's
+round exactly when that object changes.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ handled one at a time, a repeated clock as a no-op.
 
 A federation keeps one reduced list of zones per location.  Operations
 share the lists they do not touch with their operands, so a list read
-from a federation (`Federation.at`) must never be mutated.
+from a federation (`Federation.at`) must never be mutated; two lists
+that are one object hold the same zones.
 """
 
 from __future__ import annotations
@@ -374,6 +375,9 @@ class ArityError(ValueError):
 
 # -- zones and federations ---------------------------------------------------
 
+_NO_ZONES: list = []  # Federation.at of a location without zones; never mutated
+
+
 @dataclass(frozen=True)
 class Zone:
     loc: str
@@ -418,7 +422,8 @@ class Federation:
                 yield Zone(loc, d)
 
     def at(self, loc: str) -> list:
-        return self._by_loc.get(loc, [])
+        """loc's zone list; a location without zones gets _NO_ZONES."""
+        return self._by_loc.get(loc, _NO_ZONES)
 
     def is_empty(self) -> bool:
         return not self._by_loc
@@ -504,16 +509,6 @@ class Federation:
 
     def contains_point(self, loc: str, point2) -> bool:
         return any(contains_point(d, point2) for d in self._by_loc.get(loc, []))
-
-    def map_lists(self, fn) -> "Federation":
-        """Apply fn(loc, dbms) -> list location-wise; fn returns a list
-        _reduce leaves alone, and empty lists are dropped."""
-        by = {}
-        for loc, dbms in self._by_loc.items():
-            out = fn(loc, dbms)
-            if out:
-                by[loc] = out
-        return Federation(self.dim, by)
 
     def map_zones(self, fn) -> "Federation":
         """Apply fn(loc, dbm) -> Dbm|None zone-wise."""

@@ -511,7 +511,7 @@ def ref_subtract(a: Federation, b: Federation) -> Federation:
 
 def size(f) -> int:
     """Connective count; a node shared by several paths counts once."""
-    return sum(1 for g, _, _ in scoped(f) if children(g))
+    return sum(1 for g, _ in scoped(f) if children(g))
 
 
 def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,

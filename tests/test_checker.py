@@ -290,6 +290,26 @@ def test_escape_splits_run_only_where_inputs_changed(monkeypatch):
     assert calls <= 4 * k, calls
 
 
+def test_fixpoint_rounds_combine_only_changed_locations(monkeypatch):
+    # a pipeline round changes the obstruction predecessor at one location,
+    # so the rounds intersect zones there only: 183 dbm_intersect calls at
+    # k = 30, where combining the whole federations every round makes 1518
+    from tolmc import zones
+
+    calls = 0
+    intersect = zones.dbm_intersect
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return intersect(a, b)
+
+    monkeypatch.setattr(zones, "dbm_intersect", counted)
+    k = 30
+    assert check(*gen_pipeline(k)).satisfied
+    assert calls <= 8 * k, calls
+
+
 def test_dump_sat_deterministic():
     m = build_case_study()
     f = phi1(3)
