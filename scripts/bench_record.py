@@ -23,11 +23,13 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     overhead) from one `--trace 1` run per side at the first seed,
   - untraced `checker.check` ms (median of 2 * REPEATS runs) and the
     verdict for pipeline and mesh at CHECK_KS, each with its
-    generator's formula, and for the fan family at FAN_NS with
-    `<#n/2> G ! q` (the model is built inside the probe, so that an
-    older side runs it too); beside each row the check's deterministic
-    counters, equal in every run of a side: `iterations` (summed over
-    the fixpoints), `preds_computed`, `zones_noted` and
+    generator's formula, for mesh at MESH_UNTIL_KS with perfbench's
+    Until formula `j . <#k-2> F (s{k-1} & j >= k)` (rows
+    `mesh-until/k=K`), and for the fan family at FAN_NS with
+    `<#n/2> G ! q` (the models and formulas are built inside the probe,
+    so that an older side runs them too); beside each row the check's
+    deterministic counters, equal in every run of a side: `iterations`
+    (summed over the fixpoints), `preds_computed`, `zones_noted` and
     `splits_computed` (null where a side's CheckStats lacks the field),
   - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
     count of states it builds (those the initial state's Sat bits read,
@@ -37,9 +39,13 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
   - beside each probe row's raw ms (`ms_median`, `ms_runs`), the same
     runs scaled to the reference host speed by the side's
     `perfbench/calibrate.py::HostClock` (`scaled_ms_median`,
-    `scaled_ms_runs`), calibrated before each timed call and after the
-    last, so rows of the two sides compare though their probes run at
-    different times,
+    `scaled_ms_runs`), calibrated before and after each timed call, so
+    rows of the two sides compare though their probes run at different
+    times; each probe input runs in REPEATS rounds of one call on the
+    first side, the second, the second and the first (one worker
+    process per side, warmed by an untimed call per input) before the
+    next input starts, so a slow phase of the host lands on both sides
+    of a row,
   - the tier-1 wall time: one pytest run per side, one after the other,
     so not a paired measurement.
 """
@@ -61,94 +67,95 @@ from pathlib import Path
 WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
 DISCRETIZE_KS = (4, 5, 6, 8)
 CHECK_KS = (4, 12, 16, 22, 30, 60, 120)
+MESH_UNTIL_KS = (4, 8, 12)
 FAN_NS = (4, 5, 6)  # n = 8 took about 20 s a run before the split stopped at the budget
 PAIRS = 10          # a gain claim needs 10 alternating pairs
-REPEATS = 5         # probe timings per input and probe process
+REPEATS = 10        # rounds of timed probe calls per input, two calls a side each
 WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
                     ("phi2", 3), ("phi2", 4), ("phi2", 5))
+# per probe layer: the name of its size column and its inputs, in order
+PROBE_INPUTS = {
+    "check": ("satisfied", [f"{family}/k={k}" for family in ("pipeline", "mesh")
+                            for k in CHECK_KS]
+              + [f"mesh-until/k={k}" for k in MESH_UNTIL_KS]
+              + [f"fan/n={n}" for n in FAN_NS]),
+    "discretize": ("states", [f"{family}/k={k}" for k in DISCRETIZE_KS
+                              for family in ("pipeline", "mesh")]),
+    "location_witnesses": ("witnesses", [f"{phi}({t})" for phi, t in WITNESS_FORMULAS]),
+}
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent
                           / "BENCHMARK.json").read_text())["run_seconds"]
 PYCACHE = Path("build", "pycache")  # per side, under the side's directory
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
-# the head of every probe: timed(call, repeats) runs call repeats times
-# and returns its last result with the raw and the scaled ms of each run
-TIMER = """
+# one worker process per side: reads "LAYER NAME" lines and answers each
+# with one JSON line [size, ms, scaled ms] of one timed call (check rows
+# add their counters), calibrating the host clock before and after it.
+# The first request for an input builds it and calls it once untimed, so
+# every timed call runs warm.  fan(n) is tests/helpers.py::fan_model and
+# mesh_until(k) perfbench/workloads.py::mesh_until, written out here.
+PROBE = """
 import json, sys, time
 sys.path.insert(0, "perfbench")
 from calibrate import HostClock
-clock = HostClock()
-
-def timed(call, repeats):
-    spans = []
-    for _ in range(repeats):
-        clock.calibrate()
-        t0 = time.perf_counter()
-        result = call()
-        spans.append((t0, time.perf_counter()))
-    clock.calibrate()
-    return (result, [(t1 - t0) * 1000.0 for t0, t1 in spans],
-            [clock.scaled(t0, t1) * 1000.0 for t0, t1 in spans])
-"""
-
-# one process per side: prints {"pipeline/k=4": [states, [ms, ...], [scaled ms, ...]], ...}
-DISCRETIZE_PROBE = TIMER + """
-from tolmc.bench import gen_mesh, gen_pipeline
-from tolmc.oracle import discretize
-out = {}
-for k in %r:
-    for name, gen in (("pipeline", gen_pipeline), ("mesh", gen_mesh)):
-        m, f = gen(k)
-        g, raw, scaled = timed(lambda: discretize(m, f), %d)
-        out[f"{name}/k={k}"] = [len(g.states), raw, scaled]
-print(json.dumps(out))
-"""
-
-# one process per side: prints {"pipeline/k=4": [satisfied, [ms, ...], [scaled ms, ...],
-# counters], ..., "fan/n=4": ...}; fan(n) is tests/helpers.py::fan_model, written out here
-CHECK_PROBE = TIMER + """
+from tolmc import case_study
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import check
 from tolmc.logic import parse_formula
 from tolmc.model import parse_model
+from tolmc.oracle import discretize, location_witnesses
 
 def fan(n):
     pairs = (("x", "y"), ("y", "z"), ("z", "x"))
     lines = ["wta", "clocks x y z", "location l0 init", "location l1 labels q",
              "edge l1 -> l1 action s weight 1"]
     for i in range(n):
-        c, d = pairs[i %% 3]
+        c, d = pairs[i % 3]
         lines.append(f"edge l0 -> l1 action a{i} guard {c} > {i} & {d} < {n - i} "
                      f"reset {c} weight 1")
         lines.append(f"edge l0 -> l0 action b{i} guard {d} >= {i} reset {d} weight 1")
     return parse_model("\\n".join(lines) + "\\n"), parse_formula(f"<#{n // 2}> G ! q")
 
-inputs = [(f"{name}/k={k}", gen) for name, gen in (("pipeline", gen_pipeline),
-                                                   ("mesh", gen_mesh)) for k in %r]
-inputs += [(f"fan/n={n}", fan) for n in %r]
-out = {}
-for name, gen in inputs:
-    m, f = gen(int(name.partition("=")[2]))
-    v, raw, scaled = timed(lambda: check(m, f), %d)
+def mesh_until(k):
+    return gen_mesh(k)[0], parse_formula(f"j . <#{k - 2}> F (s{k - 1} & j >= {k})")
+
+GENS = {"pipeline": gen_pipeline, "mesh": gen_mesh, "mesh-until": mesh_until, "fan": fan}
+
+def query(name):
+    family, _, size = name.partition("/")
+    return GENS[family](int(size.partition("=")[2]))
+
+def check_row(m, f):
+    v = check(m, f)
     st = v.stats
     counters = {"iterations": sum(st.fixpoint_iterations.values())}
     counters.update((key, getattr(st, key, None))
                     for key in ("preds_computed", "zones_noted", "splits_computed"))
-    out[name] = [v.satisfied, raw, scaled, counters]
-print(json.dumps(out))
-"""
+    return [v.satisfied, counters]
 
-# one process per side: prints {"phi1(2)": [witnesses, [ms, ...], [scaled ms, ...]], ...}
-WITNESS_PROBE = TIMER + """
-from tolmc import case_study
-from tolmc.oracle import location_witnesses
-m = case_study.build_case_study()
-out = {}
-for phi, t in %r:
-    f = getattr(case_study, phi)(t)
-    w, raw, scaled = timed(lambda: location_witnesses(m, f), %d)
-    out[f"{phi}({t})"] = [len(w), raw, scaled]
-print(json.dumps(out))
+def witness_query(name):
+    phi, _, t = name.partition("(")
+    return case_study.build_case_study(), getattr(case_study, phi)(int(t.rstrip(")")))
+
+ROWS = {"check": (query, check_row),
+        "discretize": (query, lambda m, f: [len(discretize(m, f).states)]),
+        "location_witnesses": (witness_query, lambda m, f: [len(location_witnesses(m, f))])}
+clock = HostClock()
+calls = {}
+for line in sys.stdin:
+    layer, name = line.split()
+    if (layer, name) not in calls:
+        build, row = ROWS[layer]
+        calls[layer, name] = (row, *build(name))
+        row(*calls[layer, name][1:])
+    row, m, f = calls[layer, name]
+    clock.calibrate()
+    t0 = time.perf_counter()
+    size, *counts = row(m, f)
+    t1 = time.perf_counter()
+    clock.calibrate()
+    print(json.dumps([size, (t1 - t0) * 1000.0, clock.scaled(t0, t1) * 1000.0, *counts]),
+          flush=True)
 """
 
 
@@ -160,12 +167,16 @@ def src_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def run_in(root: Path, args: list[str], timeout: float) -> subprocess.CompletedProcess:
+def side_env(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                PYTHONPYCACHEPREFIX=str(root / PYCACHE))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
-                          text=True, timeout=timeout, check=False)
+    return env
+
+
+def run_in(root: Path, args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], cwd=root, env=side_env(root),
+                          capture_output=True, text=True, timeout=timeout, check=False)
 
 
 def warm_cache(root: Path) -> None:
@@ -194,6 +205,44 @@ def counters(result: dict) -> dict:
     """The metrics of a traced run that do not depend on time."""
     return {name: m["value"] for name, m in result["metrics"].items()
             if m["unit"] in ("count", "ratio") and name != "trace.overhead_ratio"}
+
+
+def probe_rows(sides: list[tuple[str, Path]]) -> dict:
+    """Time every probe input on both sides, interleaved per input: REPEATS
+    rounds of one call each on the first side, the second, the second and
+    the first, in one worker process per side.  Returns {tag: {layer:
+    {name: (size, ms, scaled ms, counters)}}}; a check row's counters must
+    agree between the runs of its side."""
+    workers = {tag: subprocess.Popen([sys.executable, "-c", PROBE], cwd=root,
+                                     env=side_env(root), stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     text=True)
+               for tag, root in sides}
+    layers = {tag: {layer: {} for layer in PROBE_INPUTS} for tag, _ in sides}
+    try:
+        for layer, (_, names) in PROBE_INPUTS.items():
+            for name in names:
+                for tag, root in (sides + sides[::-1]) * REPEATS:
+                    worker = workers[tag]
+                    worker.stdin.write(f"{layer} {name}\n")
+                    worker.stdin.flush()
+                    line = worker.stdout.readline()
+                    if not line:
+                        raise RuntimeError(f"{layer} probe of {name} failed in {root}: "
+                                           f"{worker.stderr.read().strip()}")
+                    size, raw, scaled, *counts = json.loads(line)
+                    row = layers[tag][layer].setdefault(name, (size, [], [], counts))
+                    if row[3] != counts:
+                        raise RuntimeError(f"{layer} probe counters of {name} differ "
+                                           f"between runs in {root}: {row[3]} vs {counts}")
+                    row[1].append(raw)
+                    row[2].append(scaled)
+                print(f"probe {layer} {name}", file=sys.stderr)
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
+    return layers
 
 
 def summary(values: list[float]) -> dict:
@@ -230,22 +279,7 @@ def main() -> int:
     traced = {tag: {w: counters(perfbench(root, w, seeds[0], trace=1)) for w in WORKLOADS}
               for tag, root in sides}
 
-    probes = {"check": ("satisfied", CHECK_PROBE % (CHECK_KS, FAN_NS, REPEATS)),
-              "discretize": ("states", DISCRETIZE_PROBE % (DISCRETIZE_KS, REPEATS)),
-              "location_witnesses": ("witnesses", WITNESS_PROBE % (WITNESS_FORMULAS, REPEATS))}
-    layers = {tag: {layer: {} for layer in probes} for tag, _ in sides}
-    for tag, root in sides + sides[::-1]:
-        for layer, (_, probe) in probes.items():
-            proc = run_in(root, ["-c", probe], timeout=1800)
-            if proc.returncode:
-                raise RuntimeError(f"{layer} probe failed in {root}: {proc.stderr.strip()}")
-            for name, (size, raw, scaled, *counts) in json.loads(proc.stdout).items():
-                row = layers[tag][layer].setdefault(name, (size, [], [], counts))
-                if row[3] != counts:
-                    raise RuntimeError(f"{layer} probe counters of {name} differ between "
-                                       f"runs in {root}: {row[3]} vs {counts}")
-                row[1].extend(raw)
-                row[2].extend(scaled)
+    layers = probe_rows(sides)
 
     tier1 = {}
     for tag, root in sides:
@@ -277,7 +311,7 @@ def main() -> int:
                                               f"--seed {seeds[0]} --seconds {RUN_SECONDS:g} "
                                               "--trace 1",
                                    "workloads": traced[tag]},
-            **{layer: {name: {probes[layer][0]: size, "ms_median": statistics.median(ms),
+            **{layer: {name: {PROBE_INPUTS[layer][0]: size, "ms_median": statistics.median(ms),
                               "ms_runs": ms, "scaled_ms_median": statistics.median(scaled),
                               "scaled_ms_runs": scaled, **(counts[0] if counts else {})}
                        for name, (size, ms, scaled, counts) in entries.items()}

@@ -9,7 +9,10 @@ target.  The escape-cell split (_escape_cells) partitions the states of
 a location whose escaping edges weigh <= n into cells with a fixed set
 of escaping edges: it never builds a cell's part inside an edge's escape
 set when that edge's weight takes the cell past n.  Weights are
-naturals, so a cell's weight never falls and the cut is exact.
+naturals, so a cell's weight never falls and the cut is exact.  Out-edges
+with equal escape sets split together, one step per distinct set, at
+their summed weight: a state in the set escapes along all of them, so
+the cells are the sets that one step per edge gives.
 obstruction_pred with budget n keeps a cell's states where some
 non-escaping edge can actually step into the target.  That witness
 rules out the degenerate play where the blocker deactivates every
@@ -172,19 +175,27 @@ def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
     (DBMs, edges escaping into the complement, their weight) cells.
 
     esc holds the escape pred's zone list of each of the location's
-    out-edges, in m.out_edges order."""
-    cells: list[tuple[list, frozenset, int]] = [(list(universe.at(loc)), frozenset(), 0)]
+    out-edges, in m.out_edges order.  Out-edges with equal escape lists
+    form one group, in the order of their first edge, and the split takes
+    one step per group: a state inside the shared escape set escapes
+    along every edge of the group, so a cell either blocks them all, at
+    the group's summed weight, or lies outside the set.  The cells are
+    the sets that one step per edge gives, in fewer fragments where the
+    DBMs of a shared list overlap."""
+    groups: dict[tuple, list[int]] = {}  # a Dbm is a flat tuple, so hashable
     for i, esc_dbms in zip(m.out_edges[loc], esc):
-        if not esc_dbms:
-            continue
-        w = m.edges[i].weight
+        if esc_dbms:
+            groups.setdefault(tuple(esc_dbms), []).append(i)
+    cells: list[tuple[list, frozenset, int]] = [(list(universe.at(loc)), frozenset(), 0)]
+    for esc_dbms, ids in groups.items():
+        w = sum(m.edges[i].weight for i in ids)
         nxt = []
         for dbms, pattern, weight in cells:
             if weight + w <= n:
                 inside = [c for d in dbms for ed in esc_dbms
                           if (c := dbm_intersect(d, ed)) is not None]
                 if inside:
-                    nxt.append((inside, pattern | {i}, weight + w))
+                    nxt.append((inside, pattern.union(ids), weight + w))
             outside = list(dbms)
             for ed in esc_dbms:
                 outside = [p for d in outside for p in dbm_subtract(d, ed)]

@@ -8,6 +8,15 @@ verdict, checked on instances past the explicit oracle's reach.
 - Renaming every clock (formula clocks too) and every location, with the
   labels kept, changes no run.
 - Reversing the edge order changes no run.
+
+Two properties of the checker alone, with no second engine:
+
+- Verdict boundary: pipeline reaches s{k-1} at j = k*k at the earliest,
+  so `j . <#1> G (s{k-1} -> j >= T)` holds at T = k*k and fails at
+  T = k*k + 1, at sizes far past the oracle's.
+- Grade monotonicity: a larger budget gives the blocker more choices,
+  so Sat(<#n> phi U psi) is a subset of Sat(<#n+1> phi U psi), and the
+  same for R.
 """
 
 import dataclasses
@@ -16,8 +25,9 @@ import random
 import pytest
 
 from tolmc.bench import gen_mesh, gen_pipeline
-from tolmc.checker import check
-from tolmc.logic import ClockAtom, Freeze, TolFormula, formula_clocks, print_formula
+from tolmc.checker import Checker, check
+from tolmc.logic import (ClockAtom, Freeze, Release, TolFormula, Until, formula_clocks,
+                         parse_formula, print_formula, subformulas_by_size)
 from tolmc.model import Edge, Location, Wta
 from tolmc.randgen import random_formula, random_wta
 
@@ -136,3 +146,40 @@ def test_scaling_one_side_is_caught():
             flips["formula"] += check(*formula_scaled(m, f)).satisfied != want
             flips["both"] += check(*scaled(m, f)).satisfied != want
     assert flips["formula"] >= 1 and flips["both"] == 0, flips
+
+
+@pytest.mark.parametrize("k", (60, 120))
+def test_pipeline_verdict_boundary_past_the_oracle(k):
+    m, _ = gen_pipeline(k)
+    verdicts = [check(m, parse_formula(f"j . <#1> G (s{k - 1} -> j >= {t})")).satisfied
+                for t in (k * k, k * k + 1)]
+    assert verdicts == [True, False]
+
+
+def _substituted(f: TolFormula, old: TolFormula, new: TolFormula) -> TolFormula:
+    """f with every occurrence of the subformula old replaced by new."""
+    if f == old:
+        return new
+    fields = {fl.name: getattr(f, fl.name) for fl in dataclasses.fields(f)}
+    for name, v in fields.items():
+        if isinstance(v, TolFormula):
+            fields[name] = _substituted(v, old, new)
+    return type(f)(**fields)
+
+
+def test_sat_sets_grow_with_the_grade():
+    # each strategic subformula is raised by one grade in place, so that
+    # its freeze identifiers stay bound and the clock layout stays the
+    # same: 405 pairs over the 400 queries
+    pairs, shrunk = 0, []
+    for m, f in _criterion_2_queries(400):
+        sat = None
+        for g in subformulas_by_size(f):
+            if isinstance(g, (Until, Release)):
+                sat = sat or Checker(m, f).run().sat_sets
+                raised = dataclasses.replace(g, grade=g.grade + 1)
+                more = Checker(m, _substituted(f, g, raised)).run().sat_sets[raised]
+                pairs += 1
+                if not sat[g].subset_of(more):
+                    shrunk.append(print_formula(g))
+    assert pairs >= 400 and not shrunk, (pairs, shrunk[:5])

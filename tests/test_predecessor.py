@@ -12,8 +12,8 @@ from tolmc.logic import (TRUE, ClockAtom, formula_clocks, parse_formula, print_f
 from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
 from tolmc.predecessor import (_escape_cells, disc_pred, full_space,
                                obstruction_pred, pred, time_pred)
-from tolmc.randgen import WEIGHTS, random_formula, random_wta
-from tolmc.zones import Federation, Zone
+from tolmc.randgen import CLOSED_OPS, WEIGHTS, random_formula, random_wta
+from tolmc.zones import Federation, Zone, conjoin_atom
 
 TWO_LOC = """wta
 clocks x y
@@ -502,3 +502,108 @@ def test_escape_split_stops_at_the_budget(monkeypatch):
     monkeypatch.setattr(predecessor, "dbm_subtract", counted)
     assert not checker.check(fan_model(6), parse_formula("<#3> G ! q")).satisfied
     assert calls < 10000, calls
+
+
+def test_escape_split_steps_once_per_escape_set(monkeypatch):
+    # mesh k = 12 F: 1584 non-empty escape lists over 156 splits hold 166
+    # distinct ones; one step per edge made 4344 subtractions, one step
+    # per distinct list makes 188
+    calls = 0
+    subtract = predecessor.dbm_subtract
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return subtract(a, b)
+
+    monkeypatch.setattr(predecessor, "dbm_subtract", counted)
+    m, _ = gen_mesh(12)
+    verdict = checker.check(m, parse_formula("j . <#10> F (s11 & j >= 12)"))
+    assert verdict.satisfied
+    assert calls == 188, calls
+    # grouping changes the steps inside a split, not which splits run
+    assert (verdict.stats.splits_computed, verdict.stats.zones_noted) == (156, 396)
+
+
+def parallel_edge_cases(seed=20261020):
+    """40 models of two clocks whose out-edges come in bundles of 2-3
+    parallel edges: one guard, reset and target, distinct actions and
+    weights drawn from 0..3, so a bundle's edges have equal escape lists.
+    Each model comes with two targets, each a union of overlapping boxes
+    at 1-3 locations, so that escape lists hold several overlapping DBMs."""
+    rng = random.Random(seed)
+    clocks, names = ("x", "y"), ("l0", "l1", "l2")
+    for _ in range(40):
+        locations = tuple(
+            Location(name, (ClockAtom(rng.choice(clocks), "<=", rng.randint(2, 4)),)
+                     if rng.random() < 0.3 else ())
+            for name in names)
+        edges = []
+        for b in range(rng.randint(2, 4)):
+            guard = tuple(ClockAtom(rng.choice(clocks), rng.choice(CLOSED_OPS),
+                                    rng.randint(0, 3)) for _ in range(rng.randint(0, 1)))
+            resets = frozenset(c for c in clocks if rng.random() < 0.15)
+            source, target = rng.choice(names), rng.choice(names)
+            edges += [Edge(source, f"b{b}r{r}", guard, resets, target, rng.randint(0, 3))
+                      for r in range(rng.randint(2, 3))]
+        rng.shuffle(edges)
+        m = Wta(clocks, locations, "l0", tuple(edges))
+        layout = ClockLayout.build(m, (), max_constants(m, TRUE))
+        universe = full_space(m, layout)
+        targets = []
+        for _ in range(2):
+            zones = []
+            for loc in rng.sample(names, rng.randint(1, 3)):
+                x0, y0 = rng.randint(0, 2), rng.randint(0, 2)
+                shifts = [(0, 0)] + rng.sample([(0, 1), (1, 0), (1, 1)], rng.randint(1, 2))
+                for dx, dy in shifts:
+                    d = universe.at(loc)[0]
+                    for i, low in ((1, x0 + dx), (2, y0 + dy)):
+                        d = d and conjoin_atom(d, i, ">=", low)
+                        d = d and conjoin_atom(d, i, "<=", low + 2)
+                    if d is not None:
+                        zones.append(Zone(loc, d))
+            targets.append(Federation.of_zones(layout.dim, zones))
+        yield m, layout, universe, targets
+
+
+def cell_sets(layout, loc, cells):
+    """The states of each (pattern, weight) cell of an escape split."""
+    return {(pattern, weight): Federation.of_zones(layout.dim, (Zone(loc, d) for d in dbms))
+            for dbms, pattern, weight in cells}
+
+
+def test_grouped_escape_lists_of_several_zones_give_the_reference_sets():
+    # a group's inside cell intersects each DBM of the shared list once;
+    # one step per edge intersects it again for every further edge, so
+    # where those DBMs overlap the fragments differ and only the sets agree
+    several = partial = 0
+    for m, layout, universe, targets in parallel_edge_cases():
+        for target in targets:
+            complement = universe.subtract(target)
+            for loc in m.locations:
+                esc = [pred(m, layout, m.edges[i], complement).at(loc.name)
+                       for i in m.out_edges[loc.name]]
+                groups = {}
+                for i, esc_dbms in zip(m.out_edges[loc.name], esc):
+                    if esc_dbms:
+                        groups.setdefault(tuple(esc_dbms), []).append(i)
+                bundles = [[m.edges[i].weight for i in ids] for dbms, ids in groups.items()
+                           if len(ids) > 1 and len(dbms) > 1]
+                several += len(bundles)
+                for n in (0, 1, 2, 4):
+                    partial += sum(min(ws) <= n < sum(ws) for ws in bundles)
+                    got = cell_sets(layout, loc.name,
+                                    _escape_cells(m, loc.name, esc, universe, n))
+                    want = cell_sets(layout, loc.name, ref_escape_cells(
+                        m, layout, loc.name, complement, universe, n))
+                    assert got.keys() == want.keys(), (serialize_str(m), n)
+                    assert all(fed_equal(got[key], want[key]) for key in got), \
+                        (serialize_str(m), n)
+            for n in (0, 1, 2, 4):
+                assert fed_equal(obstruction_pred(m, layout, n, target, universe),
+                                 ref_obstruction_pred(m, layout, n, target, universe)), \
+                    (serialize_str(m), n)
+    # the family reaches groups of several edges and DBMs (54 at the seed)
+    # and budgets that afford part of a group's weight (121)
+    assert several >= 40 and partial >= 80, (several, partial)
