@@ -264,6 +264,8 @@ def main() -> int:
         sides.append((tag, Path(path).resolve()))
     if len(sides) != 2:
         ap.error("give exactly two --side options")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the runs, not after them
     seeds = [args.first_seed + i for i in range(PAIRS)]
     for _, root in sides:
         warm_cache(root)
@@ -318,7 +320,7 @@ def main() -> int:
                for layer, entries in layers[tag].items()},
             "tier1": tier1[tag],
         }
-        path = Path(args.out_dir) / f"BENCH_{tag}.json"
+        path = out_dir / f"BENCH_{tag}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -23,7 +23,7 @@ from .logic import (And, Atom, ClockAtom, Freeze, Not, Release, TolFormula,
 from .model import CheckError, ClockLayout, Wta  # noqa: F401  (CheckError re-exported)
 from .model import ScaleError
 from .predecessor import PredMemo, full_space, obstruction_pred
-from .zones import Federation, Zone, extrapolate, reset_preimage
+from .zones import Federation, extrapolate, reset_preimage
 
 
 # The work budget of one check: past this many zones noted (summed
@@ -109,10 +109,8 @@ class Checker:
         if isinstance(psi, TrueF):
             return self.universe
         if isinstance(psi, Atom):
-            zones = [Zone(loc.name, d) for loc in self.m.locations
-                     if psi.name in loc.labels
-                     for d in self.universe.at(loc.name)]
-            return Federation.of_zones(self.layout.dim, zones)
+            return self.universe.restrict(loc.name for loc in self.m.locations
+                                         if psi.name in loc.labels)
         if isinstance(psi, ClockAtom):
             return self.universe.map_zones(lambda loc, d: self.layout.conjoin(d, (psi,)))
         raise TypeError(f"not an atomic formula: {psi!r}")

@@ -59,16 +59,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class EncodingError(ValueError):
+    """An input file that is not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()  # decodes the whole file at once, so offsets are absolute
+        except UnicodeDecodeError as e:
+            raise EncodingError(f"[encoding] {path} is not UTF-8 text (byte "
+                                f"0x{e.object[e.start]:02x} at offset {e.start})") from None
+
+
 def _load_model(path: str):
-    with open(path) as fh:
-        return parse_model(fh.read())
+    return parse_model(_read_text(path))
 
 
 def _load_formula(args) -> logic.TolFormula:
     if args.formula is not None:
         return logic.parse_formula(args.formula)
-    with open(args.formula_file) as fh:
-        return logic.parse_formula(fh.read().strip())
+    return logic.parse_formula(_read_text(args.formula_file).strip())
 
 
 def main(argv=None) -> int:
@@ -78,7 +89,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _dispatch(args)
-    except (ModelError, FormulaError, FragmentError, CheckError, OSError) as e:
+    except (ModelError, FormulaError, FragmentError, CheckError, EncodingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ScaleError as e:

@@ -336,6 +336,7 @@ class DiffReport:
     mismatched_formula: str | None = None
     mismatched_states: list = field(default_factory=list)
     mismatched_dump: str = ""
+    clock_names: tuple = ()  # the clock of each coordinate of a mismatched state
 
     def __str__(self) -> str:
         if self.agree:
@@ -344,7 +345,9 @@ class DiffReport:
         if self.mismatched_formula:
             lines.append(f"smallest mismatched subformula: {self.mismatched_formula}")
             for loc, coords, sym, orc in self.mismatched_states[:20]:
-                lines.append(f"  state ({loc}, {coords}): checker={sym} oracle={orc}")
+                values = [f"{c}={v // 2}{'.5' * (v % 2)}"  # v is twice the clock value
+                          for c, v in zip(self.clock_names, coords)]
+                lines.append(f"  state ({', '.join([loc] + values)}): checker={sym} oracle={orc}")
             if self.mismatched_dump:
                 lines.append("checker sat set:")
                 lines.append(self.mismatched_dump)
@@ -396,6 +399,7 @@ def _compare_grids(m, f, g, sat_sets, osat, report) -> bool:
         if bad:
             report.mismatched_formula = logic.print_formula(psi)
             report.mismatched_states = bad
+            report.clock_names = g.layout.names[1:]
             report.mismatched_dump = dump_sat(m, g.layout.names, fed)
             return False
     return True

@@ -33,6 +33,8 @@ result is a function of the lists compared, so an entry serves any
 target of its budget.  All of this lives in a PredMemo, which a Checker
 keeps for a whole check, over every fixpoint round and every strategic
 subformula; callers without a memo get a fresh one per call.
+Inside a location, zones stay plain lists combined through the zone-list
+algebra of zones (join, meet, minus, difference).
 
 The identity of the lists obstruction_pred returns is a contract: while
 a location's entry stands, its list is the very object stored there (or
@@ -45,8 +47,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .model import ClockLayout, Edge, Wta
-from .zones import (Dbm, Federation, Zone, dbm_intersect, dbm_subtract, down,
-                    reset_preimage)
+from .zones import (Dbm, Federation, _reduce, dbm_intersect, difference, down, join,
+                    meet, minus, reset_preimage)
 
 
 def invariant_dbm(m: Wta, layout: ClockLayout, loc_name: str) -> Dbm:
@@ -55,9 +57,8 @@ def invariant_dbm(m: Wta, layout: ClockLayout, loc_name: str) -> Dbm:
 
 def full_space(m: Wta, layout: ClockLayout) -> Federation:
     """The invariant-clipped state space, formula clocks unconstrained."""
-    return Federation.of_zones(
-        layout.dim, (Zone(loc.name, invariant_dbm(m, layout, loc.name))
-                     for loc in m.locations))
+    return Federation(layout.dim, {loc.name: [invariant_dbm(m, layout, loc.name)]
+                                   for loc in m.locations})
 
 
 def disc_pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Federation:
@@ -75,8 +76,8 @@ def disc_pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Feder
         if z is not None:
             z = dbm_intersect(z, src_inv)
         if z is not None:
-            out.append(Zone(e.source, z))
-    return Federation.of_zones(layout.dim, out)
+            out.append(z)
+    return Federation(layout.dim, {e.source: _reduce(out)} if out else {})
 
 
 def time_pred(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
@@ -157,15 +158,10 @@ def _complement(m: Wta, target: Federation, universe: Federation,
     """universe − target, subtracting only at the locations whose target
     list differs from the one kept there (kept: location -> (target list,
     complement list), updated)."""
-    changed = []
     for loc in m.locations:
         old, now = kept.get(loc.name), target.at(loc.name)
         if old is None or not (old[0] is now or old[0] == now):
-            changed.append(loc.name)
-    if changed:
-        fresh = universe.restrict(changed).subtract(target.restrict(changed))
-        for name in changed:
-            kept[name] = (target.at(name), fresh.at(name))
+            kept[loc.name] = (now, difference(universe.at(loc.name), now))
     return Federation(universe.dim, {name: c for name, (_, c) in kept.items() if c})
 
 
@@ -186,22 +182,14 @@ def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
     for i, esc_dbms in zip(m.out_edges[loc], esc):
         if esc_dbms:
             groups.setdefault(tuple(esc_dbms), []).append(i)
-    cells: list[tuple[list, frozenset, int]] = [(list(universe.at(loc)), frozenset(), 0)]
+    cells: list[tuple[list, frozenset, int]] = [(universe.at(loc), frozenset(), 0)]
     for esc_dbms, ids in groups.items():
         w = sum(m.edges[i].weight for i in ids)
         nxt = []
         for dbms, pattern, weight in cells:
-            if weight + w <= n:
-                inside = [c for d in dbms for ed in esc_dbms
-                          if (c := dbm_intersect(d, ed)) is not None]
-                if inside:
-                    nxt.append((inside, pattern.union(ids), weight + w))
-            outside = list(dbms)
-            for ed in esc_dbms:
-                outside = [p for d in outside for p in dbm_subtract(d, ed)]
-                if not outside:
-                    break
-            if outside:
+            if weight + w <= n and (inside := meet(dbms, esc_dbms)):
+                nxt.append((inside, pattern.union(ids), weight + w))
+            if outside := minus(dbms, esc_dbms):
                 nxt.append((outside, pattern, weight))
         cells = nxt
     return cells
@@ -216,32 +204,31 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
     those lists differs from the location's entry."""
     edge_ids = m.out_edges[loc]
     esc = [pred(m, layout, m.edges[i], complement, memo.escape, i).at(loc) for i in edge_ids]
-    hits: dict[int, Federation] = {}
+    hits: dict[int, list] = {}
     entry = memo.locations.get((loc, n))
     # == on lists of zone lists tests each item by identity first, and a
     # list kept from an earlier round is usually the very object pred
     # hands out again
     if entry is not None and entry[0] == esc:
         for i in entry[1]:
-            hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
-        if entry[2] == [hits[i].at(loc) for i in entry[1]]:
+            hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i).at(loc)
+        if entry[2] == [hits[i] for i in entry[1]]:
             return entry[3]
     memo.splits += 1
-    out = Federation.empty(layout.dim)
+    out: list = []
     for dbms, pattern, _ in _escape_cells(m, loc, esc, universe, n):
         witnesses = [i for i in edge_ids if i not in pattern]
         if not witnesses:
             continue
-        cell_hits = Federation.empty(layout.dim)
+        cell_hits: list = []
         for i in witnesses:
             if i not in hits:
-                hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
-            cell_hits = cell_hits.union(hits[i])
-        cell_fed = Federation.of_zones(layout.dim, (Zone(loc, d) for d in dbms))
-        out = out.union(cell_fed.intersect(cell_hits))
-    ids = list(hits)
-    memo.locations[(loc, n)] = (esc, ids, [hits[i].at(loc) for i in ids], out.at(loc))
-    return out.at(loc)
+                hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i).at(loc)
+            cell_hits = join(cell_hits, hits[i])
+        if pieces := meet(_reduce(dbms), cell_hits):
+            out = join(out, _reduce(pieces))
+    memo.locations[(loc, n)] = (esc, list(hits), list(hits.values()), out)
+    return out
 
 
 def obstruction_pred(m: Wta, layout: ClockLayout, n: int,

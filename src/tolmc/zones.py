@@ -42,7 +42,9 @@ handled one at a time, a repeated clock as a no-op.
 A federation keeps one reduced list of zones per location.  Operations
 share the lists they do not touch with their operands, so a list read
 from a federation (`Federation.at`) must never be mutated; two lists
-that are one object hold the same zones.
+that are one object hold the same zones.  Federations and the
+obstruction predecessor combine such lists through one list algebra:
+`join`, `meet`, `minus` and `difference`.
 """
 
 from __future__ import annotations
@@ -442,68 +444,30 @@ class Federation:
 
     def union(self, other: "Federation") -> "Federation":
         self._check_dim(other)
-        by = dict(self._by_loc)
-        for loc, dbms in other._by_loc.items():
-            mine = by.get(loc)
-            by[loc] = _reduce(mine + dbms) if mine else dbms
-        return Federation(self.dim, by)
+        return Federation(self.dim, self._by_loc | {loc: join(self.at(loc), dbms)
+                                                    for loc, dbms in other._by_loc.items()})
 
     def intersect(self, other: "Federation") -> "Federation":
         self._check_dim(other)
-        by = {}
-        for loc, dbms in self._by_loc.items():
-            theirs = other._by_loc.get(loc)
-            if not theirs:
-                continue
-            pieces = []
-            for a in dbms:
-                for b in theirs:
-                    c = dbm_intersect(a, b)
-                    if c is not None:
-                        pieces.append(c)
-            if pieces:
-                by[loc] = _reduce(pieces)
-        return Federation(self.dim, by)
+        return Federation(self.dim, {loc: _reduce(pieces) for loc, dbms in self._by_loc.items()
+                                     if (pieces := meet(dbms, other.at(loc)))})
 
     def subtract(self, other: "Federation") -> "Federation":
         self._check_dim(other)
-        by = {}
-        for loc, dbms in self._by_loc.items():
-            theirs = other._by_loc.get(loc)
-            if not theirs:
-                by[loc] = dbms
-                continue
-            if theirs == dbms:
-                continue  # every zone is taken away by itself
-            rem = dbms
-            for b in theirs:
-                if not rem:
-                    break
-                rem = [p for a in rem for p in dbm_subtract(a, b)]
-            if rem:
-                by[loc] = _reduce(rem)
-        return Federation(self.dim, by)
+        return Federation(self.dim, {loc: rem for loc, dbms in self._by_loc.items()
+                                     if (rem := difference(dbms, other.at(loc)))})
 
     def subset_of(self, other: "Federation") -> bool:
         """self.subtract(other).is_empty(), without building the difference:
         a zone inside a single zone of other needs no subtraction, and the
-        test stops at the first fragment no zone of other takes away."""
+        test stops at the first zone with a fragment left over."""
         self._check_dim(other)
         for loc, dbms in self._by_loc.items():
-            theirs = other._by_loc.get(loc)
-            if not theirs:
-                return False
+            theirs = other.at(loc)
             if theirs == dbms:
                 continue
             for a in dbms:
-                if any(dbm_subset(a, b) for b in theirs):
-                    continue
-                rem = [a]
-                for b in theirs:
-                    rem = [p for r in rem for p in dbm_subtract(r, b)]
-                    if not rem:
-                        break
-                if rem:
+                if not any(dbm_subset(a, b) for b in theirs) and minus([a], theirs):
                     return False
         return True
 
@@ -529,3 +493,36 @@ def _reduce(dbms: list) -> list:
         out = [kept for kept in out if not dbm_subset(kept, d)]
         out.append(d)
     return out
+
+
+# -- the zone-list algebra of one location -----------------------------------
+
+def join(a: list, b: list) -> list:
+    """The reduced a ∪ b of two reduced lists; either one itself when the
+    other is empty."""
+    return _reduce(a + b) if a and b else a or b
+
+
+def meet(a: list, b: list) -> list:
+    """The non-empty pairwise intersections of a's and b's zones, unreduced."""
+    return [c for x in a for y in b if (c := dbm_intersect(x, y)) is not None]
+
+
+def minus(a: list, b: list) -> list:
+    """The fragments of a's zones outside every zone of b, unreduced:
+    b's zones are subtracted in turn until no fragment is left."""
+    for y in b:
+        if not a:
+            break
+        a = [p for x in a for p in dbm_subtract(x, y)]
+    return a
+
+
+def difference(a: list, b: list) -> list:
+    """The reduced a − b: a itself when b is empty, _NO_ZONES when
+    nothing is left (equal lists take every zone away by themselves)."""
+    if not b:
+        return a
+    if b == a:
+        return _NO_ZONES
+    return _reduce(rem) if (rem := minus(a, b)) else _NO_ZONES

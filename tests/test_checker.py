@@ -292,8 +292,9 @@ def test_escape_splits_run_only_where_inputs_changed(monkeypatch):
 
 def test_fixpoint_rounds_combine_only_changed_locations(monkeypatch):
     # a pipeline round changes the obstruction predecessor at one location,
-    # so the rounds intersect zones there only: 183 dbm_intersect calls at
-    # k = 30, where combining the whole federations every round makes 1518
+    # so the rounds intersect zones there only: 213 zones.dbm_intersect
+    # calls at k = 30 (30 of them the escape split's, through zones.meet),
+    # where combining the whole federations every round makes 1518
     from tolmc import zones
 
     calls = 0

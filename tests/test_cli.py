@@ -225,6 +225,43 @@ def test_diff_command_agrees(capsys):
     assert out.startswith("AGREE")
 
 
+GAP = """wta
+clocks x y
+location l0 init
+location l1
+location l2 labels q
+edge l0 -> l1 action a guard y > 0 & y < 1 reset x weight 1
+edge l1 -> l2 action b guard x < 1 & y > 1 weight 1
+edge l2 -> l2 action c weight 1
+edge l1 -> l1 action d weight 1
+edge l0 -> l0 action e weight 1
+"""
+
+
+def test_diff_prints_mismatched_states_as_clock_values(capsys, tmp_path):
+    # the half-integer oracle misses the strict window of README's gap.wta
+    model = tmp_path / "gap.wta"
+    model.write_text(GAP)
+    code, out, _ = run(capsys, "diff", str(model), "-f", "! <#0> G ! q")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "DISAGREE checker=True oracle=False"
+    assert "  state (l1, x=0, y=0.5): checker=False oracle=True" in lines
+    assert "  state (l0, x=0, y=0): checker=False oracle=True" in lines
+
+
+@pytest.mark.parametrize("where", ["model", "formula-file"])
+def test_non_utf8_input_is_an_encoding_error(capsys, tmp_path, where):
+    model, formula = tmp_path / "m.wta", tmp_path / "f.txt"
+    model.write_text("wta\nclocks x\nlocation l init\n")
+    formula.write_text("true & true & true\n")
+    bad = model if where == "model" else formula
+    bad.write_bytes(bad.read_bytes()[:12] + b"\xff" + bad.read_bytes()[12:])
+    code, out, err = run(capsys, "check", str(model), "-F", str(formula))
+    assert code == 2 and out == ""
+    assert err == f"error: [encoding] {bad} is not UTF-8 text (byte 0xff at offset 12)\n"
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "<#0> (p U q)")
     assert code == 0 and out.strip() == "A (p U q)"

@@ -1,8 +1,10 @@
+import ast
 import functools
 import hashlib
 import importlib.util
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -602,3 +604,35 @@ def test_oracle_output_of_the_digest_corpus_is_unchanged(monkeypatch):
     # chain points and target entries, over the default MAX_STATES
     monkeypatch.setattr("tolmc.oracle.MAX_STATES", 10 * oracle.MAX_STATES)
     assert _oracle_digest() == ORACLE_DIGEST
+
+
+def _import_sources(node) -> set:
+    """What an import statement reads: ".name" for a tolmc module, the top
+    package name for anything else."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return {f".{node.module}"} if node.module else {f".{a.name}" for a in node.names}
+    if isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        names = [a.name for a in node.names]
+    return {f".{name.split('.')[1]}" if name.startswith("tolmc.") else name.split(".")[0]
+            for name in names}
+
+
+def test_oracle_reuses_no_checker_internals():
+    # the engines' independence is the correctness argument of the
+    # differential harness: oracle.py reads .logic, .model and the standard
+    # library, and reaches the checker only where it compares the engines
+    engine, checker_side = {".logic", ".model"}, {".checker", ".zones", ".predecessor"}
+    comparing = {"differential", "_compare_grids"}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    wrong = []
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        allowed = engine | (checker_side if owner in comparing else set())
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                wrong += [(owner, src) for src in _import_sources(node)
+                          if src not in allowed and src not in sys.stdlib_module_names
+                          and src != "__future__"]
+    assert not wrong, wrong

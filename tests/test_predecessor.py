@@ -2,9 +2,11 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 from helpers import (EscapeProfile, fan_model, fed_equal, grid_points, pred_union,
                      random_dbm, ref_escape_cells, ref_escape_profiles, ref_obstruction_pred)
-from tolmc import checker, predecessor
+from tolmc import checker, predecessor, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
 from tolmc.logic import (TRUE, ClockAtom, formula_clocks, parse_formula, print_formula,
@@ -489,38 +491,43 @@ def test_fan_family_gives_the_reference_sat_sets(monkeypatch):
             assert list(got[psi].zones()) == list(want[psi].zones()), (n, print_formula(psi))
 
 
-def test_escape_split_stops_at_the_budget(monkeypatch):
-    # the whole split of fan n = 6 makes 38445 subtractions, the cut one 3560
-    calls = 0
-    subtract = predecessor.dbm_subtract
+@pytest.fixture
+def split_subtractions(monkeypatch):
+    """Counts the zones.dbm_subtract calls made while
+    predecessor._escape_cells runs, i.e. the escape split's subtractions."""
+    count = {"calls": 0, "in_split": False}
+    subtract, split = zones.dbm_subtract, predecessor._escape_cells
 
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
+    def counted_subtract(a, b):
+        count["calls"] += count["in_split"]
         return subtract(a, b)
 
-    monkeypatch.setattr(predecessor, "dbm_subtract", counted)
+    def counted_split(*args):
+        count["in_split"] = True
+        try:
+            return split(*args)
+        finally:
+            count["in_split"] = False
+
+    monkeypatch.setattr(zones, "dbm_subtract", counted_subtract)
+    monkeypatch.setattr(predecessor, "_escape_cells", counted_split)
+    return count
+
+
+def test_escape_split_stops_at_the_budget(split_subtractions):
+    # the whole split of fan n = 6 makes 38445 subtractions, the cut one 3264
     assert not checker.check(fan_model(6), parse_formula("<#3> G ! q")).satisfied
-    assert calls < 10000, calls
+    assert split_subtractions["calls"] < 10000, split_subtractions
 
 
-def test_escape_split_steps_once_per_escape_set(monkeypatch):
+def test_escape_split_steps_once_per_escape_set(split_subtractions):
     # mesh k = 12 F: 1584 non-empty escape lists over 156 splits hold 166
     # distinct ones; one step per edge made 4344 subtractions, one step
     # per distinct list makes 188
-    calls = 0
-    subtract = predecessor.dbm_subtract
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return subtract(a, b)
-
-    monkeypatch.setattr(predecessor, "dbm_subtract", counted)
     m, _ = gen_mesh(12)
     verdict = checker.check(m, parse_formula("j . <#10> F (s11 & j >= 12)"))
     assert verdict.satisfied
-    assert calls == 188, calls
+    assert split_subtractions["calls"] == 188, split_subtractions
     # grouping changes the steps inside a split, not which splits run
     assert (verdict.stats.splits_computed, verdict.stats.zones_noted) == (156, 396)
 
