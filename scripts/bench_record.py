@@ -13,8 +13,9 @@ directory, via PYTHONPYCACHEPREFIX), emptied and warmed before the first
 pair, so neither side's `setup_s` counts compilation.  Each perfbench run
 lasts BENCHMARK.json's `run_seconds`.  One file per side records:
 
-  - the host and the Python version, and a SHA-256 of the side's
-    `src/**/*.py` (which code was measured),
+  - the host and the Python version, a SHA-256 of the side's
+    `src/**/*.py` (which code was measured) and the line count of its
+    `src/tolmc/*.py` (what `cat src/tolmc/*.py | wc -l` prints),
   - perfbench medians, quartiles and IQR of every end-to-end metric for
     each workload, one untraced (`--trace 0`) run per side in each of
     PAIRS pairs, one seed per pair,
@@ -167,6 +168,10 @@ def src_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def src_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "tolmc").glob("*.py"))
+
+
 def side_env(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                PYTHONPYCACHEPREFIX=str(root / PYCACHE))
@@ -302,6 +307,7 @@ def main() -> int:
         record = {
             "tag": tag,
             "src_sha256": src_digest(root),
+            "src_lines": src_lines(root),
             "host": {"node": platform.node(), "machine": platform.machine(),
                      "cpus": os.cpu_count(), "system": platform.platform()},
             "python": platform.python_version(),

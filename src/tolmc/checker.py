@@ -83,6 +83,9 @@ class Checker:
             fed = self._sat(psi)
             self.stats.note(fed)
             self.sat[psi] = fed
+        memo = self.pred_memo
+        self.stats.preds_computed = memo.escape.computed + memo.hit.computed
+        self.stats.splits_computed = memo.splits
         initial = (0,) * self.layout.dim
         ok = self.sat[self.f].contains_point(self.m.initial, initial)
         self.stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -115,14 +118,6 @@ class Checker:
             return self.universe.map_zones(lambda loc, d: self.layout.conjoin(d, (psi,)))
         raise TypeError(f"not an atomic formula: {psi!r}")
 
-    def _vee(self, n: int, target: Federation) -> Federation:
-        out = obstruction_pred(self.m, self.layout, n, target, self.universe,
-                               self.pred_memo)
-        memo = self.pred_memo
-        self.stats.preds_computed = memo.escape.computed + memo.hit.computed
-        self.stats.splits_computed = memo.splits
-        return out
-
     def _fixpoint(self, key: str, n: int, s1: Federation, s2: Federation,
                   until: bool) -> Federation:
         """y = s2 ∪ (s1 ∩ vee(y)) grown from s2 (until) or s2 ∩ (s1 ∪ vee(y))
@@ -143,7 +138,7 @@ class Checker:
         iterations = 0
         while True:
             iterations += 1
-            vee = self._vee(n, y)
+            vee = obstruction_pred(self.m, self.layout, n, y, self.universe, self.pred_memo)
             changed = {loc: None for loc in names
                        if built is None or built.at(loc) is not vee.at(loc)}
             a, b, v = s1.restrict(changed), s2.restrict(changed), vee.restrict(changed)

@@ -162,11 +162,13 @@ def _dispatch(args) -> int:
         if not ks:
             print("error: --k wants one or more comma-separated integers", file=sys.stderr)
             return 2
-        try:
-            results = bench_mod.run_bench([args.case], ks, args.runs)
-        except ValueError as e:  # fewer than one run; a bad k is an error row
-            print(f"error: {e}", file=sys.stderr)
+        if args.runs < 1:
+            print("error: need at least one run", file=sys.stderr)
             return 2
+        # an unwritable CSV path fails before the first row runs; the file
+        # keeps its old content unless the rows replace it
+        with open(args.csv, "a"):
+            results = bench_mod.run_bench([args.case], ks, args.runs)
         bench_mod.write_csv(results, args.csv)
         return 0
 

@@ -56,7 +56,6 @@ MAX_CHOICES = 1_000_000
 class ExplicitGraph:
     m: Wta
     layout: ClockLayout
-    caps2: tuple[int, ...]          # doubled cap per clock index (index 0 unused)
     states: list                    # (loc_name, coords) with coords doubled
     index: dict                     # state -> position
     steps: list                     # per state: list of (edge_idx, weight, targets tuple)
@@ -69,8 +68,7 @@ def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
     """Build the states of the capped half-integer quotient that the
     initial state's Sat bits read, numbered in the order the walk finds them."""
     layout = ClockLayout.of_query(m, f)
-    caps2 = tuple(0 if i == 0 else 2 * (layout.kvec[i] + 1) for i in range(layout.dim))
-    top = caps2[1:]
+    top = tuple(2 * (layout.kvec[i] + 1) for i in range(1, layout.dim))  # doubled caps
 
     def coords_of(atoms) -> tuple:
         return tuple((layout.index[a.clock] - 1, a) for a in atoms)
@@ -139,7 +137,7 @@ def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
                 index[key] = len(states)
                 states.append(key)
                 spent += 1
-    return ExplicitGraph(m, layout, caps2, states, index, steps)
+    return ExplicitGraph(m, layout, states, index, steps)
 
 
 # -- game fixpoints with per-state blocker choices ---------------------------

@@ -3,7 +3,11 @@
 The query's ClockLayout holds the invariant DBMs (invariant_dbm reads
 them, never rebuilds one) and conjoins edge guards.  One step of the
 underlying game is delay-then-edge, so the plain one-step predecessor
-of a target set is time_pred(disc_pred(e, T)).
+of a target set T along e is time_pred(disc_pred(e, T at e.target)) at
+e.source.  Both steps and pred take and return one location's zone
+list, combined through the zone-list algebra of zones (join, meet,
+minus, difference); obstruction_pred builds the only two Federations,
+the complement and its result.
 An edge escapes from a state iff some delay lets it land outside the
 target.  The escape-cell split (_escape_cells) partitions the states of
 a location whose escaping edges weigh <= n into cells with a fixed set
@@ -21,7 +25,7 @@ the universal one-step predecessor of TCTL.
 
 pred(e, T) is kept per edge class (Wta.edge_class) in a ClassMemo, one
 for the escape split's complement and one for the hit target, and
-relabelled to each source of the class.  Above the class memos, a
+handed to every source of the class as is.  Above the class memos, a
 location's result is kept per budget in a location entry: the escape
 pred of each out-edge, the ids of the edges that witnessed in some cell
 with their hit preds, and the result.  Every round still reads those
@@ -33,8 +37,6 @@ result is a function of the lists compared, so an entry serves any
 target of its budget.  All of this lives in a PredMemo, which a Checker
 keeps for a whole check, over every fixpoint round and every strategic
 subformula; callers without a memo get a fresh one per call.
-Inside a location, zones stay plain lists combined through the zone-list
-algebra of zones (join, meet, minus, difference).
 
 The identity of the lists obstruction_pred returns is a contract: while
 a location's entry stands, its list is the very object stored there (or
@@ -61,13 +63,14 @@ def full_space(m: Wta, layout: ClockLayout) -> Federation:
                                    for loc in m.locations})
 
 
-def disc_pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Federation:
-    """States that can fire e right now and land in the target set."""
+def disc_pred(m: Wta, layout: ClockLayout, e: Edge, dbms: list) -> list:
+    """The states at e.source that can fire e right now and land in dbms,
+    a zone list at e.target."""
     reset_idx = [layout.index[c] for c in e.resets]
     tgt_inv = invariant_dbm(m, layout, e.target)
     src_inv = invariant_dbm(m, layout, e.source)
     out = []
-    for d in target.at(e.target):
+    for d in dbms:
         z = dbm_intersect(d, tgt_inv)
         if z is not None:
             z = reset_preimage(z, reset_idx)
@@ -77,19 +80,19 @@ def disc_pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation) -> Feder
             z = dbm_intersect(z, src_inv)
         if z is not None:
             out.append(z)
-    return Federation(layout.dim, {e.source: _reduce(out)} if out else {})
+    return _reduce(out)
 
 
-def time_pred(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
-    """All states that can delay (possibly 0) into the target set.
+def time_pred(m: Wta, layout: ClockLayout, loc: str, dbms: list) -> list:
+    """The states at loc that can delay (possibly 0) into dbms, a zone
+    list at loc.
 
     Invariants here are pure upper bounds, so holding at the endpoint
     of a delay means holding throughout it; clipping the result is
     enough.
     """
-    def shift(loc: str, d: Dbm):
-        return dbm_intersect(down(d), invariant_dbm(m, layout, loc))
-    return target.map_zones(shift)
+    inv = invariant_dbm(m, layout, loc)
+    return _reduce([z for d in dbms if (z := dbm_intersect(down(d), inv)) is not None])
 
 
 class ClassMemo(dict):
@@ -110,25 +113,26 @@ class ClassMemo(dict):
 
 
 def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
-         memo: Optional[ClassMemo] = None, i: int = -1) -> Federation:
-    """Delay, then take e (edge id i) into the target.
+         memo: Optional[ClassMemo] = None, i: int = -1) -> list:
+    """Delay, then take e (edge id i) into the target: the zone list at
+    e.source.
 
     pred reads only target.at(e.target), and the edges of i's class
     (Wta.edge_class) differ only in their source, so memo shares one
-    zone list among the class and across targets that agree there.
+    zone list among the class and across targets that agree there; a
+    hit returns the memo's list itself.
     """
-    if memo is None:
-        return time_pred(m, layout, disc_pred(m, layout, e, target))
-    rep = m.edge_class[i][0]
     tgt = target.at(e.target)
+    if memo is None:
+        return time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
+    rep = m.edge_class[i][0]
     entry = memo.get(rep)
     if entry is not None and entry[0] == tgt:
-        dbms = entry[1]
-    else:
-        dbms = time_pred(m, layout, disc_pred(m, layout, e, target)).at(e.source)
-        memo[rep] = (tgt, dbms)
-        memo.computed += 1
-    return Federation(layout.dim, {e.source: dbms} if dbms else {})
+        return entry[1]
+    dbms = time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
+    memo[rep] = (tgt, dbms)
+    memo.computed += 1
+    return dbms
 
 
 class PredMemo:
@@ -203,7 +207,7 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
     read; the split and the cell intersections run only when one of
     those lists differs from the location's entry."""
     edge_ids = m.out_edges[loc]
-    esc = [pred(m, layout, m.edges[i], complement, memo.escape, i).at(loc) for i in edge_ids]
+    esc = [pred(m, layout, m.edges[i], complement, memo.escape, i) for i in edge_ids]
     hits: dict[int, list] = {}
     entry = memo.locations.get((loc, n))
     # == on lists of zone lists tests each item by identity first, and a
@@ -211,7 +215,7 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
     # hands out again
     if entry is not None and entry[0] == esc:
         for i in entry[1]:
-            hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i).at(loc)
+            hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
         if entry[2] == [hits[i] for i in entry[1]]:
             return entry[3]
     memo.splits += 1
@@ -223,7 +227,7 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
         cell_hits: list = []
         for i in witnesses:
             if i not in hits:
-                hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i).at(loc)
+                hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
             cell_hits = join(cell_hits, hits[i])
         if pieces := meet(_reduce(dbms), cell_hits):
             out = join(out, _reduce(pieces))

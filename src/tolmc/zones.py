@@ -30,14 +30,9 @@ canonical ones, but only `canonicalize` runs a full closure, and only
 DBM canonical as they are (Bengtsson & Yi, *Timed Automata: Semantics,
 Algorithms and Tools*, 2004).  `conjoin_bound` relaxes every entry once
 through the new edge: min(d[p][q], d[p][i] + b + d[j][q]).
-`reset_preimage` is closed form as well: for each reset clock y,
-conjoining y = 0 gives
-
-    min(d[i][j], d[i][y] + d[0][j], d[i][0] + d[y][j])    (i, j != y)
-
-and is empty iff d[0][y] or d[y][0] is tighter than <= 0; freeing y
-then clears row and column y.  Resets commute, so the clocks are
-handled one at a time, a repeated clock as a no-op.
+`reset_preimage` is those kernels composed: for each reset clock y it
+conjoins y = 0 (`conjoin_atom`) and frees y.  Resets commute, so the
+clocks are handled one at a time, a repeated clock as a no-op.
 
 A federation keeps one reduced list of zones per location.  Operations
 share the lists they do not touch with their operands, so a list read
@@ -231,48 +226,22 @@ def free(d: Dbm, y: int) -> Dbm:
     if not 1 <= y < n:
         raise ArityError(f"clock index {y} out of range")
     m = list(d)
-    _free_into(m, n, y)
-    return tuple(m)
-
-
-def _free_into(m: list, n: int, y: int) -> None:
-    """Free clock y of the canonical flat DBM m in place."""
     m[y::n] = m[::n]                # x_i - y is bounded as x_i - x_0, 0 - y as <= 0
     m[y * n:y * n + n] = [INF] * n  # y - x_j is unbounded ...
     m[y * n + y] = ZERO             # ... but y - y = 0
+    return tuple(m)
 
 
 def reset_preimage(d: Dbm, clocks: Iterable[int]) -> Optional[Dbm]:
     """States whose reset of the given clocks lands in d: conjoin y = 0,
     then free y, one clock at a time.  None when d has no point with
     all of them at 0."""
-    n = dbm_dim(d)
-    m = list(d)
     for y in clocks:
-        if not 1 <= y < n:
-            raise ArityError(f"clock index {y} out of range")
-        yn = y * n
-        if m[y] < ZERO or m[yn] < ZERO:  # d[0][y], d[y][0]
+        d = conjoin_atom(d, y, "=", 0)
+        if d is None:
             return None
-        # x_i - x_j through y - 0 <= 0: (x_i - y) + (0 - x_j).  Through
-        # 0 - y <= 0: (x_i - 0) + (y - x_j), which cannot tighten unless
-        # that bound is new, since d[i][j] <= d[i][0] + d[0][y] + d[y][j].
-        # Row y and column y are left to free.
-        from_0 = [(j, b) for j, b in enumerate(m[:n]) if b < INF and j != y]
-        from_y = [(j, b) for j, b in enumerate(m[yn:yn + n]) if b < INF and j != y] \
-            if m[y] > ZERO else ()
-        for i in range(0, n * n, n):
-            if i == yn:
-                continue
-            for a, via_row in ((m[i + y], from_0), (m[i], from_y)):
-                if a >= INF:
-                    continue
-                for j, b in via_row:
-                    via = a + b - ((a | b) & 1)
-                    if via < m[i + j]:
-                        m[i + j] = via
-        _free_into(m, n, y)
-    return tuple(m)
+        d = free(d, y)
+    return d
 
 
 _LEQ = operator.le

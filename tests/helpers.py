@@ -222,10 +222,15 @@ def fed_equal(a: Federation, b: Federation) -> bool:
     return a.subset_of(b) and b.subset_of(a)
 
 
+def fed_at(layout: ClockLayout, loc: str, dbms: list) -> Federation:
+    """The federation of the zone list dbms at loc."""
+    return Federation.of_zones(layout.dim, (Zone(loc, d) for d in dbms))
+
+
 def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
     out = Federation.empty(layout.dim)
     for e in m.edges:
-        out = out.union(pred(m, layout, e, target))
+        out = out.union(fed_at(layout, e.source, pred(m, layout, e, target)))
     return out
 
 
@@ -234,7 +239,7 @@ def _ref_escape_cells(m: Wta, layout: ClockLayout, loc: str,
     """The escape split with one pred per edge, no sharing across edges."""
     cells = [(list(universe.at(loc)), frozenset())]
     for i in m.out_edges[loc]:
-        esc_dbms = pred(m, layout, m.edges[i], complement).at(loc)
+        esc_dbms = pred(m, layout, m.edges[i], complement)
         if not esc_dbms:
             continue
         nxt = []
@@ -313,7 +318,7 @@ def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
             hits = Federation.empty(layout.dim)
             for i in witnesses:
                 if i not in hit_cache:
-                    hit_cache[i] = pred(m, layout, m.edges[i], target)
+                    hit_cache[i] = fed_at(layout, loc.name, pred(m, layout, m.edges[i], target))
                 hits = hits.union(hit_cache[i])
             cell_fed = Federation.of_zones(
                 layout.dim, (Zone(loc.name, d) for d in dbms))
@@ -603,7 +608,7 @@ def ref_grid(m: Wta, f: TolFormula, rescan=None) -> ExplicitGraph:
             s = delayed[s]
         steps.append([(ei, m.edges[ei].weight, tuple(sorted(ts)))
                       for ei, ts in sorted(found.items())])
-    return ExplicitGraph(m, layout, caps2, states, index, steps)
+    return ExplicitGraph(m, layout, states, index, steps)
 
 
 def ref_closure(r: ExplicitGraph) -> set:

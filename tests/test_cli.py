@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import run_python
+from tolmc import bench as bench_mod
 from tolmc.checker import check, dump_sat
 from tolmc.cli import main
 from tolmc.logic import MAX_NESTING, parse_formula
@@ -331,6 +332,18 @@ def test_bench_command(capsys, tmp_path):
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "case" and len(rows) == 3
+
+
+def test_bench_unwritable_csv_runs_no_row(capsys, tmp_path, monkeypatch):
+    # the CSV path is opened before the first row, as --dump-sat is
+    # opened before the check
+    calls = []
+    row = bench_mod.bench_row
+    monkeypatch.setattr(bench_mod, "bench_row", lambda *a: calls.append(a) or row(*a))
+    code, out, err = run(capsys, "bench", "mesh", "--k", "4,12",
+                         "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ")
 
 
 def test_bench_bad_k(capsys, tmp_path):

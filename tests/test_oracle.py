@@ -230,7 +230,7 @@ def test_tctl_check_builds_the_same_graph_as_the_tol_formula():
     m = parse_model(ONE_CLOCK)
     f = parse_formula("k . j . <#0> (x <= 1 U (p & j >= 2 & k <= 7))")
     g, h = discretize(m, f), discretize(m, to_tctl(f))
-    assert (g.layout, g.caps2, g.states) == (h.layout, h.caps2, h.states)
+    assert (g.layout, g.states) == (h.layout, h.states)
     t = to_tctl(f)
     assert tctl_check(m, t) == bool(oracle_sat(g, t)[t][g.initial_index()])
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import (EscapeProfile, fan_model, fed_equal, grid_points, pred_union,
+from helpers import (EscapeProfile, fan_model, fed_at, fed_equal, grid_points, pred_union,
                      random_dbm, ref_escape_cells, ref_escape_profiles, ref_obstruction_pred)
 from tolmc import checker, predecessor, zones
 from tolmc.bench import gen_mesh, gen_pipeline
@@ -73,21 +73,21 @@ def test_disc_pred_definition_on_grid():
     from tolmc.zones import conjoin_atom
 
     target = target.map_zones(lambda loc, d: conjoin_atom(d, 2, ">=", 3))
-    got = disc_pred(m, layout, e, target)
+    got = fed_at(layout, e.source, disc_pred(m, layout, e, target.at(e.target)))
     assert fed_grid(got, m, 9) == grid_disc_pred(m, layout, e, target, 9)
 
 
 def test_disc_pred_empty_target():
     m = parse_model(TWO_LOC)
     layout = layout_for(m)
-    assert disc_pred(m, layout, m.edges[0], Federation.empty(layout.dim)).is_empty()
+    assert disc_pred(m, layout, m.edges[0], []) == []
 
 
 def test_disc_pred_full_target_matches_guard():
     m = parse_model(TWO_LOC)
     layout = layout_for(m, 9)
     e = m.edges[0]
-    got = disc_pred(m, layout, e, full_space(m, layout))
+    got = fed_at(layout, e.source, disc_pred(m, layout, e, full_space(m, layout).at(e.target)))
     assert fed_grid(got, m, 9) == grid_disc_pred(m, layout, e, full_space(m, layout), 9)
 
 
@@ -100,7 +100,7 @@ location l init invariant x <= 5
     from tolmc.zones import conjoin_atom
 
     target = full_space(m, layout).map_zones(lambda loc, d: conjoin_atom(d, 1, "=", 5))
-    got = time_pred(m, layout, target)
+    got = fed_at(layout, "l", time_pred(m, layout, "l", target.at("l")))
     assert fed_grid(got, m, 5) == {("l", (v,)) for v in range(0, 11)}
 
 
@@ -110,13 +110,14 @@ def test_time_pred_idempotent_and_empty_outside_invariant():
     from tolmc.zones import conjoin_atom
 
     target = full_space(m, layout).map_zones(lambda loc, d: conjoin_atom(d, 1, ">=", 4))
-    once = time_pred(m, layout, target)
-    twice = time_pred(m, layout, once)
-    assert fed_equal(once, twice)
+    for loc in ("l0", "l1"):
+        once = time_pred(m, layout, loc, target.at(loc))
+        twice = time_pred(m, layout, loc, once)
+        assert fed_equal(fed_at(layout, loc, once), fed_at(layout, loc, twice))
     # a target outside its own invariant clips to nothing
     bad = full_space(m, layout).map_zones(
         lambda loc, d: conjoin_atom(d, 2, ">", 9) if loc == "l1" else None)
-    assert time_pred(m, layout, bad).is_empty()
+    assert time_pred(m, layout, "l1", bad.at("l1")) == []
 
 
 def test_pred_allows_zero_delay():
@@ -124,15 +125,15 @@ def test_pred_allows_zero_delay():
     layout = layout_for(m, 9)
     e = m.edges[0]
     target = full_space(m, layout)
-    dp = disc_pred(m, layout, e, target)
-    p = pred(m, layout, e, target)
+    dp = fed_at(layout, e.source, disc_pred(m, layout, e, target.at(e.target)))
+    p = fed_at(layout, e.source, pred(m, layout, e, target))
     assert dp.subset_of(p)
 
 
 def test_pred_empty_target():
     m = parse_model(TWO_LOC)
     layout = layout_for(m)
-    assert pred(m, layout, m.edges[0], Federation.empty(layout.dim)).is_empty()
+    assert pred(m, layout, m.edges[0], Federation.empty(layout.dim)) == []
 
 
 def grid_time_pred(m, layout, target, cmax):
@@ -167,7 +168,7 @@ def test_pipeline_step_pred_matches_grid():
     target = full_space(m, layout).map_zones(
         lambda loc, d: conjoin_atom(d, j, ">=", 12) if loc == "s3" else None)
     e = next(e for e in m.edges if e.source == "s2")
-    got = pred(m, layout, e, target)
+    got = fed_at(layout, e.source, pred(m, layout, e, target))
     # direct grid evaluation: delay, then fire the edge into the target
     clock_pos = {c: i for i, c in enumerate(layout.names[1:])}
     expect = set()
@@ -212,7 +213,8 @@ edge l0 -> l1 action go guard x >= 2 weight 1
 """)
     layout = layout_for(m, 2)
     target = full_space(m, layout).map_zones(lambda l, d: d if l == "l1" else None)
-    assert fed_equal(pred_union(m, layout, target), pred(m, layout, m.edges[0], target))
+    assert fed_equal(pred_union(m, layout, target),
+                     fed_at(layout, "l0", pred(m, layout, m.edges[0], target)))
 
 
 def test_obstruction_fan_thresholds():
@@ -404,8 +406,7 @@ def assert_reference_zone_lists(cases) -> int:
                 want = ref_obstruction_pred(m, layout, n, target, universe)
                 assert list(got.zones()) == list(want.zones()), (serialize_str(m), n)
                 for loc in m.locations:
-                    esc = [pred(m, layout, m.edges[i], complement).at(loc.name)
-                           for i in m.out_edges[loc.name]]
+                    esc = [pred(m, layout, m.edges[i], complement) for i in m.out_edges[loc.name]]
                     assert _escape_cells(m, loc.name, esc, universe, n) == \
                         ref_escape_cells(m, layout, loc.name, complement, universe, n)
     return shared
@@ -532,6 +533,32 @@ def test_escape_split_steps_once_per_escape_set(split_subtractions):
     assert (verdict.stats.splits_computed, verdict.stats.zones_noted) == (156, 396)
 
 
+def test_obstruction_pred_builds_two_federations_per_call(monkeypatch):
+    # the complement and the result; the steps and pred below them work
+    # on zone lists (mesh k = 12 F built 4249 in 14 calls when each step
+    # returned a one-location Federation)
+    count = {"calls": 0, "built": 0, "inside": False}
+    init, vee = Federation.__init__, checker.obstruction_pred
+
+    def counted_init(self, dim, by_loc):
+        count["built"] += count["inside"]
+        init(self, dim, by_loc)
+
+    def counted_vee(*args):
+        count["calls"] += 1
+        count["inside"] = True
+        try:
+            return vee(*args)
+        finally:
+            count["inside"] = False
+
+    monkeypatch.setattr(Federation, "__init__", counted_init)
+    monkeypatch.setattr(checker, "obstruction_pred", counted_vee)
+    m, _ = gen_mesh(12)
+    assert checker.check(m, parse_formula("j . <#10> F (s11 & j >= 12)")).satisfied
+    assert count["calls"] == 14 and count["built"] <= 2 * count["calls"], count
+
+
 def parallel_edge_cases(seed=20261020):
     """40 models of two clocks whose out-edges come in bundles of 2-3
     parallel edges: one guard, reset and target, distinct actions and
@@ -589,7 +616,7 @@ def test_grouped_escape_lists_of_several_zones_give_the_reference_sets():
         for target in targets:
             complement = universe.subtract(target)
             for loc in m.locations:
-                esc = [pred(m, layout, m.edges[i], complement).at(loc.name)
+                esc = [pred(m, layout, m.edges[i], complement)
                        for i in m.out_edges[loc.name]]
                 groups = {}
                 for i, esc_dbms in zip(m.out_edges[loc.name], esc):

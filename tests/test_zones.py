@@ -521,6 +521,9 @@ def test_mismatched_inputs_raise():
         canonicalize(dbm_unconstrained(3)[:-1])
     with pytest.raises(ArityError):
         down(dbm_unconstrained(2) + (INF,))
+    for y in (0, 2):
+        with pytest.raises(ArityError):
+            reset_preimage(dbm_unconstrained(2), [y])
     with pytest.raises(ValueError):
         Z.bound_neg(INF)
 
