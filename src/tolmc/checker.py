@@ -123,7 +123,7 @@ class Checker:
         """y = s2 ∪ (s1 ∩ vee(y)) grown from s2 (until) or s2 ∩ (s1 ∪ vee(y))
         shrunk from the universe, vee the budget-n obstruction predecessor.
 
-        The one change test: a location whose vee list is the very list
+        The one change test: a location whose vee list equals the one
         its iterate was built from keeps its iterate.  The operands,
         extrapolation, chain-direction check and termination test run on
         the others: every location in round 1, as the start is no iterate."""
@@ -140,7 +140,7 @@ class Checker:
             iterations += 1
             vee = obstruction_pred(self.m, self.layout, n, y, self.universe, self.pred_memo)
             changed = {loc: None for loc in names
-                       if built is None or built.at(loc) is not vee.at(loc)}
+                       if built is None or built.at(loc) != vee.at(loc)}
             a, b, v = s1.restrict(changed), s2.restrict(changed), vee.restrict(changed)
             new = widen(b.union(a.intersect(v)) if until else b.intersect(a.union(v)))
             old = y.restrict(changed)

@@ -64,7 +64,7 @@ class EncodingError(ValueError):
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         try:
             return fh.read()  # decodes the whole file at once, so offsets are absolute
         except UnicodeDecodeError as e:

@@ -25,9 +25,9 @@ leaves open (open_groups) for the grade-0 cross-check (tctl_check:
 every state, nothing blocked) and the witness search
 (location_witnesses: one sweep per group of location-constant blocker
 choices that agree where the walk from the initial state reaches a
-state the sweep may flip).  Clock order
-and caps come from model.ClockLayout.of_query, which also rejects
-unbound or colliding formula clocks; no DBM is read.  Coordinates are
+state the sweep may flip, over the walk's own dict in any order).
+Clock order and caps come from model.ClockLayout.of_query, which also
+rejects unbound or colliding formula clocks; no DBM is read.  Coordinates are
 stored doubled (1 unit = half a time unit), so arithmetic stays integral.
 
 Past either of two caps an entry point raises model.ScaleError (CLI
@@ -222,7 +222,7 @@ def open_groups(g: ExplicitGraph, choice: dict, s: int) -> list:
 
 def reachable_groups(g: ExplicitGraph, choice: dict, start: int) -> dict:
     """State -> open_groups(g, choice, state) for the states reachable from
-    start on the graph pruned by choice, keys ascending."""
+    start on the graph pruned by choice, in the order the walk finds them."""
     reached = {start: open_groups(g, choice, start)}
     work = [start]
     while work:
@@ -230,22 +230,24 @@ def reachable_groups(g: ExplicitGraph, choice: dict, start: int) -> dict:
             if t not in reached:
                 reached[t] = open_groups(g, choice, t)
                 work.append(t)
-    return {s: reached[s] for s in sorted(reached)}
+    return reached
 
 
 def tctl_sweep(groups: dict, s1: bytearray, s2: bytearray, until: bool) -> bytearray:
     """A(s1 U s2) (until) or A(s1 R s2) over groups (state -> the targets
-    of its open step groups, keys ascending), swept in key order until no
-    state changes; states outside groups keep their s2 bit.  A state in
-    s1 but not y joins A U once it has a successor and all of them lie in
-    y; a state in y but not s1 leaves A R unless that holds."""
+    of its open step groups, in any order), swept until no state changes;
+    states outside groups keep their s2 bit, and the targets of a state
+    the sweep cannot flip are never read.  A state in s1 but not y joins
+    A U once it has a successor and all of them lie in y; a state in y
+    but not s1 leaves A R unless that holds.  Every order reaches the same
+    fixpoint; newest first, a state's successors mostly go before it."""
     flip = int(until)   # the bit a state may take: 1 joins A U, 0 leaves A R
     y = bytearray(s2)
     in_y = y.__getitem__
     changed = True
     while changed:
         changed = False
-        for s, succ in groups.items():
+        for s, succ in reversed(groups.items()):
             if y[s] == flip or s1[s] != flip:
                 continue
             closed = succ and all(map(in_y, succ))
@@ -439,9 +441,9 @@ def location_choice_candidates(m: Wta, loc: str, n: int) -> Iterator[frozenset]:
 
 def _pruned_holds(groups: dict, until: bool, s1: bytearray, s2: bytearray,
                   start: int) -> bool:
-    """The textbook sweep's value at start over groups (keys ascending), the
-    open targets of the live states that the walk from start reaches under
-    a location-constant blocker choice: the value reads no other state."""
+    """The textbook sweep's value at start over groups, the states that the
+    walk from start reaches under a location-constant blocker choice, each
+    live one with its open targets: the value reads no other state."""
     return bool(tctl_sweep(groups, s1, s2, until)[start])
 
 
@@ -499,8 +501,9 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     # log2(MAX_CHOICES) levels deep
     picked = [0 if len(options) == 1 else None for options in cand]
     choice = {loc: options[0] for loc, options in zip(locs, cand) if len(options) == 1}
-    seen = {start: None}  # the states the walk reached, in reach order
-    groups: dict = {}     # reached live state at a decided location -> its open targets
+    # each state the walk reached, in reach order -> its open targets (a live
+    # state at a decided location, set when the walk expands it) or None
+    reached: dict = {start: None}
     waiting: list = []    # reached live states at undecided locations, in reach order
     leaves = []           # picked at every witnessing leaf
 
@@ -512,28 +515,28 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
             if picked[where[s]] is None:
                 waiting.append(s)
                 continue
-            groups[s] = succ = open_groups(g, choice, s)
+            reached[s] = succ = open_groups(g, choice, s)
             for t in succ:
-                if t not in seen:
-                    seen[t] = None
+                if t not in reached:
+                    reached[t] = None
                     work.append(t)
 
     def search() -> None:
         loc = next((where[s] for s in waiting if picked[where[s]] is None), None)
         if loc is None:
-            if _pruned_holds(dict(sorted(groups.items())), until, s1, s2, start):
+            if _pruned_holds(reached, until, s1, s2, start):
                 leaves.append(tuple(picked))
             return
-        marks = len(seen), len(groups), len(waiting)
+        marks = len(reached), len(waiting)
         for i, blocked in enumerate(cand[loc]):
             picked[loc], choice[locs[loc]] = i, blocked
             walk([s for s in waiting if where[s] == loc])
             search()
-            while len(seen) > marks[0]:  # undo the branch: dicts pop in LIFO order
-                seen.popitem()
-            while len(groups) > marks[1]:
-                groups.popitem()
-            del waiting[marks[2]:]
+            # undo the branch: dicts pop in LIFO order; a waiting state keeps
+            # its targets, but is walked again before any leaf reads them
+            while len(reached) > marks[0]:
+                reached.popitem()
+            del waiting[marks[1]:]
         picked[loc] = None
         del choice[locs[loc]]
 

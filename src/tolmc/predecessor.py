@@ -37,11 +37,6 @@ result is a function of the lists compared, so an entry serves any
 target of its budget.  All of this lives in a PredMemo, which a Checker
 keeps for a whole check, over every fixpoint round and every strategic
 subformula; callers without a memo get a fresh one per call.
-
-The identity of the lists obstruction_pred returns is a contract: while
-a location's entry stands, its list is the very object stored there (or
-Federation.at's shared empty list), and the checker redoes a location's
-round exactly when that object changes.
 """
 
 from __future__ import annotations
@@ -164,7 +159,7 @@ def _complement(m: Wta, target: Federation, universe: Federation,
     complement list), updated)."""
     for loc in m.locations:
         old, now = kept.get(loc.name), target.at(loc.name)
-        if old is None or not (old[0] is now or old[0] == now):
+        if old is None or old[0] != now:
             kept[loc.name] = (now, difference(universe.at(loc.name), now))
     return Federation(universe.dim, {name: c for name, (_, c) in kept.items() if c})
 

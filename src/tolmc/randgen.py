@@ -1,7 +1,7 @@
 """Seeded random models and formulas for differential testing.
 
-Guard, invariant and formula constraints default to the closed
-comparisons {<=, =, >=}: the explicit oracle samples time at
+Guard, invariant and formula constraints use the closed comparisons
+{<=, =, >=} (CLOSED_OPS): the explicit oracle samples time at
 half-integer points, and interlocking strict constraints can squeeze
 the dense solution set into windows that miss that grid, making an
 honest dense-vs-sampled comparison impossible.  Strict comparisons are
@@ -27,7 +27,7 @@ MAX_DEPTH = 4
 
 
 def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 2,
-               max_edges: int = 6, cmax: int = 3, ops=CLOSED_OPS) -> Wta:
+               max_edges: int = 6, cmax: int = 3) -> Wta:
     nloc = rng.randint(1, max_locations)
     nclk = rng.randint(0, max_clocks)
     clocks = tuple("xy"[i] for i in range(nclk))
@@ -45,7 +45,7 @@ def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 
     edges = []
     for i in range(nedges):
         guard = tuple(
-            ClockAtom(rng.choice(clocks), rng.choice(ops), rng.randint(0, cmax))
+            ClockAtom(rng.choice(clocks), rng.choice(CLOSED_OPS), rng.randint(0, cmax))
             for _ in range(rng.randint(0, 2)) if clocks)
         resets = frozenset(c for c in clocks if rng.random() < 0.4)
         edges.append(Edge(rng.choice(names), f"a{i}", guard, resets,
@@ -53,15 +53,14 @@ def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 
     return Wta(clocks, tuple(locations), names[0], tuple(edges))
 
 
-def random_formula(rng: random.Random, m: Wta, *, grades=(0,),
-                   ops=CLOSED_OPS) -> TolFormula:
+def random_formula(rng: random.Random, m: Wta, *, grades=(0,)) -> TolFormula:
     use_freeze = rng.random() < FREEZE_PROB
     clock_pool = list(m.clocks) + (["j"] if use_freeze else [])
     budget = [MAX_STRATEGIC]
 
     def atom() -> TolFormula:
         if clock_pool and rng.random() < 0.45:
-            return logic.ClockAtom(rng.choice(clock_pool), rng.choice(ops),
+            return logic.ClockAtom(rng.choice(clock_pool), rng.choice(CLOSED_OPS),
                                    rng.randint(0, FORMULA_CMAX))
         r = rng.random()
         if r < 0.1:

@@ -29,7 +29,6 @@ from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, Zone, _reduce,
                          dbm_intersect, dbm_subtract)
 
 # a one-variable bound: (doubled value, strict flag)
-NEG_INF = (-(1 << 50), True)
 POS_INF = ((1 << 50), True)
 
 
@@ -209,12 +208,6 @@ def random_dbm(rng: random.Random, dim: int, cmax: int = 5, tries: int = 50):
             if out is not None:
                 return out
     return dbm_unconstrained(dim)
-
-
-def fed_points(fed, m, cmax: int):
-    """All (loc, point2) grid pairs of a model up to cmax+1 per clock."""
-    pts = grid_points(fed.dim - 1, cmax)
-    return [(loc.name, p) for loc in m.locations for p in pts]
 
 
 def fed_equal(a: Federation, b: Federation) -> bool:

@@ -290,6 +290,36 @@ def test_escape_splits_run_only_where_inputs_changed(monkeypatch):
     assert calls <= 4 * k, calls
 
 
+def test_fixpoint_change_test_compares_zone_lists_by_value(monkeypatch):
+    # an obstruction predecessor equal to the one an iterate was built from,
+    # but not the same object, leaves the location as it is: pipeline k = 8
+    # makes 24 extrapolations either way (109 when a copy counts as a change)
+    import tolmc.checker as checker_mod
+    from tolmc.zones import Federation
+
+    calls = 0
+    extrapolate, obstruction_pred = checker_mod.extrapolate, checker_mod.obstruction_pred
+
+    def counted(d, k):
+        nonlocal calls
+        calls += 1
+        return extrapolate(d, k)
+
+    def copied(m, *args):
+        vee = obstruction_pred(m, *args)
+        return Federation(vee.dim, {loc.name: list(dbms) for loc in m.locations
+                                    if (dbms := vee.at(loc.name))})
+
+    monkeypatch.setattr(checker_mod, "extrapolate", counted)
+    seen = []
+    for wrap in (obstruction_pred, copied):
+        monkeypatch.setattr(checker_mod, "obstruction_pred", wrap)
+        calls = 0
+        stats = check(*gen_pipeline(8)).stats
+        seen.append((calls, sum(stats.fixpoint_iterations.values()), stats.zones_noted))
+    assert seen == [(24, 9, 160)] * 2
+
+
 def test_fixpoint_rounds_combine_only_changed_locations(monkeypatch):
     # a pipeline round changes the obstruction predecessor at one location,
     # so the rounds intersect zones there only: 213 zones.dbm_intersect

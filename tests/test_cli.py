@@ -263,6 +263,17 @@ def test_non_utf8_input_is_an_encoding_error(capsys, tmp_path, where):
     assert err == f"error: [encoding] {bad} is not UTF-8 text (byte 0xff at offset 12)\n"
 
 
+@pytest.mark.parametrize("where", ["model", "formula-file"])
+def test_input_may_start_with_a_byte_order_mark(capsys, tmp_path, where):
+    model, formula = tmp_path / "m.wta", tmp_path / "f.txt"
+    model.write_text("wta\nclocks x\nlocation l init\n")
+    formula.write_text("true & true & true\n")
+    bom = model if where == "model" else formula
+    bom.write_bytes(b"\xef\xbb\xbf" + bom.read_bytes())
+    code, out, err = run(capsys, "check", str(model), "-F", str(formula))
+    assert (code, out, err) == (0, "SAT\n", "")
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "<#0> (p U q)")
     assert code == 0 and out.strip() == "A (p U q)"

@@ -413,6 +413,38 @@ def test_witness_search_sweeps_once_per_reached_choice(monkeypatch):
     assert [got[phi1(3)], got[phi1(4)], got[phi2(4)], got[phi2(5)]] == [255, 383, 31, 31]
 
 
+def test_sweep_bits_do_not_depend_on_the_key_order():
+    # A U and A R are a least and a greatest fixpoint, reached in any visiting
+    # order; a state the sweep cannot flip is never read, so its targets may
+    # be None, as in the witness search's reach dict
+    cs = build_case_study()
+    queries = [(cs, f) for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]]
+    queries += itertools.islice(_corpus(20260811, grades=(0, 1, 2, 3)), 300)
+    rng = random.Random(20261019)
+    swept = 0
+    for m, f in queries:
+        g = discretize(m, f)
+        sat = oracle_sat(g, f)
+        groups = {s: oracle.open_groups(g, {}, s) for s in range(len(g.states))}
+        for psi in subformulas_by_size(f):
+            if not isinstance(psi, (logic.Until, logic.Release)):
+                continue
+            until = isinstance(psi, logic.Until)
+            s1, s2 = sat[psi.left], sat[psi.right]
+            want = oracle.tctl_sweep(groups, s1, s2, until)
+            flips = s1 if until else s2  # live: in exactly this one of s1, s2
+            for _ in range(3):
+                keys = list(groups)
+                rng.shuffle(keys)
+                shuffled = {s: groups[s] for s in keys}
+                pruned = {s: groups[s] if flips[s] and s1[s] != s2[s] else None for s in keys}
+                text = logic.print_formula(psi)
+                assert oracle.tctl_sweep(shuffled, s1, s2, until) == want, text
+                assert oracle.tctl_sweep(pruned, s1, s2, until) == want, text
+            swept += 1
+    assert swept >= 300
+
+
 WITNESS_ROOTS = ("<#{n}> (p U q)", "<#{n}> (true U q)", "<#{n}> (!q U (p & r))",
                  "<#{n}> (p R q)", "<#{n}> G p", "<#{n}> (q R (p | q))")
 
