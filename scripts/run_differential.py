@@ -3,7 +3,7 @@
 
 Generates seeded random models and formulas, checks both engines agree
 on every verdict, and shrinks any disagreement to a minimal instance.
-Exit code 0 on full agreement, 1 otherwise.
+Exit code 0 on full agreement, 1 otherwise, 2 on a usage error.
 """
 
 import argparse
@@ -17,23 +17,34 @@ from tolmc.oracle import differential
 from tolmc.randgen import random_formula, random_wta, shrink_disagreement
 
 
+def _grades(text: str) -> tuple:
+    """--grades: one or more comma-separated naturals."""
+    try:
+        grades = tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        grades = ()
+    if not grades or min(grades) < 0:
+        raise argparse.ArgumentTypeError(
+            f"want one or more comma-separated naturals, got {text!r}")
+    return grades
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--models", type=int, default=200)
     ap.add_argument("--formulas", type=int, default=20)
-    ap.add_argument("--grades", default="0,1,2,3")
+    ap.add_argument("--grades", type=_grades, default="0,1,2,3")
     ap.add_argument("--deep", action="store_true",
                     help="also compare satisfaction sets on the reachable grid")
     args = ap.parse_args()
-    grades = tuple(int(x) for x in args.grades.split(",") if x)
     rng = random.Random(args.seed)
     t0 = time.time()
     runs = disagreements = 0
     for _ in range(args.models):
         m = random_wta(rng)
         for _ in range(args.formulas):
-            f = random_formula(rng, m, grades=grades)
+            f = random_formula(rng, m, grades=args.grades)
             runs += 1
             report = differential(m, f, deep=args.deep)
             if not report.agree:

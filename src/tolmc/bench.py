@@ -25,17 +25,25 @@ from .zones import MAX_CONSTANT
 CSV_HEADER = ["case", "k", "runtime_ms_mean", "runtime_ms_std",
               "mem_kb_mean", "mem_kb_std", "verdict"]
 
-# gen_mesh builds k*(k-1) edges; past this many it refuses the size
+# a mesh of size k has k*(k-1) edges; past this many it is refused
 MAX_MESH_EDGES = 1_000_000
 
 
-def _check_size(family: str, k: int) -> None:
+class SizeError(ValueError):
+    """A size the family does not have: a usage error of `gen` and `bench`."""
+
+
+def check_size(family: str, k: int) -> None:
     """Reject a size the family does not have before anything is built:
-    the objective's bound k*k must be a clock constant."""
+    the objective's bound k*k must be a clock constant, and a mesh's
+    edges stay within MAX_MESH_EDGES."""
     if k < 2:
-        raise ValueError(f"{family} needs k >= 2")
+        raise SizeError(f"{family} needs k >= 2")
     if k * k > MAX_CONSTANT:
-        raise ValueError(f"{family} needs k*k <= {MAX_CONSTANT}, got k = {k}")
+        raise SizeError(f"{family} needs k*k <= {MAX_CONSTANT}, got k = {k}")
+    if family == "mesh" and k * (k - 1) > MAX_MESH_EDGES:
+        raise SizeError(f"mesh k = {k} has {k * (k - 1)} edges, over the cap of "
+                        f"{MAX_MESH_EDGES}")
 
 
 def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
@@ -45,7 +53,7 @@ def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
     k-1 hops take at least (k-2)*k + 2k = k*k time units and the bound
     in the objective is tight.
     """
-    _check_size("pipeline", k)
+    check_size("pipeline", k)
     locations = tuple(Location(f"s{i}", (), frozenset({f"s{i}"})) for i in range(k))
     edges = []
     for i in range(k - 1):
@@ -61,10 +69,7 @@ def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
 
 def gen_mesh(k: int) -> tuple[Wta, TolFormula]:
     """Complete digraph on k locations, every hop takes at least one unit."""
-    _check_size("mesh", k)
-    if k * (k - 1) > MAX_MESH_EDGES:
-        raise ValueError(f"mesh k = {k} has {k * (k - 1)} edges, over the cap of "
-                         f"{MAX_MESH_EDGES}")
+    check_size("mesh", k)
     locations = tuple(Location(f"s{i}", (), frozenset({f"s{i}"})) for i in range(k))
     edges = []
     for i in range(k):

@@ -6,9 +6,10 @@ grown from Sat(psi2), release a greatest fixpoint shrunk from the full
 invariant-clipped space; both apply per-clock max-constant
 extrapolation to every iterate so the chains close in finitely many
 steps.  A round redoes only the locations whose obstruction predecessor
-changed (Liu & Smolka, ICALP 1998; see _fixpoint).  The freeze case is
-computed from the semantic clause (the reset preimage j := 0), not by
-passing the operand set through.
+changed (Liu & Smolka, ICALP 1998; see _fixpoint).  _sat dispatches
+each node once and computes true, atoms, clock atoms and freeze itself;
+the freeze case is computed from the semantic clause (the reset preimage
+j := 0), not by passing the operand set through.
 Layout, bindings and invariant DBMs come from ClockLayout.of_query.
 """
 
@@ -92,8 +93,13 @@ class Checker:
         return Verdict(ok, self.sat, self.stats, self.layout)
 
     def _sat(self, psi: TolFormula) -> Federation:
-        if isinstance(psi, (TrueF, Atom, ClockAtom)):
-            return self.sat_atoms(psi)
+        if isinstance(psi, TrueF):
+            return self.universe
+        if isinstance(psi, Atom):
+            return self.universe.restrict(loc.name for loc in self.m.locations
+                                         if psi.name in loc.labels)
+        if isinstance(psi, ClockAtom):
+            return self.universe.map_zones(lambda loc, d: self.layout.conjoin(d, (psi,)))
         if isinstance(psi, Not):
             return self.universe.subtract(self.sat[psi.sub])
         if isinstance(psi, And):
@@ -105,18 +111,9 @@ class Checker:
             return self.sat_release(psi.grade, self.sat[psi.left], self.sat[psi.right],
                                     key=logic.short_text(psi))
         if isinstance(psi, Freeze):
-            return self.sat_freeze(psi.var, self.sat[psi.sub])
+            j = (self.layout.index[psi.var],)
+            return self.sat[psi.sub].map_zones(lambda loc, d: reset_preimage(d, j))
         raise TypeError(f"not a formula node: {psi!r}")
-
-    def sat_atoms(self, psi: TolFormula) -> Federation:
-        if isinstance(psi, TrueF):
-            return self.universe
-        if isinstance(psi, Atom):
-            return self.universe.restrict(loc.name for loc in self.m.locations
-                                         if psi.name in loc.labels)
-        if isinstance(psi, ClockAtom):
-            return self.universe.map_zones(lambda loc, d: self.layout.conjoin(d, (psi,)))
-        raise TypeError(f"not an atomic formula: {psi!r}")
 
     def _fixpoint(self, key: str, n: int, s1: Federation, s2: Federation,
                   until: bool) -> Federation:
@@ -160,10 +157,6 @@ class Checker:
 
     def sat_release(self, n: int, s1: Federation, s2: Federation, key: str) -> Federation:
         return self._fixpoint(key, n, s1, s2, False)
-
-    def sat_freeze(self, var: str, s_phi: Federation) -> Federation:
-        j = (self.layout.index[var],)
-        return s_phi.map_zones(lambda loc, d: reset_preimage(d, j))
 
 
 def check(m: Wta, f: TolFormula) -> Verdict:

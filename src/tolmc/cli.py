@@ -89,7 +89,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _dispatch(args)
-    except (ModelError, FormulaError, FragmentError, CheckError, EncodingError, OSError) as e:
+    except (ModelError, FormulaError, FragmentError, CheckError, EncodingError,
+            bench_mod.SizeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ScaleError as e:
@@ -141,11 +142,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "gen":
-        try:
-            m, f = bench_mod.GENERATORS[args.case](args.k)
-        except ValueError as e:  # a size the family does not have
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        m, f = bench_mod.GENERATORS[args.case](args.k)
         prefix = args.output or f"{args.case}{args.k}"
         with open(prefix + ".wta", "w") as fh:
             fh.write(serialize_model(m))
@@ -165,6 +162,8 @@ def _dispatch(args) -> int:
         if args.runs < 1:
             print("error: need at least one run", file=sys.stderr)
             return 2
+        for k in ks:  # every size before the CSV opens, as gen does before its files
+            bench_mod.check_size(args.case, k)
         # an unwritable CSV path fails before the first row runs; the file
         # keeps its old content unless the rows replace it
         with open(args.csv, "a"):

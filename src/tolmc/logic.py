@@ -30,7 +30,6 @@ parser's height bound measures a shared node once.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .zones import MAX_CONSTANT, OPS
@@ -81,10 +80,6 @@ class Atom(TolFormula):
     name: str
 
 
-_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
-        ">": operator.gt}
-
-
 @_node
 class ClockAtom(TolFormula):
     """`clock op value` with op in OPS: a formula atom, and the atom of
@@ -96,10 +91,6 @@ class ClockAtom(TolFormula):
 
     def __str__(self) -> str:
         return f"{self.clock} {self.op} {self.value}"
-
-    def sat2(self, value2: int) -> bool:
-        """Satisfaction at a doubled-integer clock value."""
-        return _CMP[self.op](value2, 2 * self.value)
 
 
 @_node

@@ -320,8 +320,8 @@ def _parse_edge(at: _Line, clocks: list[str]) -> Edge:
 
 def _validate(m: Wta) -> None:
     init = m.location(m.initial)
-    for a in init.invariant:
-        if not a.sat2(0):
+    for a in init.invariant:  # x <= c holds at 0, and invariants use only < and <=
+        if a.op == "<" and a.value == 0:
             raise ModelError(E_INIT_INVARIANT,
                              f"initial location violates its invariant at the zero valuation ({a})")
     ClockLayout.build(m, (), {})  # raises on an unsatisfiable invariant

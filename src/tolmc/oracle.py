@@ -20,15 +20,19 @@ with per-state blocker choices, solved by one linear-time counting
 fixpoint for graded Until and Release (Liu & Smolka, ICALP 1998); each
 game gathers the predecessor lists of its own live states, and the
 graph keeps none.  One textbook sweep, sharing no code with it,
-iterates A U / A R over the targets of the step groups a blocker choice
-leaves open (open_groups) for the grade-0 cross-check (tctl_check:
-every state, nothing blocked) and the witness search
+iterates A U / A R over the targets of the step groups whose edges a
+blocked set leaves open (open_groups) for the grade-0 cross-check
+(tctl_check: every state, nothing blocked) and the witness search
 (location_witnesses: one sweep per group of location-constant blocker
 choices that agree where the walk from the initial state reaches a
-state the sweep may flip, over the walk's own dict in any order).
+state the sweep may flip, over the walk's dict of the live states it
+reached, in any order).  The differential grid comparison reads the
+states a plain step walk from the initial state reaches (reachable).
 Clock order and caps come from model.ClockLayout.of_query, which also
 rejects unbound or colliding formula clocks; no DBM is read.  Coordinates are
-stored doubled (1 unit = half a time unit), so arithmetic stays integral.
+stored doubled (1 unit = half a time unit), so arithmetic stays integral:
+each guard, invariant and clock atom is compiled once per query into
+(coordinate, comparison, doubled constant).
 
 Past either of two caps an entry point raises model.ScaleError (CLI
 exit 3, as for the checker's MAX_ZONES) before memory runs out:
@@ -40,6 +44,7 @@ location_witnesses; both count as they are generated.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -50,6 +55,15 @@ from .model import ClockLayout, ScaleError, Wta
 
 MAX_STATES = 2_000_000
 MAX_CHOICES = 1_000_000
+
+_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
+        ">": operator.gt}
+
+
+def _compiled(layout: ClockLayout, a: logic.ClockAtom) -> tuple:
+    """Clock atom a as (coordinate, comparison, doubled constant): it holds
+    at coords when comparison(coords[coordinate], doubled constant)."""
+    return layout.index[a.clock] - 1, _CMP[a.op], 2 * a.value
 
 
 @dataclass
@@ -69,14 +83,12 @@ def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
     initial state's Sat bits read, numbered in the order the walk finds them."""
     layout = ClockLayout.of_query(m, f)
     top = tuple(2 * (layout.kvec[i] + 1) for i in range(1, layout.dim))  # doubled caps
-
-    def coords_of(atoms) -> tuple:
-        return tuple((layout.index[a.clock] - 1, a) for a in atoms)
-    inv = {loc.name: coords_of(loc.invariant) for loc in m.locations}
+    inv = {loc.name: tuple(_compiled(layout, a) for a in loc.invariant) for loc in m.locations}
     shapes: dict = {}  # per location: edges by (guard, resets), one landing per shape
     for ei, e in enumerate(m.edges):
         resets = frozenset(layout.index[c] - 1 for c in e.resets)
-        shapes.setdefault(e.source, {}).setdefault((coords_of(e.guard), resets), []) \
+        guard = tuple(_compiled(layout, a) for a in e.guard)
+        shapes.setdefault(e.source, {}).setdefault((guard, resets), []) \
             .append((ei, e.target, inv[e.target]))
     frozen = range(len(m.clocks), layout.dim - 1)  # the formula clocks' coordinates
     states = [(m.initial, (0,) * (layout.dim - 1))]
@@ -93,7 +105,7 @@ def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
         while spent + len(chain) <= MAX_STATES:
             v = chain[-1]
             nxt = tuple(min(c + 1, t) for c, t in zip(v, top))
-            if nxt == v or not all(a.sat2(nxt[ci]) for ci, a in loc_inv):
+            if nxt == v or not all(cmp(nxt[ci], c2) for ci, cmp, c2 in loc_inv):
                 break
             later = known.get(nxt)
             if later is not None:
@@ -106,13 +118,13 @@ def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
             found = {} if later is None else {ei: ts for ei, _, ts in later}
             grown = later is None
             for (guard, resets), outs in loc_shapes:
-                if not all(a.sat2(v[ci]) for ci, a in guard):
+                if not all(cmp(v[ci], c2) for ci, cmp, c2 in guard):
                     continue
                 landing = tuple(0 if ci in resets else c for ci, c in enumerate(v))
                 for ei, target, target_inv in outs:
                     t = index.get((target, landing))
                     if t is None:
-                        if not all(a.sat2(landing[ci]) for ci, a in target_inv):
+                        if not all(cmp(landing[ci], c2) for ci, cmp, c2 in target_inv):
                             continue
                         t = index[(target, landing)] = len(states)
                         states.append((target, landing))
@@ -213,23 +225,23 @@ def _game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray,
 
 # -- independent textbook sweep (grade-0 cross-check and witness re-check) --
 
-def open_groups(g: ExplicitGraph, choice: dict, s: int) -> list:
-    """The targets of the step groups at state s that choice (loc -> blocked
-    edge ids) leaves open."""
-    blocked = choice.get(g.states[s][0], ())
+def open_groups(g: ExplicitGraph, blocked, s: int) -> list:
+    """The targets of the step groups at state s whose edges are not in
+    blocked (a set of edge ids)."""
     return [t for ei, _, ts in g.steps[s] if ei not in blocked for t in ts]
 
 
-def reachable_groups(g: ExplicitGraph, choice: dict, start: int) -> dict:
-    """State -> open_groups(g, choice, state) for the states reachable from
-    start on the graph pruned by choice, in the order the walk finds them."""
-    reached = {start: open_groups(g, choice, start)}
-    work = [start]
+def reachable(g: ExplicitGraph) -> dict:
+    """The states reachable by steps from the initial state, as dict keys
+    in the order the walk finds them."""
+    reached = dict.fromkeys([g.initial_index()])
+    work = list(reached)
     while work:
-        for t in reached[work.pop()]:
-            if t not in reached:
-                reached[t] = open_groups(g, choice, t)
-                work.append(t)
+        for _, _, ts in g.steps[work.pop()]:
+            for t in ts:
+                if t not in reached:
+                    reached[t] = None
+                    work.append(t)
     return reached
 
 
@@ -259,25 +271,6 @@ def tctl_sweep(groups: dict, s1: bytearray, s2: bytearray, until: bool) -> bytea
 
 # -- bottom-up satisfaction over the explicit graph --------------------------
 
-def _atom_set(g: ExplicitGraph, psi) -> bytearray:
-    n = len(g.states)
-    if isinstance(psi, logic.TrueF):
-        return bytearray([1]) * n
-    if isinstance(psi, logic.Atom):
-        labelled = {loc.name for loc in g.m.locations if psi.name in loc.labels}
-        return bytearray(1 if g.states[s][0] in labelled else 0 for s in range(n))
-    if isinstance(psi, logic.ClockAtom):
-        ci = g.layout.index[psi.clock] - 1
-        return bytearray(psi.sat2(coords[ci]) for _, coords in g.states)
-    raise TypeError(f"not atomic: {psi!r}")
-
-
-def _freeze_set(g: ExplicitGraph, var: str, inner: bytearray) -> bytearray:
-    ci = g.layout.index[var] - 1  # discretize built every state's reset image
-    return bytearray(inner[g.index[(loc, coords[:ci] + (0,) + coords[ci + 1:])]]
-                     for loc, coords in g.states)
-
-
 def oracle_sat(g: ExplicitGraph, f) -> dict:
     """Sat sets for every subformula.  Graded operators go to the
     per-state game fixpoint; A U / A R (the TCTL image's TAU/TAR) go to
@@ -286,8 +279,14 @@ def oracle_sat(g: ExplicitGraph, f) -> dict:
     n = len(g.states)
     groups = None
     for psi in logic.subformulas_by_size(f):
-        if not logic.children(psi):
-            sat[psi] = _atom_set(g, psi)
+        if isinstance(psi, logic.TrueF):
+            sat[psi] = bytearray([1]) * n
+        elif isinstance(psi, logic.Atom):
+            labelled = {loc.name for loc in g.m.locations if psi.name in loc.labels}
+            sat[psi] = bytearray(loc in labelled for loc, _ in g.states)
+        elif isinstance(psi, logic.ClockAtom):
+            ci, cmp, c2 = _compiled(g.layout, psi)
+            sat[psi] = bytearray(cmp(coords[ci], c2) for _, coords in g.states)
         elif isinstance(psi, logic.Not):
             inner = sat[psi.sub]
             sat[psi] = bytearray(1 - inner[s] for s in range(n))
@@ -300,11 +299,14 @@ def oracle_sat(g: ExplicitGraph, f) -> dict:
             sat[psi] = release_game(g, psi.grade, sat[psi.left], sat[psi.right])
         elif isinstance(psi, (logic.TAU, logic.TAR)):
             if groups is None:
-                groups = {s: open_groups(g, {}, s) for s in range(n)}
+                groups = {s: open_groups(g, (), s) for s in range(n)}
             sat[psi] = tctl_sweep(groups, sat[psi.left], sat[psi.right],
                                   isinstance(psi, logic.TAU))
         elif isinstance(psi, logic.Freeze):
-            sat[psi] = _freeze_set(g, psi.var, sat[psi.sub])
+            ci, inner = g.layout.index[psi.var] - 1, sat[psi.sub]
+            # discretize built every state's reset image
+            sat[psi] = bytearray(inner[g.index[(loc, coords[:ci] + (0,) + coords[ci + 1:])]]
+                                 for loc, coords in g.states)
         else:
             raise TypeError(f"not a formula node: {psi!r}")
     return sat
@@ -386,7 +388,7 @@ def differential(m: Wta, f: logic.TolFormula, deep: bool = False) -> DiffReport:
 def _compare_grids(m, f, g, sat_sets, osat, report) -> bool:
     from .checker import dump_sat
 
-    scope = reachable_groups(g, {}, g.initial_index())
+    scope = reachable(g)
     for psi in logic.subformulas_by_size(f):
         fed = sat_sets[psi]
         obits = osat[psi]
@@ -441,9 +443,9 @@ def location_choice_candidates(m: Wta, loc: str, n: int) -> Iterator[frozenset]:
 
 def _pruned_holds(groups: dict, until: bool, s1: bytearray, s2: bytearray,
                   start: int) -> bool:
-    """The textbook sweep's value at start over groups, the states that the
-    walk from start reaches under a location-constant blocker choice, each
-    live one with its open targets: the value reads no other state."""
+    """The textbook sweep's value at start over groups, the live states
+    that the walk from start reaches under a location-constant blocker
+    choice, each with its open targets: the value reads no other state."""
     return bool(tctl_sweep(groups, s1, s2, until)[start])
 
 
@@ -461,11 +463,12 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     initial state (a local exploration in the sense of Liu & Smolka,
     ICALP 1998).  The sweep flips only live states (s1 and not s2 for
     Until, s2 and not s1 for Release); every other state keeps its s2
-    bit, so the walk stops there.  A live state at an undecided location
-    waits; when the walk closes, the search branches over the candidates
-    of the first waiting state's location, sharing the reached prefix
-    between siblings.  With nothing waiting, one sweep decides every
-    choice that agrees on the decided locations.
+    bit, so the walk records only live states and stops at the others.
+    A live state at an undecided location waits; when the walk closes,
+    the search branches over the candidates of the first waiting state's
+    location, sharing the reached prefix between siblings.  With nothing
+    waiting, one sweep decides every choice that agrees on the decided
+    locations.
     """
     g = discretize(m, f)
     inner = f
@@ -500,24 +503,22 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     # branches only over locations of two or more and recurses at most
     # log2(MAX_CHOICES) levels deep
     picked = [0 if len(options) == 1 else None for options in cand]
-    choice = {loc: options[0] for loc, options in zip(locs, cand) if len(options) == 1}
-    # each state the walk reached, in reach order -> its open targets (a live
-    # state at a decided location, set when the walk expands it) or None
-    reached: dict = {start: None}
+    # each live state the walk reached, in reach order -> its open targets
+    # (set when the walk expands it at a decided location) or None
+    reached: dict = {}
     waiting: list = []    # reached live states at undecided locations, in reach order
     leaves = []           # picked at every witnessing leaf
 
     def walk(work: list) -> None:
         while work:
             s = work.pop()
-            if not live[s]:
-                continue  # its bit is fixed: the sweep reads none of its successors
-            if picked[where[s]] is None:
+            p = where[s]
+            if picked[p] is None:
                 waiting.append(s)
                 continue
-            reached[s] = succ = open_groups(g, choice, s)
-            for t in succ:
-                if t not in reached:
+            reached[s] = succ = open_groups(g, cand[p][picked[p]], s)
+            for t in succ:  # any other state keeps its s2 bit: the sweep never flips it
+                if live[t] and t not in reached:
                     reached[t] = None
                     work.append(t)
 
@@ -528,8 +529,8 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
                 leaves.append(tuple(picked))
             return
         marks = len(reached), len(waiting)
-        for i, blocked in enumerate(cand[loc]):
-            picked[loc], choice[locs[loc]] = i, blocked
+        for i in range(len(cand[loc])):
+            picked[loc] = i
             walk([s for s in waiting if where[s] == loc])
             search()
             # undo the branch: dicts pop in LIFO order; a waiting state keeps
@@ -538,9 +539,10 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
                 reached.popitem()
             del waiting[marks[1]:]
         picked[loc] = None
-        del choice[locs[loc]]
 
-    walk([start])
+    if live[start]:  # else no choice moves its bit, and every one witnesses
+        reached[start] = None
+        walk([start])
     search()
     # a witnessing leaf stands for every candidate at the locations it left open
     combos = sorted(itertools.chain.from_iterable(

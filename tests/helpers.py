@@ -554,6 +554,13 @@ def run_python(code: str, *flags: str, timeout: float = 120) -> subprocess.Compl
                           capture_output=True, text=True, timeout=timeout)
 
 
+def sat2(atom: logic.ClockAtom, v2: int) -> bool:
+    """Whether atom holds where its clock reads v2 / 2: the reference for
+    the oracle's compiled atoms, which share no code with it."""
+    c2 = 2 * atom.value
+    return {"<": v2 < c2, "<=": v2 <= c2, "=": v2 == c2, ">=": v2 >= c2, ">": v2 > c2}[atom.op]
+
+
 def ref_grid(m: Wta, f: TolFormula, rescan=None) -> ExplicitGraph:
     """The whole capped half-integer grid that oracle.discretize walks a
     part of: every (location, point) whose invariant holds, locations in
@@ -568,7 +575,7 @@ def ref_grid(m: Wta, f: TolFormula, rescan=None) -> ExplicitGraph:
     invariant = {loc.name: loc.invariant for loc in m.locations}
 
     def holds(atoms, coords) -> bool:
-        return all(a.sat2(coords[layout.index[a.clock] - 1]) for a in atoms)
+        return all(sat2(a, coords[layout.index[a.clock] - 1]) for a in atoms)
 
     states = [(loc.name, coords) for loc in m.locations
               for coords in itertools.product(*(range(c + 1) for c in caps2[1:]))

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -369,7 +371,10 @@ def test_bench_bad_k(capsys, tmp_path):
     ("gen", "mesh", "--k", "40000"),
     ("gen", "mesh", "--k", "1001"),
     ("bench", "mesh", "--k", "3", "--runs", "0", "--csv", "x.csv"),
-    ("bench", "pipeline", "--k", ",", "--csv", "out.csv")])
+    ("bench", "pipeline", "--k", ",", "--csv", "out.csv"),
+    ("bench", "mesh", "--k", "1", "--csv", "x.csv"),
+    ("bench", "mesh", "--k", "1001", "--csv", "x.csv"),
+    ("bench", "pipeline", "--k", "4,100000000", "--csv", "x.csv")])
 def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
@@ -377,6 +382,36 @@ def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, monkeypatch, argv
     assert err.startswith("error: ") and "internal" not in err
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def run_differential(capsys, monkeypatch, *argv):
+    """scripts/run_differential.py's exit code, stdout and stderr for argv."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_differential.py"
+    spec = importlib.util.spec_from_file_location("run_differential", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    try:
+        code = script.main()
+    except SystemExit as e:  # argparse's usage errors
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_run_differential_smoke(capsys, monkeypatch):
+    code, out, _ = run_differential(capsys, monkeypatch,
+                                    "--models", "3", "--formulas", "2", "--seed", "1")
+    assert code == 0
+    assert out.startswith("6 runs, 0 disagreements")
+
+
+@pytest.mark.parametrize("grades", ["a", ""])
+def test_run_differential_bad_grades_are_usage_errors(capsys, monkeypatch, grades):
+    # exit 1 would read as a disagreement
+    code, out, err = run_differential(capsys, monkeypatch, "--models", "1", "--grades", grades)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and "--grades" in err.splitlines()[-1]
 
 
 def _diagonal_model(tmp_path, bound: int) -> str:

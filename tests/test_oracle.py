@@ -413,6 +413,29 @@ def test_witness_search_sweeps_once_per_reached_choice(monkeypatch):
     assert [got[phi1(3)], got[phi1(4)], got[phi2(4)], got[phi2(5)]] == [255, 383, 31, 31]
 
 
+def test_witness_search_hands_the_sweep_only_live_states(monkeypatch):
+    # a state the sweep cannot flip keeps its s2 bit, so the walk neither
+    # records nor enters it; keeping those states as None made 34368 keys,
+    # 7464 of them not live, over the same 1114 sweeps
+    m = build_case_study()
+    holds = oracle._pruned_holds
+    keys = {}
+
+    def counted(groups, until, s1, s2, start):
+        flips, keeps = (s1, s2) if until else (s2, s1)
+        assert all(flips[s] and not keeps[s] for s in groups)
+        keys[f].append(len(groups))
+        return holds(groups, until, s1, s2, start)
+
+    monkeypatch.setattr(oracle, "_pruned_holds", counted)
+    for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]:
+        keys[f] = []
+        location_witnesses(m, f)
+    assert sum(map(len, keys.values())) == 1114
+    assert sum(map(sum, keys.values())) == 26904
+    assert sum(keys[phi1(4)]) == 9785
+
+
 def test_sweep_bits_do_not_depend_on_the_key_order():
     # A U and A R are a least and a greatest fixpoint, reached in any visiting
     # order; a state the sweep cannot flip is never read, so its targets may
@@ -425,7 +448,7 @@ def test_sweep_bits_do_not_depend_on_the_key_order():
     for m, f in queries:
         g = discretize(m, f)
         sat = oracle_sat(g, f)
-        groups = {s: oracle.open_groups(g, {}, s) for s in range(len(g.states))}
+        groups = {s: oracle.open_groups(g, (), s) for s in range(len(g.states))}
         for psi in subformulas_by_size(f):
             if not isinstance(psi, (logic.Until, logic.Release)):
                 continue
@@ -567,8 +590,7 @@ edge l0 -> l0 action a1 weight 1
     import tolmc.oracle as oracle_mod
 
     # compare every grid state, not only the reachable ones
-    monkeypatch.setattr(oracle_mod, "reachable_groups",
-                        lambda g, choice, start: dict.fromkeys(range(len(g.states))))
+    monkeypatch.setattr(oracle_mod, "reachable", lambda g: range(len(g.states)))
     deep = differential(m, f, deep=True)
     assert not deep.agree
     for loc, coords, sym, orc in deep.mismatched_states:

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from helpers import (EscapeProfile, fan_model, fed_at, fed_equal, grid_points, pred_union,
-                     random_dbm, ref_escape_cells, ref_escape_profiles, ref_obstruction_pred)
+                     random_dbm, ref_escape_cells, ref_escape_profiles, ref_obstruction_pred,
+                     sat2)
 from tolmc import checker, predecessor, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
@@ -31,11 +32,11 @@ def layout_for(m, cmax=9):
 
 
 def sat_guard(e, point, clock_pos):
-    return all(a.sat2(point[clock_pos[a.clock]]) for a in e.guard)
+    return all(sat2(a, point[clock_pos[a.clock]]) for a in e.guard)
 
 
 def sat_invariant(m, loc, point, clock_pos):
-    return all(a.sat2(point[clock_pos[a.clock]]) for a in m.location(loc).invariant)
+    return all(sat2(a, point[clock_pos[a.clock]]) for a in m.location(loc).invariant)
 
 
 def grid_disc_pred(m, layout, e, target, cmax):
@@ -175,7 +176,7 @@ def test_pipeline_step_pred_matches_grid():
     for p in grid_points(layout.dim - 1, cmax):
         for d2 in range(0, 2 * (cmax + 1) + 1):
             q = tuple(min(v + d2, 2 * (cmax + 1)) for v in p)
-            if not all(a.sat2(q[clock_pos[a.clock]]) for a in e.guard):
+            if not all(sat2(a, q[clock_pos[a.clock]]) for a in e.guard):
                 continue
             landing = list(q)
             landing[clock_pos["x"]] = 0
