@@ -43,7 +43,7 @@ class CheckStats:
     fixpoint_iterations: dict = field(default_factory=dict)
     zones_noted: int = 0  # federation sizes summed at each note()
     peak_federation_size: int = 0
-    preds_computed: int = 0  # pred computations run, i.e. class-memo misses
+    preds_computed: int = 0  # pred computations run, i.e. pred-memo misses
     splits_computed: int = 0  # escape splits run, i.e. location-entry misses
     wall_ms: float = 0.0
 
@@ -72,8 +72,9 @@ class Checker:
         self.universe = full_space(m, self.layout)
         self.stats = CheckStats()
         self.sat: dict[TolFormula, Federation] = {}
-        # pred per edge class and the obstruction predecessor per
-        # (location, budget), kept across every fixpoint round of the check
+        # pred per (edge class, target zone list) and the obstruction
+        # predecessor per (location, budget), kept across the fixpoint
+        # rounds of the check
         self.pred_memo = PredMemo()
 
     # -- satisfaction sets ---------------------------------------------------

@@ -59,13 +59,14 @@ class Wta:
     def edge_class(self) -> tuple[tuple[int, ...], ...]:
         """The ids of each edge's class, indexed by edge id.
 
-        Edges of one class agree on target, guard, resets and source
-        invariant, all that a predecessor reads of an edge besides its
-        source; one tuple object stands for the whole class.
+        Edges of one class agree on target invariant, guard, resets and
+        source invariant, all that a predecessor reads of an edge besides
+        its source and the target zone list at its target; one tuple
+        object stands for the whole class.
         """
         inv = {loc.name: loc.invariant for loc in self.locations}
         by_key: dict[tuple, list[int]] = {}
-        keys = [(e.target, e.guard, e.resets, inv[e.source]) for e in self.edges]
+        keys = [(inv[e.target], e.guard, e.resets, inv[e.source]) for e in self.edges]
         for i, key in enumerate(keys):
             by_key.setdefault(key, []).append(i)
         classes = {key: tuple(ids) for key, ids in by_key.items()}

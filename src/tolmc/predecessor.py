@@ -23,20 +23,26 @@ rules out the degenerate play where the blocker deactivates every
 usable edge; with it, budget 0 on positive-weight models coincides with
 the universal one-step predecessor of TCTL.
 
-pred(e, T) is kept per edge class (Wta.edge_class) in a ClassMemo, one
-for the escape split's complement and one for the hit target, and
-handed to every source of the class as is.  Above the class memos, a
-location's result is kept per budget in a location entry: the escape
-pred of each out-edge, the ids of the edges that witnessed in some cell
-with their hit preds, and the result.  Every round still reads those
-preds, but the split, the hit unions and the cell intersections run
-again only at a location where one of them changed (Liu & Smolka,
-ICALP 1998; Cassez et al., CONCUR 2005).  The complement universe −
-target is likewise subtracted again only where the target changed.  The
-result is a function of the lists compared, so an entry serves any
-target of its budget.  All of this lives in a PredMemo, which a Checker
-keeps for a whole check, over every fixpoint round and every strategic
-subformula; callers without a memo get a fresh one per call.
+pred(e, T) is kept by what it reads: the edge's class (Wta.edge_class)
+and the value of T's zone list at e.target.  Edges of a class may lead
+to different locations, so equal target lists there share one result,
+and a result is handed to every edge of the class as is.  The complement
+universe − target is kept by the values of a location's universe and
+target lists.  These results live in RoundMemos, one per pred role (the
+escape split's complement, the hit target) and one for the complement,
+which keep an entry through the round (obstruction_pred call) after its
+last read and answer without hashing where a list is the very object of
+the last call at the same edge or location.  Above them, a location's
+result is kept per budget in a location entry: the escape pred of each
+out-edge, the ids of the edges that witnessed in some cell with their
+hit preds, and the result.  Every round still reads those preds, but the
+split, the hit unions and the cell intersections run again only at a
+location where one of them changed (Liu & Smolka, ICALP 1998; Cassez et
+al., CONCUR 2005).  The result is a function of the lists compared, so
+an entry serves any target of its budget.  All of this lives in a
+PredMemo, which a Checker keeps for a whole check, over every fixpoint
+round and every strategic subformula; callers without a memo get a fresh
+one per call.
 """
 
 from __future__ import annotations
@@ -61,7 +67,8 @@ def full_space(m: Wta, layout: ClockLayout) -> Federation:
 def disc_pred(m: Wta, layout: ClockLayout, e: Edge, dbms: list) -> list:
     """The states at e.source that can fire e right now and land in dbms,
     a zone list at e.target."""
-    reset_idx = [layout.index[c] for c in e.resets]
+    # in index order, so the kernel calls do not follow the string hash seed
+    reset_idx = sorted(layout.index[c] for c in e.resets)
     tgt_inv = invariant_dbm(m, layout, e.target)
     src_inv = invariant_dbm(m, layout, e.source)
     out = []
@@ -90,78 +97,116 @@ def time_pred(m: Wta, layout: ClockLayout, loc: str, dbms: list) -> list:
     return _reduce([z for d in dbms if (z := dbm_intersect(down(d), inv)) is not None])
 
 
-class ClassMemo(dict):
-    """pred results per edge class for one role (complement or hit target).
+class RoundMemo:
+    """Results kept by the value of the inputs they were computed from,
+    for two rounds (obstruction_pred calls).
 
-    Maps a class's first edge id to (the target zone list at the class's
-    target, the zone list pred gave at the source).  An entry stands
-    while the target list is unchanged and is replaced when it is not,
-    so the memo holds one zone list per class.  computed counts the
-    pred computations run, i.e. the misses.
+    cur maps a key to (inputs, result) for the entries read since the
+    last turn(), prev for those of the round before; turn() drops prev
+    and makes cur the new prev, so an entry read in neither of the last
+    two rounds is gone.  The key carries hashes of the inputs, not a
+    copy, and a hit also compares the inputs kept with ==, so a hash
+    collision is a miss, not a wrong result.  In front of the lookup,
+    slots keeps per use (an edge id, a location) the last (input object,
+    result), answered on identity without hashing.  computed counts the
+    results computed, i.e. the misses.
     """
 
-    __slots__ = ("computed",)
+    __slots__ = ("cur", "prev", "slots", "computed")
 
     def __init__(self):
-        super().__init__()
+        self.cur: dict = {}
+        self.prev: dict = {}
+        self.slots: dict = {}
         self.computed = 0
+
+    def turn(self) -> None:
+        self.prev, self.cur = self.cur, self.prev
+        self.cur.clear()
+
+    def get(self, key, inputs):
+        """The result kept under key for inputs equal to these, or None."""
+        entry = self.cur.get(key)
+        if entry is None:
+            entry = self.prev.get(key)
+            if entry is None:
+                return None
+            self.cur[key] = entry
+        return entry[1] if entry[0] == inputs else None
+
+    def put(self, key, inputs, result) -> None:
+        self.cur[key] = (inputs, result)
+        self.computed += 1
 
 
 def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
-         memo: Optional[ClassMemo] = None, i: int = -1) -> list:
+         memo: Optional[RoundMemo] = None, i: int = -1) -> list:
     """Delay, then take e (edge id i) into the target: the zone list at
     e.source.
 
-    pred reads only target.at(e.target), and the edges of i's class
-    (Wta.edge_class) differ only in their source, so memo shares one
-    zone list among the class and across targets that agree there; a
-    hit returns the memo's list itself.
+    pred reads only target.at(e.target) and what i's class
+    (Wta.edge_class) fixes, so memo shares one zone list among the edges
+    of the class whose target lists are equal, whatever their target
+    locations; a hit returns the memo's list itself.
     """
     tgt = target.at(e.target)
     if memo is None:
         return time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
-    rep = m.edge_class[i][0]
-    entry = memo.get(rep)
-    if entry is not None and entry[0] == tgt:
-        return entry[1]
-    dbms = time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
-    memo[rep] = (tgt, dbms)
-    memo.computed += 1
+    slot = memo.slots.get(i)
+    if slot is not None and slot[0] is tgt:
+        return slot[1]
+    key = (m.edge_class[i][0], hash(tuple(tgt)))
+    dbms = memo.get(key, tgt)
+    if dbms is None:
+        dbms = time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
+        memo.put(key, tgt, dbms)
+    memo.slots[i] = (tgt, dbms)
     return dbms
 
 
 class PredMemo:
-    """What obstruction_pred keeps across calls over one universe.
+    """What obstruction_pred keeps across calls.
 
-    escape and hit are the ClassMemos of the two pred roles (the escape
-    split's complement and the hit target).  complements maps a location
-    to (its target zone list, universe − target there).  locations maps
-    (location, budget n) to the location's entry: the escape-pred zone
-    list of each out-edge, the witness edge ids, their hit-pred zone
-    lists and the location's result.  splits counts the escape splits
-    run, i.e. the entry misses.
+    escape and hit are the pred RoundMemos of the two roles (the escape
+    split's complement and the hit target), keyed by (edge class, target
+    list) and slotted per edge id.  complements is the RoundMemo of
+    universe − target, keyed by (universe list, target list) and slotted
+    per location.  locations maps (location, budget n) to the location's
+    entry: the escape-pred zone list of each out-edge, the witness edge
+    ids, their hit-pred zone lists and the location's result.  splits
+    counts the escape splits run, i.e. the entry misses.
     """
 
     __slots__ = ("escape", "hit", "complements", "locations", "splits")
 
     def __init__(self):
-        self.escape = ClassMemo()
-        self.hit = ClassMemo()
-        self.complements: dict[str, tuple[list, list]] = {}
+        self.escape = RoundMemo()
+        self.hit = RoundMemo()
+        self.complements = RoundMemo()
         self.locations: dict[tuple[str, int], tuple[list, list, list, list]] = {}
         self.splits = 0
 
 
 def _complement(m: Wta, target: Federation, universe: Federation,
-                kept: dict) -> Federation:
-    """universe − target, subtracting only at the locations whose target
-    list differs from the one kept there (kept: location -> (target list,
-    complement list), updated)."""
+                memo: RoundMemo) -> Federation:
+    """universe − target, subtracting only at the locations whose
+    (universe list, target list) pair memo does not hold."""
+    by = {}
     for loc in m.locations:
-        old, now = kept.get(loc.name), target.at(loc.name)
-        if old is None or old[0] != now:
-            kept[loc.name] = (now, difference(universe.at(loc.name), now))
-    return Federation(universe.dim, {name: c for name, (_, c) in kept.items() if c})
+        u, t = universe.at(loc.name), target.at(loc.name)
+        slot = memo.slots.get(loc.name)
+        if slot is not None and slot[0] is u and slot[1] is t:
+            c = slot[2]
+        else:
+            key = (hash(tuple(u)), hash(tuple(t)))
+            c = memo.get(key, (u, t))
+            if c is None:
+                c = difference(u, t)
+                memo.put(key, (u, t), c)
+            memo.slots[loc.name] = (u, t, c)
+        if c:
+            by[loc.name] = c
+    return Federation(universe.dim, by)
 
 
 def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
@@ -200,32 +245,39 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
 
     Every out-edge's escape pred and every witness edge's hit pred is
     read; the split and the cell intersections run only when one of
-    those lists differs from the location's entry."""
+    those lists differs from the location's entry.  The hit preds of the
+    out-edges that escape nowhere are joined once per split, and each
+    cell joins only its other witnesses onto them."""
     edge_ids = m.out_edges[loc]
     esc = [pred(m, layout, m.edges[i], complement, memo.escape, i) for i in edge_ids]
     hits: dict[int, list] = {}
+
+    def hit(i: int) -> list:
+        if i not in hits:
+            hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
+        return hits[i]
+
     entry = memo.locations.get((loc, n))
     # == on lists of zone lists tests each item by identity first, and a
     # list kept from an earlier round is usually the very object pred
     # hands out again
-    if entry is not None and entry[0] == esc:
-        for i in entry[1]:
-            hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
-        if entry[2] == [hits[i] for i in entry[1]]:
-            return entry[3]
+    if entry is not None and entry[0] == esc and entry[2] == [hit(i) for i in entry[1]]:
+        return entry[3]
     memo.splits += 1
     out: list = []
-    for dbms, pattern, _ in _escape_cells(m, loc, esc, universe, n):
-        witnesses = [i for i in edge_ids if i not in pattern]
-        if not witnesses:
-            continue
-        cell_hits: list = []
-        for i in witnesses:
-            if i not in hits:
-                hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
-            cell_hits = join(cell_hits, hits[i])
-        if pieces := meet(_reduce(dbms), cell_hits):
-            out = join(out, _reduce(pieces))
+    if cells := _escape_cells(m, loc, esc, universe, n):
+        # an edge that escapes nowhere is in no cell's pattern, so it
+        # witnesses every cell: its hit pred joins one base per split
+        base = _reduce([d for i, esc_dbms in zip(edge_ids, esc) if not esc_dbms
+                        for d in hit(i)])
+        blockable = [i for i, esc_dbms in zip(edge_ids, esc) if esc_dbms]
+        for dbms, pattern, _ in cells:
+            cell_hits = base
+            for i in blockable:
+                if i not in pattern:
+                    cell_hits = join(cell_hits, hit(i))
+            if cell_hits and (pieces := meet(_reduce(dbms), cell_hits)):
+                out = join(out, _reduce(pieces))
     memo.locations[(loc, n)] = (esc, list(hits), list(hits.values()), out)
     return out
 
@@ -240,6 +292,8 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
     is computed afresh."""
     if memo is None:
         memo = PredMemo()
+    for kept in (memo.escape, memo.hit, memo.complements):
+        kept.turn()
     complement = _complement(m, target, universe, memo.complements)
     by = {}
     for loc in m.locations:

@@ -252,15 +252,17 @@ def test_stats_recorded():
 
 
 @pytest.mark.parametrize("gen, k, formula, computed", [
-    (gen_pipeline, 30, None, 120),
-    (gen_pipeline, 30, "j . <#1> F (s29 & j >= 900)", 1082),
-    (gen_mesh, 30, None, 62),
-    (gen_mesh, 12, "j . <#10> F (s11 & j >= 12)", 323),
+    (gen_pipeline, 30, None, 64),
+    (gen_pipeline, 30, "j . <#1> F (s29 & j >= 900)", 190),
+    (gen_mesh, 30, None, 4),
+    (gen_mesh, 12, "j . <#10> F (s11 & j >= 12)", 32),
 ])
 def test_preds_computed_counts_memo_misses(gen, k, formula, computed):
-    # the pred memo lives for the whole check: a fixpoint round recomputes
-    # only the edge classes whose target zone list changed (a memo kept
-    # for one obstruction step computes 1860, 1514, 120 and 325)
+    # pred runs once per (edge class, target zone list value) seen in two
+    # rounds: pipeline has 2 edge classes and mesh 1, and their locations
+    # hold equal lists (a memo of one list per class and target location
+    # computes 120, 1082, 62 and 323; one kept for one obstruction step
+    # 1860, 1514, 120 and 325)
     m, f = gen(k)
     v = check(m, parse_formula(formula) if formula else f)
     assert v.satisfied

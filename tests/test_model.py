@@ -179,19 +179,20 @@ def test_constraint_helpers():
 
 
 @pytest.mark.parametrize("k", (2, 5, 12, 30))
-def test_mesh_edges_form_one_class_per_target(k):
+def test_mesh_edges_form_one_class(k):
+    # every mesh edge has guard x >= 1, resets x and joins two locations
+    # without invariants, whatever its target
     m, _ = gen_mesh(k)
-    classes = set(m.edge_class)
-    assert len(classes) == k
-    for cls in classes:
-        assert len({m.edges[i].target for i in cls}) == 1
-        assert len({m.edges[i].source for i in cls}) == k - 1
+    assert set(m.edge_class) == {tuple(range(len(m.edges)))}
+    assert len({e.target for e in m.edges}) == k
 
 
 @pytest.mark.parametrize("k", (2, 5, 30))
-def test_pipeline_edges_are_alone_in_their_class(k):
+def test_pipeline_edges_form_two_classes(k):
+    # the last step's guard differs from that of every other edge
     m, _ = gen_pipeline(k)
-    assert m.edge_class == tuple((i,) for i in range(len(m.edges)))
+    last = next(i for i, e in enumerate(m.edges) if e.action == f"step{k - 2}")
+    assert set(m.edge_class) == {(last,), tuple(i for i in range(len(m.edges)) if i != last)}
 
 
 EDGE_CLASSES = """wta
@@ -201,6 +202,7 @@ location b
 location c invariant x <= 4
 location d invariant x <= 4
 location t
+location u invariant y <= 3
 edge a -> t action go guard x >= 1 reset y weight 1
 edge b -> t action other guard x >= 1 reset y weight 5
 edge c -> t action go guard x >= 1 reset y weight 1
@@ -208,17 +210,22 @@ edge d -> t action go guard x >= 1 reset y weight 2
 edge a -> t action go guard x >= 1 reset x weight 1
 edge a -> t action go guard x >= 2 reset y weight 1
 edge a -> b action go guard x >= 1 reset y weight 1
+edge a -> u action go guard x >= 1 reset y weight 1
+edge c -> a action go guard x >= 1 reset y weight 1
 """
 
 
 def test_edge_class_ignores_weight_action_and_source_name():
     m = parse_model(EDGE_CLASSES)
     cls = m.edge_class
-    # a and b have no invariant: weight and action do not split the class
-    assert cls[0] == cls[1] == (0, 1)
-    # c and d share an invariant, so their edges share a class too
-    assert cls[2] == cls[3] == (2, 3)
-    # a differing source invariant, resets, guard or target splits it
+    # a and b have no invariant: weight and action do not split the class,
+    # and neither does a target of the same invariant (t, b)
+    assert cls[0] == cls[1] == cls[6] == (0, 1, 6)
+    # c and d share an invariant, so their edges share a class too, into
+    # t and into a alike
+    assert cls[2] == cls[3] == cls[8] == (2, 3, 8)
+    # a differing source invariant, resets, guard or target invariant
+    # splits it
     assert cls[0] != cls[2]
-    assert [cls[i] for i in (4, 5, 6)] == [(4,), (5,), (6,)]
-    assert cls[0] is cls[1]
+    assert [cls[i] for i in (4, 5, 7)] == [(4,), (5,), (7,)]
+    assert cls[0] is cls[1] is cls[6]

@@ -6,14 +6,14 @@ import pytest
 
 from helpers import (EscapeProfile, fan_model, fed_at, fed_equal, grid_points, pred_union,
                      random_dbm, ref_escape_cells, ref_escape_profiles, ref_obstruction_pred,
-                     sat2)
+                     run_python, sat2)
 from tolmc import checker, predecessor, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
 from tolmc.logic import (TRUE, ClockAtom, formula_clocks, parse_formula, print_formula,
                          subformulas_by_size)
 from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
-from tolmc.predecessor import (_escape_cells, disc_pred, full_space,
+from tolmc.predecessor import (RoundMemo, _escape_cells, disc_pred, full_space,
                                obstruction_pred, pred, time_pred)
 from tolmc.randgen import CLOSED_OPS, WEIGHTS, random_formula, random_wta
 from tolmc.zones import Federation, Zone, conjoin_atom
@@ -642,3 +642,113 @@ def test_grouped_escape_lists_of_several_zones_give_the_reference_sets():
     # the family reaches groups of several edges and DBMs (54 at the seed)
     # and budgets that afford part of a group's weight (121)
     assert several >= 40 and partial >= 80, (several, partial)
+
+
+SHARED_TARGETS = """wta
+clocks x
+location a init
+location b
+location t1
+location t2
+edge a -> t1 action go guard x >= 1 reset x weight 1
+edge b -> t2 action stop guard x >= 1 reset x weight 2
+"""
+
+
+def test_equal_target_lists_share_one_pred_across_target_locations():
+    # both edges are of one class (no invariants, equal guard and resets);
+    # the target lists at t1 and t2 are equal but distinct list objects
+    m = parse_model(SHARED_TARGETS)
+    assert m.edge_class[0] is m.edge_class[1]
+    layout = layout_for(m)
+    d = layout.conjoin(layout.invariants["t1"], (ClockAtom("x", "<=", 3),))
+    target = Federation(layout.dim, {"t1": [d], "t2": [d]})
+    assert target.at("t1") == target.at("t2") and target.at("t1") is not target.at("t2")
+    memo = RoundMemo()
+    first = pred(m, layout, m.edges[0], target, memo, 0)
+    second = pred(m, layout, m.edges[1], target, memo, 1)
+    assert memo.computed == 1
+    assert second is first
+    assert first and first == pred(m, layout, m.edges[1], target)
+
+
+def test_memo_keeps_only_entries_read_in_the_last_two_rounds(monkeypatch):
+    # each obstruction_pred call is a round; an entry of the pred and
+    # complement memos that neither of the last two rounds read is gone
+    rounds: list[set] = []
+    get, vee = RoundMemo.get, checker.obstruction_pred
+
+    def recorded_get(self, key, inputs):
+        rounds[-1].add((id(self), key))
+        return get(self, key, inputs)
+
+    def recorded_vee(*args):
+        rounds.append(set())
+        return vee(*args)
+
+    monkeypatch.setattr(RoundMemo, "get", recorded_get)
+    monkeypatch.setattr(checker, "obstruction_pred", recorded_vee)
+    m, _ = gen_pipeline(12)
+    c = Checker(m, parse_formula("j . <#1> F (s11 & j >= 144)"))
+    assert c.run().satisfied
+    memo = c.pred_memo
+    kept = {(id(r), key) for r in (memo.escape, memo.hit, memo.complements)
+            for key in itertools.chain(r.cur, r.prev)}
+    assert kept and kept <= rounds[-1] | rounds[-2]
+    # the check read entries that it no longer keeps
+    assert set().union(*rounds[:-2]) - kept
+    assert len(memo.escape.slots) <= len(m.edges) and len(memo.hit.slots) <= len(m.edges)
+    assert len(memo.complements.slots) <= len(m.locations)
+
+
+def test_hit_unions_run_once_per_split(monkeypatch):
+    # an out-edge that escapes nowhere witnesses every cell, so its hit
+    # pred joins one base per split; joining every witness per cell made
+    # 2974 _reduce calls in a mesh k = 30 G check
+    count = {"calls": 0}
+    reduce = zones._reduce
+
+    def counted(dbms):
+        count["calls"] += 1
+        return reduce(dbms)
+
+    monkeypatch.setattr(zones, "_reduce", counted)
+    monkeypatch.setattr(predecessor, "_reduce", counted)
+    assert checker.check(*gen_mesh(30)).satisfied
+    assert count["calls"] == 511, count
+
+
+def test_kernel_counts_do_not_depend_on_the_string_hash_seed(monkeypatch):
+    # disc_pred resets clocks in index order, not in the order of the
+    # edge's frozenset of names, so the conjoin_bound calls of a seeded
+    # corpus are the same under every PYTHONHASHSEED (resetting in
+    # frozenset order, these 60 queries made 14293 calls under seed 1
+    # and 14327 under seed 2)
+    code = """
+        import random
+        from tolmc import zones
+        from tolmc.checker import check
+        from tolmc.randgen import random_formula, random_wta
+
+        calls = 0
+        conjoin_bound = zones.conjoin_bound
+
+        def counted(*args):
+            global calls
+            calls += 1
+            return conjoin_bound(*args)
+
+        zones.conjoin_bound = counted
+        rng = random.Random(541)
+        for _ in range(60):
+            m = random_wta(rng)
+            check(m, random_formula(rng, m, grades=(0, 1, 2, 3)))
+        print(calls)
+    """
+    counts = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = run_python(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int(proc.stdout))
+    assert counts[0] == counts[1], counts
