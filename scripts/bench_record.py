@@ -18,35 +18,38 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     `src/tolmc/*.py` (what `cat src/tolmc/*.py | wc -l` prints),
   - perfbench medians, quartiles and IQR of every end-to-end metric for
     each workload, one untraced (`--trace 0`) run per side in each of
-    PAIRS pairs, one seed per pair,
+    PAIRS pairs, one seed per pair, which is also both sides'
+    PYTHONHASHSEED (`hash_seeds`),
   - the deterministic per-layer counters of each workload (`.calls` per
     query and the other count and ratio metrics but the tracing
     overhead) from one `--trace 1` run per side at the first seed,
-  - untraced `checker.check` ms (median of 2 * REPEATS runs) and the
+  - untraced `checker.check` ms (median of 2 * PAIRS runs) and the
     verdict for pipeline and mesh at CHECK_KS, each with its
     generator's formula, for mesh at MESH_UNTIL_KS with perfbench's
     Until formula `j . <#k-2> F (s{k-1} & j >= k)` (rows
     `mesh-until/k=K`), and for the fan family at FAN_NS with
     `<#n/2> G ! q` (the models and formulas are built inside the probe,
     so that an older side runs them too); beside each row the check's
-    deterministic counters, equal in every run of a side: `iterations`
-    (summed over the fixpoints), `preds_computed`, `zones_noted` and
-    `splits_computed` (null where a side's CheckStats lacks the field),
-  - untraced `oracle.discretize` ms (median of 2 * REPEATS runs) and the
+    counters, which must agree in every run of a side (every hash seed)
+    or the recording stops: `iterations` (summed over the fixpoints),
+    `preds_computed`, `zones_noted` and `splits_computed` (null where a
+    side's CheckStats lacks the field),
+  - untraced `oracle.discretize` ms (median of 2 * PAIRS runs) and the
     count of states it builds (those the initial state's Sat bits read,
     not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
-  - untraced `oracle.location_witnesses` ms (median of 2 * REPEATS runs)
+  - untraced `oracle.location_witnesses` ms (median of 2 * PAIRS runs)
     and the witness count for the case study's WITNESS_FORMULAS,
   - beside each probe row's raw ms (`ms_median`, `ms_runs`), the same
     runs scaled to the reference host speed by the side's
     `perfbench/calibrate.py::HostClock` (`scaled_ms_median`,
     `scaled_ms_runs`), calibrated before and after each timed call, so
     rows of the two sides compare though their probes run at different
-    times; each probe input runs in REPEATS rounds of one call on the
-    first side, the second, the second and the first (one worker
-    process per side, warmed by an untimed call per input) before the
-    next input starts, so a slow phase of the host lands on both sides
-    of a row,
+    times; each probe input runs PAIRS rounds of one call on the first
+    side, the second, the second and the first before the next input,
+    so a slow phase of the host lands on both sides of a row; each timed
+    call is one fresh process (warmed by an untimed call) under the
+    round's pair seed as PYTHONHASHSEED (`probe_hash_seeds`), so no side
+    keeps one memory layout or hash seed for the whole run,
   - the tier-1 wall time: one pytest run per side, one after the other,
     so not a paired measurement.
 """
@@ -70,8 +73,7 @@ DISCRETIZE_KS = (4, 5, 6, 8)
 CHECK_KS = (4, 12, 16, 22, 30, 60, 120)
 MESH_UNTIL_KS = (4, 8, 12)
 FAN_NS = (4, 5, 6)  # n = 8 took about 20 s a run before the split stopped at the budget
-PAIRS = 10          # a gain claim needs 10 alternating pairs
-REPEATS = 10        # rounds of timed probe calls per input, two calls a side each
+PAIRS = 10          # a gain claim needs 10 alternating pairs; also the probe rounds
 WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
                     ("phi2", 3), ("phi2", 4), ("phi2", 5))
 # per probe layer: the name of its size column and its inputs, in order
@@ -89,12 +91,12 @@ RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent
 PYCACHE = Path("build", "pycache")  # per side, under the side's directory
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
-# one worker process per side: reads "LAYER NAME" lines and answers each
-# with one JSON line [size, ms, scaled ms] of one timed call (check rows
-# add their counters), calibrating the host clock before and after it.
-# The first request for an input builds it and calls it once untimed, so
-# every timed call runs warm.  fan(n) is tests/helpers.py::fan_model and
-# mesh_until(k) perfbench/workloads.py::mesh_until, written out here.
+# one timed call: `python -c PROBE LAYER NAME` builds the input, calls it
+# once untimed, so the timed call runs warm, and prints one JSON line
+# [size, ms, scaled ms] (check rows add their counters), calibrating the
+# host clock before and after the timed call.  fan(n) is
+# tests/helpers.py::fan_model and mesh_until(k)
+# perfbench/workloads.py::mesh_until, written out here.
 PROBE = """
 import json, sys, time
 sys.path.insert(0, "perfbench")
@@ -141,22 +143,17 @@ def witness_query(name):
 ROWS = {"check": (query, check_row),
         "discretize": (query, lambda m, f: [len(discretize(m, f).states)]),
         "location_witnesses": (witness_query, lambda m, f: [len(location_witnesses(m, f))])}
+layer, name = sys.argv[1:]
+build, row = ROWS[layer]
+m, f = build(name)
+row(m, f)
 clock = HostClock()
-calls = {}
-for line in sys.stdin:
-    layer, name = line.split()
-    if (layer, name) not in calls:
-        build, row = ROWS[layer]
-        calls[layer, name] = (row, *build(name))
-        row(*calls[layer, name][1:])
-    row, m, f = calls[layer, name]
-    clock.calibrate()
-    t0 = time.perf_counter()
-    size, *counts = row(m, f)
-    t1 = time.perf_counter()
-    clock.calibrate()
-    print(json.dumps([size, (t1 - t0) * 1000.0, clock.scaled(t0, t1) * 1000.0, *counts]),
-          flush=True)
+clock.calibrate()
+t0 = time.perf_counter()
+size, *counts = row(m, f)
+t1 = time.perf_counter()
+clock.calibrate()
+print(json.dumps([size, (t1 - t0) * 1000.0, clock.scaled(t0, t1) * 1000.0, *counts]))
 """
 
 
@@ -172,15 +169,14 @@ def src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "tolmc").glob("*.py"))
 
 
-def side_env(root: Path) -> dict:
+def run_in(root: Path, args: list[str], timeout: float,
+           hash_seed: int | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                PYTHONPYCACHEPREFIX=str(root / PYCACHE))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    return env
-
-
-def run_in(root: Path, args: list[str], timeout: float) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], cwd=root, env=side_env(root),
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run([sys.executable, *args], cwd=root, env=env,
                           capture_output=True, text=True, timeout=timeout, check=False)
 
 
@@ -200,7 +196,8 @@ def warm_cache(root: Path) -> None:
 
 def perfbench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     proc = run_in(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                         "--seconds", str(RUN_SECONDS), "--trace", str(trace)], timeout=600)
+                         "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
+                  timeout=600, hash_seed=seed)
     if proc.returncode:
         raise RuntimeError(f"perfbench failed in {root}: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -212,41 +209,32 @@ def counters(result: dict) -> dict:
             if m["unit"] in ("count", "ratio") and name != "trace.overhead_ratio"}
 
 
-def probe_rows(sides: list[tuple[str, Path]]) -> dict:
-    """Time every probe input on both sides, interleaved per input: REPEATS
-    rounds of one call each on the first side, the second, the second and
-    the first, in one worker process per side.  Returns {tag: {layer:
-    {name: (size, ms, scaled ms, counters)}}}; a check row's counters must
-    agree between the runs of its side."""
-    workers = {tag: subprocess.Popen([sys.executable, "-c", PROBE], cwd=root,
-                                     env=side_env(root), stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                     text=True)
-               for tag, root in sides}
+def probe_rows(sides: list[tuple[str, Path]], seeds: list[int]) -> dict:
+    """Time every probe input on both sides, interleaved per input: one
+    round per seed of one call each on the first side, the second, the
+    second and the first, each call a fresh process with the round's seed
+    as PYTHONHASHSEED.  Returns {tag: {layer: {name: (size, ms, scaled
+    ms, counters)}}}; a check row's counters must agree between the runs
+    of its side."""
     layers = {tag: {layer: {} for layer in PROBE_INPUTS} for tag, _ in sides}
-    try:
-        for layer, (_, names) in PROBE_INPUTS.items():
-            for name in names:
-                for tag, root in (sides + sides[::-1]) * REPEATS:
-                    worker = workers[tag]
-                    worker.stdin.write(f"{layer} {name}\n")
-                    worker.stdin.flush()
-                    line = worker.stdout.readline()
-                    if not line:
-                        raise RuntimeError(f"{layer} probe of {name} failed in {root}: "
-                                           f"{worker.stderr.read().strip()}")
-                    size, raw, scaled, *counts = json.loads(line)
+    for layer, (_, names) in PROBE_INPUTS.items():
+        for name in names:
+            for seed in seeds:
+                for tag, root in sides + sides[::-1]:
+                    proc = run_in(root, ["-c", PROBE, layer, name], timeout=600,
+                                  hash_seed=seed)
+                    if proc.returncode:
+                        raise RuntimeError(f"{layer} probe of {name} failed on side {tag} "
+                                           f"({root}): {proc.stderr.strip()}")
+                    size, raw, scaled, *counts = json.loads(proc.stdout)
                     row = layers[tag][layer].setdefault(name, (size, [], [], counts))
                     if row[3] != counts:
                         raise RuntimeError(f"{layer} probe counters of {name} differ "
-                                           f"between runs in {root}: {row[3]} vs {counts}")
+                                           f"between runs on side {tag}: {row[3]} vs "
+                                           f"{counts} (hash seed {seed})")
                     row[1].append(raw)
                     row[2].append(scaled)
-                print(f"probe {layer} {name}", file=sys.stderr)
-    finally:
-        for worker in workers.values():
-            worker.stdin.close()
-            worker.wait()
+            print(f"probe {layer} {name}", file=sys.stderr)
     return layers
 
 
@@ -269,6 +257,8 @@ def main() -> int:
         sides.append((tag, Path(path).resolve()))
     if len(sides) != 2:
         ap.error("give exactly two --side options")
+    if sides[0][0] == sides[1][0]:
+        ap.error(f"the two --side options share the tag {sides[0][0]!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before the runs, not after them
     seeds = [args.first_seed + i for i in range(PAIRS)]
@@ -286,7 +276,7 @@ def main() -> int:
     traced = {tag: {w: counters(perfbench(root, w, seeds[0], trace=1)) for w in WORKLOADS}
               for tag, root in sides}
 
-    layers = probe_rows(sides)
+    layers = probe_rows(sides, seeds)
 
     tier1 = {}
     for tag, root in sides:
@@ -313,12 +303,14 @@ def main() -> int:
             "python": platform.python_version(),
             "perfbench": {"command": "python3 perfbench/run.py --workload W --seed S "
                                      f"--seconds {RUN_SECONDS:g} --trace 0",
-                          "seeds": seeds, "alternating_with": [t for t, _ in sides if t != tag],
+                          "seeds": seeds, "hash_seeds": seeds,
+                          "alternating_with": [t for t, _ in sides if t != tag],
                           "workloads": bench},
             "perfbench_counters": {"command": "python3 perfbench/run.py --workload W "
                                               f"--seed {seeds[0]} --seconds {RUN_SECONDS:g} "
                                               "--trace 1",
-                                   "workloads": traced[tag]},
+                                   "hash_seed": seeds[0], "workloads": traced[tag]},
+            "probe_hash_seeds": seeds,
             **{layer: {name: {PROBE_INPUTS[layer][0]: size, "ms_median": statistics.median(ms),
                               "ms_runs": ms, "scaled_ms_median": statistics.median(scaled),
                               "scaled_ms_runs": scaled, **(counts[0] if counts else {})}

@@ -31,8 +31,9 @@ DBM canonical as they are (Bengtsson & Yi, *Timed Automata: Semantics,
 Algorithms and Tools*, 2004).  `conjoin_bound` relaxes every entry once
 through the new edge: min(d[p][q], d[p][i] + b + d[j][q]).
 `reset_preimage` is those kernels composed: for each reset clock y it
-conjoins y = 0 (`conjoin_atom`) and frees y.  Resets commute, so the
-clocks are handled one at a time, a repeated clock as a no-op.
+conjoins y <= 0 (`conjoin_atom`), y >= 0 only where row 0 lets y go
+below 0, and frees y.  Resets commute, so the clocks are handled one at
+a time, a repeated clock as a no-op.
 
 A federation keeps one reduced list of zones per location.  Operations
 share the lists they do not touch with their operands, so a list read
@@ -235,9 +236,13 @@ def free(d: Dbm, y: int) -> Dbm:
 def reset_preimage(d: Dbm, clocks: Iterable[int]) -> Optional[Dbm]:
     """States whose reset of the given clocks lands in d: conjoin y = 0,
     then free y, one clock at a time.  None when d has no point with
-    all of them at 0."""
+    all of them at 0.  The half y >= 0 is conjoined only where row 0
+    lets y go below 0, so a zone of non-negative clocks costs one
+    `conjoin_bound` per clock."""
     for y in clocks:
-        d = conjoin_atom(d, y, "=", 0)
+        d = conjoin_atom(d, y, "<=", 0)
+        if d is not None and d[y] > ZERO:
+            d = conjoin_bound(d, 0, y, ZERO)
         if d is None:
             return None
         d = free(d, y)

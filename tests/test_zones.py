@@ -460,6 +460,27 @@ def test_reset_preimage_equals_reference_and_grid(data):
         assert (out is not None and in_dbm(out, p)) == in_dbm(d, landed)
 
 
+def test_reset_preimage_of_non_negative_zone_conjoins_once_per_clock(monkeypatch):
+    # 0 - y <= 0 holds already, so only y <= 0 is conjoined
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return conjoin_bound(*args)
+
+    monkeypatch.setattr(Z, "conjoin_bound", counted)
+    rng = random.Random(5)
+    for _ in range(50):
+        dim = rng.randint(2, 4)
+        d = random_dbm(rng, dim)
+        clocks = rng.sample(range(1, dim), rng.randint(1, dim - 1))
+        calls.clear()
+        out = reset_preimage(d, clocks)
+        assert out == ref_reset_preimage(d, clocks)
+        assert len(calls) == len(clocks) if out is not None else len(calls) <= len(clocks)
+        assert all(j == 0 for _, _, j, _ in calls)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_federation_operations_equal_their_references(data):
