@@ -38,7 +38,10 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     count of states it builds (those the initial state's Sat bits read,
     not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
   - untraced `oracle.location_witnesses` ms (median of 2 * PAIRS runs)
-    and the witness count for the case study's WITNESS_FORMULAS,
+    and the witness count for the case study's WITNESS_FORMULAS, each
+    with its `sweeps` counter (the `_pruned_holds` calls, counted through
+    the module global), which must agree in every run of a side as the
+    check counters do,
   - beside each probe row's raw ms (`ms_median`, `ms_runs`), the same
     runs scaled to the reference host speed by the side's
     `perfbench/calibrate.py::HostClock` (`scaled_ms_median`,
@@ -93,15 +96,15 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 
 # one timed call: `python -c PROBE LAYER NAME` builds the input, calls it
 # once untimed, so the timed call runs warm, and prints one JSON line
-# [size, ms, scaled ms] (check rows add their counters), calibrating the
-# host clock before and after the timed call.  fan(n) is
+# [size, ms, scaled ms] (check and witness rows add their counters),
+# calibrating the host clock before and after the timed call.  fan(n) is
 # tests/helpers.py::fan_model and mesh_until(k)
 # perfbench/workloads.py::mesh_until, written out here.
 PROBE = """
 import json, sys, time
 sys.path.insert(0, "perfbench")
 from calibrate import HostClock
-from tolmc import case_study
+from tolmc import case_study, oracle
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import check
 from tolmc.logic import parse_formula
@@ -140,9 +143,19 @@ def witness_query(name):
     phi, _, t = name.partition("(")
     return case_study.build_case_study(), getattr(case_study, phi)(int(t.rstrip(")")))
 
+def witness_row(m, f):
+    holds, sweeps = oracle._pruned_holds, [0]
+    def counted(*args):
+        sweeps[0] += 1
+        return holds(*args)
+    oracle._pruned_holds = counted
+    witnesses = location_witnesses(m, f)
+    oracle._pruned_holds = holds
+    return [len(witnesses), {"sweeps": sweeps[0]}]
+
 ROWS = {"check": (query, check_row),
         "discretize": (query, lambda m, f: [len(discretize(m, f).states)]),
-        "location_witnesses": (witness_query, lambda m, f: [len(location_witnesses(m, f))])}
+        "location_witnesses": (witness_query, witness_row)}
 layer, name = sys.argv[1:]
 build, row = ROWS[layer]
 m, f = build(name)
@@ -214,8 +227,8 @@ def probe_rows(sides: list[tuple[str, Path]], seeds: list[int]) -> dict:
     round per seed of one call each on the first side, the second, the
     second and the first, each call a fresh process with the round's seed
     as PYTHONHASHSEED.  Returns {tag: {layer: {name: (size, ms, scaled
-    ms, counters)}}}; a check row's counters must agree between the runs
-    of its side."""
+    ms, counters)}}}; a row's counters must agree between the runs of its
+    side."""
     layers = {tag: {layer: {} for layer in PROBE_INPUTS} for tag, _ in sides}
     for layer, (_, names) in PROBE_INPUTS.items():
         for name in names:

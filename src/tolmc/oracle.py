@@ -26,7 +26,9 @@ blocked set leaves open (open_groups) for the grade-0 cross-check
 (location_witnesses: one sweep per group of location-constant blocker
 choices that agree where the walk from the initial state reaches a
 state the sweep may flip, over the walk's dict of the live states it
-reached, in any order).  The differential grid comparison reads the
+reached, in any order; and one bound sweep per search node, with the
+states still waiting for a choice pinned at 1, that cuts the subtrees
+no choice below can make witness).  The differential grid comparison reads the
 states a plain step walk from the initial state reaches (reachable).
 Clock order and caps come from model.ClockLayout.of_query, which also
 rejects unbound or colliding formula clocks; no DBM is read.  Coordinates are
@@ -445,7 +447,12 @@ def _pruned_holds(groups: dict, until: bool, s1: bytearray, s2: bytearray,
                   start: int) -> bool:
     """The textbook sweep's value at start over groups, the live states
     that the walk from start reaches under a location-constant blocker
-    choice, each with its open targets: the value reads no other state."""
+    choice, each with its open targets: the value reads no other state.
+
+    At a leaf of the witness search this is the choice's verdict.  At an
+    inner node, s2 (Until) or s1 (Release) is a copy with the bit of each
+    pending state set, so the sweep never reads its targets and its value
+    stays 1: an upper bound on every leaf below."""
     return bool(tctl_sweep(groups, s1, s2, until)[start])
 
 
@@ -469,6 +476,18 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     location, sharing the reached prefix between siblings.  With nothing
     waiting, one sweep decides every choice that agrees on the decided
     locations.
+
+    Before it branches, a node sweeps once with every pending state (a
+    reached live state at an undecided location) pinned at 1, and returns
+    if that rejects the initial state.  Each completion of the choices
+    gives the pending states some bits, and the sweep's value at the
+    initial state is monotone in them, as A U is a least and A R a
+    greatest fixpoint of monotone operators; so the pinned sweep bounds
+    every leaf below from above, and the cut drops only subtrees without
+    a witness.  There is no lower bound with the pending states at 0: it
+    could never hold, since each pending state is an open successor on a
+    chain of live states from the initial state, and A U and A R both
+    need every open successor in y.
     """
     g = discretize(m, f)
     inner = f
@@ -508,6 +527,9 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     reached: dict = {}
     waiting: list = []    # reached live states at undecided locations, in reach order
     leaves = []           # picked at every witnessing leaf
+    # the bit that keeps a live state's value at 1, 0 in every live state:
+    # s2 under Until (in y, never swept), s1 under Release (never leaves y)
+    pin = bytearray(s2 if until else s1)
 
     def walk(work: list) -> None:
         while work:
@@ -523,11 +545,20 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
                     work.append(t)
 
     def search() -> None:
-        loc = next((where[s] for s in waiting if picked[where[s]] is None), None)
-        if loc is None:
+        pending = [s for s in waiting if picked[where[s]] is None]
+        if not pending:
             if _pruned_holds(reached, until, s1, s2, start):
                 leaves.append(tuple(picked))
             return
+        # the bound: every pending state pinned at 1, its targets unread
+        for s in pending:
+            pin[s] = 1
+        bound = _pruned_holds(reached, until, *((s1, pin) if until else (pin, s2)), start)
+        for s in pending:
+            pin[s] = 0
+        if not bound:
+            return
+        loc = where[pending[0]]
         marks = len(reached), len(waiting)
         for i in range(len(cand[loc])):
             picked[loc] = i

@@ -690,42 +690,6 @@ def ref_location_witnesses(m: Wta, f: TolFormula) -> list:
     return witnesses
 
 
-def ref_witness_sweeps(m: Wta, f: TolFormula) -> int:
-    """The sweeps location_witnesses needs: 0 when the game rejects f at the
-    initial state, else the number of groups of combinations of the
-    unpruned candidates that agree on the locations of the live states
-    (those the sweep may flip) reachable under them.  The walk from the
-    initial state follows every state's unblocked successors, live states'
-    only, since a state outside them keeps its bit."""
-    g = discretize(m, f)
-    inner = f
-    while isinstance(inner, logic.Freeze):
-        inner, = children(inner)
-    until = isinstance(inner, logic.Until)
-    sat = oracle_sat(g, f)
-    start = g.initial_index()
-    if not sat[inner][start]:
-        return 0
-    s1, s2 = (sat[c] for c in children(inner))
-    live = [bool(s1[s] and not s2[s]) if until else bool(s2[s] and not s1[s])
-            for s in range(len(g.states))]
-    locs = [loc.name for loc in m.locations]
-    cand = [ref_location_choice_candidates(m, loc, inner.grade) for loc in locs]
-    keys = set()
-    for combo in itertools.product(*cand):
-        succs = _ref_succ_sets(g, dict(zip(locs, combo)))
-        reached, work = {start}, [start]
-        while work:
-            s = work.pop()
-            if live[s]:
-                for t in set(succs[s]) - reached:
-                    reached.add(t)
-                    work.append(t)
-        decided = {g.states[s][0] for s in reached if live[s]}
-        keys.add(tuple((loc, c) for loc, c in zip(locs, combo) if loc in decided))
-    return len(keys)
-
-
 def ref_game(g: ExplicitGraph, n: int, s1: bytearray, s2: bytearray,
              until: bool) -> bytearray:
     """oracle.until_game (until) or release_game by plain Kleene iteration

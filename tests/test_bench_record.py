@@ -33,6 +33,15 @@ def test_probe_prints_one_row_per_process_under_any_hash_seed():
     assert min(ms1, scaled1, ms2, scaled2) > 0
 
 
+def test_witness_probe_counts_its_sweeps():
+    script = _script()
+    proc = script.run_in(ROOT, ["-c", script.PROBE, "location_witnesses", "phi1(4)"],
+                         timeout=60, hash_seed=1)
+    assert proc.returncode == 0, proc.stderr
+    size, ms, scaled, counts = json.loads(proc.stdout)
+    assert (size, counts) == (47, {"sweeps": 127})
+
+
 def test_probe_failure_names_side_and_input(tmp_path):
     with pytest.raises(RuntimeError, match=r"pipeline/k=4 failed on side bare"):
         _script().probe_rows([("bare", tmp_path), ("other", tmp_path)], [1])

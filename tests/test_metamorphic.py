@@ -21,6 +21,10 @@ Two properties of the checker alone, with no second engine:
   (Until is a least fixpoint of y = psi | (phi & pre(y)), Release a
   greatest one of y = psi & (phi | pre(y))), so a larger operand gives a
   larger Sat set.
+
+Both monotonicity properties also run on the random corpus with every
+clock constant scaled by SCALE, constants that no oracle comparison of
+the suite reaches.
 """
 
 import dataclasses
@@ -171,12 +175,12 @@ def _substituted(f: TolFormula, old: TolFormula, new: TolFormula) -> TolFormula:
     return type(f)(**fields)
 
 
-def test_sat_sets_grow_with_the_grade():
-    # each strategic subformula is raised by one grade in place, so that
-    # its freeze identifiers stay bound and the clock layout stays the
-    # same: 405 pairs over the 400 queries
+def _grade_pairs(queries) -> tuple:
+    """Each strategic subformula raised by one grade in place, so that its
+    freeze identifiers stay bound and the clock layout stays the same:
+    the pairs compared and the subformulas whose Sat set shrank."""
     pairs, shrunk = 0, []
-    for m, f in _criterion_2_queries(400):
+    for m, f in queries:
         sat = None
         for g in subformulas_by_size(f):
             if isinstance(g, (Until, Release)):
@@ -186,15 +190,16 @@ def test_sat_sets_grow_with_the_grade():
                 pairs += 1
                 if not sat[g].subset_of(more):
                     shrunk.append(print_formula(g))
-    assert pairs >= 400 and not shrunk, (pairs, shrunk[:5])
+    return pairs, shrunk
 
 
-def test_sat_sets_grow_with_the_operands():
-    # each operand of each strategic subformula is widened in place by a
-    # disjunct p, which keeps the freeze identifiers bound and the clock
-    # layout the same: 810 pairs over the 400 queries, 196 of them growing
+def _operand_pairs(queries) -> tuple:
+    """Each operand of each strategic subformula widened in place by a
+    disjunct p, which keeps the freeze identifiers bound and the clock
+    layout the same: the pairs compared, how many grew and the operands
+    whose widening shrank the Sat set."""
     pairs, grown, shrunk = 0, 0, []
-    for m, f in _criterion_2_queries(400):
+    for m, f in queries:
         sat = None
         for g in subformulas_by_size(f):
             if isinstance(g, (Until, Release)):
@@ -206,4 +211,28 @@ def test_sat_sets_grow_with_the_operands():
                     grown += not more.subset_of(sat[g])
                     if not sat[g].subset_of(more):
                         shrunk.append((side, print_formula(g)))
+    return pairs, grown, shrunk
+
+
+def test_sat_sets_grow_with_the_grade():
+    # 405 pairs over the 400 queries
+    pairs, shrunk = _grade_pairs(_criterion_2_queries(400))
+    assert pairs >= 400 and not shrunk, (pairs, shrunk[:5])
+
+
+def test_sat_sets_grow_with_the_operands():
+    # 810 pairs over the 400 queries, 196 of them growing
+    pairs, grown, shrunk = _operand_pairs(_criterion_2_queries(400))
+    assert pairs >= 800 and grown >= 150 and not shrunk, (pairs, grown, shrunk[:5])
+
+
+def test_sat_sets_grow_with_the_grade_past_the_oracle():
+    # the same 405 pairs with every clock constant scaled by SCALE
+    pairs, shrunk = _grade_pairs(scaled(m, f) for m, f in _criterion_2_queries(400))
+    assert pairs >= 400 and not shrunk, (pairs, shrunk[:5])
+
+
+def test_sat_sets_grow_with_the_operands_past_the_oracle():
+    # the same 810 pairs with every clock constant scaled by SCALE, 196 growing
+    pairs, grown, shrunk = _operand_pairs(scaled(m, f) for m, f in _criterion_2_queries(400))
     assert pairs >= 800 and grown >= 150 and not shrunk, (pairs, grown, shrunk[:5])

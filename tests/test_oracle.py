@@ -1,4 +1,5 @@
 import ast
+import collections
 import functools
 import hashlib
 import importlib.util
@@ -11,7 +12,7 @@ import pytest
 
 from helpers import (ref_closure, ref_game, ref_grid,
                      ref_location_choice_candidates, ref_location_witnesses,
-                     ref_obstruction_pred, ref_witness_sweeps, run_python)
+                     ref_obstruction_pred, run_python)
 from test_acceptance import _corpus
 from test_predecessor import shared_class_cases
 from tolmc import logic, oracle
@@ -399,41 +400,62 @@ def _counting_sweeps(monkeypatch) -> list:
 
 
 def test_witness_search_sweeps_once_per_reached_choice(monkeypatch):
-    # one sweep per group of combinations that agree on the locations of
-    # the live states they reach; re-checking every combination made 324,
-    # 567, 567 and 567 sweeps at phi1(3), phi1(4), phi2(4) and phi2(5)
+    # one bound sweep per search node with a pending state, and one leaf
+    # sweep per group of combinations that agree on the locations of the
+    # live states they reach and that no bound cut; leaf sweeps alone made
+    # 255, 383, 31 and 31 at phi1(3), phi1(4), phi2(4) and phi2(5), and
+    # re-checking every combination 324, 567, 567 and 567
     m = build_case_study()
     calls = _counting_sweeps(monkeypatch)
-    got = {}
+    got = []
     for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]:
         calls[0] = 0
         location_witnesses(m, f)
-        assert calls[0] == ref_witness_sweeps(m, f), logic.print_formula(f)
-        got[f] = calls[0]
-    assert [got[phi1(3)], got[phi1(4)], got[phi2(4)], got[phi2(5)]] == [255, 383, 31, 31]
+        got.append(calls[0])
+    assert got == [0, 0, 58, 127, 127, 0, 0, 0, 14, 14, 14]
+
+
+def _operands(g, f) -> tuple:
+    """The query's own Sat sets of the outermost strategic operator's
+    operands, as location_witnesses reads them."""
+    inner = f
+    while isinstance(inner, logic.Freeze):
+        inner, = logic.children(inner)
+    sat = oracle_sat(g, f)
+    return sat[inner.left], sat[inner.right]
 
 
 def test_witness_search_hands_the_sweep_only_live_states(monkeypatch):
     # a state the sweep cannot flip keeps its s2 bit, so the walk neither
-    # records nor enters it; keeping those states as None made 34368 keys,
-    # 7464 of them not live, over the same 1114 sweeps
+    # records nor enters it; a bound sweep differs from the query's own s1
+    # and s2 only where it pins a pending state, which is a key.  Keeping
+    # those states as None made 34368 keys, 7464 of them not live, over
+    # 1114 leaf sweeps, and leaf sweeps alone 26904 keys, 9785 at phi1(4)
     m = build_case_study()
     holds = oracle._pruned_holds
     keys = {}
+    pinned = [0]
 
     def counted(groups, until, s1, s2, start):
         flips, keeps = (s1, s2) if until else (s2, s1)
-        assert all(flips[s] and not keeps[s] for s in groups)
+        own_flips, own_keeps = own if until else own[::-1]
+        assert flips == own_flips
+        assert all(own_flips[s] and not own_keeps[s] for s in groups)
+        moved = [s for s in range(len(keeps)) if keeps[s] != own_keeps[s]]
+        assert all(s in groups and keeps[s] for s in moved)
+        pinned[0] += bool(moved)
         keys[f].append(len(groups))
         return holds(groups, until, s1, s2, start)
 
     monkeypatch.setattr(oracle, "_pruned_holds", counted)
     for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]:
         keys[f] = []
+        own = _operands(discretize(m, f), f)
         location_witnesses(m, f)
-    assert sum(map(len, keys.values())) == 1114
-    assert sum(map(sum, keys.values())) == 26904
-    assert sum(keys[phi1(4)]) == 9785
+    assert sum(map(len, keys.values())) == 354
+    assert pinned[0] == 227
+    assert sum(map(sum, keys.values())) == 6520
+    assert sum(keys[phi1(4)]) == 2576
 
 
 def test_sweep_bits_do_not_depend_on_the_key_order():
@@ -483,6 +505,33 @@ def test_witnesses_equal_reference_with_weight_zero_edges():
             assert got == ref_location_witnesses(m, f), (text, n)
             found += any(c for w in got for c in w.values())
     assert found >= 100, found  # witnesses that block an edge somewhere
+
+
+def test_witness_search_cuts_under_until_and_release(monkeypatch):
+    # a bound sweep pins each pending state, a live key and so in exactly
+    # one of s1 and s2, in the other array too, and a cut is a bound sweep
+    # that rejects the initial state; the reference comparisons above
+    # cover cuts under both operators (the 400-query corpus makes none)
+    holds = oracle._pruned_holds
+    cuts = collections.Counter()
+
+    def counted(groups, until, s1, s2, start):
+        held = holds(groups, until, s1, s2, start)
+        if not held and any(s1[s] and s2[s] for s in groups):
+            cuts[family, "U" if until else "R"] += 1
+        return held
+
+    monkeypatch.setattr(oracle, "_pruned_holds", counted)
+    family = "case study"
+    cs = build_case_study()
+    for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]:
+        location_witnesses(cs, f)
+    family = "weight zero"
+    for m, *_ in shared_class_cases(seed=20261019, weights=(0, 1, 2, 3)):
+        for n, text in itertools.product((0, 1, 2), WITNESS_ROOTS):
+            location_witnesses(m, parse_formula(text.format(n=n)))
+    assert cuts == {("case study", "R"): 133, ("weight zero", "U"): 5,
+                    ("weight zero", "R"): 1}
 
 
 def test_every_choice_witnesses_when_the_initial_state_is_fixed(monkeypatch):
