@@ -75,7 +75,7 @@ WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
 DISCRETIZE_KS = (4, 5, 6, 8)
 CHECK_KS = (4, 12, 16, 22, 30, 60, 120)
 MESH_UNTIL_KS = (4, 8, 12)
-FAN_NS = (4, 5, 6)  # n = 8 took about 20 s a run before the split stopped at the budget
+FAN_NS = (4, 6, 8, 10)  # n = 10 took about 12 s a run before the minimal-set subtraction
 PAIRS = 10          # a gain claim needs 10 alternating pairs; also the probe rounds
 WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
                     ("phi2", 3), ("phi2", 4), ("phi2", 5))

@@ -102,7 +102,7 @@ class Checker:
         if isinstance(psi, ClockAtom):
             return self.universe.map_zones(lambda loc, d: self.layout.conjoin(d, (psi,)))
         if isinstance(psi, Not):
-            return self.universe.subtract(self.sat[psi.sub])
+            return self.universe.subtract(self.sat[psi.sub], self.pred_memo.minimal)
         if isinstance(psi, And):
             return self.sat[psi.left].intersect(self.sat[psi.right])
         if isinstance(psi, Until):
@@ -131,6 +131,7 @@ class Checker:
             return fed.map_zones(lambda loc, d: extrapolate(d, k))
 
         names = [loc.name for loc in self.m.locations]
+        minimal = self.pred_memo.minimal
         y = widen(s2) if until else self.universe
         built = None  # the vee that y was built from
         iterations = 0
@@ -146,9 +147,9 @@ class Checker:
                                    if (dbms := (new if loc in changed else y).at(loc))})
             built = vee
             self.stats.note(y)
-            if not (old.subset_of(new) if until else new.subset_of(old)):
+            if not (old.subset_of(new, minimal) if until else new.subset_of(old, minimal)):
                 raise FixpointError(f"{key}: iterates must {'grow' if until else 'shrink'}")
-            if new.subset_of(old) if until else old.subset_of(new):
+            if new.subset_of(old, minimal) if until else old.subset_of(new, minimal):
                 break
         self.stats.fixpoint_iterations[key] = iterations
         return y

@@ -174,10 +174,11 @@ class PredMemo:
     per location.  locations maps (location, budget n) to the location's
     entry: the escape-pred zone list of each out-edge, the witness edge
     ids, their hit-pred zone lists and the location's result.  splits
-    counts the escape splits run, i.e. the entry misses.
+    counts the escape splits run, i.e. the entry misses.  minimal is the
+    zones.minus dict of minimal constraint sets, one per subtracted zone.
     """
 
-    __slots__ = ("escape", "hit", "complements", "locations", "splits")
+    __slots__ = ("escape", "hit", "complements", "locations", "splits", "minimal")
 
     def __init__(self):
         self.escape = RoundMemo()
@@ -185,10 +186,11 @@ class PredMemo:
         self.complements = RoundMemo()
         self.locations: dict[tuple[str, int], tuple[list, list, list, list]] = {}
         self.splits = 0
+        self.minimal: dict = {}
 
 
 def _complement(m: Wta, target: Federation, universe: Federation,
-                memo: RoundMemo) -> Federation:
+                memo: RoundMemo, minimal: dict) -> Federation:
     """universe − target, subtracting only at the locations whose
     (universe list, target list) pair memo does not hold."""
     by = {}
@@ -201,7 +203,7 @@ def _complement(m: Wta, target: Federation, universe: Federation,
             key = (hash(tuple(u)), hash(tuple(t)))
             c = memo.get(key, (u, t))
             if c is None:
-                c = difference(u, t)
+                c = difference(u, t, minimal)
                 memo.put(key, (u, t), c)
             memo.slots[loc.name] = (u, t, c)
         if c:
@@ -210,7 +212,8 @@ def _complement(m: Wta, target: Federation, universe: Federation,
 
 
 def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
-                  n: int) -> list[tuple[list, frozenset, int]]:
+                  n: int, minimal: Optional[dict] = None
+                  ) -> list[tuple[list, frozenset, int]]:
     """Split the part of a location's space that budget n affords into
     (DBMs, edges escaping into the complement, their weight) cells.
 
@@ -221,7 +224,7 @@ def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
     along every edge of the group, so a cell either blocks them all, at
     the group's summed weight, or lies outside the set.  The cells are
     the sets that one step per edge gives, in fewer fragments where the
-    DBMs of a shared list overlap."""
+    DBMs of a shared list overlap.  minimal as for zones.minus."""
     groups: dict[tuple, list[int]] = {}  # a Dbm is a flat tuple, so hashable
     for i, esc_dbms in zip(m.out_edges[loc], esc):
         if esc_dbms:
@@ -233,7 +236,7 @@ def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
         for dbms, pattern, weight in cells:
             if weight + w <= n and (inside := meet(dbms, esc_dbms)):
                 nxt.append((inside, pattern.union(ids), weight + w))
-            if outside := minus(dbms, esc_dbms):
+            if outside := minus(dbms, esc_dbms, minimal):
                 nxt.append((outside, pattern, weight))
         cells = nxt
     return cells
@@ -265,7 +268,7 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
         return entry[3]
     memo.splits += 1
     out: list = []
-    if cells := _escape_cells(m, loc, esc, universe, n):
+    if cells := _escape_cells(m, loc, esc, universe, n, memo.minimal):
         # an edge that escapes nowhere is in no cell's pattern, so it
         # witnesses every cell: its hit pred joins one base per split
         base = _reduce([d for i, esc_dbms in zip(edge_ids, esc) if not esc_dbms
@@ -294,7 +297,7 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
         memo = PredMemo()
     for kept in (memo.escape, memo.hit, memo.complements):
         kept.turn()
-    complement = _complement(m, target, universe, memo.complements)
+    complement = _complement(m, target, universe, memo.complements, memo.minimal)
     by = {}
     for loc in m.locations:
         dbms = _location_pred(m, layout, loc.name, n, target, complement, universe, memo)

@@ -35,12 +35,22 @@ conjoins y <= 0 (`conjoin_atom`), y >= 0 only where row 0 lets y go
 below 0, and frees y.  Resets commute, so the clocks are handled one at
 a time, a repeated clock as a no-op.
 
+`dbm_subtract(a, b)` splits a only on b's minimal constraint set
+(`minimal_constraints`; Larsen, Larsson, Pettersson & Yi, RTSS 1997):
+a bound of b that the others imply makes no piece of its own.  Clocks
+tied by a zero cycle (x = y, x = 3, a clock pinned at 0) form a class;
+the set keeps one cycle inside each class and, between two classes,
+one bound unless a third class implies it.  When b's constraints empty
+what is left of a, a and b are disjoint and a comes back whole.
+
 A federation keeps one reduced list of zones per location.  Operations
 share the lists they do not touch with their operands, so a list read
 from a federation (`Federation.at`) must never be mutated; two lists
 that are one object hold the same zones.  Federations and the
 obstruction predecessor combine such lists through one list algebra:
-`join`, `meet`, `minus` and `difference`.
+`join`, `meet`, `minus` and `difference`.  `minus`, the one place that
+folds `dbm_subtract` over lists, looks b's minimal sets up in a dict
+that its caller keeps for one check.
 """
 
 from __future__ import annotations
@@ -292,15 +302,74 @@ def extrapolate(d: Dbm, ks) -> Dbm:
     return out
 
 
-def dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
-    """a minus b as a list of disjoint canonical non-empty zones."""
+def minimal_constraints(d: Dbm) -> tuple:
+    """d's minimal constraint set: the row-major indices i*n + j, in
+    order, of the bounds whose closure is d and none of which the others
+    imply (Larsen, Larsson, Pettersson & Yi, RTSS 1997).
+
+    Clocks joined by a zero cycle (x - y = c: the two bounds add to
+    <= 0) form a class, and a path as tight as a bound between two
+    members stays inside their class.  A class c_1 < ... < c_k keeps the
+    one cycle c_1 -> c_2 -> ... -> c_k -> c_1.  Between classes P and Q
+    the bound on (max P, min Q) stands for all of P x Q, and it is kept
+    unless a path through a third class R is as tight (d canonical:
+    d[p][r] + d[r][q] == d[p][q]).  These are the bounds that trying
+    the bounds row by row, each row from its last column, and dropping
+    those the rest imply would keep.  Without the classes, dropping
+    every bound implied via some k would drop both halves of a zero
+    cycle."""
+    n = dbm_dim(d)
+    head = list(range(n))  # the smallest member of each clock's class
+    for i in range(n):
+        if head[i] != i:
+            continue
+        for j in range(i + 1, n):
+            dij, dji = d[i * n + j], d[j * n + i]
+            if (head[j] == j and dij < INF and dji < INF
+                    and dij + dji - ((dij | dji) & 1) == ZERO):
+                head[j] = i
+    classes: dict[int, list[int]] = {}
+    for i in range(n):
+        classes.setdefault(head[i], []).append(i)
+    out = []
+    for members in classes.values():
+        if len(members) > 1:
+            out += [i * n + j for i, j in zip(members, members[1:] + members[:1])]
+    for p_head, members in classes.items():
+        p = members[-1]
+        for q in classes:
+            b = d[p * n + q]
+            if q == p_head or b >= INF:
+                continue
+            for r in classes:
+                if r != p_head and r != q:
+                    x, y = d[p * n + r], d[r * n + q]
+                    if x < INF and y < INF and x + y - ((x | y) & 1) <= b:
+                        break
+            else:
+                out.append(p * n + q)
+    out.sort()
+    return tuple(out)
+
+
+def dbm_subtract(a: Dbm, b: Dbm, cons: Optional[tuple] = None) -> list[Dbm]:
+    """a minus b as a list of disjoint canonical non-empty zones.
+
+    The split runs over cons, b's minimal_constraints (computed when not
+    given), in order: the k-th piece is a inside the first k - 1 constraints and
+    outside the k-th, skipping those a already meets.  When a meets all
+    of them, the rest lies inside b; when they empty it, a and b are
+    disjoint, and a is returned whole instead of its pieces."""
     if len(a) != len(b):
         raise ArityError("dimension mismatch in subtraction")
     n = dbm_dim(a)
+    if cons is None:
+        cons = minimal_constraints(b)
     pieces: list[Dbm] = []
     cur: Optional[Dbm] = a
-    for ij, bb in enumerate(b):  # row-major; a diagonal entry never splits
-        if bb >= INF or cur[ij] <= bb:
+    for ij in cons:
+        bb = b[ij]
+        if cur[ij] <= bb:
             continue
         i, j = divmod(ij, n)
         piece = conjoin_bound(cur, j, i, bound_neg(bb))
@@ -308,8 +377,8 @@ def dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
             pieces.append(piece)
         cur = conjoin_bound(cur, i, j, bb)
         if cur is None:
-            return pieces
-    return pieces  # remainder lies inside b
+            return [a]
+    return pieces  # the rest lies inside b
 
 
 def contains_point(d: Dbm, point2) -> bool:
@@ -426,22 +495,24 @@ class Federation:
         return Federation(self.dim, {loc: _reduce(pieces) for loc, dbms in self._by_loc.items()
                                      if (pieces := meet(dbms, other.at(loc)))})
 
-    def subtract(self, other: "Federation") -> "Federation":
+    def subtract(self, other: "Federation", minimal: Optional[dict] = None) -> "Federation":
+        """self − other; minimal as for minus."""
         self._check_dim(other)
         return Federation(self.dim, {loc: rem for loc, dbms in self._by_loc.items()
-                                     if (rem := difference(dbms, other.at(loc)))})
+                                     if (rem := difference(dbms, other.at(loc), minimal))})
 
-    def subset_of(self, other: "Federation") -> bool:
+    def subset_of(self, other: "Federation", minimal: Optional[dict] = None) -> bool:
         """self.subtract(other).is_empty(), without building the difference:
         a zone inside a single zone of other needs no subtraction, and the
-        test stops at the first zone with a fragment left over."""
+        test stops at the first zone with a fragment left over.  minimal
+        as for minus."""
         self._check_dim(other)
         for loc, dbms in self._by_loc.items():
             theirs = other.at(loc)
             if theirs == dbms:
                 continue
             for a in dbms:
-                if not any(dbm_subset(a, b) for b in theirs) and minus([a], theirs):
+                if not any(dbm_subset(a, b) for b in theirs) and minus([a], theirs, minimal):
                     return False
         return True
 
@@ -482,21 +553,31 @@ def meet(a: list, b: list) -> list:
     return [c for x in a for y in b if (c := dbm_intersect(x, y)) is not None]
 
 
-def minus(a: list, b: list) -> list:
+def minus(a: list, b: list, minimal: Optional[dict] = None) -> list:
     """The fragments of a's zones outside every zone of b, unreduced:
-    b's zones are subtracted in turn until no fragment is left."""
+    b's zones are subtracted in turn until no fragment is left.
+
+    minimal maps a zone to its minimal_constraints and gains the zones
+    of b it lacks; a caller that subtracts the same zones again (one
+    check) passes one dict to all its calls, and none is kept longer."""
+    if minimal is None:
+        minimal = {}
     for y in b:
         if not a:
             break
-        a = [p for x in a for p in dbm_subtract(x, y)]
+        cons = minimal.get(y)
+        if cons is None:
+            cons = minimal[y] = minimal_constraints(y)
+        a = [p for x in a for p in dbm_subtract(x, y, cons)]
     return a
 
 
-def difference(a: list, b: list) -> list:
+def difference(a: list, b: list, minimal: Optional[dict] = None) -> list:
     """The reduced a − b: a itself when b is empty, _NO_ZONES when
-    nothing is left (equal lists take every zone away by themselves)."""
+    nothing is left (equal lists take every zone away by themselves).
+    minimal as for minus."""
     if not b:
         return a
     if b == a:
         return _NO_ZONES
-    return _reduce(rem) if (rem := minus(a, b)) else _NO_ZONES
+    return _reduce(rem) if (rem := minus(a, b, minimal)) else _NO_ZONES

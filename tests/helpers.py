@@ -475,24 +475,49 @@ def ref_union(a: Federation, b: Federation) -> Federation:
     return Federation(a.dim, {loc: _reduce(v) for loc, v in by.items()})
 
 
-def ref_dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
-    """a minus b split on b's bounds in dbm_subtract's order, each piece
-    closed by ref_conjoin_bound: the kernel's pieces, without its code."""
-    b = rows(b)
-    n = len(b)
-    pieces = []
-    cur, view = a, rows(a)
+def ref_minimal_constraints(b: Dbm) -> list:
+    """b's minimal constraint set by brute force: try the finite bounds
+    row by row, each row from its last column back, and drop a bound
+    when the bounds left still close to b.  The (i, j, bound) triples
+    that stay, in row-major order.
+
+    A dropped bound is implied by the ones left, and a kept one by
+    none of them (fewer bounds close to less), so the set closes to b
+    and no kept bound is redundant.  The order settles which bounds of a
+    zero cycle stay: the pairs tried last."""
+    m = rows(b)
+    n = len(m)
+    kept = {(i, j) for i in range(n) for j in range(n) if i != j and m[i][j] < INF}
     for i in range(n):
-        for j in range(n):
-            if i == j or b[i][j] >= INF or view[i][j] <= b[i][j]:
-                continue
-            piece = ref_conjoin_bound(cur, j, i, bound_neg(b[i][j]))
-            if piece is not None:
-                pieces.append(piece)
-            cur = ref_conjoin_bound(cur, i, j, b[i][j])
-            if cur is None:
-                return pieces
-            view = rows(cur)
+        for j in reversed(range(n)):
+            rest = kept - {(i, j)}
+            if rest != kept and ref_closure_of(n, {(p, q): m[p][q] for p, q in rest}) == b:
+                kept = rest
+    return sorted((i, j, m[i][j]) for i, j in kept)
+
+
+def ref_closure_of(n: int, bounds: dict) -> Dbm | None:
+    """The closed DBM of dimension n with the given {(i, j): bound}
+    entries and no others."""
+    return canonicalize(tuple(ZERO if i == j else bounds.get((i, j), INF)
+                              for i in range(n) for j in range(n)))
+
+
+def ref_dbm_subtract(a: Dbm, b: Dbm) -> list[Dbm]:
+    """a minus b split on ref_minimal_constraints(b) in row-major order,
+    each piece closed by ref_conjoin_bound, and a itself when b's
+    constraints empty it: the kernel's pieces, without its code."""
+    pieces = []
+    cur = a
+    for i, j, bij in ref_minimal_constraints(b):
+        if rows(cur)[i][j] <= bij:
+            continue
+        piece = ref_conjoin_bound(cur, j, i, bound_neg(bij))
+        if piece is not None:
+            pieces.append(piece)
+        cur = ref_conjoin_bound(cur, i, j, bij)
+        if cur is None:
+            return [a]
     return pieces
 
 

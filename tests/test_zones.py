@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from helpers import (bound_add, dbm_points, dbm_zero, fan_model, fed_equal, flat,
                      grid_points, in_dbm, in_down, in_free, in_reset, in_up,
-                     is_canonical, random_dbm, ref_conjoin_bound, ref_down,
-                     ref_free, ref_intersect, ref_reset_preimage, ref_subset,
-                     ref_subtract, ref_union, relation, reset, rows,
-                     run_python, up)
+                     is_canonical, random_dbm, ref_closure_of, ref_conjoin_bound,
+                     ref_down, ref_free, ref_intersect, ref_minimal_constraints,
+                     ref_reset_preimage, ref_subset, ref_subtract, ref_union,
+                     relation, reset, rows, run_python, up)
 from tolmc import checker
 from tolmc import zones as Z
 from tolmc.logic import parse_formula
@@ -17,7 +17,7 @@ from tolmc.zones import (INF, MAX_CONSTANT, ZERO, ArityError, Federation,
                          Zone, canonicalize, conjoin_atom, conjoin_bound,
                          dbm_intersect, dbm_subset, dbm_subtract,
                          dbm_unconstrained, down, extrapolate, free, le, lt,
-                         reset_preimage)
+                         minimal_constraints, reset_preimage)
 
 
 def constrained(dim, *atoms):
@@ -226,6 +226,15 @@ def test_subtract_nothing_keeps_set():
     assert relation(out, d) == "equal"
 
 
+def test_subtract_keeps_a_disjoint_zone_whole():
+    # a (y >= 2) meets b's bound x >= 3 but not y <= 1, so a and b are
+    # disjoint: cutting a at x = 3 first gave two pieces for nothing
+    a = constrained(3, (2, ">=", 2))
+    b = constrained(3, (1, ">=", 3), (2, "<=", 1))
+    out = dbm_subtract(a, b)
+    assert out == [a] and out[0] is a
+
+
 def test_subtract_open_interval():
     whole = constrained(2, (1, "<=", 4))
     hole = constrained(2, (1, ">", 1), (1, "<", 2))
@@ -332,19 +341,38 @@ def test_subset_of_equals_an_empty_difference():
 
 
 def test_subset_test_stops_at_the_first_uncovered_fragment(monkeypatch):
-    # building the whole difference of every termination test made 84058
-    # subtractions in zones on fan n = 6; deciding inclusion makes 43318
+    # building the whole difference of every termination test makes 4921
+    # subtractions in zones on fan n = 6, deciding inclusion 3284 (87322
+    # and 46582 when every bound of a zone split it)
     calls = 0
     subtract = Z.dbm_subtract
 
-    def counted(a, b):
+    def counted(a, b, *cons):
         nonlocal calls
         calls += 1
-        return subtract(a, b)
+        return subtract(a, b, *cons)
 
     monkeypatch.setattr(Z, "dbm_subtract", counted)
     assert not checker.check(fan_model(6), parse_formula("<#3> G ! q")).satisfied
-    assert calls < 60000, calls
+    assert calls < 4000, calls
+
+
+def test_fan_work_of_minimal_constraint_subtraction(monkeypatch):
+    # fan n = 8 noted 365 zones and made 240487 subtractions when every
+    # bound of the subtrahend split a zone and a disjoint zone came back
+    # in pieces
+    calls = 0
+    subtract = Z.dbm_subtract
+
+    def counted(a, b, *cons):
+        nonlocal calls
+        calls += 1
+        return subtract(a, b, *cons)
+
+    monkeypatch.setattr(Z, "dbm_subtract", counted)
+    verdict = checker.check(fan_model(8), parse_formula("<#4> G ! q"))
+    assert not verdict.satisfied
+    assert (verdict.stats.zones_noted, calls) == (108, 6802)
 
 
 def test_federation_membership_is_per_zone_disjunction():
@@ -407,6 +435,81 @@ def related_dbms(draw, dim, a):
     if kind == "same":
         return a
     return draw(canonical_dbms(dim, a if kind == "inside" else None))
+
+
+@st.composite
+def zero_cycle_dbms(draw, dim):
+    """A canonical_dbms zone whose clocks are tied by zero cycles on
+    purpose: pairs pinned to x_i - x_j = c (a clock pinned to a constant
+    when one of them is x_0), c read off a weak bound of the pair where
+    it has one."""
+    d = draw(canonical_dbms(dim))
+    for _ in range(draw(st.integers(1, dim))):
+        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        m = rows(d)
+        if m[i][j] < INF and m[i][j] & 1:
+            c = m[i][j] >> 1
+        elif m[j][i] < INF and m[j][i] & 1:
+            c = -(m[j][i] >> 1)
+        else:
+            c = draw(st.integers(0, 4) if j == 0 else st.integers(-4, 0) if i == 0
+                     else st.integers(-4, 4))
+        m[i][j], m[j][i] = min(m[i][j], le(c)), min(m[j][i], le(-c))
+        d = canonicalize(flat(m)) or d
+    return d
+
+
+def zero_cycle_classes(d) -> list:
+    """The sizes of d's classes of two or more clocks joined by zero cycles."""
+    n = len(rows(d))
+    tied = [{j for j in range(n) if bound_add(d[i * n + j], d[j * n + i]) == ZERO}
+            for i in range(n)]
+    return [len(c) for c in {frozenset(c) for c in tied} if len(c) > 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_minimal_constraints_close_to_the_zone_and_are_irredundant(data):
+    dim = data.draw(st.integers(2, 5))
+    b = data.draw(st.one_of(canonical_dbms(dim), zero_cycle_dbms(dim)))
+    cons = minimal_constraints(b)
+    kept = {divmod(ij, dim): b[ij] for ij in cons}
+    assert ref_closure_of(dim, kept) == b
+    for ij in kept:
+        assert ref_closure_of(dim, {k: v for k, v in kept.items() if k != ij}) != b, ij
+    assert [(i, j, bij) for (i, j), bij in kept.items()] == ref_minimal_constraints(b)
+    if dim <= 4:
+        # the pieces are disjoint and cover a − b exactly
+        a = data.draw(st.one_of(canonical_dbms(dim), zero_cycle_dbms(dim)))
+        pieces = dbm_subtract(a, b)
+        for p in grid_points(dim - 1, 3):
+            inside = [q for q in pieces if in_dbm(q, p)]
+            assert len(inside) == (in_dbm(a, p) and not in_dbm(b, p))
+
+
+def test_zero_cycle_draws_reach_classes_of_every_size():
+    # 3000 random canonical DBMs of dimension 2-4 with pinned pairs: the
+    # minimal set closes to the zone and equals the brute-force one, over
+    # classes of two clocks and of three or more
+    rng = random.Random(7)
+    sizes = {2: 0, 3: 0}
+    for _ in range(3000):
+        dim = rng.randint(2, 4)
+        d = random_dbm(rng, dim)
+        for _ in range(rng.randint(1, dim)):
+            i, j = rng.sample(range(dim), 2)
+            m = rows(d)
+            c = (m[i][j] >> 1 if m[i][j] < INF and m[i][j] & 1
+                 else rng.randint(0, 3) if j == 0 else -rng.randint(0, 3) if i == 0
+                 else rng.randint(-3, 3))
+            m[i][j], m[j][i] = min(m[i][j], le(c)), min(m[j][i], le(-c))
+            d = canonicalize(flat(m)) or d
+        for k in zero_cycle_classes(d):
+            sizes[min(k, 3)] += 1
+        kept = {divmod(ij, dim): d[ij] for ij in minimal_constraints(d)}
+        assert ref_closure_of(dim, kept) == d
+        assert [(i, j, bij) for (i, j), bij in kept.items()] == ref_minimal_constraints(d)
+    assert min(sizes.values()) >= 300, sizes
 
 
 @settings(max_examples=300, deadline=None)
