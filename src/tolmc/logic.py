@@ -13,7 +13,7 @@ The TCTL image of the grade-0 fragment shares these nodes; its only
 kinds of its own are A U and A R (TAU/TAR, which hold no grade).  Every
 node names its operands `sub` or `left`/`right`, and `children()` is the
 one place that reads them to walk a tree: the subformula order, the
-printer, formula clocks and the scope walk are written once over it.
+printer and the scope walk are written once over it.
 ClockAtom is also the atom of model guards and invariants.
 
 Parsing bounds nesting at MAX_NESTING levels, so the recursive descent,
@@ -248,6 +248,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.bound: set = set()  # the freeze identifiers bound around the current token
 
     def peek(self):
         return self.toks[self.pos]
@@ -310,8 +311,13 @@ class _Parser:
             return self.temporal()
         if t[0] == "ident" and self.toks[self.pos + 1][:2] == ("op", "."):
             var = self.next()[1]
+            if var in self.bound:  # rebinding in a nested scope has no defined meaning
+                raise FormulaError(f"freeze identifier {var!r} rebound in nested scope", t[2])
             self.next()
-            return Freeze(var, self.nested(self.unary, t[2]))
+            self.bound.add(var)
+            sub = self.nested(self.unary, t[2])
+            self.bound.remove(var)
+            return Freeze(var, sub)
         return self.primary()
 
     def temporal(self) -> TolFormula:
@@ -368,10 +374,6 @@ def parse_formula(text: str) -> TolFormula:
     f = _Parser(text).parse()
     if _height(f) > MAX_NESTING:
         raise FormulaError(TOO_DEEP)
-    for g, bound in scoped(f):
-        # rebinding a freeze identifier in a nested scope has no defined meaning
-        if isinstance(g, Freeze) and g.var in bound:
-            raise FormulaError(f"freeze identifier {g.var!r} rebound in nested scope")
     return f
 
 
@@ -491,11 +493,6 @@ def subformulas_by_size(f) -> list:
 
     walk(f)
     return sorted(sizes, key=sizes.__getitem__)
-
-
-def formula_clocks(f) -> tuple[str, ...]:
-    """Freeze-bound identifiers in first-binding order."""
-    return tuple(dict.fromkeys(g.var for g, _ in scoped(f) if isinstance(g, Freeze)))
 
 
 def _text(f):

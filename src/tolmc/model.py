@@ -2,7 +2,10 @@
 
 ClockLayout.of_query owns what a (model, formula) query fixes before
 checking: the binding check, the clock indices, the max constants and
-the invariant DBMs.  The oracle reads only names, index and kvec.
+the invariant DBMs, in one walk over the formula from the model's own
+max constants (Wta.clock_caps, one scan per model).  The invariant DBMs
+are built on first read, so the parser and the oracle build none; the
+oracle reads only names, index and kvec.
 """
 
 from __future__ import annotations
@@ -71,6 +74,16 @@ class Wta:
             by_key.setdefault(key, []).append(i)
         classes = {key: tuple(ids) for key, ids in by_key.items()}
         return tuple(classes[key] for key in keys)
+
+    @cached_property
+    def clock_caps(self) -> dict[str, int]:
+        """Each clock's max constant over the guards and invariants, in
+        declaration order; a clock never compared maps to 0."""
+        caps = dict.fromkeys(self.clocks, 0)
+        for atoms in [loc.invariant for loc in self.locations] + [e.guard for e in self.edges]:
+            for a in atoms:
+                caps[a.clock] = max(caps[a.clock], a.value)
+        return caps
 
 
 class ModelError(ValueError):
@@ -320,12 +333,26 @@ def _parse_edge(at: _Line, clocks: list[str]) -> Edge:
 
 
 def _validate(m: Wta) -> None:
-    init = m.location(m.initial)
-    for a in init.invariant:  # x <= c holds at 0, and invariants use only < and <=
-        if a.op == "<" and a.value == 0:
-            raise ModelError(E_INIT_INVARIANT,
-                             f"initial location violates its invariant at the zero valuation ({a})")
-    ClockLayout.build(m, (), {})  # raises on an unsatisfiable invariant
+    """Reject an empty invariant, without a DBM: the initial location's
+    first (init-invariant), then any location's (unsat-invariant)."""
+    a = _emptying_atom(m.location(m.initial).invariant)
+    if a is not None:
+        raise ModelError(E_INIT_INVARIANT,
+                         f"initial location violates its invariant at the zero valuation ({a})")
+    _check_invariants(m)
+
+
+def _emptying_atom(invariant: tuple[ClockAtom, ...]) -> Optional[ClockAtom]:
+    """Invariants are < and <= bounds on naturals, so one has a valuation
+    exactly when it holds at 0: when it has no `x < 0` atom, returned here."""
+    return next((a for a in invariant if a.op == "<" and a.value == 0), None)
+
+
+def _check_invariants(m: Wta) -> None:
+    for loc in m.locations:
+        if _emptying_atom(loc.invariant):
+            raise ModelError(E_UNSAT_INVARIANT,
+                             f"location {loc.name!r} has an unsatisfiable invariant")
 
 
 def serialize_model(m: Wta) -> str:
@@ -366,42 +393,47 @@ class ScaleError(RuntimeError):
 class ClockLayout:
     """Index layout for DBMs: 0 is the reference, then automaton clocks in
     declaration order, then formula clocks in first-binding order; with
-    the max constant of each index and the invariant DBM of each location."""
+    the max constant of each index and the invariant DBM of each location,
+    built on first read."""
 
     names: tuple[str, ...]
     index: dict = field(compare=False)
-    dim: int = 0
-    kvec: tuple[int, ...] = ()
-    invariants: dict = field(default_factory=dict, compare=False)
+    dim: int
+    kvec: tuple[int, ...]
+    model: Wta = field(compare=False, repr=False)
 
     @staticmethod
     def of_query(m: Wta, f: logic.TolFormula) -> "ClockLayout":
-        """The layout of checking f on m, once f's clock atoms and freeze
-        binders are known to bind in m."""
+        """The layout of checking f on m, in one walk over f: it checks that
+        f's clock atoms and freeze binders bind in m, and raises each
+        clock's max constant to the constants of f's atoms on it."""
+        caps = dict(m.clock_caps)  # then the formula clocks, in first-binding order
         for g, scope in logic.scoped(f):
-            if isinstance(g, logic.Freeze) and g.var in m.clocks:
-                raise CheckError(f"freeze identifier {g.var!r} collides with an automaton clock")
-            if isinstance(g, ClockAtom) and g.clock not in m.clocks \
-                    and g.clock not in scope:
-                raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
-        return ClockLayout.build(m, logic.formula_clocks(f), max_constants(m, f))
+            if isinstance(g, logic.Freeze):
+                if g.var in m.clocks:
+                    raise CheckError(f"freeze identifier {g.var!r} collides with an "
+                                     "automaton clock")
+                caps.setdefault(g.var, 0)
+            elif isinstance(g, ClockAtom):
+                if g.clock not in m.clocks and g.clock not in scope:
+                    raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
+                caps[g.clock] = max(caps[g.clock], g.value)
+        return ClockLayout.build(m, tuple(caps)[len(m.clocks):], caps)
 
     @staticmethod
     def build(m: Wta, formula_clocks: Iterable[str], kmap: dict) -> "ClockLayout":
         names = ("0",) + m.clocks + tuple(formula_clocks)
         if len(names) > MAX_DIM:
             raise CheckError(f"{len(names) - 1} clocks; a query may use at most {MAX_DIM - 1}")
-        index = {c: i for i, c in enumerate(names)}
+        _check_invariants(m)
         kvec = tuple(0 if n == "0" else kmap.get(n, 0) for n in names)
-        layout = ClockLayout(names, index, len(names), kvec)
-        for loc in m.locations:
-            d = layout.conjoin(dbm_unconstrained(layout.dim), loc.invariant)
-            if d is None:
-                # stricter than the definition requires; see design notes
-                raise ModelError(E_UNSAT_INVARIANT,
-                                 f"location {loc.name!r} has an unsatisfiable invariant")
-            layout.invariants[loc.name] = d
-        return layout
+        return ClockLayout(names, {c: i for i, c in enumerate(names)}, len(names), kvec, m)
+
+    @cached_property
+    def invariants(self) -> dict[str, Dbm]:
+        """The invariant DBM of each location."""
+        full = dbm_unconstrained(self.dim)
+        return {loc.name: self.conjoin(full, loc.invariant) for loc in self.model.locations}
 
     def conjoin(self, d: Dbm, atoms) -> Optional[Dbm]:
         """d intersected with each `clock op value` atom; None once empty."""
@@ -410,23 +442,3 @@ class ClockLayout:
             if d is None:
                 return None
         return d
-
-
-def max_constants(m: Wta, formula: logic.TolFormula) -> dict[str, int]:
-    """Per-clock max constant over guards, invariants and formula atoms.
-
-    Clocks never compared map to 0; the formula's clocks are included.
-    """
-    out: dict[str, int] = {c: 0 for c in m.clocks}
-    for loc in m.locations:
-        for a in loc.invariant:
-            out[a.clock] = max(out[a.clock], a.value)
-    for e in m.edges:
-        for a in e.guard:
-            out[a.clock] = max(out[a.clock], a.value)
-    for g, _ in logic.scoped(formula):
-        if isinstance(g, logic.Freeze):
-            out.setdefault(g.var, 0)
-        elif isinstance(g, ClockAtom):
-            out[g.clock] = max(out.get(g.clock, 0), g.value)
-    return out

@@ -31,7 +31,7 @@ states still waiting for a choice pinned at 1, that cuts the subtrees
 no choice below can make witness).  The differential grid comparison reads the
 states a plain step walk from the initial state reaches (reachable).
 Clock order and caps come from model.ClockLayout.of_query, which also
-rejects unbound or colliding formula clocks; no DBM is read.  Coordinates are
+rejects unbound or colliding formula clocks; no DBM is built.  Coordinates are
 stored doubled (1 unit = half a time unit), so arithmetic stays integral:
 each guard, invariant and clock atom is compiled once per query into
 (coordinate, comparison, doubled constant).

@@ -445,22 +445,6 @@ class Federation:
         self.dim = dim
         self._by_loc = by_loc
 
-    @staticmethod
-    def empty(dim: int) -> "Federation":
-        return Federation(dim, {})
-
-    @staticmethod
-    def of_zones(dim: int, zones: Iterable[Zone]) -> "Federation":
-        by: dict = {}
-        for z in zones:
-            if z.dbm is None:
-                raise ValueError("federations hold no empty zones")
-            if dbm_dim(z.dbm) != dim:
-                raise ArityError(f"zone of dimension {dbm_dim(z.dbm)} "
-                                 f"in a federation of dimension {dim}")
-            by.setdefault(z.loc, []).append(z.dbm)
-        return Federation(dim, {k: _reduce(v) for k, v in by.items()})
-
     def zones(self) -> Iterator[Zone]:
         for loc in self._by_loc:
             for d in self._by_loc[loc]:
@@ -469,9 +453,6 @@ class Federation:
     def at(self, loc: str) -> list:
         """loc's zone list; a location without zones gets _NO_ZONES."""
         return self._by_loc.get(loc, _NO_ZONES)
-
-    def is_empty(self) -> bool:
-        return not self._by_loc
 
     def restrict(self, locs: Iterable[str]) -> "Federation":
         """The part of self at the given locations."""
@@ -502,7 +483,7 @@ class Federation:
                                      if (rem := difference(dbms, other.at(loc), minimal))})
 
     def subset_of(self, other: "Federation", minimal: Optional[dict] = None) -> bool:
-        """self.subtract(other).is_empty(), without building the difference:
+        """Whether self.subtract(other) is empty, without building it:
         a zone inside a single zone of other needs no subtraction, and the
         test stops at the first zone with a fragment left over.  minimal
         as for minus."""

@@ -210,6 +210,33 @@ def random_dbm(rng: random.Random, dim: int, cmax: int = 5, tries: int = 50):
     return dbm_unconstrained(dim)
 
 
+def empty_fed(dim: int) -> Federation:
+    """The federation of no states."""
+    return Federation(dim, {})
+
+
+def is_empty(fed: Federation) -> bool:
+    return not fed.zone_count()
+
+
+def of_zones(dim: int, zones) -> Federation:
+    """The federation of the given zones, each location's list reduced."""
+    by: dict = {}
+    for z in zones:
+        if z.dbm is None:
+            raise ValueError("federations hold no empty zones")
+        if dbm_dim(z.dbm) != dim:
+            raise ArityError(f"zone of dimension {dbm_dim(z.dbm)} "
+                             f"in a federation of dimension {dim}")
+        by.setdefault(z.loc, []).append(z.dbm)
+    return Federation(dim, {k: _reduce(v) for k, v in by.items()})
+
+
+def formula_clocks(f: TolFormula) -> tuple[str, ...]:
+    """Freeze-bound identifiers in first-binding order."""
+    return tuple(dict.fromkeys(g.var for g, _ in scoped(f) if isinstance(g, logic.Freeze)))
+
+
 def fed_equal(a: Federation, b: Federation) -> bool:
     """Whether two federations hold the same valuations."""
     return a.subset_of(b) and b.subset_of(a)
@@ -217,11 +244,11 @@ def fed_equal(a: Federation, b: Federation) -> bool:
 
 def fed_at(layout: ClockLayout, loc: str, dbms: list) -> Federation:
     """The federation of the zone list dbms at loc."""
-    return Federation.of_zones(layout.dim, (Zone(loc, d) for d in dbms))
+    return of_zones(layout.dim, (Zone(loc, d) for d in dbms))
 
 
 def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
-    out = Federation.empty(layout.dim)
+    out = empty_fed(layout.dim)
     for e in m.edges:
         out = out.union(fed_at(layout, e.source, pred(m, layout, e, target)))
     return out
@@ -297,7 +324,7 @@ def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
     """
     complement = universe.subtract(target)
     hit_cache: dict = {}
-    out = Federation.empty(layout.dim)
+    out = empty_fed(layout.dim)
     for loc in m.locations:
         edge_ids = m.out_edges[loc.name]
         for dbms, pattern in _ref_escape_cells(m, layout, loc.name, complement, universe):
@@ -308,13 +335,12 @@ def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                 if require_witness else edge_ids
             if not witnesses:
                 continue
-            hits = Federation.empty(layout.dim)
+            hits = empty_fed(layout.dim)
             for i in witnesses:
                 if i not in hit_cache:
                     hit_cache[i] = fed_at(layout, loc.name, pred(m, layout, m.edges[i], target))
                 hits = hits.union(hit_cache[i])
-            cell_fed = Federation.of_zones(
-                layout.dim, (Zone(loc.name, d) for d in dbms))
+            cell_fed = of_zones(layout.dim, (Zone(loc.name, d) for d in dbms))
             out = out.union(cell_fed.intersect(hits))
     return out
 
@@ -567,7 +593,7 @@ def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,
                              random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt))
     var = f"v{depth}"
     sub = random_tol_ast(rng, max_depth=max_depth, cmax=cmax, depth=nxt)
-    return logic.Freeze(var, sub) if var not in logic.formula_clocks(sub) else sub
+    return logic.Freeze(var, sub) if var not in formula_clocks(sub) else sub
 
 
 def run_python(code: str, *flags: str, timeout: float = 120) -> subprocess.CompletedProcess:

@@ -1,6 +1,7 @@
+from helpers import formula_clocks
 from tolmc.case_study import build_case_study, edge_index, phi1, phi2
 from tolmc.checker import check
-from tolmc.logic import And, Freeze, Release, formula_clocks
+from tolmc.logic import And, Freeze, Release
 from tolmc.model import parse_model, serialize_model
 from tolmc.oracle import differential, oracle_check
 

@@ -214,6 +214,13 @@ def test_too_many_clocks_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: 256 clocks")
     code, out, _ = run(capsys, "check", str(model), "-f", "p")
     assert code == 0 and out.splitlines() == ["SAT"]
+    # 256 automaton clocks and no freeze clock: the query, not the parse, is too wide
+    clocks = " ".join(f"c{i}" for i in range(256))
+    model.write_text(f"wta\nclocks {clocks}\nlocation l init labels p\n")
+    for cmd in ("check", "oracle", "diff"):
+        code, out, err = run(capsys, cmd, str(model), "-f", "p")
+        assert code == 2 and out == "", cmd
+        assert err.startswith("error: 256 clocks"), cmd
 
 
 def test_oracle_command(capsys):

@@ -1,5 +1,7 @@
 """Code nobody uses is deleted: every definition of the package and of the
-test helpers is named somewhere besides its own definition."""
+test helpers is named somewhere besides its own definition, and code only
+tests use lives in tests: every definition of the package is named in the
+program's own code."""
 
 import ast
 import re
@@ -34,3 +36,25 @@ def test_every_definition_is_named_elsewhere():
                       if not (name.startswith("__") and name.endswith("__")))
     unused = sorted(name for name, n in defined.items() if words[name] <= n)
     assert not unused, unused
+
+
+def _code_names(path: Path):
+    """The identifiers that path's code names, as a name, an attribute or
+    an import; comments, docstrings and other strings name none."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_definition_is_named_by_program_code():
+    named = {name for top in ("src", "scripts", "perfbench")
+             for path in (ROOT / top).rglob("*.py") if path.name != "__init__.py"
+             for name in _code_names(path)}
+    defined = {name for path in (ROOT / "src" / "tolmc").glob("*.py")
+               for name in _definitions(path)
+               if not (name.startswith("__") and name.endswith("__"))}
+    assert not defined - named, sorted(defined - named)

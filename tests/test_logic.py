@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from helpers import random_tol_ast, run_python, size
+from helpers import formula_clocks, random_tol_ast, run_python, size
 from tolmc import logic
 from tolmc.logic import (FALSE, TAR, TAU, TRUE, And, Atom, ClockAtom,
                          FormulaError, FragmentError, Freeze, Not, Release,
-                         Until, formula_clocks, parse_formula, print_formula,
+                         Until, parse_formula, print_formula,
                          subformulas_by_size, to_tctl)
 
 
@@ -69,6 +69,16 @@ def test_malformed_grade():
 def test_shadowing_rejected():
     with pytest.raises(FormulaError):
         parse_formula("j . <#0> F (j . j <= 1)")
+
+
+@pytest.mark.parametrize("text", ["j . <#0> F (j . j <= 1)",
+                                  "j . <#0> (p W (q & ! j . j <= 1))"])
+def test_rebinding_error_points_at_the_inner_binder(text):
+    at = text.index("j .", 1)
+    with pytest.raises(FormulaError, match="freeze identifier 'j' rebound in nested scope") \
+            as err:
+        parse_formula(text)
+    assert err.value.pos == at and str(err.value).endswith(f"(at char {at})")
 
 
 def test_sibling_freeze_scopes_allowed():
@@ -166,8 +176,18 @@ def test_children_of_every_node_kind_in_both_trees():
         assert logic.children(node) == ops
 
 
+def _layout(m, f):
+    """f's clock layout on m, or the binding error that stops it."""
+    from tolmc.model import CheckError, ClockLayout
+
+    try:
+        return ClockLayout.of_query(m, f)
+    except CheckError as e:
+        return str(e)
+
+
 def test_walks_agree_on_the_tctl_image():
-    from tolmc.model import max_constants, parse_model
+    from tolmc.model import parse_model
 
     m = parse_model("wta\nclocks x y\nlocation l init invariant x <= 3\n"
                     "edge l -> l action a guard y >= 2 reset x weight 1\n")
@@ -178,7 +198,7 @@ def test_walks_agree_on_the_tctl_image():
         assert subformulas_by_size(t) == [to_tctl(g) for g in subformulas_by_size(f)]
         assert formula_clocks(t) == formula_clocks(f)
         assert size(t) == size(f)
-        assert max_constants(m, t) == max_constants(m, f)
+        assert _layout(m, t) == _layout(m, f)
         assert print_formula(t) == print_formula(f).replace("<#0> (", "A (")
 
 

@@ -32,10 +32,11 @@ import random
 
 import pytest
 
+from helpers import formula_clocks
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker, check
 from tolmc.logic import (Atom, ClockAtom, Freeze, Or, Release, TolFormula, Until,
-                         formula_clocks, parse_formula, print_formula, subformulas_by_size)
+                         parse_formula, print_formula, subformulas_by_size)
 from tolmc.model import Edge, Location, Wta
 from tolmc.randgen import random_formula, random_wta
 

@@ -7,7 +7,7 @@ from tolmc import logic
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1
 from tolmc.logic import ClockAtom
-from tolmc.model import ModelError, max_constants, parse_model, serialize_model
+from tolmc.model import ClockLayout, ModelError, parse_model, serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -154,16 +154,27 @@ location l1
 edge l0 -> l1 action go guard x <= 2 weight 1
 """)
     f = logic.parse_formula("j . <#0> F (j <= 7 & p)")
-    assert max_constants(m, f) == {"x": 2, "j": 7}
+    layout = ClockLayout.of_query(m, f)
+    assert (layout.names, layout.kvec) == (("0", "x", "j"), (0, 2, 7))
 
 
 def test_max_constants_all_zero():
     m = parse_model("wta\nclocks x\nlocation l init\n")
-    assert max_constants(m, logic.TRUE) == {"x": 0}
+    assert m.clock_caps == {"x": 0}
+
+
+def test_layout_walks_the_formula_once(monkeypatch):
+    m, f = build_case_study(), phi1(3)
+    walked = []
+    scoped = logic.scoped
+    monkeypatch.setattr(logic, "scoped", lambda f: walked.append(f) or scoped(f))
+    layout = ClockLayout.of_query(m, f)
+    assert walked == [f] and layout.names == ("0", "x", "j")
 
 
 def test_max_constants_case_study():
-    ks = max_constants(build_case_study(), phi1(3))
+    layout = ClockLayout.of_query(build_case_study(), phi1(3))
+    ks = dict(zip(layout.names, layout.kvec))
     assert ks["j"] == 3
     assert ks["x"] == 1
 

@@ -20,7 +20,7 @@ from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import check
 from tolmc.logic import FragmentError, parse_formula, subformulas_by_size, to_tctl
-from tolmc.model import ScaleError, parse_model
+from tolmc.model import ScaleError, parse_model, serialize_model
 from tolmc.oracle import (differential, discretize, location_choice_candidates,
                           location_witnesses, oracle_check, oracle_sat,
                           tctl_check)
@@ -163,7 +163,7 @@ def test_step_target_entries_count_toward_max_states():
         import resource, time
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
         from tolmc.logic import parse_formula
-        from tolmc.model import ScaleError, parse_model
+        from tolmc.model import ScaleError, parse_model, serialize_model
         from tolmc.oracle import discretize
         m = parse_model("wta\\nclocks x\\nlocation l init\\n"
                         "edge l -> l action a guard x <= 16000 weight 1\\n")
@@ -578,7 +578,7 @@ def test_witness_choice_cap_stops_the_enumeration():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
         from tolmc import oracle
         from tolmc.logic import parse_formula
-        from tolmc.model import ScaleError, parse_model
+        from tolmc.model import ScaleError, parse_model, serialize_model
         oracle.MAX_CHOICES = 1000
         m = parse_model("wta\\nlocation l init\\n" + "".join(
             f"edge l -> l action a{i} weight 0\\n" for i in range(30)))
@@ -739,3 +739,48 @@ def test_oracle_reuses_no_checker_internals():
                           if src not in allowed and src not in sys.stdlib_module_names
                           and src != "__future__"]
     assert not wrong, wrong
+
+
+def _zones_calls(run) -> int:
+    """The calls into zones.py while run() runs, counted by a profile hook
+    on every Python call, so that no import style hides one."""
+    from tolmc import zones
+
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == zones.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_parser_and_oracle_build_no_dbm():
+    # the static test above reads oracle.py's imports; this one also sees
+    # what the model layer runs on the oracle's behalf
+    m, f = build_case_study(), phi1(4)
+    assert _zones_calls(lambda: check(m, f)) > 0  # the hook sees the checker's calls
+    # the case study, and one query of each of 20 models of the criterion 2
+    # corpus (oracle) and the criterion 1 corpus (TCTL)
+    case = serialize_model(m)
+    graded = [(case, f)] + [(serialize_model(qm), qf) for qm, qf in itertools.islice(
+        _corpus(20260811, grades=(0, 1, 2, 3)), 0, 400, 20)]
+    grade0 = [(case, phi1(0))] + [(serialize_model(qm), qf) for qm, qf in itertools.islice(
+        _corpus(20260810, grades=(0,)), 0, 400, 20)]
+
+    def run():
+        for text, g in graded:
+            qm = parse_model(text)
+            discretize(qm, g)
+            oracle_check(qm, g)
+        for text, g in grade0:
+            tctl_check(parse_model(text), to_tctl(g))
+        location_witnesses(m, f)
+
+    assert _zones_calls(run) == 0

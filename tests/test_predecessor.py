@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from helpers import (EscapeProfile, fan_model, fed_at, fed_equal, grid_points, pred_union,
-                     random_dbm, ref_escape_cells, ref_escape_profiles, ref_obstruction_pred,
-                     run_python, sat2)
+from helpers import (EscapeProfile, empty_fed, fan_model, fed_at, fed_equal, grid_points,
+                     of_zones, pred_union, random_dbm, ref_escape_cells, ref_escape_profiles,
+                     ref_obstruction_pred, run_python, sat2)
 from tolmc import checker, predecessor, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
-from tolmc.logic import (TRUE, ClockAtom, formula_clocks, parse_formula, print_formula,
-                         subformulas_by_size)
-from tolmc.model import ClockLayout, Edge, Location, Wta, max_constants, parse_model
+from tolmc.logic import ClockAtom, parse_formula, print_formula, subformulas_by_size
+from tolmc.model import ClockLayout, Edge, Location, Wta, parse_model
 from tolmc.predecessor import (RoundMemo, _escape_cells, disc_pred, full_space,
                                obstruction_pred, pred, time_pred)
 from tolmc.randgen import CLOSED_OPS, WEIGHTS, random_formula, random_wta
@@ -134,7 +133,7 @@ def test_pred_allows_zero_delay():
 def test_pred_empty_target():
     m = parse_model(TWO_LOC)
     layout = layout_for(m)
-    assert pred(m, layout, m.edges[0], Federation.empty(layout.dim)) == []
+    assert pred(m, layout, m.edges[0], empty_fed(layout.dim)) == []
 
 
 def grid_time_pred(m, layout, target, cmax):
@@ -160,9 +159,8 @@ def test_pipeline_step_pred_matches_grid():
     from tolmc.bench import gen_pipeline
 
     m, f = gen_pipeline(4)
-    ks = max_constants(m, f)
-    layout = ClockLayout.build(m, formula_clocks(f), ks)
-    cmax = max(ks.values())
+    layout = ClockLayout.of_query(m, f)
+    cmax = max(layout.kvec)
     from tolmc.zones import conjoin_atom
 
     j = layout.index["j"]
@@ -255,8 +253,7 @@ def test_obstruction_subset_of_pred_union_and_monotone():
     rng = random.Random(97)
     for _ in range(25):
         m = random_wta(rng, max_clocks=1, max_locations=3, max_edges=4, cmax=2)
-        ks = max_constants(m, TRUE)
-        layout = ClockLayout.build(m, (), ks)
+        layout = ClockLayout.build(m, (), m.clock_caps)
         universe = full_space(m, layout)
         labelled = [loc.name for loc in m.locations if "p" in loc.labels]
         target = universe.map_zones(lambda l, d: d if l in labelled else None)
@@ -326,7 +323,7 @@ def test_escape_profiles_partition_and_cost():
         assert isinstance(prof, EscapeProfile)
         assert prof.escape_cost == sum(m.edges[i].weight for i in prof.escaping_edges)
     # cells cover the location's space and are pairwise disjoint
-    cover = Federation.of_zones(layout.dim, [Zone("l", p.cell) for p in profiles])
+    cover = of_zones(layout.dim, [Zone("l", p.cell) for p in profiles])
     assert fed_equal(cover, universe.map_zones(lambda l, d: d if l == "l" else None))
     for i, a in enumerate(profiles):
         for b in profiles[i + 1:]:
@@ -374,7 +371,7 @@ def shared_class_wta(rng, weights=WEIGHTS):
 def random_target(rng, m, layout, universe):
     zones = [Zone(rng.choice(m.locations).name, random_dbm(rng, layout.dim, cmax=3))
              for _ in range(rng.randint(0, 4))]
-    return Federation.of_zones(layout.dim, zones).intersect(universe)
+    return of_zones(layout.dim, zones).intersect(universe)
 
 
 def shared_class_cases(seed=20261018, weights=WEIGHTS):
@@ -384,7 +381,7 @@ def shared_class_cases(seed=20261018, weights=WEIGHTS):
     for _ in range(60):
         m = shared_class_wta(rng, weights)
         fclocks = ("j",) if rng.random() < 0.3 else ()
-        layout = ClockLayout.build(m, fclocks, max_constants(m, TRUE) | {"j": 2})
+        layout = ClockLayout.build(m, fclocks, m.clock_caps | {"j": 2})
         universe = full_space(m, layout)
         labelled = {loc.name for loc in m.locations if "p" in loc.labels}
         targets = [universe.map_zones(lambda l, d: d if l in labelled else None),
@@ -584,7 +581,7 @@ def parallel_edge_cases(seed=20261020):
                       for r in range(rng.randint(2, 3))]
         rng.shuffle(edges)
         m = Wta(clocks, locations, "l0", tuple(edges))
-        layout = ClockLayout.build(m, (), max_constants(m, TRUE))
+        layout = ClockLayout.build(m, (), m.clock_caps)
         universe = full_space(m, layout)
         targets = []
         for _ in range(2):
@@ -599,13 +596,13 @@ def parallel_edge_cases(seed=20261020):
                         d = d and conjoin_atom(d, i, "<=", low + 2)
                     if d is not None:
                         zones.append(Zone(loc, d))
-            targets.append(Federation.of_zones(layout.dim, zones))
+            targets.append(of_zones(layout.dim, zones))
         yield m, layout, universe, targets
 
 
 def cell_sets(layout, loc, cells):
     """The states of each (pattern, weight) cell of an escape split."""
-    return {(pattern, weight): Federation.of_zones(layout.dim, (Zone(loc, d) for d in dbms))
+    return {(pattern, weight): of_zones(layout.dim, (Zone(loc, d) for d in dbms))
             for dbms, pattern, weight in cells}
 
 

@@ -6,9 +6,10 @@ parse round trip; subformula order fixes the bottom-up Sat order; clock
 order fixes the DBM layout and therefore the dump_sat output.
 """
 
+from helpers import formula_clocks
 from tolmc.logic import (TAR, TAU, TRUE, And, Atom, ClockAtom, Freeze, Not,
-                         Release, Until, formula_clocks, parse_formula,
-                         print_formula, subformulas_by_size, to_tctl)
+                         Release, Until, parse_formula, print_formula,
+                         subformulas_by_size, to_tctl)
 
 P, Q = Atom("p"), Atom("q")
 
