@@ -50,7 +50,8 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     times; each probe input runs PAIRS rounds of one call on the first
     side, the second, the second and the first before the next input,
     so a slow phase of the host lands on both sides of a row; each timed
-    call is one fresh process (warmed by an untimed call) under the
+    call is one fresh process (warmed by an untimed call on inputs built
+    apart from the timed call's, so it times no kept layout or graph) under the
     round's pair seed as PYTHONHASHSEED (`probe_hash_seeds`), so no side
     keeps one memory layout or hash seed for the whole run,
   - the tier-1 wall time: one pytest run per side, one after the other,
@@ -95,7 +96,10 @@ PYCACHE = Path("build", "pycache")  # per side, under the side's directory
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 # one timed call: `python -c PROBE LAYER NAME` builds the input, calls it
-# once untimed, so the timed call runs warm, and prints one JSON line
+# once untimed, so the timed call runs warm, builds the input again, so
+# the timed call gets new model and formula objects that keep nothing of
+# the warm call (a model object keeps its layouts and graphs), and prints
+# one JSON line
 # [size, ms, scaled ms] (check and witness rows add their counters),
 # calibrating the host clock before and after the timed call.  fan(n) is
 # tests/helpers.py::fan_model and mesh_until(k)
@@ -158,8 +162,8 @@ ROWS = {"check": (query, check_row),
         "location_witnesses": (witness_query, witness_row)}
 layer, name = sys.argv[1:]
 build, row = ROWS[layer]
-m, f = build(name)
-row(m, f)
+row(*build(name))
+m, f = build(name)  # fresh objects: nothing the warm call built on them is kept
 clock = HostClock()
 clock.calibrate()
 t0 = time.perf_counter()

@@ -24,8 +24,12 @@ Trees share nodes: `W` reuses its right operand, so a tree of nested
 `W` doubles per level while its node count only grows linearly.  Every
 walk here therefore costs the number of distinct nodes, not the tree
 size: each node caches its hash, `subformulas_by_size` memoises sizes,
-`scoped` visits a shared node once per set of bound identifiers and the
-parser's height bound measures a shared node once.
+and `scoped` visits a shared node once per set of bound identifiers.
+The parser counts each node's height (the most connectives on a path
+down to a leaf of the desugared tree) as it builds it: `!`, `&`, a
+freeze and each graded operator add one level over their operands, `|`
+three, `->` two over its left and three over its right operand, and `W`
+four; `false` is one level.
 """
 
 from __future__ import annotations
@@ -264,49 +268,56 @@ class _Parser:
             raise FormulaError(f"expected {value or kind}, got {_shown(t)}", t[2])
         return t
 
-    def nested(self, parse, at: int) -> TolFormula:
+    def nested(self, parse, at: int) -> tuple:
         """Run one parse method a nesting level deeper."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise FormulaError(TOO_DEEP, at)
-        f = parse()
+        parsed = parse()
         self.depth -= 1
-        return f
+        return parsed
 
-    def parse(self) -> TolFormula:
-        f = self.implies()
+    # Each parse method returns (node, height), the height counted over
+    # the desugared tree (see the module docstring).
+
+    def parse(self) -> tuple:
+        parsed = self.implies()
         t = self.peek()
         if t[0] != "eof":
             raise FormulaError(f"trailing input {_shown(t)}", t[2])
-        return f
+        return parsed
 
-    def implies(self) -> TolFormula:
-        left = self.disj()
+    def implies(self) -> tuple:
+        left, h = self.disj()
         t = self.peek()
         if t[:2] == ("op", "->"):
             self.next()
-            return Implies(left, self.nested(self.implies, t[2]))
-        return left
+            right, hr = self.nested(self.implies, t[2])
+            return Implies(left, right), max(h + 2, hr + 3)
+        return left, h
 
-    def disj(self) -> TolFormula:
-        f = self.conj()
+    def disj(self) -> tuple:
+        f, h = self.conj()
         while self.peek()[:2] == ("op", "|"):
             self.next()
-            f = Or(f, self.conj())
-        return f
+            right, hr = self.conj()
+            f, h = Or(f, right), max(h, hr) + 3
+        return f, h
 
-    def conj(self) -> TolFormula:
-        f = self.unary()
+    def conj(self) -> tuple:
+        f, h = self.unary()
         while self.peek()[:2] == ("op", "&"):
             self.next()
-            f = And(f, self.unary())
-        return f
+            right, hr = self.unary()
+            f, h = And(f, right), max(h, hr) + 1
+        return f, h
 
-    def unary(self) -> TolFormula:
+    def unary(self) -> tuple:
         t = self.peek()
         if t[:2] == ("op", "!"):
             self.next()
-            return Not(self.nested(self.unary, t[2]))
+            sub, h = self.nested(self.unary, t[2])
+            return Not(sub), h + 1
         if t[0] == "grade":
             return self.temporal()
         if t[0] == "ident" and self.toks[self.pos + 1][:2] == ("op", "."):
@@ -315,44 +326,46 @@ class _Parser:
                 raise FormulaError(f"freeze identifier {var!r} rebound in nested scope", t[2])
             self.next()
             self.bound.add(var)
-            sub = self.nested(self.unary, t[2])
+            sub, h = self.nested(self.unary, t[2])
             self.bound.remove(var)
-            return Freeze(var, sub)
+            return Freeze(var, sub), h + 1
         return self.primary()
 
-    def temporal(self) -> TolFormula:
+    def temporal(self) -> tuple:
         n = self.expect("grade")[1]
         t = self.peek()
         if t[:2] == ("kw", "F"):
             self.next()
-            return Finally(n, self.nested(self.unary, t[2]))
+            sub, h = self.nested(self.unary, t[2])
+            return Finally(n, sub), h + 1
         if t[:2] == ("kw", "G"):
             self.next()
-            return Globally(n, self.nested(self.unary, t[2]))
+            sub, h = self.nested(self.unary, t[2])
+            return Globally(n, sub), max(h, 1) + 1  # FALSE is one level
         self.expect("op", "(")
-        left = self.nested(self.implies, t[2])
+        left, hl = self.nested(self.implies, t[2])
         op = self.next()
         if op[0] != "kw" or op[1] not in ("U", "R", "W"):
             raise FormulaError(f"expected U, R or W inside graded operator, got {_shown(op)}",
                                op[2])
-        right = self.nested(self.implies, op[2])
+        right, hr = self.nested(self.implies, op[2])
         self.expect("op", ")")
         if op[1] == "U":
-            return Until(n, left, right)
+            return Until(n, left, right), max(hl, hr) + 1
         if op[1] == "R":
-            return Release(n, left, right)
-        return WeakUntil(n, left, right)
+            return Release(n, left, right), max(hl, hr) + 1
+        return WeakUntil(n, left, right), max(hl, hr) + 4  # the Or of both, then R
 
-    def primary(self) -> TolFormula:
+    def primary(self) -> tuple:
         t = self.next()
         if t[:2] == ("kw", "true"):
-            return TRUE
+            return TRUE, 0
         if t[:2] == ("kw", "false"):
-            return FALSE
+            return FALSE, 1
         if t[:2] == ("op", "("):
-            f = self.nested(self.implies, t[2])
+            parsed = self.nested(self.implies, t[2])
             self.expect("op", ")")
-            return f
+            return parsed
         if t[0] == "ident":
             nxt = self.peek()
             if nxt[0] == "cmp":
@@ -363,16 +376,16 @@ class _Parser:
                 value = numeral_value(v[1])
                 if value is None:
                     raise FormulaError(f"clock constant {v[1]} exceeds {MAX_CONSTANT}", v[2])
-                return ClockAtom(t[1], op, value)
-            return Atom(t[1])
+                return ClockAtom(t[1], op, value), 0
+            return Atom(t[1]), 0
         if t[0] == "eof":
             raise FormulaError("unexpected end of formula", t[2])
         raise FormulaError(f"unexpected token {t[1]!r}", t[2])
 
 
 def parse_formula(text: str) -> TolFormula:
-    f = _Parser(text).parse()
-    if _height(f) > MAX_NESTING:
+    f, height = _Parser(text).parse()
+    if height > MAX_NESTING:
         raise FormulaError(TOO_DEEP)
     return f
 
@@ -462,21 +475,6 @@ def scoped(f):
         if isinstance(g, Freeze):
             bound = bound | {g.var}
         stack.extend((c, bound) for c in reversed(children(g)))
-
-
-def _height(f) -> int:
-    """The most connectives on any path from f down to a leaf, over the
-    distinct nodes and off an explicit stack, clear of the recursion limit."""
-    height: dict = {}  # node id -> its height
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        todo = [c for c in children(g) if id(c) not in height]
-        if todo:
-            stack.extend(todo)
-        else:
-            height[id(stack.pop())] = max((height[id(c)] + 1 for c in children(g)), default=0)
-    return height[id(f)]
 
 
 def subformulas_by_size(f) -> list:

@@ -6,6 +6,13 @@ the invariant DBMs, in one walk over the formula from the model's own
 max constants (Wta.clock_caps, one scan per model).  The invariant DBMs
 are built on first read, so the parser and the oracle build none; the
 oracle reads only names, index and kvec.
+
+A parsed Wta object keeps what its queries fix for as long as it lives:
+the layout of each formula object (Wta.layouts, so the checker, the
+oracle and the differential harness walk a formula once) and the
+oracle's graph of each layout (Wta.graphs, filled by oracle.discretize).
+Nothing is kept at module level or keyed by text: an equal Wta object
+builds its own, and a failed build keeps nothing.
 """
 
 from __future__ import annotations
@@ -84,6 +91,23 @@ class Wta:
             for a in atoms:
                 caps[a.clock] = max(caps[a.clock], a.value)
         return caps
+
+    @cached_property
+    def layouts(self) -> dict:
+        """id(formula) -> (formula, its ClockLayout) for the formula objects
+        queried on this object; the entry holds the formula, so its id
+        stays its own."""
+        return {}
+
+    @cached_property
+    def graphs(self) -> dict:
+        """ClockLayout -> the oracle's graph for it, built by
+        oracle.discretize and never changed after."""
+        return {}
+
+    def __getstate__(self):
+        # a copy or pickle is another object: it builds its own layouts and graphs
+        return {k: v for k, v in self.__dict__.items() if k not in ("layouts", "graphs")}
 
 
 class ModelError(ValueError):
@@ -406,7 +430,12 @@ class ClockLayout:
     def of_query(m: Wta, f: logic.TolFormula) -> "ClockLayout":
         """The layout of checking f on m, in one walk over f: it checks that
         f's clock atoms and freeze binders bind in m, and raises each
-        clock's max constant to the constants of f's atoms on it."""
+        clock's max constant to the constants of f's atoms on it.  The
+        walk runs once per model object and formula object: m keeps the
+        layout, and a later call returns it."""
+        kept = m.layouts.get(id(f))
+        if kept is not None:
+            return kept[1]
         caps = dict(m.clock_caps)  # then the formula clocks, in first-binding order
         for g, scope in logic.scoped(f):
             if isinstance(g, logic.Freeze):
@@ -418,7 +447,9 @@ class ClockLayout:
                 if g.clock not in m.clocks and g.clock not in scope:
                     raise CheckError(f"clock atom on unbound identifier {g.clock!r}")
                 caps[g.clock] = max(caps[g.clock], g.value)
-        return ClockLayout.build(m, tuple(caps)[len(m.clocks):], caps)
+        layout = ClockLayout.build(m, tuple(caps)[len(m.clocks):], caps)
+        m.layouts[id(f)] = (f, layout)
+        return layout
 
     @staticmethod
     def build(m: Wta, formula_clocks: Iterable[str], kmap: dict) -> "ClockLayout":

@@ -31,7 +31,12 @@ states still waiting for a choice pinned at 1, that cuts the subtrees
 no choice below can make witness).  The differential grid comparison reads the
 states a plain step walk from the initial state reaches (reachable).
 Clock order and caps come from model.ClockLayout.of_query, which also
-rejects unbound or colliding formula clocks; no DBM is built.  Coordinates are
+rejects unbound or colliding formula clocks; no DBM is built.  The graph
+depends on the model and the layout only, so the model object keeps it
+(Wta.graphs, one per equal layout) and every entry point reads the kept
+graph: oracle_check then location_witnesses, or differential then
+tctl_check on the formula's TCTL image, walk once.  Nothing changes a
+graph once it is built.  Coordinates are
 stored doubled (1 unit = half a time unit), so arithmetic stays integral:
 each guard, invariant and clock atom is compiled once per query into
 (coordinate, comparison, doubled constant).
@@ -68,7 +73,7 @@ def _compiled(layout: ClockLayout, a: logic.ClockAtom) -> tuple:
     return layout.index[a.clock] - 1, _CMP[a.op], 2 * a.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplicitGraph:
     m: Wta
     layout: ClockLayout
@@ -81,9 +86,22 @@ class ExplicitGraph:
 
 
 def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
-    """Build the states of the capped half-integer quotient that the
-    initial state's Sat bits read, numbered in the order the walk finds them."""
+    """The states of the capped half-integer quotient that the initial
+    state's Sat bits read, numbered in the order the walk finds them.
+
+    The graph depends on m and f's layout only, so m keeps it
+    (Wta.graphs): every later query on the same model object with an
+    equal layout reads it, and a query that raises ScaleError keeps
+    nothing."""
     layout = ClockLayout.of_query(m, f)
+    g = m.graphs.get(layout)
+    if g is None:
+        g = m.graphs[layout] = _walk(m, layout)
+    return g
+
+
+def _walk(m: Wta, layout: ClockLayout) -> ExplicitGraph:
+    """discretize's forward walk from the initial state."""
     top = tuple(2 * (layout.kvec[i] + 1) for i in range(1, layout.dim))  # doubled caps
     inv = {loc.name: tuple(_compiled(layout, a) for a in loc.invariant) for loc in m.locations}
     shapes: dict = {}  # per location: edges by (guard, resets), one landing per shape
@@ -273,14 +291,15 @@ def tctl_sweep(groups: dict, s1: bytearray, s2: bytearray, until: bool) -> bytea
 
 # -- bottom-up satisfaction over the explicit graph --------------------------
 
-def oracle_sat(g: ExplicitGraph, f) -> dict:
-    """Sat sets for every subformula.  Graded operators go to the
-    per-state game fixpoint; A U / A R (the TCTL image's TAU/TAR) go to
-    the textbook sweep over every state's step groups, none blocked."""
+def oracle_sat(g: ExplicitGraph, f, order=None) -> dict:
+    """Sat sets for every subformula, in order (default:
+    subformulas_by_size(f)).  Graded operators go to the per-state game
+    fixpoint; A U / A R (the TCTL image's TAU/TAR) go to the textbook
+    sweep over every state's step groups, none blocked."""
     sat: dict = {}
     n = len(g.states)
     groups = None
-    for psi in logic.subformulas_by_size(f):
+    for psi in order or logic.subformulas_by_size(f):
         if isinstance(psi, logic.TrueF):
             sat[psi] = bytearray([1]) * n
         elif isinstance(psi, logic.Atom):
@@ -323,11 +342,13 @@ def tctl_check(m: Wta, f: logic.TolFormula) -> bool:
     """Textbook TCTL verdict on the discretization: oracle_sat's loop, in
     which a TCTL formula (one with no graded Until/Release, such as a
     to_tctl image) reaches only tctl_sweep and never the games
-    (used to validate the grade-0 fragment)."""
-    if any(isinstance(g, (logic.Until, logic.Release))
-           for g in logic.subformulas_by_size(f)):
+    (used to validate the grade-0 fragment).  The type check and the
+    loop read one subformula order."""
+    order = logic.subformulas_by_size(f)
+    if any(isinstance(psi, (logic.Until, logic.Release)) for psi in order):
         raise TypeError(f"not a TCTL formula: {logic.short_text(f)}")
-    return oracle_check(m, f)
+    g = discretize(m, f)
+    return bool(oracle_sat(g, f, order)[f][g.initial_index()])
 
 
 # -- differential harness -----------------------------------------------------

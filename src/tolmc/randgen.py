@@ -178,4 +178,5 @@ def _formula_shrinks(f: TolFormula):
             yield node(f.grade, s, f.right)
         for s in _formula_shrinks(f.right):
             yield node(f.grade, f.left, s)
-        yield node(f.grade, logic.TRUE, f.right)
+        if f.left != logic.TRUE:  # else the candidate is f itself, and shrinking never ends
+            yield node(f.grade, logic.TRUE, f.right)

@@ -563,6 +563,22 @@ def size(f) -> int:
     return sum(1 for g, _ in scoped(f) if children(g))
 
 
+def ref_height(f) -> int:
+    """The most connectives on any path from f down to a leaf, over the
+    distinct nodes and off an explicit stack: the reference for the
+    parser's nesting bound."""
+    height: dict = {}  # node id -> its height
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        todo = [c for c in children(g) if id(c) not in height]
+        if todo:
+            stack.extend(todo)
+        else:
+            height[id(stack.pop())] = max((height[id(c)] + 1 for c in children(g)), default=0)
+    return height[id(f)]
+
+
 def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,
                    depth: int = 0) -> TolFormula:
     """Arbitrary desugared ASTs (any grades, fresh freeze vars);

@@ -1,5 +1,5 @@
-"""scripts/bench_record.py: one fresh process per timed probe call, and
-its usage errors."""
+"""scripts/bench_record.py: one fresh process per timed probe call on
+inputs of its own, and its usage errors."""
 
 import importlib.util
 import json
@@ -40,6 +40,34 @@ def test_witness_probe_counts_its_sweeps():
     assert proc.returncode == 0, proc.stderr
     size, ms, scaled, counts = json.loads(proc.stdout)
     assert (size, counts) == (47, {"sweeps": 127})
+
+
+# put before PROBE: records the (model, formula) objects of every layout
+# request, which each probe layer makes once per call
+SPY = """
+import atexit, json, sys
+from tolmc.model import ClockLayout
+queries, of_query = [], ClockLayout.of_query
+def spy(m, f):
+    queries.append((m, f))
+    return of_query(m, f)
+ClockLayout.of_query = staticmethod(spy)
+atexit.register(lambda: print(json.dumps([len(queries), len({id(m) for m, _ in queries}),
+                                          len({id(f) for _, f in queries})]), file=sys.stderr))
+"""
+
+
+@pytest.mark.parametrize("layer, name", [("check", "mesh/k=4"), ("discretize", "mesh/k=4"),
+                                         ("location_witnesses", "phi1(4)")])
+def test_timed_call_gets_objects_of_its_own(layer, name):
+    # a model object keeps its layouts and graphs, so a timed call on the
+    # warm call's objects would time dict reads
+    script = _script()
+    proc = script.run_in(ROOT, ["-c", SPY + script.PROBE, layer, name], timeout=60,
+                         hash_seed=1)
+    assert proc.returncode == 0, proc.stderr
+    calls, models, formulas = json.loads(proc.stderr.splitlines()[-1])
+    assert (calls, models, formulas) == (2, 2, 2)
 
 
 def test_probe_failure_names_side_and_input(tmp_path):

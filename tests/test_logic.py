@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import formula_clocks, random_tol_ast, run_python, size
+from helpers import formula_clocks, random_tol_ast, ref_height, run_python, size
 from tolmc import logic
 from tolmc.logic import (FALSE, TAR, TAU, TRUE, And, Atom, ClockAtom,
                          FormulaError, FragmentError, Freeze, Not, Release,
@@ -212,6 +212,51 @@ def test_nesting_bound_counts_parser_levels_and_connectives():
                  "p -> " * (n // 2 + 1) + "p", "p | " * (n // 3 + 1) + "p"):
         with pytest.raises(FormulaError, match=f"nests deeper than {n} levels"):
             parse_formula(text)
+
+
+# chains of one connective whose desugared height is pad + levels * k:
+# the innermost operand is "!" * pad + "p", the connective is outermost
+NESTED_CHAINS = {
+    "!": (1, lambda k, pad: "!" * (k + pad) + "p"),
+    "&": (1, lambda k, pad: "!" * pad + "p" + " & p" * k),
+    "|": (3, lambda k, pad: "!" * pad + "p" + " | p" * k),
+    "->": (3, lambda k, pad: "p -> " * k + "!" * pad + "p"),
+    "W": (4, lambda k, pad: "<#0> (p W " * k + "!" * pad + "p" + ")" * k),
+    "freeze": (1, lambda k, pad: "".join(f"j{i} . " for i in range(k)) + "!" * pad + "p"),
+}
+
+
+@pytest.mark.parametrize("connective", sorted(NESTED_CHAINS))
+def test_nesting_bound_is_the_desugared_height(connective):
+    n = logic.MAX_NESTING
+    levels, chain = NESTED_CHAINS[connective]
+    k, pad = divmod(n, levels)
+    f = parse_formula(chain(k, pad))
+    assert ref_height(f) == n
+    text = chain(k, pad + 1)
+    with pytest.raises(FormulaError, match=f"nests deeper than {n} levels"):
+        parse_formula(text)
+
+
+def test_parser_heights_equal_the_reference():
+    rng = random.Random(2026)
+
+    def text(depth):
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice(("p", "q", "true", "false", "x <= 2", "j >= 1"))
+        a, b = text(depth - 1), text(depth - 1)
+        return rng.choice((f"!{a}", f"({a} & {b})", f"{a} & {b}", f"({a} | {b})",
+                           f"{a} | {b}", f"({a} -> {b})", f"{a} -> ({b})",
+                           f"<#1> ({a} U {b})", f"<#0> ({a} R {b})", f"<#2> ({a} W {b})",
+                           f"<#1> F {a}", f"<#1> G {a}", f"<#0> G ({a})", f"k . {a}"))
+
+    for _ in range(2000):
+        source = text(6)
+        try:
+            f, height = logic._Parser(source).parse()
+        except FormulaError:  # a rebound k
+            continue
+        assert height == ref_height(f), source
 
 
 def test_deepest_weak_until_nest_parses_and_checks():

@@ -1,9 +1,11 @@
 import ast
 import collections
+import copy
 import functools
 import hashlib
 import importlib.util
 import itertools
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -20,7 +22,8 @@ from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1, phi2
 from tolmc.checker import check
 from tolmc.logic import FragmentError, parse_formula, subformulas_by_size, to_tctl
-from tolmc.model import ScaleError, parse_model, serialize_model
+from tolmc.model import (CheckError, ClockLayout, ScaleError, parse_model,
+                         serialize_model)
 from tolmc.oracle import (differential, discretize, location_choice_candidates,
                           location_witnesses, oracle_check, oracle_sat,
                           tctl_check)
@@ -784,3 +787,106 @@ def test_parser_and_oracle_build_no_dbm():
         location_witnesses(m, f)
 
     assert _zones_calls(run) == 0
+
+
+# -- what a model object keeps of its queries ---------------------------------
+
+def _counted(monkeypatch, module, name) -> list:
+    """Count the calls of module.name through its module global."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_graph_walk_per_model_object_and_layout(monkeypatch):
+    from tolmc import model
+
+    walks = _counted(monkeypatch, oracle, "_walk")
+    scopes = _counted(monkeypatch, model.logic, "scoped")
+    m = parse_model(ONE_CLOCK)
+    f = parse_formula("j . <#0> (x <= 1 U (p & j >= 2))")
+    assert differential(m, f).agree
+    t = to_tctl(f)
+    orders = _counted(monkeypatch, logic, "subformulas_by_size")
+    assert tctl_check(m, t) == check(m, f).satisfied
+    assert len(orders) == 2  # one for the type check and the sweep, one for check
+    # the checker, the oracle and the image share one graph; f and its
+    # image are two formula objects, so two layout walks
+    assert (len(walks), len(scopes)) == (1, 2)
+    assert discretize(m, t) is discretize(m, f)
+
+    for f in (phi1(4), phi2(5)):
+        walks.clear()
+        cs = build_case_study()
+        assert oracle_check(cs, f)
+        assert location_witnesses(cs, f)
+        assert len(walks) == 1
+    # a grade is no clock constant: phi2(4) and phi2(5) have equal layouts
+    assert oracle_check(cs, phi2(4)) and len(walks) == 1
+
+
+def test_an_equal_model_object_walks_again(monkeypatch):
+    walks = _counted(monkeypatch, oracle, "_walk")
+    m1, m2 = parse_model(ONE_CLOCK), parse_model(ONE_CLOCK)
+    f = parse_formula("<#0> F p")
+    assert m1 == m2 and m1 is not m2
+    g1, g2 = discretize(m1, f), discretize(m2, f)
+    assert len(walks) == 2 and g1 is not g2 and g1.states == g2.states
+    # an equal formula object gets a layout of its own, and the kept graph
+    g = parse_formula("<#0> F p")
+    assert ClockLayout.of_query(m1, g) is not ClockLayout.of_query(m1, f)
+    assert discretize(m1, g) is g1 and len(walks) == 2
+    # a copy or a pickle is another object: it keeps nothing of m1's
+    for other in (copy.copy(m1), pickle.loads(pickle.dumps(m1))):
+        assert other == m1 and not other.graphs and not other.layouts
+        assert discretize(other, f) is not g1
+
+
+def test_a_failed_walk_keeps_nothing(monkeypatch):
+    m = parse_model("wta\nclocks x\nlocation l init\n"
+                    "edge l -> l action a guard x <= 100000 weight 1\n")
+    f = parse_formula("<#0> F true")
+    monkeypatch.setattr("tolmc.oracle.MAX_STATES", 10_000)
+    for _ in range(2):
+        with pytest.raises(ScaleError, match="states"):
+            discretize(m, f)
+        assert not m.graphs
+    with pytest.raises(CheckError):
+        ClockLayout.of_query(m, parse_formula("z <= 1"))
+    assert list(m.layouts) == [id(f)]
+
+
+def _graph_snapshot(g) -> tuple:
+    return list(g.states), dict(g.index), [list(groups) for groups in g.steps]
+
+
+def test_a_kept_graph_reads_as_a_fresh_one():
+    # every entry point reading one kept graph sees what a fresh build
+    # gives, and none of them changes it
+    cs = build_case_study()
+    for f in [phi1(t) for t in range(1, 6)] + [phi2(t) for t in range(1, 7)]:
+        g = discretize(cs, f)
+        before = _graph_snapshot(g)
+        verdict = oracle_check(cs, f)
+        kept = location_witnesses(cs, f)
+        assert discretize(cs, f) is g and _graph_snapshot(g) == before
+        fresh_m = build_case_study()
+        assert kept == location_witnesses(fresh_m, f)
+        assert verdict == oracle_check(fresh_m, f)
+    for m, f in itertools.islice(_corpus(20260811, grades=(0, 1, 2, 3)), 0, 400, 4):
+        text = serialize_model(m)
+        used = parse_model(text)
+        differential(used, f, deep=True)
+        g = discretize(used, f)
+        before = _graph_snapshot(g)
+        fresh = discretize(parse_model(text), f)
+        assert _graph_snapshot(fresh) == before
+        kept_bits, fresh_bits = oracle_sat(g, f), oracle_sat(fresh, f)
+        assert list(kept_bits) == list(fresh_bits)
+        assert all(kept_bits[psi] == fresh_bits[psi] for psi in kept_bits)
+        assert _graph_snapshot(g) == before
