@@ -878,11 +878,12 @@ def test_a_kept_graph_reads_as_a_fresh_one():
         fresh_m = build_case_study()
         assert kept == location_witnesses(fresh_m, f)
         assert verdict == oracle_check(fresh_m, f)
+    used: dict = {}  # one model object per corpus model, queried with all its formulas
     for m, f in itertools.islice(_corpus(20260811, grades=(0, 1, 2, 3)), 0, 400, 4):
         text = serialize_model(m)
-        used = parse_model(text)
-        differential(used, f, deep=True)
-        g = discretize(used, f)
+        used = used if text in used else {text: parse_model(text)}
+        differential(used[text], f, deep=True)
+        g = discretize(used[text], f)
         before = _graph_snapshot(g)
         fresh = discretize(parse_model(text), f)
         assert _graph_snapshot(fresh) == before
