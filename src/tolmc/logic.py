@@ -16,6 +16,11 @@ one place that reads them to walk a tree: the subformula order, the
 printer and the scope walk are written once over it.
 ClockAtom is also the atom of model guards and invariants.
 
+The tokenizer is one compiled pattern with a named alternative per
+token kind, scanned with finditer; comparisons come from zones.OPS, so
+the tokenizer and the clock atoms share one operator set.  is_identifier
+is the one identifier rule of formulas and of model names.
+
 Parsing bounds nesting at MAX_NESTING levels, so the recursive descent,
 the recursive walks and the dataclass hashing of a parsed formula stay
 inside Python's default recursion limit.
@@ -34,6 +39,7 @@ four; `false` is one level.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .zones import MAX_CONSTANT, OPS
@@ -183,62 +189,52 @@ def numeral_value(digits: str) -> int | None:
     return value if value <= MAX_CONSTANT else None
 
 
-def _tokenize(text: str):
+# One named alternative per token kind, tried in this order at each
+# position: `<#` opens a grade (malformed when no `n>` follows) before `<`
+# is a comparison, and the comparisons of OPS are tried longest first.
+# For str patterns `\s` is str.isspace and `\w` is str.isalnum or '_'.
+_WORD = re.compile(r"\w+")
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("space", r"\s+"),
+    ("grade", r"<#(?:[0-9]+>)?"),
+    ("op", r"->|[!&|().]"),
+    ("cmp", "|".join(map(re.escape, sorted(OPS, key=len, reverse=True)))),
+    ("nat", r"[0-9]+"),
+    ("word", _WORD.pattern),
+    ("bad", r"."),
+)))
+
+
+def is_identifier(word: str) -> bool:
+    """Whether word names a proposition, clock or freeze identifier, in a
+    formula or a model: a letter (str.isalpha) or '_', then letters,
+    digits (str.isalnum) or '_'.  The start is checked apart, because
+    [^\\W\\d] also admits '²', '½' and 'Ⅻ'."""
+    return _WORD.fullmatch(word) is not None and (word[0].isalpha() or word[0] == "_")
+
+
+def _tokenize(text: str) -> list:
+    """The (kind, value, position) tokens of text, then an eof token."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, value, at = m.lastgroup, m.group(), m.start()
+        if kind == "space":
             continue
-        if text.startswith("<#", i):
-            j = i + 2
-            while j < n and is_numeral(text[j]):
-                j += 1
-            if j == i + 2 or j >= n or text[j] != ">":
-                raise FormulaError("malformed grade annotation, expected <#n>", i)
-            grade = numeral_value(text[i + 2:j])
-            if grade is None:
-                raise FormulaError(f"grade {text[i + 2:j]} exceeds {MAX_CONSTANT}", i + 2)
-            toks.append(("grade", grade, i))
-            i = j + 1
-            continue
-        if text.startswith("->", i):
-            toks.append(("op", "->", i))
-            i += 2
-            continue
-        if text.startswith("<=", i) or text.startswith(">=", i):
-            toks.append(("cmp", text[i:i + 2], i))
-            i += 2
-            continue
-        if ch in "<>=":
-            toks.append(("cmp", ch, i))
-            i += 1
-            continue
-        if ch in "!&|().":
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        if is_numeral(ch):
-            j = i
-            while j < n and is_numeral(text[j]):
-                j += 1
-            toks.append(("nat", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                toks.append(("kw", word, i))
-            else:
-                toks.append(("ident", word, i))
-            i = j
-            continue
-        raise FormulaError(f"unexpected character {ch!r}", i)
-    toks.append(("eof", None, n))
+        if kind == "grade":
+            digits = value[2:-1]  # empty when no `n>` follows `<#`
+            if not digits:
+                raise FormulaError("malformed grade annotation, expected <#n>", at)
+            value = numeral_value(digits)
+            if value is None:
+                raise FormulaError(f"grade {digits} exceeds {MAX_CONSTANT}", at + 2)
+        elif kind == "word":
+            if not is_identifier(value):
+                raise FormulaError(f"unexpected character {value[0]!r}", at)
+            kind = "kw" if value in _KEYWORDS else "ident"
+        elif kind == "bad":
+            raise FormulaError(f"unexpected character {value!r}", at)
+        toks.append((kind, value, at))
+    toks.append(("eof", None, len(text)))
     return toks
 
 
@@ -370,8 +366,6 @@ class _Parser:
             nxt = self.peek()
             if nxt[0] == "cmp":
                 op = self.next()[1]
-                if op not in OPS:
-                    raise FormulaError(f"bad comparison {op!r}", nxt[2])
                 v = self.expect("nat")
                 value = numeral_value(v[1])
                 if value is None:

@@ -207,8 +207,7 @@ class _Line:
 
 
 def _check_ident(tok: str, lineno: int) -> None:
-    if not tok or not (tok[0].isalpha() or tok[0] == "_") or not all(
-            ch.isalnum() or ch == "_" for ch in tok):
+    if not logic.is_identifier(tok):
         raise ModelError(E_SYNTAX, f"bad identifier {tok!r}", lineno)
 
 

@@ -101,12 +101,10 @@ class RoundMemo:
     """Results kept by the value of the inputs they were computed from,
     for two rounds (obstruction_pred calls).
 
-    cur maps a key to (inputs, result) for the entries read since the
-    last turn(), prev for those of the round before; turn() drops prev
-    and makes cur the new prev, so an entry read in neither of the last
-    two rounds is gone.  The key carries hashes of the inputs, not a
-    copy, and a hit also compares the inputs kept with ==, so a hash
-    collision is a miss, not a wrong result.  In front of the lookup,
+    cur maps a key, the inputs' value, to the result for the entries
+    read since the last turn(), prev for those of the round before;
+    turn() drops prev and makes cur the new prev, so an entry read in
+    neither of the last two rounds is gone.  In front of the lookup,
     slots keeps per use (an edge id, a location) the last (input object,
     result), answered on identity without hashing.  computed counts the
     results computed, i.e. the misses.
@@ -124,18 +122,17 @@ class RoundMemo:
         self.prev, self.cur = self.cur, self.prev
         self.cur.clear()
 
-    def get(self, key, inputs):
-        """The result kept under key for inputs equal to these, or None."""
-        entry = self.cur.get(key)
-        if entry is None:
-            entry = self.prev.get(key)
-            if entry is None:
-                return None
-            self.cur[key] = entry
-        return entry[1] if entry[0] == inputs else None
+    def get(self, key):
+        """The result kept under key, or None."""
+        result = self.cur.get(key)
+        if result is None:
+            result = self.prev.get(key)
+            if result is not None:
+                self.cur[key] = result
+        return result
 
-    def put(self, key, inputs, result) -> None:
-        self.cur[key] = (inputs, result)
+    def put(self, key, result) -> None:
+        self.cur[key] = result
         self.computed += 1
 
 
@@ -155,11 +152,11 @@ def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
     slot = memo.slots.get(i)
     if slot is not None and slot[0] is tgt:
         return slot[1]
-    key = (m.edge_class[i][0], hash(tuple(tgt)))
-    dbms = memo.get(key, tgt)
+    key = (m.edge_class[i][0], tuple(tgt))
+    dbms = memo.get(key)
     if dbms is None:
         dbms = time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
-        memo.put(key, tgt, dbms)
+        memo.put(key, dbms)
     memo.slots[i] = (tgt, dbms)
     return dbms
 
@@ -200,11 +197,11 @@ def _complement(m: Wta, target: Federation, universe: Federation,
         if slot is not None and slot[0] is u and slot[1] is t:
             c = slot[2]
         else:
-            key = (hash(tuple(u)), hash(tuple(t)))
-            c = memo.get(key, (u, t))
+            key = (tuple(u), tuple(t))
+            c = memo.get(key)
             if c is None:
                 c = difference(u, t, minimal)
-                memo.put(key, (u, t), c)
+                memo.put(key, c)
             memo.slots[loc.name] = (u, t, c)
         if c:
             by[loc.name] = c

@@ -579,6 +579,69 @@ def ref_height(f) -> int:
     return height[id(f)]
 
 
+def ref_tokenize(text: str):
+    """The formula tokenizer as a loop over characters: the reference
+    for logic._tokenize, tokens and errors alike."""
+    is_numeral, numeral_value = logic.is_numeral, logic.numeral_value
+    FormulaError, MAX_CONSTANT = logic.FormulaError, logic.MAX_CONSTANT
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("<#", i):
+            j = i + 2
+            while j < n and is_numeral(text[j]):
+                j += 1
+            if j == i + 2 or j >= n or text[j] != ">":
+                raise FormulaError("malformed grade annotation, expected <#n>", i)
+            grade = numeral_value(text[i + 2:j])
+            if grade is None:
+                raise FormulaError(f"grade {text[i + 2:j]} exceeds {MAX_CONSTANT}", i + 2)
+            toks.append(("grade", grade, i))
+            i = j + 1
+            continue
+        if text.startswith("->", i):
+            toks.append(("op", "->", i))
+            i += 2
+            continue
+        if text.startswith("<=", i) or text.startswith(">=", i):
+            toks.append(("cmp", text[i:i + 2], i))
+            i += 2
+            continue
+        if ch in "<>=":
+            toks.append(("cmp", ch, i))
+            i += 1
+            continue
+        if ch in "!&|().":
+            toks.append(("op", ch, i))
+            i += 1
+            continue
+        if is_numeral(ch):
+            j = i
+            while j < n and is_numeral(text[j]):
+                j += 1
+            toks.append(("nat", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word in logic._KEYWORDS:
+                toks.append(("kw", word, i))
+            else:
+                toks.append(("ident", word, i))
+            i = j
+            continue
+        raise FormulaError(f"unexpected character {ch!r}", i)
+    toks.append(("eof", None, n))
+    return toks
+
+
 def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,
                    depth: int = 0) -> TolFormula:
     """Arbitrary desugared ASTs (any grades, fresh freeze vars);

@@ -676,9 +676,9 @@ def test_memo_keeps_only_entries_read_in_the_last_two_rounds(monkeypatch):
     rounds: list[set] = []
     get, vee = RoundMemo.get, checker.obstruction_pred
 
-    def recorded_get(self, key, inputs):
+    def recorded_get(self, key):
         rounds[-1].add((id(self), key))
-        return get(self, key, inputs)
+        return get(self, key)
 
     def recorded_vee(*args):
         rounds.append(set())
