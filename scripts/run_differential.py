@@ -54,7 +54,7 @@ def main() -> int:
                 print("DISAGREEMENT (minimized):")
                 print(serialize_model(small_m))
                 print(print_formula(small_f))
-                print(report)
+                print(differential(small_m, small_f, deep=args.deep))
     print(f"{runs} runs, {disagreements} disagreements, {time.time() - t0:.1f}s")
     return 1 if disagreements else 0
 

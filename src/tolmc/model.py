@@ -139,7 +139,9 @@ E_CONSTANT_RANGE = "constant-range"
 
 
 def parse_model(text: str) -> Wta:
-    """Parse and validate the line-oriented model format."""
+    """Parse and validate the line-oriented model format.  Lines end at
+    LF, CR LF or CR only, as under open()'s universal newlines; a form
+    feed or other Unicode line separator is whitespace inside a line."""
     clocks: list[str] = []
     locations: list[Location] = []
     names: set[str] = set()
@@ -147,7 +149,8 @@ def parse_model(text: str) -> Wta:
     initial: Optional[str] = None
     saw_header = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         at = _Line(raw, lineno)
         toks = at.toks
         if not toks:

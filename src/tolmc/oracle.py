@@ -8,7 +8,9 @@ discretize builds only the states a Sat bit at the initial state reads:
 it walks forward from there (Alur & Dill, TCS 1994, on the digitized
 grid of Henzinger, Manna & Pnueli, ICALP 1992) under step targets and
 the formula clocks' freeze-reset images, since a step group reads its
-targets, an atom its own state and a freeze its reset image.  A point's
+targets, an atom its own state and a freeze its reset image.  States are
+numbered in walk order (the initial state is 0), and the walk records
+every state's reset image per formula clock (images).  A point's
 successors per edge are its own edge landings joined with those of its
 half-unit delay successor next(v) = min(v + 1, cap), taken while next(v)
 moves and the invariant holds there (an upper-bound invariant never
@@ -77,12 +79,9 @@ def _compiled(layout: ClockLayout, a: logic.ClockAtom) -> tuple:
 class ExplicitGraph:
     m: Wta
     layout: ClockLayout
-    states: list                    # (loc_name, coords) with coords doubled
-    index: dict                     # state -> position
+    states: list                    # (loc_name, coords) with coords doubled; 0 is initial
+    images: dict                    # formula clock -> per state: its reset image's number
     steps: list                     # per state: list of (edge_idx, weight, targets tuple)
-
-    def initial_index(self) -> int:
-        return self.index[(self.m.initial, (0,) * (self.layout.dim - 1))]
 
 
 def discretize(m: Wta, f: logic.TolFormula) -> ExplicitGraph:
@@ -110,7 +109,8 @@ def _walk(m: Wta, layout: ClockLayout) -> ExplicitGraph:
         guard = tuple(_compiled(layout, a) for a in e.guard)
         shapes.setdefault(e.source, {}).setdefault((guard, resets), []) \
             .append((ei, e.target, inv[e.target]))
-    frozen = range(len(m.clocks), layout.dim - 1)  # the formula clocks' coordinates
+    images: dict = {j: [] for j in layout.names[len(m.clocks) + 1:]}  # the formula clocks
+    frozen = [(layout.index[j] - 1, image) for j, image in images.items()]
     states = [(m.initial, (0,) * (layout.dim - 1))]
     index = {states[0]: 0}
     memo: dict = {loc.name: {} for loc in m.locations}  # chain point -> its step groups
@@ -163,13 +163,15 @@ def _walk(m: Wta, layout: ClockLayout) -> ExplicitGraph:
     for loc, coords in states:  # states grows as the walk finds new ones
         groups = memo[loc].get(coords)
         steps.append(sweep(loc, coords) if groups is None else groups)
-        for ci in frozen:
+        for ci, image in frozen:
             key = (loc, coords[:ci] + (0,) + coords[ci + 1:])
-            if key not in index:
-                index[key] = len(states)
+            t = index.get(key)
+            if t is None:
+                t = index[key] = len(states)
                 states.append(key)
                 spent += 1
-    return ExplicitGraph(m, layout, states, index, steps)
+            image.append(t)
+    return ExplicitGraph(m, layout, states, images, steps)
 
 
 # -- game fixpoints with per-state blocker choices ---------------------------
@@ -254,7 +256,7 @@ def open_groups(g: ExplicitGraph, blocked, s: int) -> list:
 def reachable(g: ExplicitGraph) -> dict:
     """The states reachable by steps from the initial state, as dict keys
     in the order the walk finds them."""
-    reached = dict.fromkeys([g.initial_index()])
+    reached = dict.fromkeys([0])
     work = list(reached)
     while work:
         for _, _, ts in g.steps[work.pop()]:
@@ -324,10 +326,8 @@ def oracle_sat(g: ExplicitGraph, f, order=None) -> dict:
             sat[psi] = tctl_sweep(groups, sat[psi.left], sat[psi.right],
                                   isinstance(psi, logic.TAU))
         elif isinstance(psi, logic.Freeze):
-            ci, inner = g.layout.index[psi.var] - 1, sat[psi.sub]
-            # discretize built every state's reset image
-            sat[psi] = bytearray(inner[g.index[(loc, coords[:ci] + (0,) + coords[ci + 1:])]]
-                                 for loc, coords in g.states)
+            inner = sat[psi.sub]
+            sat[psi] = bytearray(inner[t] for t in g.images[psi.var])
         else:
             raise TypeError(f"not a formula node: {psi!r}")
     return sat
@@ -335,7 +335,7 @@ def oracle_sat(g: ExplicitGraph, f, order=None) -> dict:
 
 def oracle_check(m: Wta, f: logic.TolFormula) -> bool:
     g = discretize(m, f)
-    return bool(oracle_sat(g, f)[f][g.initial_index()])
+    return bool(oracle_sat(g, f)[f][0])
 
 
 def tctl_check(m: Wta, f: logic.TolFormula) -> bool:
@@ -348,7 +348,7 @@ def tctl_check(m: Wta, f: logic.TolFormula) -> bool:
     if any(isinstance(psi, (logic.Until, logic.Release)) for psi in order):
         raise TypeError(f"not a TCTL formula: {logic.short_text(f)}")
     g = discretize(m, f)
-    return bool(oracle_sat(g, f, order)[f][g.initial_index()])
+    return bool(oracle_sat(g, f, order)[f][0])
 
 
 # -- differential harness -----------------------------------------------------
@@ -396,7 +396,7 @@ def differential(m: Wta, f: logic.TolFormula, deep: bool = False) -> DiffReport:
     verdict = check(m, f)
     g = discretize(m, f)
     osat = oracle_sat(g, f)
-    o_verdict = bool(osat[f][g.initial_index()])
+    o_verdict = bool(osat[f][0])
     report = DiffReport(agree=verdict.satisfied == o_verdict,
                         checker_verdict=verdict.satisfied,
                         oracle_verdict=o_verdict)
@@ -519,8 +519,7 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     until = isinstance(inner, logic.Until)
     sat = oracle_sat(g, f)
     s1, s2 = (sat[c] for c in logic.children(inner))
-    start = g.initial_index()
-    if not sat[inner][start]:
+    if not sat[inner][0]:
         return []  # a location-constant witness is a winning per-state strategy
 
     locs = [loc.name for loc in m.locations]
@@ -568,13 +567,13 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     def search() -> None:
         pending = [s for s in waiting if picked[where[s]] is None]
         if not pending:
-            if _pruned_holds(reached, until, s1, s2, start):
+            if _pruned_holds(reached, until, s1, s2, 0):
                 leaves.append(tuple(picked))
             return
         # the bound: every pending state pinned at 1, its targets unread
         for s in pending:
             pin[s] = 1
-        bound = _pruned_holds(reached, until, *((s1, pin) if until else (pin, s2)), start)
+        bound = _pruned_holds(reached, until, *((s1, pin) if until else (pin, s2)), 0)
         for s in pending:
             pin[s] = 0
         if not bound:
@@ -592,9 +591,9 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
             del waiting[marks[1]:]
         picked[loc] = None
 
-    if live[start]:  # else no choice moves its bit, and every one witnesses
-        reached[start] = None
-        walk([start])
+    if live[0]:  # else no choice moves its bit, and every one witnesses
+        reached[0] = None
+        walk([0])
     search()
     # a witnessing leaf stands for every candidate at the locations it left open
     combos = sorted(itertools.chain.from_iterable(

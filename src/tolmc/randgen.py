@@ -19,6 +19,11 @@ from .model import Edge, Location, Wta
 CLOSED_OPS = ("<=", "=", ">=")
 PROPS = ("p", "q", "r")
 WEIGHTS = (1, 2, 3)
+# random_wta: locations, clocks, edges and clock constants, each at most
+MAX_LOCATIONS = 4
+MAX_CLOCKS = 2
+MAX_EDGES = 6
+MODEL_CMAX = 3
 # random_formula: clock constants, strategic operators, root freeze chance, depth
 FORMULA_CMAX = 3
 MAX_STRATEGIC = 2
@@ -26,10 +31,9 @@ FREEZE_PROB = 0.4
 MAX_DEPTH = 4
 
 
-def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 2,
-               max_edges: int = 6, cmax: int = 3) -> Wta:
-    nloc = rng.randint(1, max_locations)
-    nclk = rng.randint(0, max_clocks)
+def random_wta(rng: random.Random) -> Wta:
+    nloc = rng.randint(1, MAX_LOCATIONS)
+    nclk = rng.randint(0, MAX_CLOCKS)
     clocks = tuple("xy"[i] for i in range(nclk))
     names = [f"l{i}" for i in range(nloc)]
     locations = []
@@ -37,15 +41,15 @@ def random_wta(rng: random.Random, *, max_locations: int = 4, max_clocks: int = 
         labels = frozenset(p for p in PROPS if rng.random() < 0.4)
         invariant = ()
         if clocks and rng.random() < 0.3:
-            invariant = (ClockAtom(rng.choice(clocks), "<=", rng.randint(0, cmax)),)
+            invariant = (ClockAtom(rng.choice(clocks), "<=", rng.randint(0, MODEL_CMAX)),)
         if rng.random() < 0.15:
             labels |= {"goal"}
         locations.append(Location(name, invariant, labels))
-    nedges = rng.randint(1, max_edges)
+    nedges = rng.randint(1, MAX_EDGES)
     edges = []
     for i in range(nedges):
         guard = tuple(
-            ClockAtom(rng.choice(clocks), rng.choice(CLOSED_OPS), rng.randint(0, cmax))
+            ClockAtom(rng.choice(clocks), rng.choice(CLOSED_OPS), rng.randint(0, MODEL_CMAX))
             for _ in range(rng.randint(0, 2)) if clocks)
         resets = frozenset(c for c in clocks if rng.random() < 0.4)
         edges.append(Edge(rng.choice(names), f"a{i}", guard, resets,

@@ -726,6 +726,8 @@ def ref_grid(m: Wta, f: TolFormula, rescan=None) -> ExplicitGraph:
         later = tuple(min(x + 1, c) for c, x in zip(caps2[1:], coords))
         delayed.append(index[(loc, later)] if later != coords
                        and holds(invariant[loc], later) else None)
+    images = {j: [index[(loc, coords[:ci] + (0,) + coords[ci + 1:])] for loc, coords in states]
+              for ci, j in enumerate(layout.names[1:]) if ci >= len(m.clocks)}
     steps = []
     for s, st in enumerate(states):
         if rescan is not None and st not in rescan:
@@ -738,7 +740,7 @@ def ref_grid(m: Wta, f: TolFormula, rescan=None) -> ExplicitGraph:
             s = delayed[s]
         steps.append([(ei, m.edges[ei].weight, tuple(sorted(ts)))
                       for ei, ts in sorted(found.items())])
-    return ExplicitGraph(m, layout, states, index, steps)
+    return ExplicitGraph(m, layout, states, images, steps)
 
 
 def ref_closure(r: ExplicitGraph) -> set:
@@ -746,10 +748,11 @@ def ref_closure(r: ExplicitGraph) -> set:
     targets and the reset images of the formula clocks."""
     initial = (r.m.initial, (0,) * (r.layout.dim - 1))
     frozen = range(len(r.m.clocks), r.layout.dim - 1)
+    index = {st: i for i, st in enumerate(r.states)}
     seen, work = {initial}, [initial]
     while work:
         loc, coords = work.pop()
-        nxt = [r.states[t] for _, _, ts in r.steps[r.index[(loc, coords)]] for t in ts]
+        nxt = [r.states[t] for _, _, ts in r.steps[index[(loc, coords)]] for t in ts]
         nxt += [(loc, coords[:ci] + (0,) + coords[ci + 1:]) for ci in frozen]
         for st in nxt:
             if st not in seen:
@@ -809,7 +812,7 @@ def ref_location_witnesses(m: Wta, f: TolFormula) -> list:
     until = isinstance(inner, logic.Until)
     sat = oracle_sat(g, f)
     s1, s2 = (sat[c] for c in children(inner))
-    start = g.initial_index()
+    start = 0
     locs = [loc.name for loc in m.locations]
     cand = [ref_location_choice_candidates(m, loc, inner.grade) for loc in locs]
     witnesses = []

@@ -413,6 +413,39 @@ def test_run_differential_smoke(capsys, monkeypatch):
     assert out.startswith("6 runs, 0 disagreements")
 
 
+GAP = """wta
+clocks x y
+location l0 init
+location l1
+location l2 labels q
+edge l0 -> l1 action a guard y > 0 & y < 1 reset x weight 1
+edge l1 -> l2 action b guard x < 1 & y > 1 weight 1
+edge l2 -> l2 action c weight 1
+edge l1 -> l1 action d weight 1
+edge l0 -> l0 action e weight 1
+"""
+
+
+def test_run_differential_prints_the_report_of_the_shrunk_pair(capsys, monkeypatch):
+    # README's digitization gap: every run draws gap.wta and ! <#0> G ! q
+    import tolmc.randgen as randgen_mod
+    from tolmc.oracle import differential
+
+    monkeypatch.setattr(randgen_mod, "random_wta", lambda rng: parse_model(GAP))
+    monkeypatch.setattr(randgen_mod, "random_formula",
+                        lambda rng, m, grades: parse_formula("! <#0> G ! q"))
+    code, out, _ = run_differential(capsys, monkeypatch, "--models", "1", "--formulas", "1")
+    assert code == 1
+    head, rest = out.split("DISAGREEMENT (minimized):\n")
+    model_text, rest = rest.split("\n\n", 1)
+    formula_text, rest = rest.split("\n", 1)
+    report, summary = rest.rsplit("\n", 2)[:2]
+    assert head == "" and summary.startswith("1 runs, 1 disagreements")
+    small = differential(parse_model(model_text), parse_formula(formula_text))
+    assert report == str(small)
+    assert report != str(differential(parse_model(GAP), parse_formula("! <#0> G ! q")))
+
+
 @pytest.mark.parametrize("grades", ["a", ""])
 def test_run_differential_bad_grades_are_usage_errors(capsys, monkeypatch, grades):
     # exit 1 would read as a disagreement

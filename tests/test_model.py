@@ -59,6 +59,30 @@ def test_comments_and_blank_lines_ignored():
     assert m.initial == "l"
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_lines_end_at_line_feeds_and_carriage_returns_only(sep):
+    # str.splitlines() would end a line at each of these; the model format
+    # reads them as whitespace inside the line, as open() does
+    m = parse_model(f"wta\nlocation l init labels a{sep}b\n")
+    assert m.locations[0].labels == {"a", "b"}
+    with pytest.raises(ModelError) as err:
+        parse_model(f"wta\nlocation l init labels a{sep}b\nbogus\n")
+    assert str(err.value) == "[syntax] (line 3, col 1) unknown directive 'bogus'"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_carriage_returns_end_lines_as_line_feeds_do(newline):
+    text = (FIXTURES / "case_study.wta").read_text()
+    assert parse_model(text.replace("\n", newline)) == parse_model(text)
+    bad = "wta\nlocation l init\n\nedge l -> l action a weight -1\n"
+    with pytest.raises(ModelError) as err:
+        parse_model(bad.replace("\n", newline))
+    with pytest.raises(ModelError) as want:
+        parse_model(bad)
+    assert str(err.value) == str(want.value) and err.value.line == 4
+
+
 @pytest.mark.parametrize("code", [
     "header", "syntax", "duplicate-clock", "duplicate-location",
     "unknown-clock", "unknown-location", "no-init", "multiple-init",

@@ -69,7 +69,8 @@ def _assert_reference_graph(m, f):
     # g's steps, renumbered to the grid's states, are the grid's
     g = discretize(m, f)
     r = ref_grid(m, f, rescan=set(g.states))
-    pos = [r.index[st] for st in g.states]
+    index = {st: i for i, st in enumerate(r.states)}
+    pos = [index[st] for st in g.states]
     assert [[(ei, w, tuple(sorted(pos[t] for t in ts))) for ei, w, ts in groups]
             for groups in g.steps] == [r.steps[p] for p in pos]
 
@@ -100,7 +101,8 @@ def test_delay_sweep_equals_reference_on_the_bench_families(k):
 def _assert_kept_bits_equal_the_grid(m, f):
     g, r = discretize(m, f), ref_grid(m, f)
     assert set(g.states) == ref_closure(r)
-    pos = [r.index[st] for st in g.states]
+    index = {st: i for i, st in enumerate(r.states)}
+    pos = [index[st] for st in g.states]
     kept, grid = oracle_sat(g, f), oracle_sat(r, f)
     for psi in subformulas_by_size(f):
         assert kept[psi] == bytearray(grid[psi][p] for p in pos), logic.print_formula(psi)
@@ -128,12 +130,40 @@ def test_kept_bits_equal_the_full_grid(inputs):
         _assert_kept_bits_equal_the_grid(m, f)
 
 
+def _assert_initial_state_and_freeze_images(m, f) -> int:
+    """State 0 is the initial state, and each formula clock's images list
+    every state's reset image; returns how many images it checked."""
+    g = discretize(m, f)
+    assert g.states[0] == (m.initial, (0,) * (g.layout.dim - 1))
+    assert list(g.images) == list(g.layout.names[len(m.clocks) + 1:])
+    for j, image in g.images.items():
+        ci = g.layout.index[j] - 1
+        assert len(image) == len(g.states)
+        for (loc, coords), t in zip(g.states, image):
+            assert g.states[t] == (loc, coords[:ci] + (0,) + coords[ci + 1:])
+    return sum(map(len, g.images.values()))
+
+
+@pytest.mark.parametrize("inputs", ["acceptance", "case study", 4, 5, 6, 7, 8])
+def test_state_zero_is_initial_and_images_are_the_reset_images(inputs):
+    if inputs == "acceptance":
+        nested = parse_formula("j . <#0> F (p & (k . <#0> G (k <= 2 | j >= 1)))")
+        queries = itertools.chain(_acceptance_prefixes(), [(parse_model(ONE_CLOCK), nested)])
+    elif inputs == "case study":
+        cs = build_case_study()
+        queries = [(cs, f) for f in [phi1(t) for t in range(1, 6)]
+                   + [phi2(t) for t in range(1, 7)]]
+    else:
+        queries = (gen_pipeline(inputs), gen_mesh(inputs))
+    assert sum(_assert_initial_state_and_freeze_images(m, f) for m, f in queries) > 0
+
+
 def test_strict_guard_sampling():
     m = parse_model(ONE_CLOCK)
     g = discretize(m, logic.TRUE)
     # x > 1 holds exactly at the points 1.5, 2, 2.5, 3 (doubled: 3, 4, 5, 6);
     # the invariant x <= 2 stops l's delays at 4, so go lands at 3 and 4
-    (_, _, targets), = g.steps[g.initial_index()]
+    (_, _, targets), = g.steps[0]
     assert sorted(g.states[t] for t in targets) == [("m", (3,)), ("m", (4,))]
 
 
@@ -210,7 +240,7 @@ def test_grade0_game_equals_textbook_tctl():
         m = random_wta(rng)
         f = random_formula(rng, m, grades=(0,))
         g = discretize(m, f)
-        game = bool(oracle_sat(g, f)[f][g.initial_index()])
+        game = bool(oracle_sat(g, f)[f][0])
         book = tctl_check(m, to_tctl(f))
         assert game == book
 
@@ -236,7 +266,7 @@ def test_tctl_check_builds_the_same_graph_as_the_tol_formula():
     g, h = discretize(m, f), discretize(m, to_tctl(f))
     assert (g.layout, g.states) == (h.layout, h.states)
     t = to_tctl(f)
-    assert tctl_check(m, t) == bool(oracle_sat(g, t)[t][g.initial_index()])
+    assert tctl_check(m, t) == bool(oracle_sat(g, t)[t][0])
 
 
 def test_weight_zero_edges_are_freely_deactivated():
@@ -268,7 +298,7 @@ edge b -> b action sb weight 1
 """)
     g = discretize(m, logic.TRUE)
     sat = oracle_sat(g, parse_formula("<#2> (true U pa)"))
-    start = g.initial_index()
+    start = 0
     assert sat[parse_formula("<#2> (true U pa)")][start]
     sat1 = oracle_sat(g, parse_formula("<#1> (true U pa)"))
     assert not sat1[parse_formula("<#1> (true U pa)")][start]
@@ -862,7 +892,8 @@ def test_a_failed_walk_keeps_nothing(monkeypatch):
 
 
 def _graph_snapshot(g) -> tuple:
-    return list(g.states), dict(g.index), [list(groups) for groups in g.steps]
+    return (list(g.states), {j: list(image) for j, image in g.images.items()},
+            [list(groups) for groups in g.steps])
 
 
 def test_a_kept_graph_reads_as_a_fresh_one():

@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
 from helpers import (EscapeProfile, empty_fed, fan_model, fed_at, fed_equal, grid_points,
                      of_zones, pred_union, random_dbm, ref_escape_cells, ref_escape_profiles,
                      ref_obstruction_pred, run_python, sat2)
-from tolmc import checker, predecessor, zones
+from tolmc import checker, predecessor, randgen, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
 from tolmc.logic import ClockAtom, parse_formula, print_formula, subformulas_by_size
@@ -23,6 +24,13 @@ location l0 init
 location l1 invariant y <= 9
 edge l0 -> l1 action go guard x <= 2 reset x weight 1
 """
+
+
+def sized_wta(rng, **sizes):
+    """randgen.random_wta under other values of its size constants
+    (MAX_LOCATIONS, MAX_CLOCKS, MAX_EDGES, MODEL_CMAX), in the same draws."""
+    with mock.patch.multiple(randgen, **sizes):
+        return random_wta(rng)
 
 
 def layout_for(m, cmax=9):
@@ -252,7 +260,7 @@ def test_obstruction_zero_budget_excludes_weighted_escape():
 def test_obstruction_subset_of_pred_union_and_monotone():
     rng = random.Random(97)
     for _ in range(25):
-        m = random_wta(rng, max_clocks=1, max_locations=3, max_edges=4, cmax=2)
+        m = sized_wta(rng, MAX_CLOCKS=1, MAX_LOCATIONS=3, MAX_EDGES=4, MODEL_CMAX=2)
         layout = ClockLayout.build(m, (), m.clock_caps)
         universe = full_space(m, layout)
         labelled = [loc.name for loc in m.locations if "p" in loc.labels]
@@ -295,7 +303,7 @@ def untimed_demon_pred(m, n, target_locs):
 def test_untimed_obstruction_matches_bruteforce():
     rng = random.Random(131)
     for _ in range(40):
-        m = random_wta(rng, max_clocks=0, max_locations=4, max_edges=6)
+        m = sized_wta(rng, MAX_CLOCKS=0, MAX_LOCATIONS=4, MAX_EDGES=6)
         layout = ClockLayout.build(m, (), {})
         universe = full_space(m, layout)
         tlocs = {loc.name for loc in m.locations if "q" in loc.labels}
@@ -349,9 +357,9 @@ def shared_class_wta(rng, weights=WEIGHTS):
     each edge is copied to other sources under a new action and weight,
     and some locations get an invariant of their own.  With weights other
     than randgen.WEIGHTS, every edge's weight is drawn from them."""
-    base = random_wta(rng, max_locations=4, max_clocks=2, max_edges=4, cmax=3)
+    base = sized_wta(rng, MAX_LOCATIONS=4, MAX_CLOCKS=2, MAX_EDGES=4, MODEL_CMAX=3)
     while len(base.locations) < 2:
-        base = random_wta(rng, max_locations=4, max_clocks=2, max_edges=4, cmax=3)
+        base = sized_wta(rng, MAX_LOCATIONS=4, MAX_CLOCKS=2, MAX_EDGES=4, MODEL_CMAX=3)
     locations = tuple(
         Location(loc.name, (ClockAtom(rng.choice(base.clocks), "<=", rng.randint(1, 3)),),
                  loc.labels) if base.clocks and rng.random() < 0.3 else loc
