@@ -30,11 +30,8 @@ Trees share nodes: `W` reuses its right operand, so a tree of nested
 walk here therefore costs the number of distinct nodes, not the tree
 size: each node caches its hash, `subformulas_by_size` memoises sizes,
 and `scoped` visits a shared node once per set of bound identifiers.
-The parser counts each node's height (the most connectives on a path
-down to a leaf of the desugared tree) as it builds it: `!`, `&`, a
-freeze and each graded operator add one level over their operands, `|`
-three, `->` two over its left and three over its right operand, and `W`
-four; `false` is one level.
+Each node records its height (the most connectives on a path down to a
+leaf) as it is built, so sugar and parsed text are bounded alike.
 """
 
 from __future__ import annotations
@@ -57,7 +54,15 @@ def _node(cls):
     The field hash of a node hashes its operands, so without the cache
     hashing a shared tree costs its full (possibly exponential) size.
     The cache is process-local and left out of pickled state, because
-    string hashes differ between processes."""
+    string hashes differ between processes.  A connective sets its height
+    from its operands' as it is built; it is no field, so == and hash
+    ignore it."""
+    operands = cls.__dict__.get("__annotations__", {})
+    if "sub" in operands:
+        cls.__post_init__ = lambda self: object.__setattr__(self, "height", self.sub.height + 1)
+    elif "right" in operands:
+        cls.__post_init__ = lambda self: object.__setattr__(
+            self, "height", max(self.left.height, self.right.height) + 1)
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
 
@@ -77,7 +82,7 @@ def _node(cls):
 
 
 class TolFormula:
-    pass
+    height = 0  # a leaf's; each connective sets its own
 
 
 @_node
@@ -171,6 +176,7 @@ class FragmentError(ValueError):
 # -- parsing -----------------------------------------------------------------
 
 _KEYWORDS = {"true", "false", "U", "R", "F", "G", "W"}
+_GRADED = {"U": Until, "R": Release, "W": WeakUntil}  # `<#n> (a op b)`, by op
 
 
 def is_numeral(text: str) -> bool:
@@ -264,7 +270,7 @@ class _Parser:
             raise FormulaError(f"expected {value or kind}, got {_shown(t)}", t[2])
         return t
 
-    def nested(self, parse, at: int) -> tuple:
+    def nested(self, parse, at: int) -> TolFormula:
         """Run one parse method a nesting level deeper."""
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -273,47 +279,40 @@ class _Parser:
         self.depth -= 1
         return parsed
 
-    # Each parse method returns (node, height), the height counted over
-    # the desugared tree (see the module docstring).
-
-    def parse(self) -> tuple:
+    def parse(self) -> TolFormula:
         parsed = self.implies()
         t = self.peek()
         if t[0] != "eof":
             raise FormulaError(f"trailing input {_shown(t)}", t[2])
         return parsed
 
-    def implies(self) -> tuple:
-        left, h = self.disj()
+    def implies(self) -> TolFormula:
+        left = self.disj()
         t = self.peek()
         if t[:2] == ("op", "->"):
             self.next()
-            right, hr = self.nested(self.implies, t[2])
-            return Implies(left, right), max(h + 2, hr + 3)
-        return left, h
+            return Implies(left, self.nested(self.implies, t[2]))
+        return left
 
-    def disj(self) -> tuple:
-        f, h = self.conj()
+    def disj(self) -> TolFormula:
+        f = self.conj()
         while self.peek()[:2] == ("op", "|"):
             self.next()
-            right, hr = self.conj()
-            f, h = Or(f, right), max(h, hr) + 3
-        return f, h
+            f = Or(f, self.conj())
+        return f
 
-    def conj(self) -> tuple:
-        f, h = self.unary()
+    def conj(self) -> TolFormula:
+        f = self.unary()
         while self.peek()[:2] == ("op", "&"):
             self.next()
-            right, hr = self.unary()
-            f, h = And(f, right), max(h, hr) + 1
-        return f, h
+            f = And(f, self.unary())
+        return f
 
-    def unary(self) -> tuple:
+    def unary(self) -> TolFormula:
         t = self.peek()
         if t[:2] == ("op", "!"):
             self.next()
-            sub, h = self.nested(self.unary, t[2])
-            return Not(sub), h + 1
+            return Not(self.nested(self.unary, t[2]))
         if t[0] == "grade":
             return self.temporal()
         if t[0] == "ident" and self.toks[self.pos + 1][:2] == ("op", "."):
@@ -322,42 +321,36 @@ class _Parser:
                 raise FormulaError(f"freeze identifier {var!r} rebound in nested scope", t[2])
             self.next()
             self.bound.add(var)
-            sub, h = self.nested(self.unary, t[2])
+            sub = self.nested(self.unary, t[2])
             self.bound.remove(var)
-            return Freeze(var, sub), h + 1
+            return Freeze(var, sub)
         return self.primary()
 
-    def temporal(self) -> tuple:
+    def temporal(self) -> TolFormula:
         n = self.expect("grade")[1]
         t = self.peek()
         if t[:2] == ("kw", "F"):
             self.next()
-            sub, h = self.nested(self.unary, t[2])
-            return Finally(n, sub), h + 1
+            return Finally(n, self.nested(self.unary, t[2]))
         if t[:2] == ("kw", "G"):
             self.next()
-            sub, h = self.nested(self.unary, t[2])
-            return Globally(n, sub), max(h, 1) + 1  # FALSE is one level
+            return Globally(n, self.nested(self.unary, t[2]))
         self.expect("op", "(")
-        left, hl = self.nested(self.implies, t[2])
+        left = self.nested(self.implies, t[2])
         op = self.next()
-        if op[0] != "kw" or op[1] not in ("U", "R", "W"):
+        if op[0] != "kw" or op[1] not in _GRADED:
             raise FormulaError(f"expected U, R or W inside graded operator, got {_shown(op)}",
                                op[2])
-        right, hr = self.nested(self.implies, op[2])
+        right = self.nested(self.implies, op[2])
         self.expect("op", ")")
-        if op[1] == "U":
-            return Until(n, left, right), max(hl, hr) + 1
-        if op[1] == "R":
-            return Release(n, left, right), max(hl, hr) + 1
-        return WeakUntil(n, left, right), max(hl, hr) + 4  # the Or of both, then R
+        return _GRADED[op[1]](n, left, right)
 
-    def primary(self) -> tuple:
+    def primary(self) -> TolFormula:
         t = self.next()
         if t[:2] == ("kw", "true"):
-            return TRUE, 0
+            return TRUE
         if t[:2] == ("kw", "false"):
-            return FALSE, 1
+            return FALSE
         if t[:2] == ("op", "("):
             parsed = self.nested(self.implies, t[2])
             self.expect("op", ")")
@@ -370,16 +363,16 @@ class _Parser:
                 value = numeral_value(v[1])
                 if value is None:
                     raise FormulaError(f"clock constant {v[1]} exceeds {MAX_CONSTANT}", v[2])
-                return ClockAtom(t[1], op, value), 0
-            return Atom(t[1]), 0
+                return ClockAtom(t[1], op, value)
+            return Atom(t[1])
         if t[0] == "eof":
             raise FormulaError("unexpected end of formula", t[2])
         raise FormulaError(f"unexpected token {t[1]!r}", t[2])
 
 
 def parse_formula(text: str) -> TolFormula:
-    f, height = _Parser(text).parse()
-    if height > MAX_NESTING:
+    f = _Parser(text).parse()
+    if f.height > MAX_NESTING:
         raise FormulaError(TOO_DEEP)
     return f
 

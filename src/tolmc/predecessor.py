@@ -137,18 +137,17 @@ class RoundMemo:
 
 
 def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
-         memo: Optional[RoundMemo] = None, i: int = -1) -> list:
-    """Delay, then take e (edge id i) into the target: the zone list at
-    e.source.
+         memo: RoundMemo, i: int) -> list:
+    """Delay, then take e, the edge of id i, into the target: the zone
+    list at e.source.
 
     pred reads only target.at(e.target) and what i's class
     (Wta.edge_class) fixes, so memo shares one zone list among the edges
     of the class whose target lists are equal, whatever their target
-    locations; a hit returns the memo's list itself.
+    locations; a hit returns the memo's list itself.  i must be e's id,
+    as memo files the result under i's class and in i's slot.
     """
     tgt = target.at(e.target)
-    if memo is None:
-        return time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
     slot = memo.slots.get(i)
     if slot is not None and slot[0] is tgt:
         return slot[1]

@@ -23,7 +23,7 @@ from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta, parse_model
 from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
-from tolmc.predecessor import pred
+from tolmc.predecessor import disc_pred, time_pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, Zone, _reduce,
                          bound_neg, bound_sat, canonicalize, dbm_dim,
                          dbm_intersect, dbm_subtract)
@@ -247,10 +247,16 @@ def fed_at(layout: ClockLayout, loc: str, dbms: list) -> Federation:
     return of_zones(layout.dim, (Zone(loc, d) for d in dbms))
 
 
+def ref_pred(m: Wta, layout: ClockLayout, e, target: Federation) -> list:
+    """tolmc.predecessor.pred computed afresh, with no memo: delay, then
+    take e into the target, as a zone list at e.source."""
+    return time_pred(m, layout, e.source, disc_pred(m, layout, e, target.at(e.target)))
+
+
 def pred_union(m: Wta, layout: ClockLayout, target: Federation) -> Federation:
     out = empty_fed(layout.dim)
     for e in m.edges:
-        out = out.union(fed_at(layout, e.source, pred(m, layout, e, target)))
+        out = out.union(fed_at(layout, e.source, ref_pred(m, layout, e, target)))
     return out
 
 
@@ -259,7 +265,7 @@ def _ref_escape_cells(m: Wta, layout: ClockLayout, loc: str,
     """The escape split with one pred per edge, no sharing across edges."""
     cells = [(list(universe.at(loc)), frozenset())]
     for i in m.out_edges[loc]:
-        esc_dbms = pred(m, layout, m.edges[i], complement)
+        esc_dbms = ref_pred(m, layout, m.edges[i], complement)
         if not esc_dbms:
             continue
         nxt = []
@@ -338,7 +344,8 @@ def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
             hits = empty_fed(layout.dim)
             for i in witnesses:
                 if i not in hit_cache:
-                    hit_cache[i] = fed_at(layout, loc.name, pred(m, layout, m.edges[i], target))
+                    hit_cache[i] = fed_at(layout, loc.name,
+                                          ref_pred(m, layout, m.edges[i], target))
                 hits = hits.union(hit_cache[i])
             cell_fed = of_zones(layout.dim, (Zone(loc.name, d) for d in dbms))
             out = out.union(cell_fed.intersect(hits))
@@ -566,8 +573,13 @@ def size(f) -> int:
 def ref_height(f) -> int:
     """The most connectives on any path from f down to a leaf, over the
     distinct nodes and off an explicit stack: the reference for the
-    parser's nesting bound."""
-    height: dict = {}  # node id -> its height
+    parser's nesting bound and for each node's height."""
+    return ref_heights(f)[id(f)]
+
+
+def ref_heights(f) -> dict:
+    """ref_height of every node of f, by node id."""
+    height: dict = {}
     stack = [f]
     while stack:
         g = stack[-1]
@@ -576,7 +588,7 @@ def ref_height(f) -> int:
             stack.extend(todo)
         else:
             height[id(stack.pop())] = max((height[id(c)] + 1 for c in children(g)), default=0)
-    return height[id(f)]
+    return height
 
 
 def ref_tokenize(text: str):

@@ -1,14 +1,18 @@
+import copy
+import dataclasses
 import pickle
 import random
 
 import pytest
 
-from helpers import formula_clocks, random_tol_ast, ref_height, run_python, size
+from helpers import (formula_clocks, random_tol_ast, ref_height, ref_heights, run_python,
+                     size)
 from tolmc import logic
 from tolmc.logic import (FALSE, TAR, TAU, TRUE, And, Atom, ClockAtom,
                          FormulaError, FragmentError, Freeze, Not, Release,
-                         Until, parse_formula, print_formula,
+                         Until, children, parse_formula, print_formula, scoped,
                          subformulas_by_size, to_tctl)
+from tolmc.randgen import random_formula, random_wta
 
 
 def test_finally_sugar_expands():
@@ -238,25 +242,56 @@ def test_nesting_bound_is_the_desugared_height(connective):
         parse_formula(text)
 
 
+def random_source(rng, depth: int) -> str:
+    """A formula text of every surface connective, nested up to depth."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(("p", "q", "true", "false", "x <= 2", "j >= 1"))
+    a, b = random_source(rng, depth - 1), random_source(rng, depth - 1)
+    return rng.choice((f"!{a}", f"({a} & {b})", f"{a} & {b}", f"({a} | {b})",
+                       f"{a} | {b}", f"({a} -> {b})", f"{a} -> ({b})",
+                       f"<#1> ({a} U {b})", f"<#0> ({a} R {b})", f"<#2> ({a} W {b})",
+                       f"<#1> F {a}", f"<#1> G {a}", f"<#0> G ({a})", f"k . {a}"))
+
+
 def test_parser_heights_equal_the_reference():
     rng = random.Random(2026)
-
-    def text(depth):
-        if depth == 0 or rng.random() < 0.2:
-            return rng.choice(("p", "q", "true", "false", "x <= 2", "j >= 1"))
-        a, b = text(depth - 1), text(depth - 1)
-        return rng.choice((f"!{a}", f"({a} & {b})", f"{a} & {b}", f"({a} | {b})",
-                           f"{a} | {b}", f"({a} -> {b})", f"{a} -> ({b})",
-                           f"<#1> ({a} U {b})", f"<#0> ({a} R {b})", f"<#2> ({a} W {b})",
-                           f"<#1> F {a}", f"<#1> G {a}", f"<#0> G ({a})", f"k . {a}"))
-
     for _ in range(2000):
-        source = text(6)
+        source = random_source(rng, 6)
         try:
-            f, height = logic._Parser(source).parse()
+            f = logic._Parser(source).parse()
         except FormulaError:  # a rebound k
             continue
-        assert height == ref_height(f), source
+        assert f.height == ref_height(f), source
+
+
+def test_every_node_records_its_reference_height():
+    rng = random.Random(2026)
+    trees = []
+    for _ in range(2000):  # the sources of the parser test above
+        try:
+            trees.append(logic._Parser(random_source(rng, 6)).parse())
+        except FormulaError:
+            pass
+    rng = random.Random(7)
+    for _ in range(2000):
+        f = random_formula(rng, random_wta(rng), grades=(0, 1, 2, 3))
+        trees.append(f)
+        try:
+            trees.append(to_tctl(f))
+        except FragmentError:
+            pass
+    p, q = Atom("p"), Atom("q")
+    trees += [logic.Or(p, q), logic.Implies(p, q), logic.WeakUntil(2, Not(p), q),
+              logic.Globally(1, p), FALSE]
+    # copies keep the height, and replace builds a node anew from its new
+    # operands: here the last one under one more negation
+    copies = [c for f in trees[::10] for c in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f))]
+    copies += [dataclasses.replace(f, **{last.name: Not(getattr(f, last.name))})
+               for f in trees[::10] if children(f) and (last := dataclasses.fields(f)[-1])]
+    for f in trees + copies:
+        want = ref_heights(f)
+        for g, _ in scoped(f):
+            assert g.height == want[id(g)], print_formula(f)
 
 
 def test_deepest_weak_until_nest_parses_and_checks():

@@ -9,11 +9,16 @@ verdict, checked on instances past the explicit oracle's reach.
   labels kept, changes no run.
 - Reversing the edge order changes no run.
 
-Two properties of the checker alone, with no second engine:
+Properties of the checker alone, with no second engine:
 
 - Verdict boundary: pipeline reaches s{k-1} at j = k*k at the earliest,
   so `j . <#1> G (s{k-1} -> j >= T)` holds at T = k*k and fails at
   T = k*k + 1, at sizes far past the oracle's.
+- Mesh verdict boundary: every mesh location has k-1 out-edges of
+  weight 1, so the blocker forces entry into s{k-1} only by shutting the
+  other k-2 at once.  `j . <#g> F (s{k-1} & j >= k)` holds at g = k-2
+  and fails at g = k-3, where the mover always keeps an edge that
+  avoids s{k-1}; the oracle agrees at k <= 8.
 - Grade monotonicity: a larger budget gives the blocker more choices,
   so Sat(<#n> phi U psi) is a subset of Sat(<#n+1> phi U psi), and the
   same for R.
@@ -162,6 +167,14 @@ def test_pipeline_verdict_boundary_past_the_oracle(k):
     m, _ = gen_pipeline(k)
     verdicts = [check(m, parse_formula(f"j . <#1> G (s{k - 1} -> j >= {t})")).satisfied
                 for t in (k * k, k * k + 1)]
+    assert verdicts == [True, False]
+
+
+@pytest.mark.parametrize("k", (12, 30))
+def test_mesh_verdict_boundary_past_the_oracle(k):
+    m, _ = gen_mesh(k)
+    verdicts = [check(m, parse_formula(f"j . <#{g}> F (s{k - 1} & j >= {k})")).satisfied
+                for g in (k - 2, k - 3)]
     assert verdicts == [True, False]
 
 

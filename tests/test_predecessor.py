@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (EscapeProfile, empty_fed, fan_model, fed_at, fed_equal, grid_points,
                      of_zones, pred_union, random_dbm, ref_escape_cells, ref_escape_profiles,
-                     ref_obstruction_pred, run_python, sat2)
+                     ref_obstruction_pred, ref_pred, run_python, sat2)
 from tolmc import checker, predecessor, randgen, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
@@ -134,14 +134,14 @@ def test_pred_allows_zero_delay():
     e = m.edges[0]
     target = full_space(m, layout)
     dp = fed_at(layout, e.source, disc_pred(m, layout, e, target.at(e.target)))
-    p = fed_at(layout, e.source, pred(m, layout, e, target))
+    p = fed_at(layout, e.source, ref_pred(m, layout, e, target))
     assert dp.subset_of(p)
 
 
 def test_pred_empty_target():
     m = parse_model(TWO_LOC)
     layout = layout_for(m)
-    assert pred(m, layout, m.edges[0], empty_fed(layout.dim)) == []
+    assert ref_pred(m, layout, m.edges[0], empty_fed(layout.dim)) == []
 
 
 def grid_time_pred(m, layout, target, cmax):
@@ -175,7 +175,7 @@ def test_pipeline_step_pred_matches_grid():
     target = full_space(m, layout).map_zones(
         lambda loc, d: conjoin_atom(d, j, ">=", 12) if loc == "s3" else None)
     e = next(e for e in m.edges if e.source == "s2")
-    got = fed_at(layout, e.source, pred(m, layout, e, target))
+    got = fed_at(layout, e.source, ref_pred(m, layout, e, target))
     # direct grid evaluation: delay, then fire the edge into the target
     clock_pos = {c: i for i, c in enumerate(layout.names[1:])}
     expect = set()
@@ -221,7 +221,7 @@ edge l0 -> l1 action go guard x >= 2 weight 1
     layout = layout_for(m, 2)
     target = full_space(m, layout).map_zones(lambda l, d: d if l == "l1" else None)
     assert fed_equal(pred_union(m, layout, target),
-                     fed_at(layout, "l0", pred(m, layout, m.edges[0], target)))
+                     fed_at(layout, "l0", ref_pred(m, layout, m.edges[0], target)))
 
 
 def test_obstruction_fan_thresholds():
@@ -412,7 +412,8 @@ def assert_reference_zone_lists(cases) -> int:
                 want = ref_obstruction_pred(m, layout, n, target, universe)
                 assert list(got.zones()) == list(want.zones()), (serialize_str(m), n)
                 for loc in m.locations:
-                    esc = [pred(m, layout, m.edges[i], complement) for i in m.out_edges[loc.name]]
+                    esc = [ref_pred(m, layout, m.edges[i], complement)
+                           for i in m.out_edges[loc.name]]
                     assert _escape_cells(m, loc.name, esc, universe, n) == \
                         ref_escape_cells(m, layout, loc.name, complement, universe, n)
     return shared
@@ -623,7 +624,7 @@ def test_grouped_escape_lists_of_several_zones_give_the_reference_sets():
         for target in targets:
             complement = universe.subtract(target)
             for loc in m.locations:
-                esc = [pred(m, layout, m.edges[i], complement)
+                esc = [ref_pred(m, layout, m.edges[i], complement)
                        for i in m.out_edges[loc.name]]
                 groups = {}
                 for i, esc_dbms in zip(m.out_edges[loc.name], esc):
@@ -675,7 +676,28 @@ def test_equal_target_lists_share_one_pred_across_target_locations():
     second = pred(m, layout, m.edges[1], target, memo, 1)
     assert memo.computed == 1
     assert second is first
-    assert first and first == pred(m, layout, m.edges[1], target)
+    assert first and first == ref_pred(m, layout, m.edges[1], target)
+
+
+def test_one_memo_keeps_edges_of_different_classes_apart():
+    # the memo files a result under the class and the slot of the edge id
+    # it is given, so pred takes that id with every memo
+    m = parse_model("""wta
+clocks x
+location l0 init
+location l1
+edge l0 -> l1 action early guard x <= 2 reset x weight 1
+edge l0 -> l1 action late guard x >= 3 weight 1
+""")
+    assert m.edge_class[0] is not m.edge_class[1]
+    layout = layout_for(m)
+    target = full_space(m, layout)
+    memo = RoundMemo()
+    with pytest.raises(TypeError):
+        pred(m, layout, m.edges[0], target, memo)
+    got = [pred(m, layout, e, target, memo, i) for i, e in enumerate(m.edges)]
+    assert got == [ref_pred(m, layout, e, target) for e in m.edges]
+    assert got[0] != got[1] and memo.computed == 2
 
 
 def test_memo_keeps_only_entries_read_in_the_last_two_rounds(monkeypatch):
