@@ -13,6 +13,11 @@ oracle and the differential harness walk a formula once) and the
 oracle's graph of each layout (Wta.graphs, filled by oracle.discretize).
 Nothing is kept at module level or keyed by text: an equal Wta object
 builds its own, and a failed build keeps nothing.
+
+Within one parse_model call, each guard text and each reset text is
+parsed once: edges with equal texts hold one tuple or frozenset object,
+so that Wta.edge_class knows a part it has met by its id.  The
+call's own dict keeps them and goes with it.
 """
 
 from __future__ import annotations
@@ -72,11 +77,24 @@ class Wta:
         Edges of one class agree on target invariant, guard, resets and
         source invariant, all that a predecessor reads of an edge besides
         its source and the target zone list at its target; one tuple
-        object stands for the whole class.
+        object stands for the whole class.  Each guard, reset set and
+        invariant is numbered by value, but an object met before is
+        known by its id without hashing it again: a parsed model holds
+        one object per equal guard or reset text.
         """
-        inv = {loc.name: loc.invariant for loc in self.locations}
+        by_id: dict[int, int] = {}
+        by_value: dict = {}
+
+        def number(part) -> int:
+            n = by_id.get(id(part))  # parts live as long as self, so ids stay theirs
+            if n is None:
+                n = by_id[id(part)] = by_value.setdefault(part, len(by_value))
+            return n
+
+        inv = {loc.name: number(loc.invariant) for loc in self.locations}
         by_key: dict[tuple, list[int]] = {}
-        keys = [(inv[e.target], e.guard, e.resets, inv[e.source]) for e in self.edges]
+        keys = [(inv[e.target], number(e.guard), number(e.resets), inv[e.source])
+                for e in self.edges]
         for i, key in enumerate(keys):
             by_key.setdefault(key, []).append(i)
         classes = {key: tuple(ids) for key, ids in by_key.items()}
@@ -149,6 +167,7 @@ def parse_model(text: str) -> Wta:
     initial: Optional[str] = None
     saw_header = False
 
+    clauses: dict = {}  # one parse per equal guard or reset text, see _parse_edge
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         at = _Line(raw, lineno)
@@ -179,7 +198,7 @@ def parse_model(text: str) -> Wta:
                 initial = loc.name
             locations.append(loc)
         elif kind == "edge":
-            edges.append(_parse_edge(at, clocks))
+            edges.append(_parse_edge(at, clocks, clauses))
         else:
             raise ModelError(E_SYNTAX, f"unknown directive {kind!r}", lineno, at.col(0))
 
@@ -302,8 +321,13 @@ def _parse_location(at: _Line, clocks: list[str]):
     return Location(name, invariant or (), frozenset(labels)), is_init
 
 
-def _parse_edge(at: _Line, clocks: list[str]) -> Edge:
-    # edge <src> -> <dst> action <a> [guard ...] [reset x,y] weight <n>
+def _parse_edge(at: _Line, clocks: list[str], clauses: dict) -> Edge:
+    """edge <src> -> <dst> action <a> [guard ...] [reset x,y] weight <n>
+
+    clauses maps the words of each guard (a tuple) and the word of each
+    reset (a str) parsed so far in this model to the parsed clause, so
+    equal texts share one tuple or frozenset.  It keeps only successful
+    parses, and clocks only grow, so a kept clause parses the same again."""
     toks, lineno = at.toks, at.lineno
     if len(toks) < 4 or toks[2] != "->":
         raise ModelError(E_SYNTAX, "edge must read '<src> -> <dst> ...'", lineno)
@@ -328,18 +352,17 @@ def _parse_edge(at: _Line, clocks: list[str]) -> Edge:
             j = i + 1
             while j < len(toks) and toks[j] not in ("reset", "weight", "action"):
                 j += 1
-            guard = _parse_atoms(at, i + 1, j, clocks)
+            words = tuple(toks[i + 1:j])
+            guard = clauses.get(words)
+            if guard is None:
+                guard = clauses[words] = _parse_atoms(at, i + 1, j, clocks)
             i = j
         elif word == "reset":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge reset needs clocks", lineno)
-            rs = toks[i + 1].split(",")
-            for n, c in enumerate(rs):
-                if c and c not in clocks:  # column of c inside the comma list
-                    col = at.col(i + 1) + sum(len(r) + 1 for r in rs[:n])
-                    raise ModelError(E_UNKNOWN_CLOCK, f"reset of undeclared clock {c!r}",
-                                     lineno, col)
-            resets = frozenset(c for c in rs if c)
+            resets = clauses.get(toks[i + 1])
+            if resets is None:
+                resets = clauses[toks[i + 1]] = _parse_resets(at, i + 1, clocks)
             i += 2
         elif word == "weight":
             if i + 1 >= len(toks):
@@ -356,6 +379,17 @@ def _parse_edge(at: _Line, clocks: list[str]) -> Edge:
     if weight is None:
         raise ModelError(E_SYNTAX, "edge is missing its weight", lineno)
     return Edge(src, action, guard, resets, dst, weight)
+
+
+def _parse_resets(at: _Line, k: int, clocks: list[str]) -> frozenset[str]:
+    """Word k, a comma list of declared clocks."""
+    rs = at.toks[k].split(",")
+    for n, c in enumerate(rs):
+        if c and c not in clocks:  # column of c inside the comma list
+            col = at.col(k) + sum(len(r) + 1 for r in rs[:n])
+            raise ModelError(E_UNKNOWN_CLOCK, f"reset of undeclared clock {c!r}",
+                             at.lineno, col)
+    return frozenset(c for c in rs if c)
 
 
 def _validate(m: Wta) -> None:

@@ -41,8 +41,13 @@ location where one of them changed (Liu & Smolka, ICALP 1998; Cassez et
 al., CONCUR 2005).  The result is a function of the lists compared, so
 an entry serves any target of its budget.  All of this lives in a
 PredMemo, which a Checker keeps for a whole check, over every fixpoint
-round and every strategic subformula; callers without a memo get a fresh
-one per call.
+round and every strategic subformula; a fresh PredMemo computes
+everything afresh.
+Since equal target lists share one hit pred, many out-edges of a
+location hand out the very same list object.  A hit union joins each
+such object once, by identity, and cells that open the same objects
+share one union: joining a list again adds no zone and keeps the order,
+so the unions are those of one join per witness edge.
 """
 
 from __future__ import annotations
@@ -238,6 +243,37 @@ def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
     return cells
 
 
+def _cell_unions(cells: list, blockable: list, base: list, in_base: dict,
+                 hit) -> list[list]:
+    """The hit union of each cell: base joined with the hit preds of the
+    blockable edges outside the cell's pattern, in edge order.
+
+    Edges often share one hit-pred list object, and a list already in a
+    union adds no zone to it and leaves its order as it is, so each
+    object joins once: never one of in_base (id -> list of base), and
+    once per cell otherwise.  Cells that open the same objects in the
+    same order share one union.  With one blockable edge at most, a
+    list opens in one cell at most and there is nothing to share."""
+    if len(blockable) < 2:
+        return [base if not blockable or blockable[0] in pattern
+                else join(base, hit(blockable[0])) for _, pattern, _ in cells]
+    unions: dict[tuple, list] = {}  # the ids of the objects opened, in order
+    out = []
+    for _, pattern, _ in cells:
+        opened = {}
+        for i in blockable:
+            if i not in pattern and id(h := hit(i)) not in in_base:
+                opened[id(h)] = h
+        cell_hits = unions.get(key := tuple(opened))
+        if cell_hits is None:
+            cell_hits = base
+            for h in opened.values():
+                cell_hits = join(cell_hits, h)
+            unions[key] = cell_hits
+        out.append(cell_hits)
+    return out
+
+
 def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federation,
                    complement: Federation, universe: Federation, memo: PredMemo) -> list:
     """The zone list of the budget-n obstruction predecessor at loc.
@@ -245,8 +281,9 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
     Every out-edge's escape pred and every witness edge's hit pred is
     read; the split and the cell intersections run only when one of
     those lists differs from the location's entry.  The hit preds of the
-    out-edges that escape nowhere are joined once per split, and each
-    cell joins only its other witnesses onto them."""
+    out-edges that escape nowhere are joined once per split, each list
+    object once, and each cell joins only its other witnesses onto them
+    (_cell_unions)."""
     edge_ids = m.out_edges[loc]
     esc = [pred(m, layout, m.edges[i], complement, memo.escape, i) for i in edge_ids]
     hits: dict[int, list] = {}
@@ -266,15 +303,19 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
     out: list = []
     if cells := _escape_cells(m, loc, esc, universe, n, memo.minimal):
         # an edge that escapes nowhere is in no cell's pattern, so it
-        # witnesses every cell: its hit pred joins one base per split
-        base = _reduce([d for i, esc_dbms in zip(edge_ids, esc) if not esc_dbms
-                        for d in hit(i)])
-        blockable = [i for i, esc_dbms in zip(edge_ids, esc) if esc_dbms]
-        for dbms, pattern, _ in cells:
-            cell_hits = base
-            for i in blockable:
-                if i not in pattern:
-                    cell_hits = join(cell_hits, hit(i))
+        # witnesses every cell: its hit pred joins one base per split,
+        # each list object once
+        in_base: dict[int, list] = {}
+        blockable = []
+        for i, esc_dbms in zip(edge_ids, esc):
+            if esc_dbms:
+                blockable.append(i)
+            else:
+                h = hit(i)
+                in_base[id(h)] = h
+        base = _reduce([d for h in in_base.values() for d in h])
+        for (dbms, _, _), cell_hits in zip(cells, _cell_unions(cells, blockable, base,
+                                                               in_base, hit)):
             if cell_hits and (pieces := meet(_reduce(dbms), cell_hits)):
                 out = join(out, _reduce(pieces))
     memo.locations[(loc, n)] = (esc, list(hits), list(hits.values()), out)
@@ -283,14 +324,12 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
 
 def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                      target: Federation, universe: Federation,
-                     memo: Optional[PredMemo] = None) -> Federation:
+                     memo: PredMemo) -> Federation:
     """The budget-n obstruction predecessor of the target set: the cells
     of the budget-n escape split that keep a witness.
 
-    memo is the PredMemo to read and update; without one everything
-    is computed afresh."""
-    if memo is None:
-        memo = PredMemo()
+    memo is the PredMemo to read and update; a fresh one computes
+    everything afresh."""
     for kept in (memo.escape, memo.hit, memo.complements):
         kept.turn()
     complement = _complement(m, target, universe, memo.complements, memo.minimal)

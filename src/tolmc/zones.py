@@ -48,9 +48,11 @@ share the lists they do not touch with their operands, so a list read
 from a federation (`Federation.at`) must never be mutated; two lists
 that are one object hold the same zones.  Federations and the
 obstruction predecessor combine such lists through one list algebra:
-`join`, `meet`, `minus` and `difference`.  `minus`, the one place that
-folds `dbm_subtract` over lists, looks b's minimal sets up in a dict
-that its caller keeps for one check.
+`join`, `meet`, `minus` and `difference`.  `join(a, b)` keeps a as it
+is and tests only the pairs with a zone of b, as a reduced a needs no
+test within itself.  `minus`, the one place that folds `dbm_subtract`
+over lists, looks b's minimal sets up in a dict that its caller keeps
+for one check.
 """
 
 from __future__ import annotations
@@ -512,7 +514,12 @@ class Federation:
 
 def _reduce(dbms: list) -> list:
     """Drop zones included in a single other zone, and exact duplicates."""
-    out: list = []
+    return _reduce_onto([], dbms) if len(dbms) > 1 else dbms[:]  # a copy of exact size
+
+
+def _reduce_onto(out: list, dbms: list) -> list:
+    """out, a reduced list, with dbms's zones added one at a time as
+    _reduce adds them; the list object out is never changed."""
     for d in dbms:
         if any(dbm_subset(d, kept) for kept in out):
             continue
@@ -525,8 +532,11 @@ def _reduce(dbms: list) -> list:
 
 def join(a: list, b: list) -> list:
     """The reduced a ∪ b of two reduced lists; either one itself when the
-    other is empty."""
-    return _reduce(a + b) if a and b else a or b
+    other is empty, and a itself when b adds no zone.  _reduce(a + b)
+    would keep a's zones as they are, so only the pairs with a zone of b
+    are tested: the same list, in the same order (Bengtsson & Yi 2004: a
+    union tests only the new zones)."""
+    return _reduce_onto(a, b) if a and b else a or b
 
 
 def meet(a: list, b: list) -> list:

@@ -23,10 +23,10 @@ from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
 from tolmc.model import ClockLayout, Wta, parse_model
 from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
-from tolmc.predecessor import disc_pred, time_pred
+from tolmc.predecessor import PredMemo, _escape_cells, disc_pred, obstruction_pred, time_pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, Zone, _reduce,
                          bound_neg, bound_sat, canonicalize, dbm_dim,
-                         dbm_intersect, dbm_subtract)
+                         dbm_intersect, dbm_subtract, meet)
 
 # a one-variable bound: (doubled value, strict flag)
 POS_INF = ((1 << 50), True)
@@ -349,6 +349,35 @@ def ref_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
                 hits = hits.union(hit_cache[i])
             cell_fed = of_zones(layout.dim, (Zone(loc.name, d) for d in dbms))
             out = out.union(cell_fed.intersect(hits))
+    return out
+
+
+def fresh_obstruction_pred(m: Wta, layout: ClockLayout, n: int,
+                           target: Federation, universe: Federation) -> Federation:
+    """tolmc.predecessor.obstruction_pred with a PredMemo of its own, so
+    that nothing is read from an earlier call."""
+    return obstruction_pred(m, layout, n, target, universe, PredMemo())
+
+
+def ref_hit_union_location_pred(m: Wta, layout: ClockLayout, loc: str, n: int,
+                                target: Federation, complement: Federation,
+                                universe: Federation) -> list:
+    """tolmc.predecessor._location_pred with no memo and no sharing of
+    hit preds: each cell unions the hit pred of every one of its witness
+    edges, one _reduce(a + b) per edge, those that escape nowhere first,
+    then the others in edge order, as the program orders its unions."""
+    edge_ids = m.out_edges[loc]
+    esc = [ref_pred(m, layout, m.edges[i], complement) for i in edge_ids]
+    hits = [ref_pred(m, layout, m.edges[i], target) for i in edge_ids]
+    order = sorted(range(len(edge_ids)), key=lambda k: bool(esc[k]))  # stable
+    out: list = []
+    for dbms, pattern, _ in _escape_cells(m, loc, esc, universe, n):
+        cell_hits: list = []
+        for k in order:
+            if edge_ids[k] not in pattern:
+                cell_hits = _reduce(cell_hits + hits[k])
+        if cell_hits and (pieces := meet(_reduce(dbms), cell_hits)):
+            out = _reduce(out + _reduce(pieces))
     return out
 
 

@@ -1,3 +1,4 @@
+import random
 import time
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1
 from tolmc.logic import ClockAtom
 from tolmc.model import ClockLayout, ModelError, parse_model, serialize_model
+from tolmc.randgen import random_wta
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -264,3 +266,42 @@ def test_edge_class_ignores_weight_action_and_source_name():
     assert cls[0] != cls[2]
     assert [cls[i] for i in (4, 5, 7)] == [(4,), (5,), (7,)]
     assert cls[0] is cls[1] is cls[6]
+
+
+@pytest.mark.parametrize("k", (3, 12, 30))
+def test_equal_clause_texts_parse_to_one_object(k):
+    # one parse_model call parses each guard and reset text once, so the
+    # edges of a parsed mesh share one guard tuple and one reset frozenset
+    m = parse_model(serialize_model(gen_mesh(k)[0]))
+    assert len({id(e.guard) for e in m.edges}) == 1
+    assert len({id(e.resets) for e in m.edges}) == 1
+    # the generator builds one object per edge; the classes are the same
+    unshared, _ = gen_mesh(k)
+    assert len({id(e.guard) for e in unshared.edges}) == len(unshared.edges)
+    assert m.edge_class == unshared.edge_class
+
+
+def test_shared_clauses_keep_each_text_apart():
+    # equal texts are one object, different texts are not, and a second
+    # parse shares nothing with the first
+    m = parse_model(EDGE_CLASSES)
+    by_text: dict = {}
+    for e in m.edges:
+        by_text.setdefault(("guard", str(e.guard)), set()).add(id(e.guard))
+        by_text.setdefault(("reset", tuple(sorted(e.resets))), set()).add(id(e.resets))
+    assert all(len(ids) == 1 for ids in by_text.values())
+    assert len({id(e.guard) for e in m.edges}) == 2
+    assert len({id(e.resets) for e in m.edges}) == 2
+    again = parse_model(EDGE_CLASSES)
+    assert again == m and again.edges[0].guard is not m.edges[0].guard
+
+
+def test_round_tripped_random_models_keep_their_edge_classes():
+    rng = random.Random(20261020)
+    shared = 0
+    for _ in range(300):
+        m = random_wta(rng)
+        parsed = parse_model(serialize_model(m))
+        assert parsed == m and parsed.edge_class == m.edge_class, serialize_model(m)
+        shared += any(len(cls) > 1 for cls in m.edge_class)
+    assert shared >= 100, shared  # classes of several edges are compared too

@@ -5,16 +5,17 @@ from unittest import mock
 
 import pytest
 
-from helpers import (EscapeProfile, empty_fed, fan_model, fed_at, fed_equal, grid_points,
-                     of_zones, pred_union, random_dbm, ref_escape_cells, ref_escape_profiles,
+from helpers import (EscapeProfile, empty_fed, fan_model, fed_at, fed_equal,
+                     fresh_obstruction_pred, grid_points, of_zones, pred_union, random_dbm,
+                     ref_escape_cells, ref_escape_profiles, ref_hit_union_location_pred,
                      ref_obstruction_pred, ref_pred, run_python, sat2)
 from tolmc import checker, predecessor, randgen, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
 from tolmc.logic import ClockAtom, parse_formula, print_formula, subformulas_by_size
 from tolmc.model import ClockLayout, Edge, Location, Wta, parse_model
-from tolmc.predecessor import (RoundMemo, _escape_cells, disc_pred, full_space,
-                               obstruction_pred, pred, time_pred)
+from tolmc.predecessor import (RoundMemo, _escape_cells, disc_pred, full_space, pred,
+                               time_pred)
 from tolmc.randgen import CLOSED_OPS, WEIGHTS, random_formula, random_wta
 from tolmc.zones import Federation, Zone, conjoin_atom
 
@@ -230,8 +231,8 @@ def test_obstruction_fan_thresholds():
     universe = full_space(m, layout)
     target = fan_target(m, layout, "a")
     # the edge into b escapes at cost 2: blockable at budget 2, not 1
-    v2 = obstruction_pred(m, layout, 2, target, universe)
-    v1 = obstruction_pred(m, layout, 1, target, universe)
+    v2 = fresh_obstruction_pred(m, layout, 2, target, universe)
+    v1 = fresh_obstruction_pred(m, layout, 1, target, universe)
     assert v2.contains_point("l", (0,))
     assert not v1.contains_point("l", (0,))
 
@@ -241,7 +242,7 @@ def test_obstruction_big_budget_equals_pred_union():
     layout = layout_for(m, 0)
     universe = full_space(m, layout)
     target = fan_target(m, layout, "a")
-    big = obstruction_pred(m, layout, 100, target, universe)
+    big = fresh_obstruction_pred(m, layout, 100, target, universe)
     assert fed_equal(big, pred_union(m, layout, target).intersect(universe))
 
 
@@ -250,10 +251,10 @@ def test_obstruction_zero_budget_excludes_weighted_escape():
     layout = layout_for(m, 0)
     universe = full_space(m, layout)
     target = fan_target(m, layout, "a")
-    v0 = obstruction_pred(m, layout, 0, target, universe)
+    v0 = fresh_obstruction_pred(m, layout, 0, target, universe)
     assert not v0.contains_point("l", (0,))
     # but a state whose only move stays inside the target is kept
-    va = obstruction_pred(m, layout, 0, target, universe)
+    va = fresh_obstruction_pred(m, layout, 0, target, universe)
     assert va.contains_point("a", (0,))
 
 
@@ -268,14 +269,14 @@ def test_obstruction_subset_of_pred_union_and_monotone():
         pu = pred_union(m, layout, target).intersect(universe)
         prev = None
         for n in (0, 1, 2, 3):
-            v = obstruction_pred(m, layout, n, target, universe)
+            v = fresh_obstruction_pred(m, layout, n, target, universe)
             assert v.subset_of(pu)
             if prev is not None:
                 assert prev.subset_of(v)
             prev = v
         # monotone in the target as well
-        bigger = obstruction_pred(m, layout, 2, universe, universe)
-        assert obstruction_pred(m, layout, 2, target, universe).subset_of(bigger)
+        bigger = fresh_obstruction_pred(m, layout, 2, universe, universe)
+        assert fresh_obstruction_pred(m, layout, 2, target, universe).subset_of(bigger)
 
 
 def untimed_demon_pred(m, n, target_locs):
@@ -309,7 +310,7 @@ def test_untimed_obstruction_matches_bruteforce():
         tlocs = {loc.name for loc in m.locations if "q" in loc.labels}
         target = universe.map_zones(lambda l, d: d if l in tlocs else None)
         for n in (0, 1, 2, 3):
-            v = obstruction_pred(m, layout, n, target, universe)
+            v = fresh_obstruction_pred(m, layout, n, target, universe)
             got = {loc.name for loc in m.locations if v.contains_point(loc.name, (0,))}
             assert got == untimed_demon_pred(m, n, tlocs), (serialize_str(m), n, tlocs)
 
@@ -346,7 +347,7 @@ def test_outputs_clipped_to_invariants():
     universe = full_space(m, layout)
     target = full_space(m, layout)
     for n in (0, 5):
-        v = obstruction_pred(m, layout, n, target, universe)
+        v = fresh_obstruction_pred(m, layout, n, target, universe)
         assert v.subset_of(universe)
         for z in v.zones():
             assert z.dbm is not None
@@ -399,7 +400,7 @@ def shared_class_cases(seed=20261018, weights=WEIGHTS):
 
 
 def assert_reference_zone_lists(cases) -> int:
-    """obstruction_pred and the budget-cut escape split with a class memo
+    """fresh_obstruction_pred and the budget-cut escape split with a class memo
     give the zone lists, in order, of the whole split computed per edge
     and cut afterwards.  Returns how many models share an edge class."""
     shared = 0
@@ -408,7 +409,7 @@ def assert_reference_zone_lists(cases) -> int:
         for target in targets:
             complement = universe.subtract(target)
             for n in (0, 1, 2, 4):
-                got = obstruction_pred(m, layout, n, target, universe)
+                got = fresh_obstruction_pred(m, layout, n, target, universe)
                 want = ref_obstruction_pred(m, layout, n, target, universe)
                 assert list(got.zones()) == list(want.zones()), (serialize_str(m), n)
                 for loc in m.locations:
@@ -643,7 +644,7 @@ def test_grouped_escape_lists_of_several_zones_give_the_reference_sets():
                     assert all(fed_equal(got[key], want[key]) for key in got), \
                         (serialize_str(m), n)
             for n in (0, 1, 2, 4):
-                assert fed_equal(obstruction_pred(m, layout, n, target, universe),
+                assert fed_equal(fresh_obstruction_pred(m, layout, n, target, universe),
                                  ref_obstruction_pred(m, layout, n, target, universe)), \
                     (serialize_str(m), n)
     # the family reaches groups of several edges and DBMs (54 at the seed)
@@ -731,19 +732,67 @@ def test_memo_keeps_only_entries_read_in_the_last_two_rounds(monkeypatch):
 
 def test_hit_unions_run_once_per_split(monkeypatch):
     # an out-edge that escapes nowhere witnesses every cell, so its hit
-    # pred joins one base per split; joining every witness per cell made
-    # 2974 _reduce calls in a mesh k = 30 G check
+    # pred joins one base per split, and a hit-pred list object that
+    # several edges share joins a cell's union once; on mesh k = 30 G and
+    # k = 12 F, joining each blockable witness per cell makes 117 and 1739
+    # zones.join calls in _location_pred, and every witness 2611 and 1871
     count = {"calls": 0}
-    reduce = zones._reduce
+    join = zones.join
 
-    def counted(dbms):
+    def counted(a, b):
         count["calls"] += 1
-        return reduce(dbms)
+        return join(a, b)
 
-    monkeypatch.setattr(zones, "_reduce", counted)
-    monkeypatch.setattr(predecessor, "_reduce", counted)
-    assert checker.check(*gen_mesh(30)).satisfied
-    assert count["calls"] == 511, count
+    monkeypatch.setattr(predecessor, "join", counted)
+    seen = []
+    for k, formula in ((30, "j . <#1> G (s29 -> j >= 900)"),
+                       (12, "j . <#10> F (s11 & j >= 12)")):
+        count["calls"] = 0
+        assert checker.check(gen_mesh(k)[0], parse_formula(formula)).satisfied
+        seen.append(count["calls"])
+    assert seen == [117, 342], seen
+
+
+def _hit_union_queries():
+    """mesh k = 4..12 with its Release and Until formulas, and fan
+    n = 4..8: models whose out-edges share hit-pred list objects."""
+    for k in range(4, 13):
+        m, release = gen_mesh(k)
+        yield m, release
+        yield m, parse_formula(f"j . <#{k - 2}> F (s{k - 1} & j >= {k})")
+    for n in range(4, 9):
+        yield fan_model(n), parse_formula(f"<#{n // 2}> G ! q")
+
+
+def test_hit_unions_give_the_reference_location_lists(monkeypatch):
+    # each location list the shared hit unions give is the one of joining
+    # every witness's hit pred per cell, zone for zone and in order
+    location_pred, cell_unions = predecessor._location_pred, predecessor._cell_unions
+    count = {"compared": 0, "shared": 0}
+
+    def checked(m, layout, loc, n, target, complement, universe, memo):
+        got = location_pred(m, layout, loc, n, target, complement, universe, memo)
+        want = ref_hit_union_location_pred(m, layout, loc, n, target, complement, universe)
+        assert got == want, (loc, n)
+        count["compared"] += 1
+        return got
+
+    def counted(cells, blockable, base, in_base, hit):
+        # the splits whose cells open hit preds that other edges share
+        opened = {id(hit(i)) for _, pattern, _ in cells for i in blockable if i not in pattern}
+        count["shared"] += len(opened) < sum(i not in pattern for _, pattern, _ in cells
+                                             for i in blockable)
+        return cell_unions(cells, blockable, base, in_base, hit)
+
+    monkeypatch.setattr(predecessor, "_location_pred", checked)
+    monkeypatch.setattr(predecessor, "_cell_unions", counted)
+    for m, f in _hit_union_queries():
+        assert checker.check(m, f).satisfied is not None
+    for m, layout, universe, targets in shared_class_cases():
+        for target in targets:
+            for n in (0, 1, 2, 4):
+                fresh_obstruction_pred(m, layout, n, target, universe)
+    assert count["compared"] >= 3000 and count["shared"] >= 600, count
 
 
 def test_kernel_counts_do_not_depend_on_the_string_hash_seed(monkeypatch):

@@ -605,6 +605,20 @@ def test_federation_operations_equal_their_references(data):
         assert list(x.subtract(y).zones()) == list(ref_subtract(x, y).zones())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_join_keeps_its_first_list_and_tests_only_the_new_zones(data):
+    # join(a, b) is the list _reduce(a + b) gives, in its order, without
+    # testing a's zones against each other: they come back as they are
+    dim = data.draw(st.integers(2, 4))
+    pool = [data.draw(canonical_dbms(dim)) for _ in range(3)]
+    pool += [data.draw(related_dbms(dim, d)) for d in pool]
+    a = Z._reduce(data.draw(st.lists(st.sampled_from(pool), max_size=5)))
+    b = Z._reduce(data.draw(st.lists(st.sampled_from(pool), max_size=5)))
+    assert Z.join(a, b) == Z._reduce(a + b)
+    assert Z.join(a, a) == a and Z.join(Z.join(a, b), b) == Z.join(a, b)
+
+
 def test_dimension_checks_hold_under_optimize():
     # python -O strips asserts; a mismatch must still raise ArityError
     proc = run_python("""
