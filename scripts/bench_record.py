@@ -34,6 +34,8 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     or the recording stops: `iterations` (summed over the fixpoints),
     `preds_computed`, `zones_noted` and `splits_computed` (null where a
     side's CheckStats lacks the field),
+  - untraced `model.parse_model` ms (median of 2 * PAIRS runs) on the
+    serialized models of PARSE_INPUTS, with each model's edge count,
   - untraced `oracle.discretize` ms (median of 2 * PAIRS runs) and the
     count of states it builds (those the initial state's Sat bits read,
     not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
@@ -77,6 +79,7 @@ DISCRETIZE_KS = (4, 5, 6, 8)
 CHECK_KS = (4, 12, 16, 22, 30, 60, 120)
 MESH_UNTIL_KS = (4, 8, 12)
 FAN_NS = (4, 6, 8, 10)  # n = 10 took about 12 s a run before the minimal-set subtraction
+PARSE_INPUTS = ("mesh/k=30", "mesh/k=120", "pipeline/k=120")
 PAIRS = 10          # a gain claim needs 10 alternating pairs; also the probe rounds
 WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
                     ("phi2", 3), ("phi2", 4), ("phi2", 5))
@@ -86,6 +89,7 @@ PROBE_INPUTS = {
                             for k in CHECK_KS]
               + [f"mesh-until/k={k}" for k in MESH_UNTIL_KS]
               + [f"fan/n={n}" for n in FAN_NS]),
+    "parse_model": ("edges", list(PARSE_INPUTS)),
     "discretize": ("states", [f"{family}/k={k}" for k in DISCRETIZE_KS
                               for family in ("pipeline", "mesh")]),
     "location_witnesses": ("witnesses", [f"{phi}({t})" for phi, t in WITNESS_FORMULAS]),
@@ -98,8 +102,8 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 # one timed call: `python -c PROBE LAYER NAME` builds the input, calls it
 # once untimed, so the timed call runs warm, builds the input again, so
 # the timed call gets new model and formula objects that keep nothing of
-# the warm call (a model object keeps its layouts and graphs), and prints
-# one JSON line
+# the warm call (a model object keeps its layouts and graphs; a parse
+# probe's input is the model's text), and prints one JSON line
 # [size, ms, scaled ms] (check and witness rows add their counters),
 # calibrating the host clock before and after the timed call.  fan(n) is
 # tests/helpers.py::fan_model and mesh_until(k)
@@ -112,7 +116,7 @@ from tolmc import case_study, oracle
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import check
 from tolmc.logic import parse_formula
-from tolmc.model import parse_model
+from tolmc.model import parse_model, serialize_model
 from tolmc.oracle import discretize, location_witnesses
 
 def fan(n):
@@ -158,16 +162,18 @@ def witness_row(m, f):
     return [len(witnesses), {"sweeps": sweeps[0]}]
 
 ROWS = {"check": (query, check_row),
+        "parse_model": (lambda name: [serialize_model(query(name)[0])],
+                        lambda text: [len(parse_model(text).edges)]),
         "discretize": (query, lambda m, f: [len(discretize(m, f).states)]),
         "location_witnesses": (witness_query, witness_row)}
 layer, name = sys.argv[1:]
 build, row = ROWS[layer]
 row(*build(name))
-m, f = build(name)  # fresh objects: nothing the warm call built on them is kept
+args = build(name)  # fresh objects: nothing the warm call built on them is kept
 clock = HostClock()
 clock.calibrate()
 t0 = time.perf_counter()
-size, *counts = row(m, f)
+size, *counts = row(*args)
 t1 = time.perf_counter()
 clock.calibrate()
 print(json.dumps([size, (t1 - t0) * 1000.0, clock.scaled(t0, t1) * 1000.0, *counts]))

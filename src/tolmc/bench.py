@@ -51,33 +51,29 @@ def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
 
     Chain guards are x >= k except the final hop at x >= 2k, so the
     k-1 hops take at least (k-2)*k + 2k = k*k time units and the bound
-    in the objective is tight.
+    in the objective is tight.  Edges with equal clauses share one
+    guard tuple and one reset frozenset, as parse_model's do.
     """
     check_size("pipeline", k)
     locations = tuple(Location(f"s{i}", (), frozenset({f"s{i}"})) for i in range(k))
-    edges = []
-    for i in range(k - 1):
-        bound = 2 * k if i == k - 2 else k
-        edges.append(Edge(f"s{i}", f"step{i}", (ClockAtom("x", ">=", bound),),
-                          frozenset({"x"}), f"s{i + 1}", 1))
-    edges.append(Edge(f"s{k - 1}", "stay", (ClockAtom("x", ">=", k),),
-                      frozenset({"x"}), f"s{k - 1}", 1))
+    hop, last_hop = (ClockAtom("x", ">=", k),), (ClockAtom("x", ">=", 2 * k),)
+    reset = frozenset({"x"})
+    edges = [Edge(f"s{i}", f"step{i}", last_hop if i == k - 2 else hop, reset,
+                  f"s{i + 1}", 1) for i in range(k - 1)]
+    edges.append(Edge(f"s{k - 1}", "stay", hop, reset, f"s{k - 1}", 1))
     m = Wta(("x",), locations, "s0", tuple(edges))
     f = parse_formula(f"j . <#1> G (s{k - 1} -> j >= {k * k})")
     return m, f
 
 
 def gen_mesh(k: int) -> tuple[Wta, TolFormula]:
-    """Complete digraph on k locations, every hop takes at least one unit."""
+    """Complete digraph on k locations, every hop takes at least one unit;
+    all edges share one guard tuple and one reset frozenset."""
     check_size("mesh", k)
     locations = tuple(Location(f"s{i}", (), frozenset({f"s{i}"})) for i in range(k))
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                edges.append(Edge(f"s{i}", f"m{i}_{j}",
-                                  (ClockAtom("x", ">=", 1),),
-                                  frozenset({"x"}), f"s{j}", 1))
+    guard, reset = (ClockAtom("x", ">=", 1),), frozenset({"x"})
+    edges = [Edge(f"s{i}", f"m{i}_{j}", guard, reset, f"s{j}", 1)
+             for i in range(k) for j in range(k) if i != j]
     m = Wta(("x",), locations, "s0", tuple(edges))
     f = parse_formula(f"j . <#1> G (s{k - 1} -> j >= {k * k})")
     return m, f

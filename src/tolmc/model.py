@@ -14,10 +14,12 @@ oracle's graph of each layout (Wta.graphs, filled by oracle.discretize).
 Nothing is kept at module level or keyed by text: an equal Wta object
 builds its own, and a failed build keeps nothing.
 
-Within one parse_model call, each guard text and each reset text is
-parsed once: edges with equal texts hold one tuple or frozenset object,
-so that Wta.edge_class knows a part it has met by its id.  The
-call's own dict keeps them and goes with it.
+Within one parse_model call, each edge tail (the words after an edge's
+action, in the clause order serialize_model writes), each guard text and
+each reset and weight word is parsed once: edges with equal texts hold
+one tuple or frozenset object, so that Wta.edge_class knows a part it
+has met by its id.  The call's own tables (_Clauses) keep them and go
+with it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class Wta:
         object stands for the whole class.  Each guard, reset set and
         invariant is numbered by value, but an object met before is
         known by its id without hashing it again: a parsed model holds
-        one object per equal guard or reset text.
+        one object per equal guard or reset text, and so do the models
+        of bench's generators.
         """
         by_id: dict[int, int] = {}
         by_value: dict = {}
@@ -99,6 +102,17 @@ class Wta:
             by_key.setdefault(key, []).append(i)
         classes = {key: tuple(ids) for key, ids in by_key.items()}
         return tuple(classes[key] for key in keys)
+
+    @cached_property
+    def pred_slot(self) -> tuple[int, ...]:
+        """The number of each edge's (edge class, target location) pair,
+        indexed by edge id, in the order of each pair's first edge: the
+        edges of one pair read the same target list of a Federation and
+        give the same predecessor of it, so predecessor.pred keeps one
+        slot per number."""
+        numbers: dict[tuple[int, str], int] = {}
+        return tuple(numbers.setdefault((cls[0], e.target), len(numbers))
+                     for cls, e in zip(self.edge_class, self.edges))
 
     @cached_property
     def clock_caps(self) -> dict[str, int]:
@@ -167,7 +181,7 @@ def parse_model(text: str) -> Wta:
     initial: Optional[str] = None
     saw_header = False
 
-    clauses: dict = {}  # one parse per equal guard or reset text, see _parse_edge
+    clauses = _Clauses()
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         at = _Line(raw, lineno)
@@ -218,8 +232,10 @@ def parse_model(text: str) -> Wta:
 class _Line:
     """One model line split into words; parsers address words by index."""
 
+    __slots__ = ("text", "toks", "lineno")
+
     def __init__(self, raw: str, lineno: int):
-        self.text = raw.split("#", 1)[0]
+        self.text = raw.partition("#")[0]
         self.toks = self.text.split()
         self.lineno = lineno
 
@@ -321,13 +337,50 @@ def _parse_location(at: _Line, clocks: list[str]):
     return Location(name, invariant or (), frozenset(labels)), is_init
 
 
-def _parse_edge(at: _Line, clocks: list[str], clauses: dict) -> Edge:
+class _Clauses:
+    """The edge clauses one parse_model call has parsed, each under its
+    own words in its own dict: guards (a guard's words, a tuple) to atom
+    tuples, resets (a reset word) to frozensets, weights (a weight word)
+    to ints, and tails (the words after an edge's action, joined by one
+    space) to the edge's (guard, resets, weight).  Only successful
+    parses are kept, and clocks only grow, so a kept clause parses the
+    same again."""
+
+    __slots__ = ("guards", "resets", "weights", "tails")
+
+    def __init__(self):
+        self.guards: dict[tuple[str, ...], tuple[ClockAtom, ...]] = {}
+        self.resets: dict[str, frozenset[str]] = {}
+        self.weights: dict[str, int] = {}
+        self.tails: dict[str, tuple] = {}
+
+
+def _parse_edge(at: _Line, clocks: list[str], clauses: _Clauses) -> Edge:
     """edge <src> -> <dst> action <a> [guard ...] [reset x,y] weight <n>
 
-    clauses maps the words of each guard (a tuple) and the word of each
-    reset (a str) parsed so far in this model to the parsed clause, so
-    equal texts share one tuple or frozenset.  It keeps only successful
-    parses, and clocks only grow, so a kept clause parses the same again."""
+    A line that opens in that order, as serialize_model writes it, is
+    parsed once per tail, the words after <a>: clauses.tails gives an
+    equal tail's guard, resets and weight, so a model's edges with equal
+    clause texts hold one tuple and one frozenset.  A tail met first and
+    a line in any other order run the clause loop, and the line's tail
+    is kept once the loop succeeds."""
+    toks = at.toks
+    if len(toks) > 5 and toks[4] == "action" and toks[2] == "->":
+        # a str, not a tuple: a freed tuple stays on a free list, which
+        # tracemalloc counts as held
+        tail = " ".join(toks[6:])
+        kept = clauses.tails.get(tail)
+        if kept is not None:
+            return Edge(toks[1], toks[5], kept[0], kept[1], toks[3], kept[2])
+        e = _edge_clauses(at, clocks, clauses)
+        clauses.tails[tail] = (e.guard, e.resets, e.weight)
+        return e
+    return _edge_clauses(at, clocks, clauses)
+
+
+def _edge_clauses(at: _Line, clocks: list[str], clauses: _Clauses) -> Edge:
+    """The clause loop over an edge line, in any clause order; it parses
+    each guard text, reset word and weight word once per clauses."""
     toks, lineno = at.toks, at.lineno
     if len(toks) < 4 or toks[2] != "->":
         raise ModelError(E_SYNTAX, "edge must read '<src> -> <dst> ...'", lineno)
@@ -353,23 +406,25 @@ def _parse_edge(at: _Line, clocks: list[str], clauses: dict) -> Edge:
             while j < len(toks) and toks[j] not in ("reset", "weight", "action"):
                 j += 1
             words = tuple(toks[i + 1:j])
-            guard = clauses.get(words)
+            guard = clauses.guards.get(words)
             if guard is None:
-                guard = clauses[words] = _parse_atoms(at, i + 1, j, clocks)
+                guard = clauses.guards[words] = _parse_atoms(at, i + 1, j, clocks)
             i = j
         elif word == "reset":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge reset needs clocks", lineno)
-            resets = clauses.get(toks[i + 1])
+            resets = clauses.resets.get(toks[i + 1])
             if resets is None:
-                resets = clauses[toks[i + 1]] = _parse_resets(at, i + 1, clocks)
+                resets = clauses.resets[toks[i + 1]] = _parse_resets(at, i + 1, clocks)
             i += 2
         elif word == "weight":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge weight needs a number", lineno)
-            if toks[i + 1][0] == "-" and is_numeral(toks[i + 1][1:]):
-                raise ModelError(E_BAD_WEIGHT, "edge weight must be a natural", lineno)
-            weight = _natural(at, i + 1, "edge weight")
+            weight = clauses.weights.get(toks[i + 1])
+            if weight is None:
+                if toks[i + 1][0] == "-" and is_numeral(toks[i + 1][1:]):
+                    raise ModelError(E_BAD_WEIGHT, "edge weight must be a natural", lineno)
+                weight = clauses.weights[toks[i + 1]] = _natural(at, i + 1, "edge weight")
             i += 2
         else:
             raise ModelError(E_SYNTAX, f"unexpected token {word!r} in edge",

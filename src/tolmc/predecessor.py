@@ -32,17 +32,19 @@ target lists.  These results live in RoundMemos, one per pred role (the
 escape split's complement, the hit target) and one for the complement,
 which keep an entry through the round (obstruction_pred call) after its
 last read and answer without hashing where a list is the very object of
-the last call at the same edge or location.  Above them, a location's
-result is kept per budget in a location entry: the escape pred of each
-out-edge, the ids of the edges that witnessed in some cell with their
-hit preds, and the result.  Every round still reads those preds, but the
-split, the hit unions and the cell intersections run again only at a
-location where one of them changed (Liu & Smolka, ICALP 1998; Cassez et
-al., CONCUR 2005).  The result is a function of the lists compared, so
-an entry serves any target of its budget.  All of this lives in a
-PredMemo, which a Checker keeps for a whole check, over every fixpoint
-round and every strategic subformula; a fresh PredMemo computes
-everything afresh.
+the last call in the same slot: per location for the complement, and for
+pred per (edge class, target location) pair (Wta.pred_slot), whose edges
+all read one target list object in a round and so give one result.
+Above them, a location's result is kept per budget in a location entry:
+the escape pred of each out-edge, the ids of the edges that witnessed in
+some cell with their hit preds, and the result.  Every round still reads
+those preds, but the split, the hit unions and the cell intersections
+run again only at a location where one of them changed (Liu & Smolka,
+ICALP 1998; Cassez et al., CONCUR 2005).  The result is a function of
+the lists compared, so an entry serves any target of its budget.  All of
+this lives in a PredMemo, which a Checker keeps for a whole check, over
+every fixpoint round and every strategic subformula; a fresh PredMemo
+computes everything afresh.
 Since equal target lists share one hit pred, many out-edges of a
 location hand out the very same list object.  A hit union joins each
 such object once, by identity, and cells that open the same objects
@@ -110,9 +112,9 @@ class RoundMemo:
     read since the last turn(), prev for those of the round before;
     turn() drops prev and makes cur the new prev, so an entry read in
     neither of the last two rounds is gone.  In front of the lookup,
-    slots keeps per use (an edge id, a location) the last (input object,
-    result), answered on identity without hashing.  computed counts the
-    results computed, i.e. the misses.
+    slots keeps per use (a Wta.pred_slot number, a location) the last
+    (input object, result), answered on identity without hashing.
+    computed counts the results computed, i.e. the misses.
     """
 
     __slots__ = ("cur", "prev", "slots", "computed")
@@ -149,11 +151,15 @@ def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
     pred reads only target.at(e.target) and what i's class
     (Wta.edge_class) fixes, so memo shares one zone list among the edges
     of the class whose target lists are equal, whatever their target
-    locations; a hit returns the memo's list itself.  i must be e's id,
-    as memo files the result under i's class and in i's slot.
+    locations; a hit returns the memo's list itself.  The edges of a
+    class into one location read the very same target list, so they
+    share one slot (Wta.pred_slot) and all but the first answer on
+    identity.  i must be e's id, as memo files the result under i's
+    class and in i's slot.
     """
     tgt = target.at(e.target)
-    slot = memo.slots.get(i)
+    s = m.pred_slot[i]
+    slot = memo.slots.get(s)
     if slot is not None and slot[0] is tgt:
         return slot[1]
     key = (m.edge_class[i][0], tuple(tgt))
@@ -161,7 +167,7 @@ def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
     if dbms is None:
         dbms = time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
         memo.put(key, dbms)
-    memo.slots[i] = (tgt, dbms)
+    memo.slots[s] = (tgt, dbms)
     return dbms
 
 
@@ -170,13 +176,14 @@ class PredMemo:
 
     escape and hit are the pred RoundMemos of the two roles (the escape
     split's complement and the hit target), keyed by (edge class, target
-    list) and slotted per edge id.  complements is the RoundMemo of
-    universe − target, keyed by (universe list, target list) and slotted
-    per location.  locations maps (location, budget n) to the location's
-    entry: the escape-pred zone list of each out-edge, the witness edge
-    ids, their hit-pred zone lists and the location's result.  splits
-    counts the escape splits run, i.e. the entry misses.  minimal is the
-    zones.minus dict of minimal constraint sets, one per subtracted zone.
+    list) and slotted per (edge class, target location) (Wta.pred_slot).
+    complements is the RoundMemo of universe − target, keyed by
+    (universe list, target list) and slotted per location.  locations
+    maps (location, budget n) to the location's entry: the escape-pred
+    zone list of each out-edge, the witness edge ids, their hit-pred
+    zone lists and the location's result.  splits counts the escape
+    splits run, i.e. the entry misses.  minimal is the zones.minus dict
+    of minimal constraint sets, one per subtracted zone.
     """
 
     __slots__ = ("escape", "hit", "complements", "locations", "splits", "minimal")

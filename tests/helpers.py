@@ -21,7 +21,8 @@ from pathlib import Path
 import tolmc
 from tolmc import logic
 from tolmc.logic import TolFormula, children, scoped
-from tolmc.model import ClockLayout, Wta, parse_model
+from tolmc.model import (E_BAD_WEIGHT, E_SYNTAX, ClockLayout, Edge, ModelError, Wta,
+                         _natural, _parse_atoms, _parse_resets, parse_model)
 from tolmc.oracle import ExplicitGraph, discretize, oracle_sat
 from tolmc.predecessor import PredMemo, _escape_cells, disc_pred, obstruction_pred, time_pred
 from tolmc.zones import (INF, ZERO, ArityError, Dbm, Federation, Zone, _reduce,
@@ -681,6 +682,65 @@ def ref_tokenize(text: str):
         raise FormulaError(f"unexpected character {ch!r}", i)
     toks.append(("eof", None, n))
     return toks
+
+
+def ref_parse_edge(at, clocks: list[str], clauses: dict):
+    """The edge-line parser as one clause loop over every line: the
+    reference for model._parse_edge, edges and errors alike.  clauses
+    maps each guard's words (a tuple) and each reset word (a str) parsed
+    so far to the parsed clause, successful parses only."""
+    is_numeral = logic.is_numeral
+    toks, lineno = at.toks, at.lineno
+    if len(toks) < 4 or toks[2] != "->":
+        raise ModelError(E_SYNTAX, "edge must read '<src> -> <dst> ...'", lineno)
+    src, dst = toks[1], toks[3]
+    i = 4
+    action = None
+    guard: tuple = ()
+    resets: frozenset[str] = frozenset()
+    weight = None
+    seen: set = set()
+    while i < len(toks):
+        word = toks[i]
+        if word in seen:  # a second clause would replace the first
+            raise ModelError(E_SYNTAX, f"repeated {word!r} clause", lineno)
+        seen.add(word)
+        if word == "action":
+            if i + 1 >= len(toks):
+                raise ModelError(E_SYNTAX, "edge action needs a name", lineno)
+            action = toks[i + 1]
+            i += 2
+        elif word == "guard":
+            j = i + 1
+            while j < len(toks) and toks[j] not in ("reset", "weight", "action"):
+                j += 1
+            words = tuple(toks[i + 1:j])
+            guard = clauses.get(words)
+            if guard is None:
+                guard = clauses[words] = _parse_atoms(at, i + 1, j, clocks)
+            i = j
+        elif word == "reset":
+            if i + 1 >= len(toks):
+                raise ModelError(E_SYNTAX, "edge reset needs clocks", lineno)
+            resets = clauses.get(toks[i + 1])
+            if resets is None:
+                resets = clauses[toks[i + 1]] = _parse_resets(at, i + 1, clocks)
+            i += 2
+        elif word == "weight":
+            if i + 1 >= len(toks):
+                raise ModelError(E_SYNTAX, "edge weight needs a number", lineno)
+            if toks[i + 1][0] == "-" and is_numeral(toks[i + 1][1:]):
+                raise ModelError(E_BAD_WEIGHT, "edge weight must be a natural", lineno)
+            weight = _natural(at, i + 1, "edge weight")
+            i += 2
+        else:
+            raise ModelError(E_SYNTAX, f"unexpected token {word!r} in edge",
+                             lineno, at.col(i))
+    if action is None:
+        raise ModelError(E_SYNTAX, "edge is missing its action", lineno)
+    if weight is None:
+        raise ModelError(E_SYNTAX, "edge is missing its weight", lineno)
+    return Edge(src, action, guard, resets, dst, weight)
 
 
 def random_tol_ast(rng: random.Random, *, max_depth: int = 6, cmax: int = 9,

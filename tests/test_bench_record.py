@@ -58,16 +58,28 @@ atexit.register(lambda: print(json.dumps([len(queries), len({id(m) for m, _ in q
 
 
 @pytest.mark.parametrize("layer, name", [("check", "mesh/k=4"), ("discretize", "mesh/k=4"),
-                                         ("location_witnesses", "phi1(4)")])
+                                         ("location_witnesses", "phi1(4)"),
+                                         ("parse_model", "mesh/k=4")])
 def test_timed_call_gets_objects_of_its_own(layer, name):
     # a model object keeps its layouts and graphs, so a timed call on the
-    # warm call's objects would time dict reads
+    # warm call's objects would time dict reads; a parse probe's input is
+    # text and it requests no layout, so it times the parse alone
     script = _script()
     proc = script.run_in(ROOT, ["-c", SPY + script.PROBE, layer, name], timeout=60,
                          hash_seed=1)
     assert proc.returncode == 0, proc.stderr
     calls, models, formulas = json.loads(proc.stderr.splitlines()[-1])
-    assert (calls, models, formulas) == (2, 2, 2)
+    assert (calls, models, formulas) == ((0, 0, 0) if layer == "parse_model" else (2, 2, 2))
+
+
+def test_parse_probe_rows_count_edges():
+    script = _script()
+    assert script.PROBE_INPUTS["parse_model"] == ("edges", list(script.PARSE_INPUTS))
+    proc = script.run_in(ROOT, ["-c", script.PROBE, "parse_model", "mesh/k=30"],
+                         timeout=60, hash_seed=1)
+    assert proc.returncode == 0, proc.stderr
+    size, ms, scaled = json.loads(proc.stdout)
+    assert size == 30 * 29 and min(ms, scaled) > 0
 
 
 def test_probe_failure_names_side_and_input(tmp_path):

@@ -8,7 +8,7 @@ from tolmc import logic
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1
 from tolmc.logic import ClockAtom
-from tolmc.model import ClockLayout, ModelError, parse_model, serialize_model
+from tolmc.model import ClockLayout, Edge, ModelError, Wta, parse_model, serialize_model
 from tolmc.randgen import random_wta
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -275,10 +275,24 @@ def test_equal_clause_texts_parse_to_one_object(k):
     m = parse_model(serialize_model(gen_mesh(k)[0]))
     assert len({id(e.guard) for e in m.edges}) == 1
     assert len({id(e.resets) for e in m.edges}) == 1
-    # the generator builds one object per edge; the classes are the same
-    unshared, _ = gen_mesh(k)
+    # a mesh built with one guard and one reset object per edge is equal
+    # and has the same classes
+    unshared = Wta(m.clocks, m.locations, m.initial, tuple(
+        Edge(e.source, e.action, (ClockAtom("x", ">=", 1),), frozenset({"x"}), e.target,
+             e.weight) for e in m.edges))
     assert len({id(e.guard) for e in unshared.edges}) == len(unshared.edges)
-    assert m.edge_class == unshared.edge_class
+    assert len({id(e.resets) for e in unshared.edges}) == len(unshared.edges)
+    assert unshared == m and m.edge_class == unshared.edge_class
+
+
+@pytest.mark.parametrize("k", (2, 3, 12, 30))
+def test_generators_share_their_clauses(k):
+    # one guard tuple per distinct guard and one reset frozenset, as a
+    # parse of the same text holds them
+    for gen, guards in ((gen_mesh, 1), (gen_pipeline, 2)):
+        m, _ = gen(k)
+        assert len({id(e.guard) for e in m.edges}) == len({e.guard for e in m.edges}) == guards
+        assert len({id(e.resets) for e in m.edges}) == 1
 
 
 def test_shared_clauses_keep_each_text_apart():

@@ -13,7 +13,7 @@ from tolmc import checker, predecessor, randgen, zones
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
 from tolmc.logic import ClockAtom, parse_formula, print_formula, subformulas_by_size
-from tolmc.model import ClockLayout, Edge, Location, Wta, parse_model
+from tolmc.model import ClockLayout, Edge, Location, Wta, parse_model, serialize_model
 from tolmc.predecessor import (RoundMemo, _escape_cells, disc_pred, full_space, pred,
                                time_pred)
 from tolmc.randgen import CLOSED_OPS, WEIGHTS, random_formula, random_wta
@@ -751,6 +751,49 @@ def test_hit_unions_run_once_per_split(monkeypatch):
         assert checker.check(gen_mesh(k)[0], parse_formula(formula)).satisfied
         seen.append(count["calls"])
     assert seen == [117, 342], seen
+
+
+def test_pred_answers_each_class_and_target_by_identity(monkeypatch):
+    # pred keeps one slot per (edge class, target location), so after the
+    # first edge of a pair every edge of it answers by identity: keyed
+    # lookups (RoundMemo.get) on mesh k = 30 G and k = 12 F went 2699 ->
+    # 151 and 3732 -> 492 from slots per edge id.  Every pipeline pair has
+    # one edge, so k = 30 F reads 1608 either way.  The preds computed are
+    # those of slots per edge id: a slot that answered a list of another
+    # pair would skip or add computations
+    count = {"get": 0}
+    get = RoundMemo.get
+
+    def counted(self, key):
+        count["get"] += 1
+        return get(self, key)
+
+    monkeypatch.setattr(RoundMemo, "get", counted)
+    seen = []
+    for gen, k, formula in ((gen_mesh, 30, "j . <#1> G (s29 -> j >= 900)"),
+                            (gen_mesh, 12, "j . <#10> F (s11 & j >= 12)"),
+                            (gen_pipeline, 30, "j . <#1> F (s29 & j >= 900)")):
+        m, _ = gen(k)
+        for model in (m, parse_model(serialize_model(m))):
+            count["get"] = 0
+            v = checker.check(model, parse_formula(formula))
+            assert v.satisfied
+            seen.append((count["get"], v.stats.preds_computed))
+    assert seen == [(151, 4)] * 2 + [(492, 30)] * 2 + [(1608, 189)] * 2, seen
+
+
+def test_pred_slot_numbers_each_class_and_target_pair():
+    rng = random.Random(36)
+    pairs = 0
+    for _ in range(300):
+        m = random_wta(rng)
+        slot = m.pred_slot
+        assert sorted(set(slot)) == list(range(len(set(slot))))
+        for i, j in itertools.combinations(range(len(m.edges)), 2):
+            same = m.edge_class[i] is m.edge_class[j] and m.edges[i].target == m.edges[j].target
+            assert (slot[i] == slot[j]) == same
+            pairs += same
+    assert pairs >= 100, pairs
 
 
 def _hit_union_queries():
