@@ -35,7 +35,10 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     `preds_computed`, `zones_noted` and `splits_computed` (null where a
     side's CheckStats lacks the field),
   - untraced `model.parse_model` ms (median of 2 * PAIRS runs) on the
-    serialized models of PARSE_INPUTS, with each model's edge count,
+    serialized models of PARSE_INPUTS, with the edge count they parse
+    to: one generated model each, and for `random/n=1000` the texts of
+    the first 1000 `randgen.random_wta` models of `random.Random(1)`,
+    built inside the probe, where edge tails mostly differ,
   - untraced `oracle.discretize` ms (median of 2 * PAIRS runs) and the
     count of states it builds (those the initial state's Sat bits read,
     not the whole grid) for pipeline and mesh at DISCRETIZE_KS,
@@ -79,7 +82,7 @@ DISCRETIZE_KS = (4, 5, 6, 8)
 CHECK_KS = (4, 12, 16, 22, 30, 60, 120)
 MESH_UNTIL_KS = (4, 8, 12)
 FAN_NS = (4, 6, 8, 10)  # n = 10 took about 12 s a run before the minimal-set subtraction
-PARSE_INPUTS = ("mesh/k=30", "mesh/k=120", "pipeline/k=120")
+PARSE_INPUTS = ("mesh/k=30", "mesh/k=120", "pipeline/k=120", "random/n=1000")
 PAIRS = 10          # a gain claim needs 10 alternating pairs; also the probe rounds
 WITNESS_FORMULAS = (("phi1", 2), ("phi1", 3), ("phi1", 4),
                     ("phi2", 3), ("phi2", 4), ("phi2", 5))
@@ -109,7 +112,7 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 # tests/helpers.py::fan_model and mesh_until(k)
 # perfbench/workloads.py::mesh_until, written out here.
 PROBE = """
-import json, sys, time
+import json, random, sys, time
 sys.path.insert(0, "perfbench")
 from calibrate import HostClock
 from tolmc import case_study, oracle
@@ -118,6 +121,7 @@ from tolmc.checker import check
 from tolmc.logic import parse_formula
 from tolmc.model import parse_model, serialize_model
 from tolmc.oracle import discretize, location_witnesses
+from tolmc.randgen import random_wta
 
 def fan(n):
     pairs = (("x", "y"), ("y", "z"), ("z", "x"))
@@ -147,6 +151,12 @@ def check_row(m, f):
                     for key in ("preds_computed", "zones_noted", "splits_computed"))
     return [v.satisfied, counters]
 
+def model_texts(name):
+    if name.startswith("random/"):
+        rng = random.Random(1)
+        return [[serialize_model(random_wta(rng)) for _ in range(int(name.partition("=")[2]))]]
+    return [[serialize_model(query(name)[0])]]
+
 def witness_query(name):
     phi, _, t = name.partition("(")
     return case_study.build_case_study(), getattr(case_study, phi)(int(t.rstrip(")")))
@@ -162,8 +172,8 @@ def witness_row(m, f):
     return [len(witnesses), {"sweeps": sweeps[0]}]
 
 ROWS = {"check": (query, check_row),
-        "parse_model": (lambda name: [serialize_model(query(name)[0])],
-                        lambda text: [len(parse_model(text).edges)]),
+        "parse_model": (model_texts, lambda texts: [sum(len(parse_model(t).edges)
+                                                         for t in texts)]),
         "discretize": (query, lambda m, f: [len(discretize(m, f).states)]),
         "location_witnesses": (witness_query, witness_row)}
 layer, name = sys.argv[1:]

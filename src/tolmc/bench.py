@@ -51,8 +51,8 @@ def gen_pipeline(k: int) -> tuple[Wta, TolFormula]:
 
     Chain guards are x >= k except the final hop at x >= 2k, so the
     k-1 hops take at least (k-2)*k + 2k = k*k time units and the bound
-    in the objective is tight.  Edges with equal clauses share one
-    guard tuple and one reset frozenset, as parse_model's do.
+    in the objective is tight.  Edges share one guard tuple per distinct
+    guard and one reset frozenset, so Wta.edge_class knows each by id.
     """
     check_size("pipeline", k)
     locations = tuple(Location(f"s{i}", (), frozenset({f"s{i}"})) for i in range(k))

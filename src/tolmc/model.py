@@ -15,11 +15,10 @@ Nothing is kept at module level or keyed by text: an equal Wta object
 builds its own, and a failed build keeps nothing.
 
 Within one parse_model call, each edge tail (the words after an edge's
-action, in the clause order serialize_model writes), each guard text and
-each reset and weight word is parsed once: edges with equal texts hold
-one tuple or frozenset object, so that Wta.edge_class knows a part it
-has met by its id.  The call's own tables (_Clauses) keep them and go
-with it.
+action, in the clause order serialize_model writes) is parsed once:
+edges with equal tails hold one guard tuple and one reset frozenset, so
+that Wta.edge_class knows a part it has met by its id.  The call's own
+table of tails keeps them and goes with it.
 """
 
 from __future__ import annotations
@@ -73,17 +72,18 @@ class Wta:
         return {name: tuple(ids) for name, ids in out.items()}
 
     @cached_property
-    def edge_class(self) -> tuple[tuple[int, ...], ...]:
-        """The ids of each edge's class, indexed by edge id.
+    def edge_class(self) -> tuple[int, ...]:
+        """The number of each edge's class, indexed by edge id; classes
+        are numbered 0, 1, ... in the order of their first edges.
 
         Edges of one class agree on target invariant, guard, resets and
         source invariant, all that a predecessor reads of an edge besides
-        its source and the target zone list at its target; one tuple
-        object stands for the whole class.  Each guard, reset set and
-        invariant is numbered by value, but an object met before is
-        known by its id without hashing it again: a parsed model holds
-        one object per equal guard or reset text, and so do the models
-        of bench's generators.
+        its source and the target zone list at its target.  Each guard,
+        reset set and invariant is numbered by value, but an object met
+        before is known by its id without hashing it again: a parsed
+        model holds one object per equal edge tail, and the models of
+        bench's generators one per distinct clause, while a model built
+        by hand with one object per edge gets the same classes by value.
         """
         by_id: dict[int, int] = {}
         by_value: dict = {}
@@ -95,24 +95,21 @@ class Wta:
             return n
 
         inv = {loc.name: number(loc.invariant) for loc in self.locations}
-        by_key: dict[tuple, list[int]] = {}
-        keys = [(inv[e.target], number(e.guard), number(e.resets), inv[e.source])
-                for e in self.edges]
-        for i, key in enumerate(keys):
-            by_key.setdefault(key, []).append(i)
-        classes = {key: tuple(ids) for key, ids in by_key.items()}
-        return tuple(classes[key] for key in keys)
+        classes: dict[tuple, int] = {}
+        return tuple(classes.setdefault(
+            (inv[e.target], number(e.guard), number(e.resets), inv[e.source]), len(classes))
+            for e in self.edges)
 
     @cached_property
     def pred_slot(self) -> tuple[int, ...]:
-        """The number of each edge's (edge class, target location) pair,
-        indexed by edge id, in the order of each pair's first edge: the
-        edges of one pair read the same target list of a Federation and
-        give the same predecessor of it, so predecessor.pred keeps one
+        """The number of each edge's (edge class number, target location)
+        pair, indexed by edge id, in the order of each pair's first edge:
+        the edges of one pair read the same target list of a Federation
+        and give the same predecessor of it, so predecessor.pred keeps one
         slot per number."""
         numbers: dict[tuple[int, str], int] = {}
-        return tuple(numbers.setdefault((cls[0], e.target), len(numbers))
-                     for cls, e in zip(self.edge_class, self.edges))
+        return tuple(numbers.setdefault((c, e.target), len(numbers))
+                     for c, e in zip(self.edge_class, self.edges))
 
     @cached_property
     def clock_caps(self) -> dict[str, int]:
@@ -181,7 +178,7 @@ def parse_model(text: str) -> Wta:
     initial: Optional[str] = None
     saw_header = False
 
-    clauses = _Clauses()
+    tails: dict[str, tuple] = {}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         at = _Line(raw, lineno)
@@ -212,7 +209,7 @@ def parse_model(text: str) -> Wta:
                 initial = loc.name
             locations.append(loc)
         elif kind == "edge":
-            edges.append(_parse_edge(at, clocks, clauses))
+            edges.append(_parse_edge(at, clocks, tails))
         else:
             raise ModelError(E_SYNTAX, f"unknown directive {kind!r}", lineno, at.col(0))
 
@@ -337,50 +334,32 @@ def _parse_location(at: _Line, clocks: list[str]):
     return Location(name, invariant or (), frozenset(labels)), is_init
 
 
-class _Clauses:
-    """The edge clauses one parse_model call has parsed, each under its
-    own words in its own dict: guards (a guard's words, a tuple) to atom
-    tuples, resets (a reset word) to frozensets, weights (a weight word)
-    to ints, and tails (the words after an edge's action, joined by one
-    space) to the edge's (guard, resets, weight).  Only successful
-    parses are kept, and clocks only grow, so a kept clause parses the
-    same again."""
-
-    __slots__ = ("guards", "resets", "weights", "tails")
-
-    def __init__(self):
-        self.guards: dict[tuple[str, ...], tuple[ClockAtom, ...]] = {}
-        self.resets: dict[str, frozenset[str]] = {}
-        self.weights: dict[str, int] = {}
-        self.tails: dict[str, tuple] = {}
-
-
-def _parse_edge(at: _Line, clocks: list[str], clauses: _Clauses) -> Edge:
+def _parse_edge(at: _Line, clocks: list[str], tails: dict[str, tuple]) -> Edge:
     """edge <src> -> <dst> action <a> [guard ...] [reset x,y] weight <n>
 
     A line that opens in that order, as serialize_model writes it, is
-    parsed once per tail, the words after <a>: clauses.tails gives an
-    equal tail's guard, resets and weight, so a model's edges with equal
-    clause texts hold one tuple and one frozenset.  A tail met first and
-    a line in any other order run the clause loop, and the line's tail
-    is kept once the loop succeeds."""
+    parsed once per tail, the words after <a> joined by one space: tails
+    gives an equal tail's guard, resets and weight, so a model's edges
+    with equal tails hold one tuple and one frozenset.  A tail met first
+    and a line in any other order run the clause loop, and the line's
+    tail is kept once the loop succeeds; clocks only grow, so a kept tail
+    parses the same again."""
     toks = at.toks
     if len(toks) > 5 and toks[4] == "action" and toks[2] == "->":
         # a str, not a tuple: a freed tuple stays on a free list, which
         # tracemalloc counts as held
         tail = " ".join(toks[6:])
-        kept = clauses.tails.get(tail)
+        kept = tails.get(tail)
         if kept is not None:
             return Edge(toks[1], toks[5], kept[0], kept[1], toks[3], kept[2])
-        e = _edge_clauses(at, clocks, clauses)
-        clauses.tails[tail] = (e.guard, e.resets, e.weight)
+        e = _edge_clauses(at, clocks)
+        tails[tail] = (e.guard, e.resets, e.weight)
         return e
-    return _edge_clauses(at, clocks, clauses)
+    return _edge_clauses(at, clocks)
 
 
-def _edge_clauses(at: _Line, clocks: list[str], clauses: _Clauses) -> Edge:
-    """The clause loop over an edge line, in any clause order; it parses
-    each guard text, reset word and weight word once per clauses."""
+def _edge_clauses(at: _Line, clocks: list[str]) -> Edge:
+    """The clause loop over an edge line, in any clause order."""
     toks, lineno = at.toks, at.lineno
     if len(toks) < 4 or toks[2] != "->":
         raise ModelError(E_SYNTAX, "edge must read '<src> -> <dst> ...'", lineno)
@@ -405,26 +384,19 @@ def _edge_clauses(at: _Line, clocks: list[str], clauses: _Clauses) -> Edge:
             j = i + 1
             while j < len(toks) and toks[j] not in ("reset", "weight", "action"):
                 j += 1
-            words = tuple(toks[i + 1:j])
-            guard = clauses.guards.get(words)
-            if guard is None:
-                guard = clauses.guards[words] = _parse_atoms(at, i + 1, j, clocks)
+            guard = _parse_atoms(at, i + 1, j, clocks)
             i = j
         elif word == "reset":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge reset needs clocks", lineno)
-            resets = clauses.resets.get(toks[i + 1])
-            if resets is None:
-                resets = clauses.resets[toks[i + 1]] = _parse_resets(at, i + 1, clocks)
+            resets = _parse_resets(at, i + 1, clocks)
             i += 2
         elif word == "weight":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge weight needs a number", lineno)
-            weight = clauses.weights.get(toks[i + 1])
-            if weight is None:
-                if toks[i + 1][0] == "-" and is_numeral(toks[i + 1][1:]):
-                    raise ModelError(E_BAD_WEIGHT, "edge weight must be a natural", lineno)
-                weight = clauses.weights[toks[i + 1]] = _natural(at, i + 1, "edge weight")
+            if toks[i + 1][0] == "-" and is_numeral(toks[i + 1][1:]):
+                raise ModelError(E_BAD_WEIGHT, "edge weight must be a natural", lineno)
+            weight = _natural(at, i + 1, "edge weight")
             i += 2
         else:
             raise ModelError(E_SYNTAX, f"unexpected token {word!r} in edge",

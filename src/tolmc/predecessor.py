@@ -23,10 +23,10 @@ rules out the degenerate play where the blocker deactivates every
 usable edge; with it, budget 0 on positive-weight models coincides with
 the universal one-step predecessor of TCTL.
 
-pred(e, T) is kept by what it reads: the edge's class (Wta.edge_class)
-and the value of T's zone list at e.target.  Edges of a class may lead
-to different locations, so equal target lists there share one result,
-and a result is handed to every edge of the class as is.  The complement
+pred(e, T) is kept by what it reads: the edge's class number
+(Wta.edge_class) and the value of T's zone list at e.target.  Edges of a
+class may lead to different locations, so equal target lists there share
+one result, and a result is handed to every edge of the class as is.  The complement
 universe − target is kept by the values of a location's universe and
 target lists.  These results live in RoundMemos, one per pred role (the
 escape split's complement, the hit target) and one for the complement,
@@ -53,8 +53,6 @@ so the unions are those of one join per witness edge.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .model import ClockLayout, Edge, Wta
 from .zones import (Dbm, Federation, _reduce, dbm_intersect, difference, down, join,
@@ -148,21 +146,22 @@ def pred(m: Wta, layout: ClockLayout, e: Edge, target: Federation,
     """Delay, then take e, the edge of id i, into the target: the zone
     list at e.source.
 
-    pred reads only target.at(e.target) and what i's class
-    (Wta.edge_class) fixes, so memo shares one zone list among the edges
-    of the class whose target lists are equal, whatever their target
-    locations; a hit returns the memo's list itself.  The edges of a
-    class into one location read the very same target list, so they
-    share one slot (Wta.pred_slot) and all but the first answer on
-    identity.  i must be e's id, as memo files the result under i's
-    class and in i's slot.
+    pred reads only target.at(e.target) and what i's class fixes, so
+    memo keys the result by i's class number (Wta.edge_class) and the
+    target list's value, and shares one zone list among the edges of the
+    class whose target lists are equal, whatever their target locations;
+    a hit returns the memo's list itself.  The edges of a class into one
+    location read the very same target list, so they share one slot
+    (Wta.pred_slot) and all but the first answer on identity.  i must be
+    e's id, as memo files the result under i's class number and in i's
+    slot.
     """
     tgt = target.at(e.target)
     s = m.pred_slot[i]
     slot = memo.slots.get(s)
     if slot is not None and slot[0] is tgt:
         return slot[1]
-    key = (m.edge_class[i][0], tuple(tgt))
+    key = (m.edge_class[i], tuple(tgt))
     dbms = memo.get(key)
     if dbms is None:
         dbms = time_pred(m, layout, e.source, disc_pred(m, layout, e, tgt))
@@ -175,8 +174,9 @@ class PredMemo:
     """What obstruction_pred keeps across calls.
 
     escape and hit are the pred RoundMemos of the two roles (the escape
-    split's complement and the hit target), keyed by (edge class, target
-    list) and slotted per (edge class, target location) (Wta.pred_slot).
+    split's complement and the hit target), keyed by (edge class number,
+    target list value) and slotted per (edge class, target location)
+    pair number (Wta.pred_slot).
     complements is the RoundMemo of universe − target, keyed by
     (universe list, target list) and slotted per location.  locations
     maps (location, budget n) to the location's entry: the escape-pred
@@ -220,8 +220,7 @@ def _complement(m: Wta, target: Federation, universe: Federation,
 
 
 def _escape_cells(m: Wta, loc: str, esc: list, universe: Federation,
-                  n: int, minimal: Optional[dict] = None
-                  ) -> list[tuple[list, frozenset, int]]:
+                  n: int, minimal: dict) -> list[tuple[list, frozenset, int]]:
     """Split the part of a location's space that budget n affords into
     (DBMs, edges escaping into the complement, their weight) cells.
 

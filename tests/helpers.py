@@ -372,7 +372,7 @@ def ref_hit_union_location_pred(m: Wta, layout: ClockLayout, loc: str, n: int,
     hits = [ref_pred(m, layout, m.edges[i], target) for i in edge_ids]
     order = sorted(range(len(edge_ids)), key=lambda k: bool(esc[k]))  # stable
     out: list = []
-    for dbms, pattern, _ in _escape_cells(m, loc, esc, universe, n):
+    for dbms, pattern, _ in _escape_cells(m, loc, esc, universe, n, {}):
         cell_hits: list = []
         for k in order:
             if edge_ids[k] not in pattern:
@@ -684,11 +684,9 @@ def ref_tokenize(text: str):
     return toks
 
 
-def ref_parse_edge(at, clocks: list[str], clauses: dict):
+def ref_parse_edge(at, clocks: list[str]):
     """The edge-line parser as one clause loop over every line: the
-    reference for model._parse_edge, edges and errors alike.  clauses
-    maps each guard's words (a tuple) and each reset word (a str) parsed
-    so far to the parsed clause, successful parses only."""
+    reference for model._parse_edge, edges and errors alike, by value."""
     is_numeral = logic.is_numeral
     toks, lineno = at.toks, at.lineno
     if len(toks) < 4 or toks[2] != "->":
@@ -714,17 +712,12 @@ def ref_parse_edge(at, clocks: list[str], clauses: dict):
             j = i + 1
             while j < len(toks) and toks[j] not in ("reset", "weight", "action"):
                 j += 1
-            words = tuple(toks[i + 1:j])
-            guard = clauses.get(words)
-            if guard is None:
-                guard = clauses[words] = _parse_atoms(at, i + 1, j, clocks)
+            guard = _parse_atoms(at, i + 1, j, clocks)
             i = j
         elif word == "reset":
             if i + 1 >= len(toks):
                 raise ModelError(E_SYNTAX, "edge reset needs clocks", lineno)
-            resets = clauses.get(toks[i + 1])
-            if resets is None:
-                resets = clauses[toks[i + 1]] = _parse_resets(at, i + 1, clocks)
+            resets = _parse_resets(at, i + 1, clocks)
             i += 2
         elif word == "weight":
             if i + 1 >= len(toks):

@@ -59,7 +59,8 @@ atexit.register(lambda: print(json.dumps([len(queries), len({id(m) for m, _ in q
 
 @pytest.mark.parametrize("layer, name", [("check", "mesh/k=4"), ("discretize", "mesh/k=4"),
                                          ("location_witnesses", "phi1(4)"),
-                                         ("parse_model", "mesh/k=4")])
+                                         ("parse_model", "mesh/k=4"),
+                                         ("parse_model", "random/n=1000")])
 def test_timed_call_gets_objects_of_its_own(layer, name):
     # a model object keeps its layouts and graphs, so a timed call on the
     # warm call's objects would time dict reads; a parse probe's input is

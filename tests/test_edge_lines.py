@@ -1,13 +1,13 @@
 """The edge-line parser against tests/helpers.py::ref_parse_edge, the clause
 loop it runs on every line: the same Edge or the same ModelError for
-each line, with each parser keeping its own table over a model's lines."""
+each line, the parser keeping its own table of tails over a model's lines."""
 
 import random
 
 import pytest
 
 from helpers import ref_parse_edge
-from tolmc.model import MAX_CONSTANT, ModelError, _Clauses, _Line, _parse_edge, parse_model
+from tolmc.model import MAX_CONSTANT, ModelError, _Line, _parse_edge, parse_model
 
 ACTIONS = ("action a0", "action a1", "action guard")
 GUARDS = ("guard x >= 1", "guard x < 2 & y <= 3", "guard z > 1", "guard")
@@ -24,9 +24,9 @@ HEADS = ("edge l0 -> l1", "edge l1 -> l0", "edge l0 -> l1 ", "edge l0", "edge l0
          "edge l0 => l1")
 
 
-def _outcome(parse, at, clocks, table):
+def _outcome(parse, *args):
     try:
-        return parse(at, clocks, table)
+        return parse(*args)
     except ModelError as e:
         return ("error", e.code, str(e), e.line, e.column)
 
@@ -52,17 +52,18 @@ def _random_line(rng: random.Random, tails: list[str]) -> str:
 
 
 def _compare(lines, clocks_at=None):
-    """Parse lines in order with both parsers, each with a table of its own,
-    adding clock z before line clocks_at; returns the outcomes."""
+    """Parse lines in order with both parsers, the parser with a table of
+    tails of its own, adding clock z before line clocks_at; returns the
+    outcomes."""
     clocks = ["x", "y"]
-    table, ref_table = _Clauses(), {}
+    table: dict = {}
     outcomes = []
     for lineno, line in enumerate(lines, start=1):
         if lineno == clocks_at:
             clocks.append("z")
         at = _Line(line, lineno)
         got = _outcome(_parse_edge, at, clocks, table)
-        want = _outcome(ref_parse_edge, at, clocks, ref_table)
+        want = _outcome(ref_parse_edge, at, clocks)
         assert got == want, line
         outcomes.append(got)
     return outcomes

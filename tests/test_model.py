@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from pathlib import Path
@@ -8,7 +9,8 @@ from tolmc import logic
 from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.case_study import build_case_study, phi1
 from tolmc.logic import ClockAtom
-from tolmc.model import ClockLayout, Edge, ModelError, Wta, parse_model, serialize_model
+from tolmc.model import (ClockLayout, Edge, Location, ModelError, Wta, parse_model,
+                         serialize_model)
 from tolmc.randgen import random_wta
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -220,7 +222,7 @@ def test_mesh_edges_form_one_class(k):
     # every mesh edge has guard x >= 1, resets x and joins two locations
     # without invariants, whatever its target
     m, _ = gen_mesh(k)
-    assert set(m.edge_class) == {tuple(range(len(m.edges)))}
+    assert m.edge_class == (0,) * len(m.edges)
     assert len({e.target for e in m.edges}) == k
 
 
@@ -229,7 +231,10 @@ def test_pipeline_edges_form_two_classes(k):
     # the last step's guard differs from that of every other edge
     m, _ = gen_pipeline(k)
     last = next(i for i, e in enumerate(m.edges) if e.action == f"step{k - 2}")
-    assert set(m.edge_class) == {(last,), tuple(i for i in range(len(m.edges)) if i != last)}
+    classes = [(last,), tuple(i for i in range(len(m.edges)) if i != last)]
+    if last:  # classes are numbered in the order of their first edges
+        classes.reverse()
+    assert [tuple(i for i, c in enumerate(m.edge_class) if c == n) for n in (0, 1)] == classes
 
 
 EDGE_CLASSES = """wta
@@ -253,19 +258,13 @@ edge c -> a action go guard x >= 1 reset y weight 1
 
 
 def test_edge_class_ignores_weight_action_and_source_name():
-    m = parse_model(EDGE_CLASSES)
-    cls = m.edge_class
-    # a and b have no invariant: weight and action do not split the class,
-    # and neither does a target of the same invariant (t, b)
-    assert cls[0] == cls[1] == cls[6] == (0, 1, 6)
-    # c and d share an invariant, so their edges share a class too, into
-    # t and into a alike
-    assert cls[2] == cls[3] == cls[8] == (2, 3, 8)
-    # a differing source invariant, resets, guard or target invariant
-    # splits it
-    assert cls[0] != cls[2]
-    assert [cls[i] for i in (4, 5, 7)] == [(4,), (5,), (7,)]
-    assert cls[0] is cls[1] is cls[6]
+    # a and b have no invariant: weight and action do not split the class
+    # of edges 0, 1 and 6, and neither does a target of the same invariant
+    # (t, b); c and d share an invariant, so edges 2, 3 and 8 share a
+    # class too, into t and into a alike; a differing source invariant
+    # (edge 2), resets (4), guard (5) or target invariant (7) splits it.
+    # Classes are numbered in the order of their first edges
+    assert parse_model(EDGE_CLASSES).edge_class == (0, 0, 1, 1, 2, 3, 0, 4, 1)
 
 
 @pytest.mark.parametrize("k", (3, 12, 30))
@@ -296,26 +295,62 @@ def test_generators_share_their_clauses(k):
 
 
 def test_shared_clauses_keep_each_text_apart():
-    # equal texts are one object, different texts are not, and a second
-    # parse shares nothing with the first
+    # edges with equal tails (the words after the action) hold one guard
+    # and one reset object; other tails hold their own, and a second parse
+    # shares nothing with the first
     m = parse_model(EDGE_CLASSES)
-    by_text: dict = {}
-    for e in m.edges:
-        by_text.setdefault(("guard", str(e.guard)), set()).add(id(e.guard))
-        by_text.setdefault(("reset", tuple(sorted(e.resets))), set()).add(id(e.resets))
-    assert all(len(ids) == 1 for ids in by_text.values())
-    assert len({id(e.guard) for e in m.edges}) == 2
-    assert len({id(e.resets) for e in m.edges}) == 2
+    by_tail: dict = {}
+    for line, e in zip(EDGE_CLASSES.splitlines()[-len(m.edges):], m.edges):
+        by_tail.setdefault(line.split(maxsplit=6)[6], set()).add((id(e.guard), id(e.resets)))
+    assert len(by_tail) == 5 and all(len(ids) == 1 for ids in by_tail.values())
+    assert len({id(e.guard) for e in m.edges}) == len({id(e.resets) for e in m.edges}) == 5
+    # edges 0 and 1 have equal guard texts under different tails: two
+    # objects, one class
+    assert m.edges[0].guard == m.edges[1].guard and m.edges[0].guard is not m.edges[1].guard
+    assert m.edge_class[0] == m.edge_class[1]
     again = parse_model(EDGE_CLASSES)
-    assert again == m and again.edges[0].guard is not m.edges[0].guard
+    ids = {id(part) for e in m.edges for part in (e.guard, e.resets)}
+    assert again == m and not ids & {id(part) for e in again.edges
+                                     for part in (e.guard, e.resets)}
 
 
-def test_round_tripped_random_models_keep_their_edge_classes():
+def assert_value_partition(m: Wta) -> tuple[int, int]:
+    """m.edge_class puts two edges in one class exactly when their target
+    invariant, guard, resets and source invariant are equal by value, and
+    numbers the classes 0, 1, ... in the order of their first edges.
+    Returns the counts of edge pairs in one class and in two."""
+    cls = m.edge_class
+    inv = {loc.name: loc.invariant for loc in m.locations}
+    keys = [(inv[e.target], e.guard, e.resets, inv[e.source]) for e in m.edges]
+    assert len(cls) == len(m.edges)
+    assert list(dict.fromkeys(cls)) == list(range(len(set(cls))))
+    same = apart = 0
+    for i, j in itertools.combinations(range(len(m.edges)), 2):
+        assert (cls[i] == cls[j]) == (keys[i] == keys[j]), (i, j, serialize_model(m))
+        same += keys[i] == keys[j]
+        apart += keys[i] != keys[j]
+    return same, apart
+
+
+def test_edge_classes_are_the_value_partition():
+    # random models hold one clause object per edge, their parsed texts
+    # one per distinct tail, and the hand-built mesh one per edge, with
+    # guards and invariants that split its edges into several classes
     rng = random.Random(20261020)
-    shared = 0
+    pairs = [0, 0]
     for _ in range(300):
         m = random_wta(rng)
         parsed = parse_model(serialize_model(m))
-        assert parsed == m and parsed.edge_class == m.edge_class, serialize_model(m)
-        shared += any(len(cls) > 1 for cls in m.edge_class)
-    assert shared >= 100, shared  # classes of several edges are compared too
+        assert parsed == m, serialize_model(m)
+        for model in (m, parsed):
+            pairs = [a + b for a, b in zip(pairs, assert_value_partition(model))]
+    assert min(pairs) >= 1000, pairs  # both outcomes are compared in bulk (1312 and 1916)
+    k = 8
+    locations = tuple(Location(f"s{i}", (ClockAtom("x", "<=", 5),) if i % 3 == 0 else ())
+                      for i in range(k))
+    mesh = Wta(("x",), locations, "s0", tuple(
+        Edge(f"s{i}", f"m{i}_{j}", (ClockAtom("x", ">=", 1 + (i + j) % 2),), frozenset({"x"}),
+             f"s{j}", 1) for i in range(k) for j in range(k) if i != j))
+    assert len({id(e.guard) for e in mesh.edges}) == len(mesh.edges)
+    same, apart = assert_value_partition(mesh)
+    assert len(set(mesh.edge_class)) == 8 and same and apart

@@ -405,7 +405,7 @@ def assert_reference_zone_lists(cases) -> int:
     and cut afterwards.  Returns how many models share an edge class."""
     shared = 0
     for m, layout, universe, targets in cases:
-        shared += any(len(cls) > 1 for cls in m.edge_class)
+        shared += len(set(m.edge_class)) < len(m.edges)
         for target in targets:
             complement = universe.subtract(target)
             for n in (0, 1, 2, 4):
@@ -415,7 +415,7 @@ def assert_reference_zone_lists(cases) -> int:
                 for loc in m.locations:
                     esc = [ref_pred(m, layout, m.edges[i], complement)
                            for i in m.out_edges[loc.name]]
-                    assert _escape_cells(m, loc.name, esc, universe, n) == \
+                    assert _escape_cells(m, loc.name, esc, universe, n, {}) == \
                         ref_escape_cells(m, layout, loc.name, complement, universe, n)
     return shared
 
@@ -637,7 +637,7 @@ def test_grouped_escape_lists_of_several_zones_give_the_reference_sets():
                 for n in (0, 1, 2, 4):
                     partial += sum(min(ws) <= n < sum(ws) for ws in bundles)
                     got = cell_sets(layout, loc.name,
-                                    _escape_cells(m, loc.name, esc, universe, n))
+                                    _escape_cells(m, loc.name, esc, universe, n, {}))
                     want = cell_sets(layout, loc.name, ref_escape_cells(
                         m, layout, loc.name, complement, universe, n))
                     assert got.keys() == want.keys(), (serialize_str(m), n)
@@ -667,7 +667,7 @@ def test_equal_target_lists_share_one_pred_across_target_locations():
     # both edges are of one class (no invariants, equal guard and resets);
     # the target lists at t1 and t2 are equal but distinct list objects
     m = parse_model(SHARED_TARGETS)
-    assert m.edge_class[0] is m.edge_class[1]
+    assert m.edge_class == (0, 0)
     layout = layout_for(m)
     d = layout.conjoin(layout.invariants["t1"], (ClockAtom("x", "<=", 3),))
     target = Federation(layout.dim, {"t1": [d], "t2": [d]})
@@ -690,7 +690,7 @@ location l1
 edge l0 -> l1 action early guard x <= 2 reset x weight 1
 edge l0 -> l1 action late guard x >= 3 weight 1
 """)
-    assert m.edge_class[0] is not m.edge_class[1]
+    assert m.edge_class == (0, 1)
     layout = layout_for(m)
     target = full_space(m, layout)
     memo = RoundMemo()
@@ -790,7 +790,7 @@ def test_pred_slot_numbers_each_class_and_target_pair():
         slot = m.pred_slot
         assert sorted(set(slot)) == list(range(len(set(slot))))
         for i, j in itertools.combinations(range(len(m.edges)), 2):
-            same = m.edge_class[i] is m.edge_class[j] and m.edges[i].target == m.edges[j].target
+            same = m.edge_class[i] == m.edge_class[j] and m.edges[i].target == m.edges[j].target
             assert (slot[i] == slot[j]) == same
             pairs += same
     assert pairs >= 100, pairs
