@@ -27,7 +27,10 @@ lasts BENCHMARK.json's `run_seconds`.  One file per side records:
     verdict for pipeline and mesh at CHECK_KS, each with its
     generator's formula, for mesh at MESH_UNTIL_KS with perfbench's
     Until formula `j . <#k-2> F (s{k-1} & j >= k)` (rows
-    `mesh-until/k=K`), and for the fan family at FAN_NS with
+    `mesh-until/k=K`), for pipeline at PIPELINE_UNTIL_KS with perfbench's
+    Until formula `j . <#1> F (s{k-1} & j >= k*k)` (rows
+    `pipeline-until/k=K`, the Until wave: s{k-1}'s self-loop grows its
+    set for k rounds), and for the fan family at FAN_NS with
     `<#n/2> G ! q` (the models and formulas are built inside the probe,
     so that an older side runs them too); beside each row the check's
     counters, which must agree in every run of a side (every hash seed)
@@ -81,6 +84,7 @@ WORKLOADS = ("pipeline", "mesh", "differential", "case_study")
 DISCRETIZE_KS = (4, 5, 6, 8)
 CHECK_KS = (4, 12, 16, 22, 30, 60, 120)
 MESH_UNTIL_KS = (4, 8, 12)
+PIPELINE_UNTIL_KS = (30, 60, 120)
 FAN_NS = (4, 6, 8, 10)  # n = 10 took about 12 s a run before the minimal-set subtraction
 PARSE_INPUTS = ("mesh/k=30", "mesh/k=120", "pipeline/k=120", "random/n=1000")
 PAIRS = 10          # a gain claim needs 10 alternating pairs; also the probe rounds
@@ -91,6 +95,7 @@ PROBE_INPUTS = {
     "check": ("satisfied", [f"{family}/k={k}" for family in ("pipeline", "mesh")
                             for k in CHECK_KS]
               + [f"mesh-until/k={k}" for k in MESH_UNTIL_KS]
+              + [f"pipeline-until/k={k}" for k in PIPELINE_UNTIL_KS]
               + [f"fan/n={n}" for n in FAN_NS]),
     "parse_model": ("edges", list(PARSE_INPUTS)),
     "discretize": ("states", [f"{family}/k={k}" for k in DISCRETIZE_KS
@@ -109,8 +114,9 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 # probe's input is the model's text), and prints one JSON line
 # [size, ms, scaled ms] (check and witness rows add their counters),
 # calibrating the host clock before and after the timed call.  fan(n) is
-# tests/helpers.py::fan_model and mesh_until(k)
-# perfbench/workloads.py::mesh_until, written out here.
+# tests/helpers.py::fan_model, and mesh_until(k) and pipeline_until(k)
+# are the models with the formulas of perfbench/workloads.py's functions
+# of those names, written out here.
 PROBE = """
 import json, random, sys, time
 sys.path.insert(0, "perfbench")
@@ -137,7 +143,11 @@ def fan(n):
 def mesh_until(k):
     return gen_mesh(k)[0], parse_formula(f"j . <#{k - 2}> F (s{k - 1} & j >= {k})")
 
-GENS = {"pipeline": gen_pipeline, "mesh": gen_mesh, "mesh-until": mesh_until, "fan": fan}
+def pipeline_until(k):
+    return gen_pipeline(k)[0], parse_formula(f"j . <#1> F (s{k - 1} & j >= {k * k})")
+
+GENS = {"pipeline": gen_pipeline, "mesh": gen_mesh, "mesh-until": mesh_until,
+        "pipeline-until": pipeline_until, "fan": fan}
 
 def query(name):
     family, _, size = name.partition("/")

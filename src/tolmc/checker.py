@@ -44,7 +44,7 @@ class CheckStats:
     zones_noted: int = 0  # federation sizes summed at each note()
     peak_federation_size: int = 0
     preds_computed: int = 0  # pred computations run, i.e. pred-memo misses
-    splits_computed: int = 0  # escape splits run, i.e. location-entry misses
+    splits_computed: int = 0  # escape splits run, i.e. misses of the by-value split records
     wall_ms: float = 0.0
 
     def note(self, fed: Federation) -> None:
@@ -72,9 +72,9 @@ class Checker:
         self.universe = full_space(m, self.layout)
         self.stats = CheckStats()
         self.sat: dict[TolFormula, Federation] = {}
-        # pred per (edge class, target zone list) and the obstruction
-        # predecessor per (location, budget), kept across the fixpoint
-        # rounds of the check
+        # pred per (edge class, target zone list) and the location
+        # results of the obstruction predecessor per split input value,
+        # kept across the fixpoint rounds of the check
         self.pred_memo = PredMemo()
 
     # -- satisfaction sets ---------------------------------------------------
@@ -87,7 +87,7 @@ class Checker:
             self.sat[psi] = fed
         memo = self.pred_memo
         self.stats.preds_computed = memo.escape.computed + memo.hit.computed
-        self.stats.splits_computed = memo.splits
+        self.stats.splits_computed = memo.splits.computed
         initial = (0,) * self.layout.dim
         ok = self.sat[self.f].contains_point(self.m.initial, initial)
         self.stats.wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -35,14 +35,21 @@ last read and answer without hashing where a list is the very object of
 the last call in the same slot: per location for the complement, and for
 pred per (edge class, target location) pair (Wta.pred_slot), whose edges
 all read one target list object in a round and so give one result.
-Above them, a location's result is kept per budget in a location entry:
-the escape pred of each out-edge, the ids of the edges that witnessed in
-some cell with their hit preds, and the result.  Every round still reads
-those preds, but the split, the hit unions and the cell intersections
-run again only at a location where one of them changed (Liu & Smolka,
-ICALP 1998; Cassez et al., CONCUR 2005).  The result is a function of
-the lists compared, so an entry serves any target of its budget.  All of
-this lives in a PredMemo, which a Checker keeps for a whole check, over
+Above them, a fourth RoundMemo keeps a location's result by the value of
+what its split reads, not by location (Bryant's computed table, IEEE TC
+1986): the key is the budget, the location's universe list and each
+out-edge's weight and escape list, in out-edge order; the record holds
+the out-edge positions whose hit preds the split read, those hit lists
+and the result.  The positions are a function of the key, so every
+round still reads the same preds, but the split, the hit unions and the
+cell intersections run only where no record of equal key holds equal
+hit lists (Liu & Smolka, ICALP 1998; Cassez et al., CONCUR 2005).  The
+result is a function of the lists compared, so a record serves any
+location, round and target with those values: the upstream locations of
+a pipeline share one split per distinct input.  Its slot per (location,
+budget) answers without hashing where the universe is the very object
+and the escape lists and hit lists equal those of the last call.  All of this
+lives in a PredMemo, which a Checker keeps for a whole check, over
 every fixpoint round and every strategic subformula; a fresh PredMemo
 computes everything afresh.
 Since equal target lists share one hit pred, many out-edges of a
@@ -110,8 +117,9 @@ class RoundMemo:
     read since the last turn(), prev for those of the round before;
     turn() drops prev and makes cur the new prev, so an entry read in
     neither of the last two rounds is gone.  In front of the lookup,
-    slots keeps per use (a Wta.pred_slot number, a location) the last
-    (input object, result), answered on identity without hashing.
+    slots keeps per use (a Wta.pred_slot number, a location, a
+    (location, budget) pair) the last input objects and result, which
+    answer without hashing.
     computed counts the results computed, i.e. the misses.
     """
 
@@ -178,22 +186,24 @@ class PredMemo:
     target list value) and slotted per (edge class, target location)
     pair number (Wta.pred_slot).
     complements is the RoundMemo of universe − target, keyed by
-    (universe list, target list) and slotted per location.  locations
-    maps (location, budget n) to the location's entry: the escape-pred
-    zone list of each out-edge, the witness edge ids, their hit-pred
-    zone lists and the location's result.  splits counts the escape
-    splits run, i.e. the entry misses.  minimal is the zones.minus dict
-    of minimal constraint sets, one per subtracted zone.
+    (universe list, target list) and slotted per location.  splits is
+    the RoundMemo of locations' results, keyed by value (_split_key:
+    budget, universe list, out-edge weights and escape lists) and shared
+    by every location with that key; a record holds the out-edge
+    positions whose hit preds the split read, those hit-pred zone lists
+    and the result, and the slot per (location, budget) holds (universe,
+    escape lists, the edge ids of those positions, record).  Its
+    computed counts the escape splits run.  minimal is the zones.minus dict of minimal constraint sets,
+    one per subtracted zone.
     """
 
-    __slots__ = ("escape", "hit", "complements", "locations", "splits", "minimal")
+    __slots__ = ("escape", "hit", "complements", "splits", "minimal")
 
     def __init__(self):
         self.escape = RoundMemo()
         self.hit = RoundMemo()
         self.complements = RoundMemo()
-        self.locations: dict[tuple[str, int], tuple[list, list, list, list]] = {}
-        self.splits = 0
+        self.splits = RoundMemo()
         self.minimal: dict = {}
 
 
@@ -280,13 +290,26 @@ def _cell_unions(cells: list, blockable: list, base: list, in_base: dict,
     return out
 
 
+def _split_key(m: Wta, edge_ids: tuple, n: int, u: list, esc: list) -> tuple:
+    """The inputs of a location's escape split but the hit lists: the
+    budget, the universe list, and the weight and escape list of each
+    out-edge, in m.out_edges order.  Built from lists, so each tuple is
+    made at its size: a tuple grown from an iterator and cut back leaves
+    one more size on the free lists."""
+    return (n, tuple(u), tuple([m.edges[i].weight for i in edge_ids]),
+            tuple([tuple(dbms) for dbms in esc]))
+
+
 def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federation,
                    complement: Federation, universe: Federation, memo: PredMemo) -> list:
     """The zone list of the budget-n obstruction predecessor at loc.
 
-    Every out-edge's escape pred and every witness edge's hit pred is
-    read; the split and the cell intersections run only when one of
-    those lists differs from the location's entry.  The hit preds of the
+    Every out-edge's escape pred is read, and the hit preds of the
+    out-edges, by position, that the split of these inputs reads.  The
+    split, the hit unions and the cell intersections run only when no
+    record of memo.splits holds this location's (budget, universe list,
+    out-edge weights, escape lists) with equal hit preds: a record serves
+    every location and round with those values.  The hit preds of the
     out-edges that escape nowhere are joined once per split, each list
     object once, and each cell joins only its other witnesses onto them
     (_cell_unions)."""
@@ -299,13 +322,22 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
             hits[i] = pred(m, layout, m.edges[i], target, memo.hit, i)
         return hits[i]
 
-    entry = memo.locations.get((loc, n))
+    splits = memo.splits
+    slot = splits.slots.get((loc, n))
     # == on lists of zone lists tests each item by identity first, and a
     # list kept from an earlier round is usually the very object pred
     # hands out again
-    if entry is not None and entry[0] == esc and entry[2] == [hit(i) for i in entry[1]]:
-        return entry[3]
-    memo.splits += 1
+    if slot is not None and slot[0] is universe and slot[1] == esc:
+        ids, record = slot[2], slot[3]
+        if record[1] == [hit(i) for i in ids]:
+            return record[2]
+    key = _split_key(m, edge_ids, n, universe.at(loc), esc)
+    record = splits.get(key)
+    if record is not None:
+        ids = [edge_ids[k] for k in record[0]]
+        if record[1] == [hit(i) for i in ids]:
+            splits.slots[(loc, n)] = (universe, esc, ids, record)
+            return record[2]
     out: list = []
     if cells := _escape_cells(m, loc, esc, universe, n, memo.minimal):
         # an edge that escapes nowhere is in no cell's pattern, so it
@@ -324,7 +356,10 @@ def _location_pred(m: Wta, layout: ClockLayout, loc: str, n: int, target: Federa
                                                                in_base, hit)):
             if cell_hits and (pieces := meet(_reduce(dbms), cell_hits)):
                 out = join(out, _reduce(pieces))
-    memo.locations[(loc, n)] = (esc, list(hits), list(hits.values()), out)
+    ids = list(hits)
+    record = ([edge_ids.index(i) for i in ids], list(hits.values()), out)
+    splits.put(key, record)
+    splits.slots[(loc, n)] = (universe, esc, ids, record)
     return out
 
 
@@ -336,7 +371,7 @@ def obstruction_pred(m: Wta, layout: ClockLayout, n: int,
 
     memo is the PredMemo to read and update; a fresh one computes
     everything afresh."""
-    for kept in (memo.escape, memo.hit, memo.complements):
+    for kept in (memo.escape, memo.hit, memo.complements, memo.splits):
         kept.turn()
     complement = _complement(m, target, universe, memo.complements, memo.minimal)
     by = {}

@@ -33,6 +33,21 @@ def test_probe_prints_one_row_per_process_under_any_hash_seed():
     assert min(ms1, scaled1, ms2, scaled2) > 0
 
 
+def test_pipeline_until_rows_record_the_until_wave():
+    # perfbench's pipeline Until formula, whose k rounds of growth at
+    # s{k-1} change every upstream location's split inputs
+    script = _script()
+    names = script.PROBE_INPUTS["check"][1]
+    assert [name for name in names if name.startswith("pipeline-until/")] == \
+        ["pipeline-until/k=30", "pipeline-until/k=60", "pipeline-until/k=120"]
+    proc = script.run_in(ROOT, ["-c", script.PROBE, "check", "pipeline-until/k=30"],
+                         timeout=60, hash_seed=1)
+    assert proc.returncode == 0, proc.stderr
+    size, ms, scaled, counts = json.loads(proc.stdout)
+    assert size is True and min(ms, scaled) > 0
+    assert counts["preds_computed"] == 189 and counts["splits_computed"] <= 2 * 30 + 2
+
+
 def test_witness_probe_counts_its_sweeps():
     script = _script()
     proc = script.run_in(ROOT, ["-c", script.PROBE, "location_witnesses", "phi1(4)"],

@@ -14,8 +14,8 @@ from tolmc.bench import gen_mesh, gen_pipeline
 from tolmc.checker import Checker
 from tolmc.logic import ClockAtom, parse_formula, print_formula, subformulas_by_size
 from tolmc.model import ClockLayout, Edge, Location, Wta, parse_model, serialize_model
-from tolmc.predecessor import (RoundMemo, _escape_cells, disc_pred, full_space, pred,
-                               time_pred)
+from tolmc.predecessor import (PredMemo, RoundMemo, _escape_cells, disc_pred, full_space,
+                               pred, time_pred)
 from tolmc.randgen import CLOSED_OPS, WEIGHTS, random_formula, random_wta
 from tolmc.zones import Federation, Zone, conjoin_atom
 
@@ -531,15 +531,16 @@ def test_escape_split_stops_at_the_budget(split_subtractions):
 
 
 def test_escape_split_steps_once_per_escape_set(split_subtractions):
-    # mesh k = 12 F: 1584 non-empty escape lists over 156 splits hold 166
-    # distinct ones; one step per edge made 4344 subtractions, one step
-    # per distinct list makes 188
+    # mesh k = 12 F: 1584 non-empty escape lists over 156 splits per
+    # (location, budget) entry held 166 distinct ones; one step per edge
+    # made 4344 subtractions, one step per distinct list 188.  Splits kept
+    # by value run 15, one per distinct input, making 18
     m, _ = gen_mesh(12)
     verdict = checker.check(m, parse_formula("j . <#10> F (s11 & j >= 12)"))
     assert verdict.satisfied
-    assert split_subtractions["calls"] == 188, split_subtractions
+    assert split_subtractions["calls"] == 18, split_subtractions
     # grouping changes the steps inside a split, not which splits run
-    assert (verdict.stats.splits_computed, verdict.stats.zones_noted) == (156, 383)
+    assert (verdict.stats.splits_computed, verdict.stats.zones_noted) == (15, 383)
 
 
 def test_obstruction_pred_builds_two_federations_per_call(monkeypatch):
@@ -721,21 +722,24 @@ def test_memo_keeps_only_entries_read_in_the_last_two_rounds(monkeypatch):
     c = Checker(m, parse_formula("j . <#1> F (s11 & j >= 144)"))
     assert c.run().satisfied
     memo = c.pred_memo
-    kept = {(id(r), key) for r in (memo.escape, memo.hit, memo.complements)
+    kept = {(id(r), key) for r in (memo.escape, memo.hit, memo.complements, memo.splits)
             for key in itertools.chain(r.cur, r.prev)}
     assert kept and kept <= rounds[-1] | rounds[-2]
     # the check read entries that it no longer keeps
     assert set().union(*rounds[:-2]) - kept
     assert len(memo.escape.slots) <= len(m.edges) and len(memo.hit.slots) <= len(m.edges)
     assert len(memo.complements.slots) <= len(m.locations)
+    assert len(memo.splits.slots) <= len(m.locations)  # one budget
 
 
 def test_hit_unions_run_once_per_split(monkeypatch):
     # an out-edge that escapes nowhere witnesses every cell, so its hit
     # pred joins one base per split, and a hit-pred list object that
     # several edges share joins a cell's union once; on mesh k = 30 G and
-    # k = 12 F, joining each blockable witness per cell makes 117 and 1739
-    # zones.join calls in _location_pred, and every witness 2611 and 1871
+    # k = 12 F, joining each blockable witness per cell made 117 and 1739
+    # zones.join calls in _location_pred, and every witness 2611 and 1871,
+    # with one split per (location, budget) entry 117 and 342; splits
+    # kept by value run once per distinct input and make 4 and 31
     count = {"calls": 0}
     join = zones.join
 
@@ -750,7 +754,7 @@ def test_hit_unions_run_once_per_split(monkeypatch):
         count["calls"] = 0
         assert checker.check(gen_mesh(k)[0], parse_formula(formula)).satisfied
         seen.append(count["calls"])
-    assert seen == [117, 342], seen
+    assert seen == [4, 31], seen
 
 
 def test_pred_answers_each_class_and_target_by_identity(monkeypatch):
@@ -760,15 +764,23 @@ def test_pred_answers_each_class_and_target_by_identity(monkeypatch):
     # 151 and 3732 -> 492 from slots per edge id.  Every pipeline pair has
     # one edge, so k = 30 F reads 1608 either way.  The preds computed are
     # those of slots per edge id: a slot that answered a list of another
-    # pair would skip or add computations
+    # pair would skip or add computations.  The counts hold the lookups of
+    # the pred memos and of the complement memo (60, 168 and 526 of them),
+    # not those of the split memo
     count = {"get": 0}
-    get = RoundMemo.get
+    get, init = RoundMemo.get, predecessor.PredMemo.__init__
+    split_memos = set()
 
     def counted(self, key):
-        count["get"] += 1
+        count["get"] += id(self) not in split_memos
         return get(self, key)
 
+    def spied_init(self):
+        init(self)
+        split_memos.add(id(self.splits))
+
     monkeypatch.setattr(RoundMemo, "get", counted)
+    monkeypatch.setattr(predecessor.PredMemo, "__init__", spied_init)
     seen = []
     for gen, k, formula in ((gen_mesh, 30, "j . <#1> G (s29 -> j >= 900)"),
                             (gen_mesh, 12, "j . <#10> F (s11 & j >= 12)"),
@@ -780,6 +792,102 @@ def test_pred_answers_each_class_and_target_by_identity(monkeypatch):
             assert v.satisfied
             seen.append((count["get"], v.stats.preds_computed))
     assert seen == [(151, 4)] * 2 + [(492, 30)] * 2 + [(1608, 189)] * 2, seen
+
+
+def split_key_model(a_inv=None, b_inv=None, a_guard=2, b_guard=2, a_weight=1, b_weight=1):
+    """Locations a and b, each with a witness edge go into t (labelled p),
+    guarded x <= a_guard / b_guard, and an edge out into d, guarded x <= 3
+    and of weight a_weight / b_weight.  t and d have no out-edges.  Toward
+    Sat(p), out escapes at x <= 3 from a and from b alike, and go nowhere;
+    by default a and b read equal split inputs."""
+    def invariant(bound):
+        return "" if bound is None else f" invariant x <= {bound}"
+
+    return parse_model(f"""wta
+clocks x
+location a init{invariant(a_inv)}
+location b{invariant(b_inv)}
+location t labels p
+location d
+edge a -> t action go guard x <= {a_guard} weight 1
+edge a -> d action out guard x <= 3 weight {a_weight}
+edge b -> t action go guard x <= {b_guard} weight 1
+edge b -> d action out guard x <= 3 weight {b_weight}
+""")
+
+
+# the a and b of the first three models differ in one part of what a
+# split reads, and so run a split each; those of "budget" read equal
+# inputs and share one, so only the budget tells its reads apart; t and d
+# share one split
+SPLIT_KEY_MODELS = {
+    "weights": (split_key_model(b_weight=2), 3),
+    "invariant": (split_key_model(a_inv=5, b_inv=3), 3),
+    "hit list": (split_key_model(b_guard=1), 3),
+    "budget": (split_key_model(), 2),
+}
+SPLIT_KEY_FORMULAS = ("<#1> F p", "(<#0> F p) & (<#1> F p)", "<#0> G (<#1> F p)")
+
+
+@pytest.mark.parametrize("case", list(SPLIT_KEY_MODELS))
+def test_split_records_serve_only_equal_inputs(case, monkeypatch):
+    # a record serves another location or budget only where the budget,
+    # universe list, out-edge weights, escape lists and the hit lists it
+    # read are equal; the hit preds read are those of the witnesses of the
+    # location's cells, wherever the record came from
+    m, splits = SPLIT_KEY_MODELS[case]
+    layout = layout_for(m)
+    universe = full_space(m, layout)
+    target = universe.restrict(["t"])
+    complement = universe.subtract(target)
+    esc = {loc: [ref_pred(m, layout, m.edges[i], complement) for i in m.out_edges[loc]]
+           for loc in ("a", "b")}
+    assert esc["a"] == esc["b"] and esc["a"][1] and not esc["a"][0]
+    reads = []
+    pred_ = predecessor.pred
+
+    def recorded(m_, layout_, e, target_, memo, i):
+        reads.append((id(memo), i))
+        return pred_(m_, layout_, e, target_, memo, i)
+
+    monkeypatch.setattr(predecessor, "pred", recorded)
+    memo = PredMemo()
+    for n in (0, 1, 2, 1, 0):  # one memo over budgets, as a check keeps it
+        reads.clear()
+        got = predecessor.obstruction_pred(m, layout, n, target, universe, memo)
+        want = ref_obstruction_pred(m, layout, n, target, universe)
+        assert list(got.zones()) == list(want.zones()), (case, n)
+        assert list(fresh_obstruction_pred(m, layout, n, target, universe).zones()) == \
+            list(want.zones()), (case, n)
+        witnesses = {i for loc in m.locations
+                     for _, pattern, _ in ref_escape_cells(m, layout, loc.name, complement,
+                                                           universe, n)
+                     for i in m.out_edges[loc.name] if i not in pattern}
+        assert {i for memo_id, i in reads if memo_id == id(memo.hit)} == witnesses, (case, n)
+    memo = PredMemo()
+    predecessor.obstruction_pred(m, layout, 1, target, universe, memo)
+    assert memo.splits.computed == splits, case
+    monkeypatch.undo()
+    for text in SPLIT_KEY_FORMULAS:
+        f = parse_formula(text)
+        got = Checker(m, f).run().sat_sets
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "obstruction_pred", ref_obstruction_pred)
+            want = Checker(m, f).run().sat_sets
+        for psi in subformulas_by_size(f):
+            assert list(got[psi].zones()) == list(want[psi].zones()), (case, text)
+
+
+def test_pipeline_until_wave_splits_once_per_distinct_input():
+    # pipeline k = 30 F: s29's self-loop grows its set for 30 rounds, and
+    # each round changes the inputs of every location upstream; a split
+    # per (location, budget) entry ran 524 times, one per distinct input
+    # runs 62
+    k = 30
+    m, _ = gen_pipeline(k)
+    v = checker.check(m, parse_formula(f"j . <#1> F (s{k - 1} & j >= {k * k})"))
+    assert v.satisfied
+    assert v.stats.splits_computed <= 2 * k + 2, v.stats.splits_computed
 
 
 def test_pred_slot_numbers_each_class_and_target_pair():
@@ -831,7 +939,11 @@ def test_hit_unions_give_the_reference_location_lists(monkeypatch):
     monkeypatch.setattr(predecessor, "_cell_unions", counted)
     for m, f in _hit_union_queries():
         assert checker.check(m, f).satisfied is not None
-    for m, layout, universe, targets in shared_class_cases():
+    # splits kept by value run once per distinct input, so the checks above
+    # count about one shared split per mesh location; the parallel-edge
+    # bundles share hit preds in most splits
+    for m, layout, universe, targets in itertools.chain(
+            shared_class_cases(), parallel_edge_cases(), parallel_edge_cases(seed=20261021)):
         for target in targets:
             for n in (0, 1, 2, 4):
                 fresh_obstruction_pred(m, layout, n, target, universe)
