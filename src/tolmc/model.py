@@ -9,16 +9,23 @@ oracle reads only names, index and kvec.
 
 A parsed Wta object keeps what its queries fix for as long as it lives:
 the layout of each formula object (Wta.layouts, so the checker, the
-oracle and the differential harness walk a formula once) and the
-oracle's graph of each layout (Wta.graphs, filled by oracle.discretize).
+oracle and the differential harness walk a formula once), the oracle's
+graph of each layout (Wta.graphs, filled by oracle.discretize) and the
+oracle's Sat bits of each formula object (Wta.oracle_sats, so
+oracle_check then location_witnesses solve a query once).
 Nothing is kept at module level or keyed by text: an equal Wta object
 builds its own, and a failed build keeps nothing.
 
 Within one parse_model call, each edge tail (the words after an edge's
-action, in the clause order serialize_model writes) is parsed once:
-edges with equal tails hold one guard tuple and one reset frozenset, so
-that Wta.edge_class knows a part it has met by its id.  The call's own
-table of tails keeps them and goes with it.
+action, in the clause order serialize_model writes) is parsed once.
+The parse loop looks each edge line's tail up in the call's own table
+of tails and, on a hit, builds the Edge (a named tuple) from the line's
+words and the tail's kept guard tuple, reset frozenset and weight; only
+a line with a new tail, or in another clause order, runs _parse_edge's
+clause loop, which records a new tail and hands back a recorded tail's
+objects.  So edges with equal tails hold one guard tuple and one reset
+frozenset, and Wta.edge_class knows a part it has met by its id.  The
+table goes with the call.
 """
 
 from __future__ import annotations
@@ -26,15 +33,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import logic
 from .logic import ClockAtom, is_numeral, numeral_value
 from .zones import MAX_CONSTANT, MAX_DIM, OPS, Dbm, conjoin_atom, dbm_unconstrained
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One edge: a named tuple of six fields, so it equals and hashes as
+    the plain tuple of them, and prints as Edge(source=..., ...)."""
+
     source: str
     action: str
     guard: tuple[ClockAtom, ...]
@@ -97,8 +106,8 @@ class Wta:
         inv = {loc.name: number(loc.invariant) for loc in self.locations}
         classes: dict[tuple, int] = {}
         return tuple(classes.setdefault(
-            (inv[e.target], number(e.guard), number(e.resets), inv[e.source]), len(classes))
-            for e in self.edges)
+            (inv[dst], number(guard), number(resets), inv[src]), len(classes))
+            for src, _, guard, resets, dst, _ in self.edges)
 
     @cached_property
     def pred_slot(self) -> tuple[int, ...]:
@@ -118,7 +127,8 @@ class Wta:
         caps = dict.fromkeys(self.clocks, 0)
         for atoms in [loc.invariant for loc in self.locations] + [e.guard for e in self.edges]:
             for a in atoms:
-                caps[a.clock] = max(caps[a.clock], a.value)
+                if a.value > caps[a.clock]:
+                    caps[a.clock] = a.value
         return caps
 
     @cached_property
@@ -134,9 +144,18 @@ class Wta:
         oracle.discretize and never changed after."""
         return {}
 
+    @cached_property
+    def oracle_sats(self) -> dict:
+        """id(formula) -> (formula, the oracle's Sat bits of its
+        subformulas on the kept graph), filled by oracle_check and
+        location_witnesses and never changed after; the entry holds the
+        formula, so its id stays its own."""
+        return {}
+
     def __getstate__(self):
-        # a copy or pickle is another object: it builds its own layouts and graphs
-        return {k: v for k, v in self.__dict__.items() if k not in ("layouts", "graphs")}
+        # a copy or pickle is another object: it builds its own kept queries
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("layouts", "graphs", "oracle_sats")}
 
 
 class ModelError(ValueError):
@@ -181,15 +200,22 @@ def parse_model(text: str) -> Wta:
     tails: dict[str, tuple] = {}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        at = _Line(raw, lineno)
-        toks = at.toks
+        body = raw.partition("#")[0]
+        toks = body.split()
         if not toks:
+            continue
+        if (toks[0] == "edge" and len(toks) > 5 and toks[4] == "action" and toks[2] == "->"
+                and (kept := tails.get(" ".join(toks[6:]))) is not None):
+            # a tail met before (none is before the header): it parsed once,
+            # clocks only grow, and the endpoints are checked after the loop
+            edges.append(Edge(toks[1], toks[5], kept[0], kept[1], toks[3], kept[2]))
             continue
         if not saw_header:
             if toks != ["wta"]:
                 raise ModelError(E_HEADER, "model must start with a 'wta' line", lineno)
             saw_header = True
             continue
+        at = _Line(body, lineno, toks)
         kind = toks[0]
         if kind == "clocks":
             for k, c in enumerate(toks[1:], start=1):
@@ -231,9 +257,10 @@ class _Line:
 
     __slots__ = ("text", "toks", "lineno")
 
-    def __init__(self, raw: str, lineno: int):
+    def __init__(self, raw: str, lineno: int, toks: Optional[list[str]] = None):
+        """toks, when given, are the words of raw, which then holds no '#'."""
         self.text = raw.partition("#")[0]
-        self.toks = self.text.split()
+        self.toks = self.text.split() if toks is None else toks
         self.lineno = lineno
 
     def col(self, k: int) -> int:
@@ -337,29 +364,13 @@ def _parse_location(at: _Line, clocks: list[str]):
 def _parse_edge(at: _Line, clocks: list[str], tails: dict[str, tuple]) -> Edge:
     """edge <src> -> <dst> action <a> [guard ...] [reset x,y] weight <n>
 
-    A line that opens in that order, as serialize_model writes it, is
-    parsed once per tail, the words after <a> joined by one space: tails
-    gives an equal tail's guard, resets and weight, so a model's edges
-    with equal tails hold one tuple and one frozenset.  A tail met first
-    and a line in any other order run the clause loop, and the line's
-    tail is kept once the loop succeeds; clocks only grow, so a kept tail
-    parses the same again."""
-    toks = at.toks
-    if len(toks) > 5 and toks[4] == "action" and toks[2] == "->":
-        # a str, not a tuple: a freed tuple stays on a free list, which
-        # tracemalloc counts as held
-        tail = " ".join(toks[6:])
-        kept = tails.get(tail)
-        if kept is not None:
-            return Edge(toks[1], toks[5], kept[0], kept[1], toks[3], kept[2])
-        e = _edge_clauses(at, clocks)
-        tails[tail] = (e.guard, e.resets, e.weight)
-        return e
-    return _edge_clauses(at, clocks)
-
-
-def _edge_clauses(at: _Line, clocks: list[str]) -> Edge:
-    """The clause loop over an edge line, in any clause order."""
+    The clause loop, in any clause order.  A line that opens in the
+    order serialize_model writes has a tail, the words after <a> joined
+    by one space; the first line with a tail records its guard, resets
+    and weight in tails, and parse_model builds every later line with an
+    equal tail from them without this loop, so a model's edges with
+    equal tails hold one tuple and one frozenset.  A line whose tail is
+    already recorded gets the recorded objects here too."""
     toks, lineno = at.toks, at.lineno
     if len(toks) < 4 or toks[2] != "->":
         raise ModelError(E_SYNTAX, "edge must read '<src> -> <dst> ...'", lineno)
@@ -405,6 +416,10 @@ def _edge_clauses(at: _Line, clocks: list[str]) -> Edge:
         raise ModelError(E_SYNTAX, "edge is missing its action", lineno)
     if weight is None:
         raise ModelError(E_SYNTAX, "edge is missing its weight", lineno)
+    if toks[4] == "action":
+        # keyed by a str, not a tuple: a freed tuple stays on a free list,
+        # which tracemalloc counts as held
+        guard, resets, weight = tails.setdefault(" ".join(toks[6:]), (guard, resets, weight))
     return Edge(src, action, guard, resets, dst, weight)
 
 

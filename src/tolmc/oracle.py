@@ -37,8 +37,11 @@ rejects unbound or colliding formula clocks; no DBM is built.  The graph
 depends on the model and the layout only, so the model object keeps it
 (Wta.graphs, one per equal layout) and every entry point reads the kept
 graph: oracle_check then location_witnesses, or differential then
-tctl_check on the formula's TCTL image, walk once.  Nothing changes a
-graph once it is built.  Coordinates are
+tctl_check on the formula's TCTL image, walk once.  oracle_check and
+location_witnesses also read one kept set of Sat bits per formula object
+(kept_sat, Wta.oracle_sats), so that pair solves a query once; oracle_sat
+itself keeps nothing.  Nothing changes a graph or kept bits once they
+are built.  Coordinates are
 stored doubled (1 unit = half a time unit), so arithmetic stays integral:
 each guard, invariant and clock atom is compiled once per query into
 (coordinate, comparison, doubled constant).
@@ -333,9 +336,18 @@ def oracle_sat(g: ExplicitGraph, f, order=None) -> dict:
     return sat
 
 
+def kept_sat(g: ExplicitGraph, f: logic.TolFormula) -> dict:
+    """oracle_sat(g, f) for g = discretize(m, f), kept on the model object
+    m = g.m per formula object (Wta.oracle_sats): a later call with the
+    same objects reads the same bits, which no caller changes."""
+    kept = g.m.oracle_sats.get(id(f))
+    if kept is None:
+        kept = g.m.oracle_sats[id(f)] = (f, oracle_sat(g, f))
+    return kept[1]
+
+
 def oracle_check(m: Wta, f: logic.TolFormula) -> bool:
-    g = discretize(m, f)
-    return bool(oracle_sat(g, f)[f][0])
+    return bool(kept_sat(discretize(m, f), f)[f][0])
 
 
 def tctl_check(m: Wta, f: logic.TolFormula) -> bool:
@@ -517,7 +529,7 @@ def location_witnesses(m: Wta, f: logic.TolFormula) -> list[dict]:
     if not isinstance(inner, (logic.Until, logic.Release)):
         raise ValueError("witness enumeration needs an outermost strategic operator")
     until = isinstance(inner, logic.Until)
-    sat = oracle_sat(g, f)
+    sat = kept_sat(g, f)
     s1, s2 = (sat[c] for c in logic.children(inner))
     if not sat[inner][0]:
         return []  # a location-constant witness is a winning per-state strategy

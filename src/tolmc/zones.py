@@ -46,7 +46,13 @@ what is left of a, a and b are disjoint and a comes back whole.
 A federation keeps one reduced list of zones per location.  Operations
 share the lists they do not touch with their operands, so a list read
 from a federation (`Federation.at`) must never be mutated; two lists
-that are one object hold the same zones.  Federations and the
+that are one object hold the same zones.  A list an operation leaves
+unchanged is the operand's list itself: `Federation.intersect` and
+`map_zones` hand back an operand's list where the meet or the mapped
+function gave back its zones in order, `join` where the other list adds
+no zone and `difference` where the other list is empty, so `_reduce`
+runs only on lists that change (Bengtsson & Yi 2004: an operation
+touches only the zones that change).  Federations and the
 obstruction predecessor combine such lists through one list algebra:
 `join`, `meet`, `minus` and `difference`.  `join(a, b)` keeps a as it
 is and tests only the pairs with a zone of b, as a reduced a needs no
@@ -284,17 +290,18 @@ def extrapolate(d: Dbm, ks) -> Dbm:
     m = list(d)
     changed = False
     for i in range(n):
+        high = 2 * ks[i] + 1  # le(k_i), once per row
         for j in range(n):
             if i == j:
                 continue
             b = d[i * n + j]
             if b >= INF:
                 continue
-            if b > le(ks[i]):
+            if b > high:
                 m[i * n + j] = INF
                 changed = True
-            elif b < lt(-ks[j]):
-                m[i * n + j] = lt(-ks[j])
+            elif b < -2 * ks[j]:  # lt(-k_j), inline: a list of them costs more at dim 3
+                m[i * n + j] = -2 * ks[j]
                 changed = True
     if not changed:
         return d
@@ -474,8 +481,11 @@ class Federation:
                                                     for loc, dbms in other._by_loc.items()})
 
     def intersect(self, other: "Federation") -> "Federation":
+        """self ∩ other; at each location self's list itself when the meet
+        gave back its zones, in order."""
         self._check_dim(other)
-        return Federation(self.dim, {loc: _reduce(pieces) for loc, dbms in self._by_loc.items()
+        return Federation(self.dim, {loc: _kept_or_reduced(pieces, dbms)
+                                     for loc, dbms in self._by_loc.items()
                                      if (pieces := meet(dbms, other.at(loc)))})
 
     def subtract(self, other: "Federation", minimal: Optional[dict] = None) -> "Federation":
@@ -503,18 +513,26 @@ class Federation:
         return any(contains_point(d, point2) for d in self._by_loc.get(loc, []))
 
     def map_zones(self, fn) -> "Federation":
-        """Apply fn(loc, dbm) -> Dbm|None zone-wise."""
+        """Apply fn(loc, dbm) -> Dbm|None zone-wise; a location's list
+        itself when fn gave back its zones, in order."""
         by = {}
         for loc, dbms in self._by_loc.items():
             pieces = [x for x in (fn(loc, d) for d in dbms) if x is not None]
             if pieces:
-                by[loc] = _reduce(pieces)
+                by[loc] = _kept_or_reduced(pieces, dbms)
         return Federation(self.dim, by)
 
 
 def _reduce(dbms: list) -> list:
     """Drop zones included in a single other zone, and exact duplicates."""
     return _reduce_onto([], dbms) if len(dbms) > 1 else dbms[:]  # a copy of exact size
+
+
+def _kept_or_reduced(pieces: list, dbms: list) -> list:
+    """dbms itself when pieces are its zones in order, else _reduce(pieces):
+    a federation's lists are reduced, so _reduce would give them back
+    unchanged, and the list object kept answers identity tests later."""
+    return dbms if pieces == dbms else _reduce(pieces)
 
 
 def _reduce_onto(out: list, dbms: list) -> list:

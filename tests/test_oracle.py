@@ -860,6 +860,29 @@ def test_one_graph_walk_per_model_object_and_layout(monkeypatch):
     assert oracle_check(cs, phi2(4)) and len(walks) == 1
 
 
+def test_one_oracle_sat_per_model_object_and_formula_object(monkeypatch):
+    # the case study's pair, oracle_check then location_witnesses, solves
+    # each query once: the model object keeps the bits of each formula
+    # object it was asked, and an equal object of either kind solves again
+    sats = _counted(monkeypatch, oracle, "oracle_sat")
+    for t, make in [(t, phi1) for t in range(1, 6)] + [(t, phi2) for t in range(1, 7)]:
+        sats.clear()
+        cs, f = build_case_study(), make(t)
+        verdict = oracle_check(cs, f)
+        witnesses = location_witnesses(cs, f)
+        assert len(sats) == 1
+        assert oracle_check(cs, f) == verdict and location_witnesses(cs, f) == witnesses
+        assert len(sats) == 1 and list(cs.oracle_sats) == [id(f)]
+        assert oracle_check(cs, make(t)) == verdict and len(sats) == 2
+        for other in (build_case_study(), copy.copy(cs), pickle.loads(pickle.dumps(cs))):
+            assert not other.oracle_sats
+            assert location_witnesses(other, f) == witnesses
+        assert len(sats) == 5
+    # the kept bits are those oracle_sat gives on the kept graph
+    kept, fresh = cs.oracle_sats[id(f)][1], oracle_sat(discretize(cs, f), f)
+    assert list(kept) == list(fresh) and all(kept[psi] == fresh[psi] for psi in fresh)
+
+
 def test_an_equal_model_object_walks_again(monkeypatch):
     walks = _counted(monkeypatch, oracle, "_walk")
     m1, m2 = parse_model(ONE_CLOCK), parse_model(ONE_CLOCK)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -373,7 +372,7 @@ def shared_class_wta(rng, weights=WEIGHTS):
                               e.target, rng.choice(WEIGHTS)))
     rng.shuffle(edges)
     if weights != WEIGHTS:
-        edges = [dataclasses.replace(e, weight=rng.choice(weights)) for e in edges]
+        edges = [e._replace(weight=rng.choice(weights)) for e in edges]
     return Wta(base.clocks, locations, base.initial, tuple(edges))
 
 
@@ -761,15 +760,17 @@ def test_pred_answers_each_class_and_target_by_identity(monkeypatch):
     # pred keeps one slot per (edge class, target location), so after the
     # first edge of a pair every edge of it answers by identity: keyed
     # lookups (RoundMemo.get) on mesh k = 30 G and k = 12 F went 2699 ->
-    # 151 and 3732 -> 492 from slots per edge id.  Every pipeline pair has
-    # one edge, so k = 30 F reads 1608 either way.  The preds computed are
-    # those of slots per edge id: a slot that answered a list of another
-    # pair would skip or add computations.  The counts hold the lookups of
-    # the pred memos and of the complement memo (60, 168 and 526 of them),
-    # not those of the split memo
+    # 151 and 3732 -> 492 from slots per edge id, and to 93 and 490 once
+    # intersect and map_zones handed back an unchanged operand list, which
+    # the slots then know by identity.  Every pipeline pair has one edge,
+    # so k = 30 F reads 1608 either way.  The preds computed are those of
+    # slots per edge id: a slot that answered a list of another pair would
+    # skip or add computations.  The counts hold the lookups of the pred
+    # memos and of the complement memo, not those of the split memo, whose
+    # objects are held so that no other memo gets the id of a freed one
     count = {"get": 0}
     get, init = RoundMemo.get, predecessor.PredMemo.__init__
-    split_memos = set()
+    split_memos = {}
 
     def counted(self, key):
         count["get"] += id(self) not in split_memos
@@ -777,7 +778,7 @@ def test_pred_answers_each_class_and_target_by_identity(monkeypatch):
 
     def spied_init(self):
         init(self)
-        split_memos.add(id(self.splits))
+        split_memos[id(self.splits)] = self.splits
 
     monkeypatch.setattr(RoundMemo, "get", counted)
     monkeypatch.setattr(predecessor.PredMemo, "__init__", spied_init)
@@ -791,7 +792,7 @@ def test_pred_answers_each_class_and_target_by_identity(monkeypatch):
             v = checker.check(model, parse_formula(formula))
             assert v.satisfied
             seen.append((count["get"], v.stats.preds_computed))
-    assert seen == [(151, 4)] * 2 + [(492, 30)] * 2 + [(1608, 189)] * 2, seen
+    assert seen == [(93, 4)] * 2 + [(490, 30)] * 2 + [(1608, 189)] * 2, seen
 
 
 def split_key_model(a_inv=None, b_inv=None, a_guard=2, b_guard=2, a_weight=1, b_weight=1):

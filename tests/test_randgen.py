@@ -1,6 +1,26 @@
-"""randgen's disagreement shrinker ends."""
+"""randgen draws the models it drew before, and its disagreement
+shrinker ends."""
+
+import hashlib
+import random
 
 from helpers import run_python
+from tolmc.logic import print_formula
+from tolmc.model import serialize_model
+from tolmc.randgen import random_formula, random_wta
+
+
+def test_draws_are_pinned():
+    # the texts of the first 6000 models and formulas of random.Random(1);
+    # a change to what randgen builds must not move what it draws
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    for _ in range(6000):
+        m = random_wta(rng)
+        f = random_formula(rng, m, grades=(0, 1, 2, 3))
+        h.update(serialize_model(m).encode())
+        h.update(print_formula(f).encode() + b"\n")
+    assert h.hexdigest() == "817accb49016ba78edab6819bbe110aafb6df39b18c36cdb86e113d3e8d96957"
 
 
 def test_shrinker_ends_when_the_left_operand_is_already_true():

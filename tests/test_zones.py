@@ -605,6 +605,46 @@ def test_federation_operations_equal_their_references(data):
         assert list(x.subtract(y).zones()) == list(ref_subtract(x, y).zones())
 
 
+def test_intersect_and_map_zones_hand_back_an_unchanged_operand_list():
+    # at each location the list is the one _reduce gives of the pieces (the
+    # meet of the two lists, or fn's zones), zone for zone, and it is the
+    # operand's list object exactly when the pieces are its zones in order
+    rng = random.Random(20261022)
+    seen = {"kept": 0, "reduced": 0}
+
+    def check(got, operand, pieces_of):
+        locs = [loc for loc in dict.fromkeys(z.loc for z in operand.zones())
+                if pieces_of(loc, operand.at(loc))]
+        assert list(dict.fromkeys(z.loc for z in got.zones())) == locs
+        for loc in locs:
+            pieces = pieces_of(loc, operand.at(loc))
+            assert got.at(loc) == Z._reduce(pieces)
+            kept = pieces == operand.at(loc)
+            assert (got.at(loc) is operand.at(loc)) == kept
+            seen["kept" if kept else "reduced"] += 1
+
+    for _ in range(300):
+        dim = rng.choice((2, 3, 4))
+
+        def draw():
+            return fed(dim, *((rng.choice("lm"), random_dbm(rng, dim, cmax=3))
+                              for _ in range(rng.randint(0, 4))))
+
+        f, g = draw(), draw()
+        whole = fed(dim, ("l", dbm_unconstrained(dim)), ("m", dbm_unconstrained(dim)))
+        for x, y in ((f, g), (g, f), (f, f), (f, whole), (whole, f), (f, f.union(g)),
+                     (f.intersect(g), f)):
+            check(x.intersect(y), x, lambda loc, dbms: Z.meet(dbms, y.at(loc)))
+        ks = (0,) + tuple(rng.randint(0, 4) for _ in range(dim - 1))
+        i, op, c = rng.randrange(1, dim), rng.choice(Z.OPS), rng.randint(0, 3)
+        for fn in (lambda loc, d: d, lambda loc, d: tuple(list(d)),
+                   lambda loc, d: extrapolate(d, ks), lambda loc, d: conjoin_atom(d, i, op, c),
+                   lambda loc, d: None if loc == "m" else d):
+            check(f.map_zones(fn), f,
+                  lambda loc, dbms: [x for x in (fn(loc, d) for d in dbms) if x is not None])
+    assert min(seen.values()) >= 800, seen
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_join_keeps_its_first_list_and_tests_only_the_new_zones(data):
